@@ -250,23 +250,20 @@ class IrEngine:
         from collections import Counter
 
         from repro.errors import QueryError
-        from repro.query import doc_class_of, doc_field_of
 
+        index = self.relations.postings_index()
         facets = []
         for name in facet_names:
             if name == "class":
-                extract = doc_class_of
+                segment_of = index.doc_class
             elif name in ("field", "attribute"):
-                extract = doc_field_of
+                segment_of = index.doc_field
             else:
                 raise QueryError(
                     f"unknown facet {name!r} for content modes; "
                     "expected 'class' or 'attribute'")
-            counts: Counter[str] = Counter()
-            for doc in matched:
-                value = extract(self.relations.doc_url(doc))
-                if value:
-                    counts[value] += 1
+            counts = Counter(segment_of[doc] for doc in matched)
+            del counts[""]  # plain urls have no segments
             facets.append((name, tuple(sorted(
                 counts.items(), key=lambda item: (-item[1], item[0])))))
         return tuple(facets)

@@ -24,6 +24,22 @@ from repro.telemetry.runtime import get_telemetry
 __all__ = ["Fragment", "FragmentSet", "fragment_by_idf"]
 
 
+class _ScalarPostings(dict):
+    """``term -> [(doc, tf)]``, derived from the packed columns the
+    first time a term is asked for (the scalar scan bodies and the cost
+    model index it; nothing enumerates it)."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed: dict[Oid, PackedPostings]):
+        super().__init__()
+        self.packed = packed
+
+    def __missing__(self, term_oid: Oid) -> list[tuple[Oid, int]]:
+        pairs = self[term_oid] = self.packed[term_oid].pairs()
+        return pairs
+
+
 @dataclass
 class Fragment:
     """One horizontal fragment of the TF relation.
@@ -58,7 +74,9 @@ class FragmentSet:
 
     ``doc_ids`` is the dense document universe (position -> doc oid)
     the packed postings' ``dense`` columns index into, shared with the
-    postings index that built this set; ``plan_token`` identifies the
+    postings index that built this set — it sizes the kernels'
+    accumulators and may hold dead slots of removed documents, which no
+    posting points at; ``plan_token`` identifies the
     physical layout for the plan cache — an idf-patched view
     (:func:`~repro.ir.distributed.patch_fragment_idf`) keeps the token
     because only weights change, never the compiled access order.
@@ -99,39 +117,45 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
     # memoized against the relations' generation: a no-op when fresh
     relations.refresh_idf()
     get_telemetry().metrics.counter("ir.fragment_rebuilds").add(1)
-    term_oids = list(relations.IDF.head)
+    idf_of = dict(zip(relations.IDF.head, relations.IDF.tail))
+    term_oids = list(idf_of)
     if order == "idf":
-        term_oids.sort(key=lambda oid: (-relations.idf(oid), oid))
+        term_oids.sort(key=lambda oid: (-idf_of[oid], oid))
     elif order == "random":
         term_oids.sort(key=lambda oid: (oid * 2654435761) % (1 << 32))
     else:
         raise BatError(f"unknown fragmentation order: {order!r}")
 
-    # the packed postings index is the single O(pairs) precomputation;
-    # fragments share its columns instead of re-deriving per term
+    # only the layout is derived here: the fragments share the postings
+    # index's packed columns, generation after generation
     index = relations.postings_index()
-    packed_by_term = {oid: index.by_term.get(int(oid)) for oid in term_oids}
-    total_tuples = sum(len(p) for p in packed_by_term.values()
-                       if p is not None)
-    target = max(1, -(-total_tuples // fragment_count))  # ceil division
+    by_term = index.by_term
+    sizes = [len(by_term[oid].docs) for oid in term_oids]
+    target = max(1, -(-sum(sizes) // fragment_count))  # ceil division
+
+    # a fragment closes once it holds its share of the tuples (the last
+    # one takes the rest): cut points first, then one slice per fragment
+    cuts = [0]
+    tuples = 0
+    for position, size in enumerate(sizes):
+        if tuples >= target and len(cuts) < fragment_count:
+            cuts.append(position)
+            tuples = 0
+        tuples += size
+    cuts.append(len(term_oids))
 
     fragment_set = FragmentSet(doc_ids=index.doc_ids,
                                plan_token=(index.token, fragment_count,
                                            order))
-    current = Fragment(0, set(), {}, {}, {})
-    for term_oid in term_oids:
-        packed = packed_by_term[term_oid]
-        if packed is None:
-            continue
-        if (current.tuples >= target
-                and len(fragment_set.fragments) < fragment_count - 1):
-            fragment_set.fragments.append(current)
-            current = Fragment(len(fragment_set.fragments), set(), {}, {}, {})
-        current.term_oids.add(term_oid)
-        current.postings[term_oid] = packed.pairs()
-        current.packed[term_oid] = packed
-        current.idf[term_oid] = relations.idf(term_oid)
-        current.max_tf[term_oid] = packed.max_tf
-        current.tuples += len(packed)
-    fragment_set.fragments.append(current)
+    for start, stop in zip(cuts, cuts[1:]):
+        terms = term_oids[start:stop]
+        packed = {oid: by_term[oid] for oid in terms}
+        fragment_set.fragments.append(Fragment(
+            index=len(fragment_set.fragments),
+            term_oids=set(terms),
+            postings=_ScalarPostings(packed),
+            idf={oid: idf_of[oid] for oid in terms},
+            max_tf={oid: entry.max_tf for oid, entry in packed.items()},
+            tuples=sum(sizes[start:stop]),
+            packed=packed))
     return fragment_set

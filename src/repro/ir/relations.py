@@ -22,6 +22,14 @@ document bodies") — bulk population costs O(docs) instead of
 O(docs × vocabulary), and a query-time refresh is a no-op unless the
 index actually changed.  The generation stamp is also what the query
 caches key on (:mod:`repro.cache`).
+
+A write costs the document, not the corpus.  The pair-oid BATs are
+append-only with ascending oids, so un-indexing a document is four
+slice deletes (:meth:`~repro.monetdb.bat.BAT.delete_heads`); the
+document frequencies IDF derives from are a maintained map; and while a
+:class:`PostingsIndex` is built, every write is journalled so the next
+read patches that index copy-on-write instead of rebuilding it
+(lifecycle in :meth:`IrRelations.postings_index`).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import itertools
 import threading
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.errors import CatalogError
@@ -47,6 +55,15 @@ __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
 # reuse the same object addresses).
 _INDEX_TOKENS = itertools.count(1)
 
+_ADD, _REMOVE = "add", "remove"
+
+
+def url_segments(url: str) -> tuple[str, str]:
+    """``(class, attribute)`` of an engine-indexed ``class:key:attribute``
+    url; ``("", "")`` for a plain url."""
+    parts = url.split(":")
+    return (parts[0], parts[-1]) if len(parts) >= 3 else ("", "")
+
 
 @dataclass
 class PackedPostings:
@@ -60,6 +77,10 @@ class PackedPostings:
     term (one DT pair per document-term), which is what lets the
     kernels use unordered scatter-adds and stay bit-identical to the
     sequential scalar accumulation.
+
+    A built object is immutable and shared between index generations;
+    only :meth:`IrRelations._patch_postings_index` mutates one, and only
+    a private copy it made for the generation under construction.
     """
 
     docs: array
@@ -67,15 +88,14 @@ class PackedPostings:
     tfs: array
     tf_weights: array
     max_tf: int = 0
-    # packed positional columns (phrase search): ``positions`` is the
-    # flat int64 concatenation of every posting's occurrence positions
-    # (in analyzed-token order, stop words removed before numbering) and
-    # ``position_offsets`` the per-posting prefix offsets
-    # (len(docs) + 1).  ``None`` when any pair of this term predates the
-    # POS relation (a pre-v2 snapshot) — phrase matching then treats the
-    # term as position-less rather than guessing adjacency.
-    positions: array | None = None
-    position_offsets: array | None = None
+    # per posting, the POS encoding of its occurrence positions (the
+    # same str objects the ``ir:POS`` BAT holds — decoded on demand by
+    # phrase matching); ``None`` for a pair that predates the POS
+    # relation (a pre-v2 snapshot).  ``unpositioned`` counts those: a
+    # term with any is position-less for phrase matching, which never
+    # guesses adjacency.
+    positions: list[str | None] = field(default_factory=list)
+    unpositioned: int = 0
     # zero-copy numpy views over dense/tf_weights, built on first
     # kernel touch and shared by every cached plan
     _dense_view: object = field(default=None, repr=False, compare=False)
@@ -90,15 +110,13 @@ class PackedPostings:
 
     @property
     def has_positions(self) -> bool:
-        return self.positions is not None
+        return not self.unpositioned
 
     def positions_at(self, row: int) -> list[int]:
         """Occurrence positions of posting ``row``; ``[]`` w/o positions."""
-        if self.positions is None or self.position_offsets is None:
-            return []
-        start = self.position_offsets[row]
-        stop = self.position_offsets[row + 1]
-        return list(self.positions[start:stop])
+        encoded = self.positions[row]
+        return [int(value) for value in encoded.split(" ")] \
+            if encoded else []
 
     def dense_view(self, np):
         """The dense-position column as an int64 numpy view (zero-copy)."""
@@ -118,16 +136,55 @@ class PackedPostings:
             self._weights_view = view
         return view
 
+    # -- copy-on-write maintenance (one generation's private copy) -------
+
+    def _copy(self) -> "PackedPostings":
+        return replace(self, docs=self.docs[:], dense=self.dense[:],
+                       tfs=self.tfs[:], tf_weights=self.tf_weights[:],
+                       positions=self.positions[:],
+                       _dense_view=None, _weights_view=None)
+
+    def _append(self, doc: int, dense: int, tf: int,
+                encoded: str | None) -> None:
+        """Add the posting with the highest pair oid: it goes last,
+        exactly where a full rebuild would put it."""
+        self.docs.append(doc)
+        self.dense.append(dense)
+        self.tfs.append(tf)
+        self.tf_weights.append(tf)
+        self.max_tf = max(self.max_tf, tf)
+        self.positions.append(encoded)
+        self.unpositioned += encoded is None
+
+    def _remove(self, doc: int) -> None:
+        """Drop one document's posting; the others keep their order."""
+        row = self.docs.index(doc)
+        tf = self.tfs[row]
+        for column in (self.docs, self.dense, self.tfs, self.tf_weights):
+            del column[row]
+        if tf == self.max_tf:
+            self.max_tf = max(self.tfs, default=0)
+        self.unpositioned -= self.positions.pop(row) is None
+
 
 @dataclass
 class PostingsIndex:
     """The TF access path, precomputed: term -> packed postings.
 
-    Built in one pass over DT/TF per index generation (the paper's
-    fragmentation then orders these terms by descending idf); also
-    carries the dense document universe (``doc_ids``: dense position ->
-    doc oid) the scoring kernels accumulate over, and the per-document
-    lengths the language model needs.
+    Built in one pass over DT/TF (the paper's fragmentation then orders
+    these terms by descending idf) and from then on patched per
+    generation; also carries the dense document universe (``doc_ids``:
+    dense position -> doc oid) the scoring kernels accumulate over, the
+    per-document lengths the language model needs, and the url-segment
+    maps schema-2 queries filter and facet on.
+
+    ``doc_ids`` may hold *dead slots*: a removed document keeps its
+    dense position (no posting points at it any more) so surviving
+    ``dense`` columns stay valid.  ``doc_dense``, ``doc_lengths``,
+    ``doc_field`` and ``doc_class`` are keyed by the **live** documents
+    only — whatever enumerates the document universe reads those.  An
+    index is never mutated once published: readers holding one keep a
+    consistent snapshot.
     """
 
     generation: int
@@ -136,13 +193,14 @@ class PostingsIndex:
     doc_ids: array = field(default_factory=lambda: array("q"))
     doc_dense: dict[int, int] = field(default_factory=dict)
     doc_lengths: dict[int, int] = field(default_factory=dict)
+    doc_field: dict[int, str] = field(default_factory=dict)
+    doc_class: dict[int, str] = field(default_factory=dict)
 
 
 class IrRelations:
     """The five IR relations over one catalog, with incremental updates."""
 
-    def __init__(self, catalog: Catalog | None = None,
-                 refresh_batch: int = 64):
+    def __init__(self, catalog: Catalog | None = None):
         self.catalog = catalog or Catalog()
         self.T = self.catalog.ensure("ir:T", "oid", "str")
         self.D = self.catalog.ensure("ir:D", "oid", "url")
@@ -156,20 +214,22 @@ class IrRelations:
         # Catalogs restored from pre-v2 snapshots simply lack entries:
         # those pairs stay searchable, just not phrase-matchable.
         self.POS = self.catalog.ensure("ir:POS", "oid", "str")
-        # kept for API compatibility; the generation-stamped lazy
-        # refresh made threshold-based batching redundant
-        self.refresh_batch = refresh_batch
         self._term_oids: dict[str, Oid] = {t: o for o, t in self.T}
         self._doc_oids: dict[str, Oid] = {u: o for o, u in self.D}
+        # term oid -> document frequency, maintained by every write (a
+        # restored catalog derives it from the authoritative DT once);
+        # a term no document holds any more has no entry
+        self._df: dict[Oid, int] = dict(Counter(self.DT_term.tail))
         # Bumped on every mutation; IDF (and the callers' fragment sets
         # and query caches) are memoized against it.  A restored
-        # snapshot starts stale so the first read re-derives IDF from
-        # the authoritative DT relation.
+        # snapshot starts stale so the first read writes IDF afresh.
         self.generation = 0
         self._idf_generation = -1
         self._refresh_lock = threading.Lock()
         self._postings_index: PostingsIndex | None = None
         self._postings_lock = threading.Lock()
+        # one entry per write since ``_postings_index`` was built
+        self._journal: list[tuple] = []
         # total term occurrences (for LM ranking); restored from TF when
         # the catalog comes from a snapshot
         self.collection_length = sum(self.TF.tail)
@@ -213,23 +273,30 @@ class IrRelations:
         """Index one document body; IDF refresh is deferred (lazy)."""
         if url in self._doc_oids:
             raise CatalogError(f"document already indexed: {url!r}")
+        occurrences: dict[str, list[int]] = {}
+        for position, term in enumerate(analyze(text)):
+            occurrences.setdefault(term, []).append(position)
         doc = self.catalog.oids.new()
         self.D.insert(doc, url)
         self._doc_oids[url] = doc
-        terms = analyze(text)
-        counts = Counter(terms)
-        occurrences: dict[str, list[int]] = {}
-        for position, term in enumerate(terms):
-            occurrences.setdefault(term, []).append(position)
-        for term, frequency in counts.items():
+        terms: list[Oid] = []
+        tfs: list[int] = []
+        encodings: list[str] = []
+        df = self._df
+        for term, positions in occurrences.items():
             term_oid = self._intern_term(term)
             pair = self.catalog.oids.new()
+            encoded = " ".join(map(str, positions))
             self.DT_doc.insert(pair, doc)
             self.DT_term.insert(pair, term_oid)
-            self.TF.insert(pair, frequency)
-            self.POS.insert(pair, " ".join(
-                str(position) for position in occurrences[term]))
-            self.collection_length += frequency
+            self.TF.insert(pair, len(positions))
+            self.POS.insert(pair, encoded)
+            df[term_oid] = df.get(term_oid, 0) + 1
+            terms.append(term_oid)
+            tfs.append(len(positions))
+            encodings.append(encoded)
+        self.collection_length += sum(tfs)
+        self._journal_write((_ADD, doc, url, terms, tfs, encodings))
         self.generation += 1
         return doc
 
@@ -240,27 +307,56 @@ class IrRelations:
         self.refresh_idf()
 
     def remove_document(self, url: str) -> None:
-        """Un-index one document (source data changed or disappeared)."""
-        doc = self._doc_oids.pop(url, None)
+        """Un-index one document (source data changed or disappeared).
+
+        All-or-nothing: the document's pair run and every new total are
+        computed before the first relation changes, so a lookup that
+        raises leaves the index as it was.
+        """
+        doc = self._doc_oids.get(url)
         if doc is None:
             raise CatalogError(f"document not indexed: {url!r}")
-        pairs = [pair for pair, d in self.DT_doc if d == doc]
-        for pair in pairs:
-            self.collection_length -= self.TF.find(pair)
-            self.DT_doc.delete_head(pair)
-            self.DT_term.delete_head(pair)
-            self.TF.delete_head(pair)
-            if self.POS.get(pair) is not None:  # pre-v2 pairs lack POS
-                self.POS.delete_head(pair)
+        # DT:doc's tail ascends (documents get ascending oids and pairs
+        # are appended per document): the run is found by bisect
+        pairs = self.DT_doc.find_heads(doc)
+        terms = [self.DT_term.find(pair) for pair in pairs]
+        length = sum(self.TF.find(pair) for pair in pairs)
+        for relation in (self.DT_doc, self.DT_term, self.TF, self.POS):
+            relation.delete_heads(pairs)  # pre-v2 pairs lack POS: fine
         self.D.delete_head(doc)
+        del self._doc_oids[url]
+        df = self._df
+        for term in terms:
+            if df[term] == 1:
+                del df[term]
+            else:
+                df[term] -= 1
+        self.collection_length -= length
+        self._journal_write((_REMOVE, doc, url, terms, None, None))
         self.generation += 1
+
+    def _journal_write(self, entry: tuple) -> None:
+        """Remember one write for the built postings index, if any.
+
+        Bulk loading before the first read journals nothing; a journal
+        that outgrows the index it would patch drops both, and the next
+        read pays the single full build a bulk load pays.
+        """
+        index = self._postings_index
+        if index is None:
+            return
+        self._journal.append(entry)
+        if len(self._journal) > len(index.doc_dense):
+            self._postings_index = None
+            self._journal = []
 
     def idf_fresh(self) -> bool:
         """Whether IDF reflects the current generation."""
         return self._idf_generation == self.generation
 
     def refresh_idf(self) -> None:
-        """Recompute IDF from DT (``idf = 1/df``, as in the paper).
+        """Write IDF from the maintained document frequencies
+        (``idf = 1/df``, as in the paper) — O(vocabulary).
 
         Memoized against :attr:`generation`: a no-op unless the index
         mutated since the last refresh, so every read path may call it
@@ -274,13 +370,12 @@ class IrRelations:
             generation = self.generation
             if self._idf_generation == generation:
                 return
-            frequencies: Counter[Oid] = Counter(self.DT_term.tail)
             fresh = self.catalog.get("ir:IDF")
-            fresh.clear()  # rebuilt wholesale: IDF is small (vocab)
+            fresh.clear()  # rewritten wholesale: IDF is small (vocab)
             fresh.append_many(
-                list(frequencies.keys()),
+                list(self._df),
                 [1.0 / document_frequency
-                 for document_frequency in frequencies.values()])
+                 for document_frequency in self._df.values()])
             self._idf_generation = generation
         get_telemetry().metrics.counter("ir.idf_refresh").add(1)
 
@@ -299,12 +394,14 @@ class IrRelations:
     def postings_index(self) -> PostingsIndex:
         """The packed postings access path, memoized per generation.
 
-        One O(pairs) pass over DT/TF replaces the per-term
-        ``find_heads``/``find`` loops the scalar path used to run per
-        query: every term's (doc, tf) columns come out packed on
-        ``array('q')`` (posting order preserved), together with the
-        dense document universe the scoring kernels accumulate over.
-        Double-checked under a lock like :meth:`refresh_idf`.
+        Lifecycle: **build** — one O(pairs) pass over DT/TF/POS when no
+        index exists (a bulk load before the first read pays exactly
+        this, once); **journal** — while an index exists every write
+        appends one entry; **patch** — the next read turns the old
+        index plus the journal into the next generation copy-on-write,
+        O(delta + vocabulary); **compaction** — when dead slots
+        outnumber live documents the next generation is a full build
+        again.  Double-checked under a lock like :meth:`refresh_idf`.
         """
         index = self._postings_index
         if index is not None and index.generation == self.generation:
@@ -314,6 +411,20 @@ class IrRelations:
             index = self._postings_index
             if index is not None and index.generation == generation:
                 return index
+            journal, self._journal = self._journal, []
+            if index is not None:
+                slots = len(index.doc_ids) + sum(
+                    entry[0] == _ADD for entry in journal)
+                # a generation the journal does not account for was
+                # bumped behind the write methods' back, and an index
+                # with more dead slots than live documents is due for
+                # compaction: either way only a build will do
+                if index.generation + len(journal) == generation \
+                        and slots <= 2 * len(self._doc_oids):
+                    index = self._patch_postings_index(index, journal,
+                                                       generation)
+                    self._postings_index = index
+                    return index
             index = self._build_postings_index(generation)
             self._postings_index = index
         get_telemetry().metrics.counter("ir.postings_rebuilds").add(1)
@@ -324,13 +435,13 @@ class IrRelations:
                               token=next(_INDEX_TOKENS))
         doc_ids = index.doc_ids
         doc_dense = index.doc_dense
-        for doc in self.D.head:
+        for doc, url in zip(self.D.head, self.D.tail):
             doc = int(doc)
-            if doc not in doc_dense:
-                doc_dense[doc] = len(doc_ids)
-                doc_ids.append(doc)
+            doc_dense[doc] = len(doc_ids)
+            doc_ids.append(doc)
+            index.doc_class[doc], index.doc_field[doc] = url_segments(url)
         # pair oid -> (doc, tf); the dict probes are the only per-pair
-        # Python work, paid once per generation instead of per query
+        # Python work, paid once per build instead of per query
         doc_of = dict(zip(self.DT_doc.head, self.DT_doc.tail))
         tf_of = dict(zip(self.TF.head, self.TF.tail))
         pos_of = dict(zip(self.POS.head, self.POS.tail))
@@ -344,32 +455,72 @@ class IrRelations:
                 entry = grouped[term] = ([], [], [])
             entry[0].append(doc)
             entry[1].append(tf)
-            entry[2].append(pos_of.get(pair))
+            entry[2].append(pos_of.get(pair))  # None: a pre-v2 pair
             doc_lengths[doc] = doc_lengths.get(doc, 0) + tf
-        for term, (docs, tfs, encoded_positions) in grouped.items():
-            dense = []
-            for doc in docs:
-                position = doc_dense.get(doc)
-                if position is None:  # tolerate a pair outside D
-                    position = doc_dense[doc] = len(doc_ids)
-                    doc_ids.append(doc)
-                dense.append(position)
-            positions: array | None = array("q")
-            offsets: array | None = array("q", [0])
-            for encoded in encoded_positions:
-                if encoded is None:  # pre-v2 pair: no positions at all
-                    positions = offsets = None
-                    break
-                if encoded:
-                    positions.extend(
-                        int(value) for value in encoded.split(" "))
-                offsets.append(len(positions))
+        for term, (docs, tfs, positions) in grouped.items():
             index.by_term[term] = PackedPostings(
-                docs=array("q", docs), dense=array("q", dense),
+                docs=array("q", docs),
+                dense=array("q", [doc_dense[doc] for doc in docs]),
                 tfs=array("q", tfs),
                 tf_weights=array("d", tfs),
                 max_tf=max(tfs, default=0),
-                positions=positions, position_offsets=offsets)
+                positions=positions,
+                unpositioned=positions.count(None))
+        return index
+
+    @staticmethod
+    def _patch_postings_index(old: PostingsIndex, journal: list[tuple],
+                              generation: int) -> PostingsIndex:
+        """The next generation of ``old``, copy-on-write.
+
+        Untouched :class:`PackedPostings` are shared with ``old``; a
+        touched term is copied once, then patched.  The result answers
+        exactly like a full build over the same relations — only its
+        ``dense`` numbering (dead slots) and its dict orders differ.
+        """
+        index = PostingsIndex(
+            generation=generation, token=next(_INDEX_TOKENS),
+            by_term=dict(old.by_term), doc_ids=old.doc_ids[:],
+            doc_dense=dict(old.doc_dense),
+            doc_lengths=dict(old.doc_lengths),
+            doc_field=dict(old.doc_field), doc_class=dict(old.doc_class))
+        by_term = index.by_term
+        owned: set[int] = set()  # terms whose columns are private copies
+
+        def own(term: int) -> PackedPostings:
+            packed = by_term.get(term)
+            if packed is None:  # a new term, or one emptied just now
+                packed = PackedPostings(array("q"), array("q"), array("q"),
+                                        array("d"))
+            elif term in owned:
+                return packed
+            else:
+                packed = packed._copy()
+            owned.add(term)
+            by_term[term] = packed
+            return packed
+
+        for op, doc, url, terms, tfs, encodings in journal:
+            doc = int(doc)
+            if op == _ADD:
+                dense = index.doc_dense[doc] = len(index.doc_ids)
+                index.doc_ids.append(doc)
+                if tfs:  # like a build: no pairs, no length entry
+                    index.doc_lengths[doc] = sum(tfs)
+                index.doc_class[doc], index.doc_field[doc] = \
+                    url_segments(url)
+                for term, tf, encoded in zip(terms, tfs, encodings):
+                    own(int(term))._append(doc, dense, tf, encoded)
+                continue
+            for table in (index.doc_dense, index.doc_lengths,
+                          index.doc_field, index.doc_class):
+                table.pop(doc, None)
+            for term in terms:
+                term = int(term)
+                packed = own(term)
+                packed._remove(doc)
+                if not packed.docs:
+                    del by_term[term]
         return index
 
     def postings(self, term_oid: Oid) -> list[tuple[Oid, int]]:
@@ -382,8 +533,7 @@ class IrRelations:
         return self.postings_index().by_term.get(int(term_oid))
 
     def document_frequency(self, term_oid: Oid) -> int:
-        packed = self.postings_index().by_term.get(int(term_oid))
-        return len(packed) if packed is not None else 0
+        return self._df.get(term_oid, 0)
 
     def stats(self) -> dict[str, int]:
         return {

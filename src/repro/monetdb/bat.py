@@ -11,7 +11,9 @@ BAT with the operator repertoire the upper levels need:
 * grouped aggregation and sorting,
 * append with optional hash indexes kept up to date,
 * batch append (:meth:`BAT.append_many`) validating whole columns at
-  C speed.
+  C speed,
+* batch delete (:meth:`BAT.delete_heads`) moving the surviving rows
+  with slice copies.
 
 Columns are *packed*: oid/int tails live on ``array('q')`` and flt
 tails on ``array('d')`` (eight bytes per atom, contiguous), spilling to
@@ -19,16 +21,27 @@ a plain list only for heap-object atoms (str/url/bit, custom ADTs) or
 for integers outside the int64 range.  The packed layout is what the
 columnar kernels in :mod:`repro.monetdb.algebra` and the top-N scorer
 vectorize over; the operator semantics here are unchanged.
+
+Like Monet, a BAT knows a physical property of its columns and picks
+the algorithm from it: an int64-packed column remembers whether it is
+*ascending* (one comparison per appended value; a load re-derives it
+because loading is an append).  While the head is ascending a head
+lookup is a bisect, so nothing has to build — or, after a delete,
+rebuild — a hash index over the whole column.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from itertools import islice
+from operator import le
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import BatError
 from repro.monetdb.atoms import AtomType, Oid, atom_type
+from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["BAT", "ColumnView"]
 
@@ -135,11 +148,62 @@ def _extend_column(column: Any, values: Sequence[Any]) -> Any:
     return column
 
 
+def _ascending_from(column: Any, start: int) -> bool:
+    """Whether rows ``start..`` keep an ascending ``column`` ascending."""
+    if not isinstance(column, array):
+        return False  # spilled past int64: the property is not tracked
+    fresh = column[max(start - 1, 0):]  # from the last old row: the seam
+    return all(map(le, fresh, islice(fresh, 1, None)))
+
+
+def _equal_range(column: Any, value: Any) -> range:
+    """Positions holding ``value`` in an ascending column (bisect)."""
+    try:
+        low = bisect_left(column, value)
+        return range(low, bisect_right(column, value, low))
+    except TypeError:  # a value no int compares with occurs nowhere
+        return range(0)
+
+
+def _runs(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Disjoint ``[start, stop)`` spans as maximal ascending runs."""
+    runs: list[tuple[int, int]] = []
+    for start, stop in sorted(spans):
+        if runs and runs[-1][1] == start:
+            runs[-1] = (runs[-1][0], stop)
+        else:
+            runs.append((start, stop))
+    return runs
+
+
+def _cut(column: Any, runs: list[tuple[int, int]]) -> None:
+    """Remove ascending disjoint position runs from ``column`` in place.
+
+    Every surviving row behind the first run moves exactly once, as part
+    of a slice (a C memmove for packed columns): one contiguous run costs
+    what ``del column[a:b]`` costs, many runs still cost one pass.
+    """
+    write = runs[0][0]
+    stops = [start for start, _ in runs[1:]] + [len(column)]
+    for (_, read), stop in zip(runs, stops):
+        width = stop - read
+        column[write:write + width] = column[read:stop]
+        write += width
+    del column[write:]
+
+
+#: a hash probe saves about a quarter of what indexing one row costs
+#: (measured: ~0.8 us per bisect lookup saved, ~0.2 us per row built), so
+#: after rows / 4 bisect lookups the hash index has paid for itself
+_PROBES_PER_BUILD = 4
+
+
 class BAT:
     """A binary association table with typed, packed head and tail columns."""
 
     __slots__ = ("name", "head_type", "tail_type", "_head", "_tail",
-                 "_head_index", "_tail_index")
+                 "_head_index", "_tail_index", "_head_ascending",
+                 "_tail_ascending", "_head_probes", "_tail_probes")
 
     def __init__(self, head_type: AtomType | str, tail_type: AtomType | str,
                  name: str = ""):
@@ -150,10 +214,23 @@ class BAT:
         self.name = name
         self.head_type = head_type
         self.tail_type = tail_type
-        self._head = _new_column(head_type)
-        self._tail = _new_column(tail_type)
-        self._head_index: dict[Any, list[int]] | None = None
-        self._tail_index: dict[Any, list[int]] | None = None
+        self.clear()
+
+    @classmethod
+    def _derived(cls, head_type: AtomType, tail_type: AtomType, name: str,
+                 head: Any, tail: Any, head_ascending: bool = False,
+                 tail_ascending: bool = False) -> "BAT":
+        """An operator result over ready-made columns.
+
+        The ascending flags default to *unknown* (False); operators that
+        keep row order pass their operand's flags through.
+        """
+        result = cls(head_type, tail_type, name=name)
+        result._head = head
+        result._tail = tail
+        result._head_ascending = head_ascending
+        result._tail_ascending = tail_ascending
+        return result
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -184,6 +261,16 @@ class BAT:
         """Number of associations (buns) in the BAT."""
         return len(self._head)
 
+    @property
+    def head_ascending(self) -> bool:
+        """Whether the head column is known to be ascending."""
+        return self._head_ascending
+
+    @property
+    def tail_ascending(self) -> bool:
+        """Whether the tail column is known to be ascending."""
+        return self._tail_ascending
+
     def storage(self) -> tuple[str, str]:
         """Physical storage classes: an array typecode or ``"list"``."""
         return (self._head.typecode if isinstance(self._head, array)
@@ -200,16 +287,23 @@ class BAT:
         head = self.head_type.coerce(head)
         tail = self.tail_type.coerce(tail)
         position = len(self._head)
+        if position:
+            if self._head_ascending and head < self._head[-1]:
+                self._head_ascending = False
+            if self._tail_ascending and tail < self._tail[-1]:
+                self._tail_ascending = False
         try:
             self._head.append(head)
         except OverflowError:  # int past int64: spill to a list column
             self._head = list(self._head)
             self._head.append(head)
+            self._head_ascending = False
         try:
             self._tail.append(tail)
         except OverflowError:
             self._tail = list(self._tail)
             self._tail.append(tail)
+            self._tail_ascending = False
         if self._head_index is not None:
             self._head_index[head].append(position)
         if self._tail_index is not None:
@@ -238,6 +332,10 @@ class BAT:
         start = len(self._head)
         self._head = _extend_column(self._head, checked_heads)
         self._tail = _extend_column(self._tail, checked_tails)
+        if self._head_ascending:
+            self._head_ascending = _ascending_from(self._head, start)
+        if self._tail_ascending:
+            self._tail_ascending = _ascending_from(self._tail, start)
         if self._head_index is not None:
             for position, head in enumerate(checked_heads, start):
                 self._head_index[head].append(position)
@@ -250,21 +348,48 @@ class BAT:
         """Drop every association (the wholesale-rebuild update path)."""
         self._head = _new_column(self.head_type)
         self._tail = _new_column(self.tail_type)
-        self._head_index = None
-        self._tail_index = None
+        self._drop_indexes()
+        # the ascending property, tracked for int64-packed columns only
+        # (an empty column is ascending; flt columns can hold NaN)
+        self._head_ascending = self.head_type.typecode == "q"
+        self._tail_ascending = self.tail_type.typecode == "q"
 
     def delete_head(self, head: Any) -> int:
         """Delete every association with the given head; return the count."""
-        positions = self._positions_by_head(head)
-        if not positions:
+        return self.delete_heads((head,))
+
+    def delete_heads(self, heads: Iterable[Any]) -> int:
+        """Delete every association whose head is in ``heads``.
+
+        The doomed rows are found by bisect while the head is ascending,
+        else through the head hash index — built, if it has to be, once
+        for the whole batch, never once per head; the survivors then move
+        as slices (:func:`_cut`).  Row order — and with it both ascending
+        flags — is kept; the hash indexes hold positions, so they are
+        dropped.  Returns the count deleted.
+        """
+        column = self._head
+        if self._head_index is None and self._head_ascending:
+            spans = {(found.start, found.stop) for head in heads
+                     if (found := _equal_range(column, head))}
+            visited = sum(stop - start for start, stop in spans)
+        else:
+            # rows looked at: the doomed ones, plus the whole column
+            # when finding them takes building the index
+            visited = len(column) if self._head_index is None else 0
+            index = self._head_index or self._build_head_index()
+            spans = {(position, position + 1) for head in heads
+                     for position in index.get(head, ())}
+            visited += len(spans)
+        get_telemetry().metrics.counter("monetdb.delete_visited").add(visited)
+        if not spans:
             return 0
-        doomed = set(positions)
-        keep = [i for i in range(len(self._head)) if i not in doomed]
-        self._head = _take(self._head, keep)
-        self._tail = _take(self._tail, keep)
-        self._head_index = None
-        self._tail_index = None
-        return len(doomed)
+        runs = _runs(spans)
+        before = len(column)
+        _cut(column, runs)
+        _cut(self._tail, runs)
+        self._drop_indexes()
+        return before - len(column)
 
     def replace(self, head: Any, tail: Any) -> int:
         """Replace the tail of every association with the given head."""
@@ -278,7 +403,15 @@ class BAT:
                 self._tail[position] = tail
         if positions:
             self._tail_index = None
+            self._tail_ascending = False
         return len(positions)
+
+    def _drop_indexes(self) -> None:
+        self._head_index: dict[Any, list[int]] | None = None
+        self._tail_index: dict[Any, list[int]] | None = None
+        # bisect lookups answered since the column last had a hash index
+        self._head_probes = 0
+        self._tail_probes = 0
 
     # ------------------------------------------------------------------
     # indexes
@@ -298,13 +431,37 @@ class BAT:
         self._tail_index = index
         return index
 
-    def _positions_by_head(self, value: Any) -> list[int]:
-        index = self._head_index or self._build_head_index()
-        return index.get(value, [])
+    def _positions_by_head(self, value: Any) -> Sequence[int]:
+        """Positions of one head value, by the cheapest path the column's
+        physical properties allow.
 
-    def _positions_by_tail(self, value: Any) -> list[int]:
-        index = self._tail_index or self._build_tail_index()
-        return index.get(value, [])
+        A built hash index answers.  Without one an ascending column is
+        bisected — a write-heavy relation whose index every delete drops
+        never pays an O(rows) build for a handful of lookups — until the
+        probes since the last drop outweigh a build
+        (:data:`_PROBES_PER_BUILD`): a relation that is mostly read gets
+        its hash index back.  A column without the property builds it at
+        once.
+        """
+        index = self._head_index
+        if index is None:
+            if self._head_ascending:
+                self._head_probes += 1
+                if self._head_probes * _PROBES_PER_BUILD <= len(self._head):
+                    return _equal_range(self._head, value)
+            index = self._build_head_index()
+        return index.get(value, ())
+
+    def _positions_by_tail(self, value: Any) -> Sequence[int]:
+        """The tail twin of :meth:`_positions_by_head`."""
+        index = self._tail_index
+        if index is None:
+            if self._tail_ascending:
+                self._tail_probes += 1
+                if self._tail_probes * _PROBES_PER_BUILD <= len(self._tail):
+                    return _equal_range(self._tail, value)
+            index = self._build_tail_index()
+        return index.get(value, ())
 
     def head_groups(self) -> dict[Any, list[int]]:
         """The head hash index: value -> positions, in insertion order.
@@ -369,22 +526,20 @@ class BAT:
 
     def select_tail(self, value: Any) -> "BAT":
         """Select associations whose tail equals ``value`` (uses the index)."""
-        result = BAT(self.head_type, self.tail_type,
-                     name=f"{self.name}.select")
-        positions = self._positions_by_tail(value)
-        result._head = _take(self._head, positions)
-        result._tail = _take(self._tail, positions)
-        return result
+        return self._gather(self._positions_by_tail(value), "select")
 
     def select(self, predicate: Callable[[Any], bool]) -> "BAT":
         """Select associations whose tail satisfies ``predicate`` (scan)."""
-        result = BAT(self.head_type, self.tail_type,
-                     name=f"{self.name}.select")
-        positions = [i for i, tail in enumerate(self._tail)
-                     if predicate(tail)]
-        result._head = _take(self._head, positions)
-        result._tail = _take(self._tail, positions)
-        return result
+        return self._gather([i for i, tail in enumerate(self._tail)
+                             if predicate(tail)], "select")
+
+    def _gather(self, positions: Sequence[int], name: str) -> "BAT":
+        """The rows at ascending ``positions``: row order, and with it
+        the ascending property, carries over."""
+        return BAT._derived(
+            self.head_type, self.tail_type, f"{self.name}.{name}",
+            _take(self._head, positions), _take(self._tail, positions),
+            self._head_ascending, self._tail_ascending)
 
     def select_range(self, low: Any, high: Any,
                      include_low: bool = True,
@@ -413,35 +568,31 @@ class BAT:
 
     def reverse(self) -> "BAT":
         """Return a BAT with head and tail swapped."""
-        result = BAT(self.tail_type, self.head_type,
-                     name=f"{self.name}.reverse")
-        result._head = _copy_column(self._tail)
-        result._tail = _copy_column(self._head)
-        return result
+        return BAT._derived(
+            self.tail_type, self.head_type, f"{self.name}.reverse",
+            _copy_column(self._tail), _copy_column(self._head),
+            self._tail_ascending, self._head_ascending)
 
     def mirror(self) -> "BAT":
         """Return a BAT mapping each head to itself."""
-        result = BAT(self.head_type, self.head_type,
-                     name=f"{self.name}.mirror")
-        result._head = _copy_column(self._head)
-        result._tail = _copy_column(self._head)
-        return result
+        return BAT._derived(
+            self.head_type, self.head_type, f"{self.name}.mirror",
+            _copy_column(self._head), _copy_column(self._head),
+            self._head_ascending, self._head_ascending)
 
     def copy(self, name: str = "") -> "BAT":
         """Return an independent copy of this BAT."""
-        result = BAT(self.head_type, self.tail_type,
-                     name=name or self.name)
-        result._head = _copy_column(self._head)
-        result._tail = _copy_column(self._tail)
-        return result
+        return BAT._derived(
+            self.head_type, self.tail_type, name or self.name,
+            _copy_column(self._head), _copy_column(self._tail),
+            self._head_ascending, self._tail_ascending)
 
     def slice(self, start: int, stop: int) -> "BAT":
         """Return the positional slice [start, stop) as a new BAT."""
-        result = BAT(self.head_type, self.tail_type,
-                     name=f"{self.name}.slice")
-        result._head = self._head[start:stop]
-        result._tail = self._tail[start:stop]
-        return result
+        return BAT._derived(
+            self.head_type, self.tail_type, f"{self.name}.slice",
+            self._head[start:stop], self._tail[start:stop],
+            self._head_ascending, self._tail_ascending)
 
     # ------------------------------------------------------------------
     # joins
@@ -456,8 +607,6 @@ class BAT:
             raise BatError(
                 f"join type mismatch: {self.tail_type.name} vs "
                 f"{other.head_type.name}")
-        result = BAT(self.head_type, other.tail_type,
-                     name=f"{self.name}.join({other.name})")
         other_index = other._head_index or other._build_head_index()
         heads: list[Any] = []
         tails: list[Any] = []
@@ -466,9 +615,11 @@ class BAT:
             for position in other_index.get(tail, ()):
                 heads.append(head)
                 tails.append(other_tail[position])
-        result._head = _pack_column(self.head_type, heads)
-        result._tail = _pack_column(other.tail_type, tails)
-        return result
+        return BAT._derived(
+            self.head_type, other.tail_type,
+            f"{self.name}.join({other.name})",
+            _pack_column(self.head_type, heads),
+            _pack_column(other.tail_type, tails))
 
     def semijoin(self, other: "BAT") -> "BAT":
         """Keep associations whose head occurs as a head in ``other``."""
@@ -484,13 +635,8 @@ class BAT:
         return self._filter_heads(set(heads), keep=True, name="semijoin")
 
     def _filter_heads(self, keys: set, keep: bool, name: str) -> "BAT":
-        result = BAT(self.head_type, self.tail_type,
-                     name=f"{self.name}.{name}")
-        positions = [i for i, head in enumerate(self._head)
-                     if (head in keys) is keep]
-        result._head = _take(self._head, positions)
-        result._tail = _take(self._tail, positions)
-        return result
+        return self._gather([i for i, head in enumerate(self._head)
+                             if (head in keys) is keep], name)
 
     # ------------------------------------------------------------------
     # ordering and aggregation
@@ -501,11 +647,9 @@ class BAT:
         tail = self._tail
         order = sorted(range(len(self._head)),
                        key=tail.__getitem__, reverse=descending)
-        result = BAT(self.head_type, self.tail_type,
-                     name=f"{self.name}.sort")
-        result._head = _take(self._head, order)
-        result._tail = _take(self._tail, order)
-        return result
+        return BAT._derived(
+            self.head_type, self.tail_type, f"{self.name}.sort",
+            _take(self._head, order), _take(self._tail, order))
 
     def topn(self, n: int, descending: bool = True) -> "BAT":
         """Return the n associations with the largest (or smallest) tails."""
@@ -521,12 +665,11 @@ class BAT:
             if head not in counts:
                 order.append(head)
             counts[head] += 1
-        result = BAT(self.head_type, atom_type("int"),
-                     name=f"{self.name}.count")
-        result._head = _pack_column(self.head_type, order)
-        result._tail = _pack_column(result.tail_type,
-                                    [counts[head] for head in order])
-        return result
+        int_type = atom_type("int")
+        return BAT._derived(
+            self.head_type, int_type, f"{self.name}.count",
+            _pack_column(self.head_type, order),
+            _pack_column(int_type, [counts[head] for head in order]))
 
     def group_sum(self) -> "BAT":
         """Group by head; tail is the sum of tails per group."""
@@ -538,12 +681,10 @@ class BAT:
                 sums[head] = tail
             else:
                 sums[head] = sums[head] + tail
-        result = BAT(self.head_type, self.tail_type,
-                     name=f"{self.name}.sum")
-        result._head = _pack_column(self.head_type, order)
-        result._tail = _pack_column(self.tail_type,
-                                    [sums[head] for head in order])
-        return result
+        return BAT._derived(
+            self.head_type, self.tail_type, f"{self.name}.sum",
+            _pack_column(self.head_type, order),
+            _pack_column(self.tail_type, [sums[head] for head in order]))
 
     def unique_heads(self) -> list[Any]:
         """Distinct head values in first-appearance order."""

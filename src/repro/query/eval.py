@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import QueryError
+from repro.ir.relations import url_segments
 from repro.query.ast import And, Filter, Node, Not, Or, ParsedQuery, \
     Phrase, Range, Term
 
@@ -29,21 +30,14 @@ __all__ = ["ScoringEntry", "CompiledQuery", "compile_query",
            "doc_field_of", "doc_class_of", "filters_to_nodes"]
 
 
-def _segments(url: str) -> list[str]:
-    parts = url.split(":")
-    return parts if len(parts) >= 3 else []
-
-
 def doc_field_of(url: str) -> str:
     """The attribute segment of an engine-indexed url ('' otherwise)."""
-    parts = _segments(url)
-    return parts[-1] if parts else ""
+    return url_segments(url)[1]
 
 
 def doc_class_of(url: str) -> str:
     """The class segment of an engine-indexed url ('' otherwise)."""
-    parts = _segments(url)
-    return parts[0] if parts else ""
+    return url_segments(url)[0]
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,11 @@ class ScoringEntry:
 
 @dataclass
 class CompiledQuery:
-    """Everything the structured top-N scan needs, precomputed."""
+    """Everything the structured top-N scan needs, precomputed.
+
+    ``doc_dense`` is the postings index's own live-document map,
+    shared read-only (an index is never mutated once published).
+    """
 
     entries: tuple[ScoringEntry, ...]
     matched: frozenset
@@ -106,15 +104,10 @@ def filters_to_nodes(filters) -> list[Node]:
 class _Evaluator:
     def __init__(self, relations):
         self.relations = relations
-        index = relations.postings_index()
-        self.index = index
-        self.universe = frozenset(int(doc) for doc in index.doc_ids)
-        self.field_of: dict[int, str] = {}
-        self.class_of: dict[int, str] = {}
-        for oid, url in relations.D:
-            doc = int(oid)
-            self.field_of[doc] = doc_field_of(url)
-            self.class_of[doc] = doc_class_of(url)
+        # the live document set and the url-segment maps hang on the
+        # postings index: built once, patched with it, shared read-only
+        self.index = relations.postings_index()
+        self.field_of = self.index.doc_field
 
     # -- matching ---------------------------------------------------------
 
@@ -141,7 +134,7 @@ class _Evaluator:
         if isinstance(node, Range):
             return self._match_range(node)
         if isinstance(node, Not):
-            return set(self.universe) - self.match(node.child)
+            return self.index.doc_dense.keys() - self.match(node.child)
         if isinstance(node, Filter):
             return self.match(node.child)
         if isinstance(node, And):
@@ -276,5 +269,5 @@ def compile_query(relations, parsed: ParsedQuery, *,
     shape = (parsed.token(), tuple(sorted(boost_of.items())),
              tuple(filters))
     return CompiledQuery(entries=entries, matched=matched,
-                         doc_dense=dict(evaluator.index.doc_dense),
+                         doc_dense=evaluator.index.doc_dense,
                          field_weight=field_weight, shape=shape)

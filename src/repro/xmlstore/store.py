@@ -116,43 +116,54 @@ class XmlStore:
         return self.insert(key, document)
 
     def delete(self, key: str) -> None:
-        """Remove one document and all its associations."""
+        """Remove one document and all its associations.
+
+        The document's node oids are gathered per relation first, then
+        every relation loses its share in one
+        :meth:`~repro.monetdb.bat.BAT.delete_heads` batch — the cost
+        follows the document, not one pass per node.
+        """
         root = self.root_oid(key)
         sys_relation = self.catalog.get(SYS_RELATION)
         root_tag = sys_relation.find(root)
         context = self.summary.get_root(root_tag)
         if context is None:
             raise XmlStoreError(f"path summary lost root {root_tag!r}")
-        self._delete_subtree(context, root)
+        doomed: dict[str, list[Oid]] = {}
+        self._collect_subtree(context, [root], doomed)
+        for name, oids in doomed.items():
+            self.catalog.get(name).delete_heads(oids)
         sys_relation.delete_head(root)
         self._docs.delete_head(root)
         del self._doc_root[key]
         del self._root_doc[root]
         self.generation += 1
 
-    def _delete_subtree(self, context: PathNode, oid: Oid) -> None:
-        for name in context.attribute_names:
-            relation = self.catalog.get_or_none(
-                context.attribute_relation(name))
-            if relation is not None:
-                relation.delete_head(oid)
+    def _collect_subtree(self, context: PathNode, oids: list[Oid],
+                         doomed: dict[str, list[Oid]]) -> None:
+        """Add the heads to delete below ``oids`` (instances of
+        ``context``) to ``doomed``: relation name -> head oids."""
+        names = [context.attribute_relation(name)
+                 for name in context.attribute_names]
         if context.is_pcdata():
-            cdata = self.catalog.get_or_none(context.cdata_relation())
-            if cdata is not None:
-                cdata.delete_head(oid)
+            names.append(context.cdata_relation())
+        for name in names:
+            if name in self.catalog:
+                doomed.setdefault(name, []).extend(oids)
         for child_context in context.children.values():
             edges = self.catalog.get_or_none(child_context.edge_relation())
             if edges is None:
                 continue
-            child_oids = edges.find_all(oid)
+            child_oids = [child for oid in oids
+                          for child in edges.find_all(oid)]
             if not child_oids:
                 continue
-            ranks = self.catalog.get_or_none(child_context.rank_relation())
-            for child_oid in child_oids:
-                self._delete_subtree(child_context, child_oid)
-                if ranks is not None:
-                    ranks.delete_head(child_oid)
-            edges.delete_head(oid)
+            self._collect_subtree(child_context, child_oids, doomed)
+            ranks = child_context.rank_relation()
+            if ranks in self.catalog:
+                doomed.setdefault(ranks, []).extend(child_oids)
+            doomed.setdefault(child_context.edge_relation(),
+                              []).extend(oids)
 
     # -- retrieval ---------------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import CatalogError
+from repro.errors import BatError, CatalogError
+from repro.ir.ranking import rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.stemmer import stem
 
@@ -101,6 +102,42 @@ class TestRemoval:
     def test_remove_unknown_raises(self, relations):
         with pytest.raises(CatalogError):
             relations.remove_document("http://x/nope")
+
+    def test_failed_remove_changes_nothing(self, relations):
+        # regression: remove_document used to forget the url and lower
+        # collection_length pair by pair *before* a lookup could fail —
+        # a raise mid-way left a document unknown by url yet still ranked
+        class FailingTF:
+            def __init__(self, bat, fail_after):
+                self.bat, self.left = bat, fail_after
+
+            def find(self, pair):
+                if not self.left:
+                    raise BatError("injected: TF lost a pair")
+                self.left -= 1
+                return self.bat.find(pair)
+
+            def __getattr__(self, name):
+                return getattr(self.bat, name)
+
+        stats = relations.stats()
+        ranking = rank_tfidf(relations, "tennis champion court")
+        pairs = [list(bat) for bat in (relations.DT_doc, relations.DT_term,
+                                       relations.TF, relations.POS,
+                                       relations.D)]
+        intact = relations.TF
+        relations.TF = FailingTF(intact, fail_after=1)
+        with pytest.raises(BatError, match="injected"):
+            relations.remove_document("http://x/d1")
+        relations.TF = intact
+        assert relations.stats() == stats  # incl. the generation
+        assert relations.doc_oid("http://x/d1") is not None
+        assert rank_tfidf(relations, "tennis champion court") == ranking
+        assert pairs == [list(bat) for bat in (
+            relations.DT_doc, relations.DT_term, relations.TF,
+            relations.POS, relations.D)]
+        relations.remove_document("http://x/d1")  # and it still can go
+        assert relations.document_count() == 2
 
     def test_stats(self, relations):
         stats = relations.stats()

@@ -105,3 +105,55 @@ def test_example_roundtrip_with_namespaced_entities():
     store.insert("d", doc)
     assert isomorphic(store.reconstruct("d"), doc)
     assert isomorphic(parse_document(serialize(doc)), doc)
+
+
+def _delete_node_by_node(store: XmlStore, key: str) -> None:
+    """The reference: one ``delete_head`` per node per relation, as the
+    store deleted before it batched the doomed oids per relation."""
+    from repro.xmlstore.shredder import SYS_RELATION
+
+    def subtree(context, oid):
+        for name in context.attribute_names:
+            relation = store.catalog.get_or_none(
+                context.attribute_relation(name))
+            if relation is not None:
+                relation.delete_head(oid)
+        if context.is_pcdata():
+            cdata = store.catalog.get_or_none(context.cdata_relation())
+            if cdata is not None:
+                cdata.delete_head(oid)
+        for child_context in context.children.values():
+            edges = store.catalog.get_or_none(child_context.edge_relation())
+            if edges is None:
+                continue
+            ranks = store.catalog.get_or_none(child_context.rank_relation())
+            for child_oid in edges.find_all(oid):
+                subtree(child_context, child_oid)
+                if ranks is not None:
+                    ranks.delete_head(child_oid)
+            edges.delete_head(oid)
+
+    root = store.root_oid(key)
+    sys_relation = store.catalog.get(SYS_RELATION)
+    subtree(store.summary.get_root(sys_relation.find(root)), root)
+    sys_relation.delete_head(root)
+    store.catalog.get("docs").delete_head(root)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_documents(), min_size=1, max_size=4), st.data())
+def test_batched_delete_equals_node_by_node_delete(docs, data):
+    doomed = data.draw(st.integers(0, len(docs) - 1))
+    batched, reference = XmlStore(), XmlStore()
+    for store in (batched, reference):
+        for index, doc in enumerate(docs):
+            store.insert(f"d{index}", doc)
+    batched.delete(f"d{doomed}")
+    _delete_node_by_node(reference, f"d{doomed}")
+    assert batched.catalog.names() == reference.catalog.names()
+    for name in batched.catalog.names():
+        assert list(batched.catalog.get(name)) == \
+            list(reference.catalog.get(name)), name
+    for index, doc in enumerate(docs):
+        if index != doomed:
+            assert isomorphic(batched.reconstruct(f"d{index}"), doc)

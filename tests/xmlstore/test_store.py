@@ -167,3 +167,25 @@ class TestQueries:
         node = result.paths[0]
         keys = {store.document_of(node, oid) for oid in result.oids}
         assert keys == {"d0", "d1", "d2"}
+
+
+class TestDeleteCost:
+    def test_delete_cost_follows_the_document_not_the_store(self):
+        """Count-based, no timers: the BAT rows one delete has to look
+        at are the same in a store of 4 documents and of 40."""
+        from repro.telemetry import telemetry_session
+
+        def rows_visited(documents: int) -> float:
+            store = XmlStore()
+            for n in range(documents):
+                store.insert(f"d{n}", _doc(n))
+            generation = store.generation
+            with telemetry_session() as telemetry:
+                store.delete("d1")
+                visited = telemetry.metrics.sum_counters(
+                    "monetdb.delete_visited")
+            assert store.generation == generation + 1
+            assert "d1" not in store and len(store) == documents - 1
+            return visited
+
+        assert rows_visited(4) == rows_visited(40) > 0
