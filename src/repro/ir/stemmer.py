@@ -9,7 +9,14 @@ the test suite.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["stem"]
+
+#: Distinct words whose stems are remembered.  Bounded because a
+#: hostile query stream can carry unbounded distinct tokens; a
+#: library's working vocabulary is far smaller (~15 MB when full).
+_STEM_MEMO_WORDS = 1 << 16
 
 _VOWELS = set("aeiou")
 
@@ -175,8 +182,14 @@ def _step_5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=_STEM_MEMO_WORDS)
 def stem(word: str) -> str:
-    """Return the Porter stem of an (already lowercased) word."""
+    """Return the Porter stem of an (already lowercased) word.
+
+    A pure function of a short string, so memoised: a hot query's
+    cache key re-stems the same few words on every hit, and a corpus
+    repeats its vocabulary.  ``stem.__wrapped__`` is the algorithm.
+    """
     if len(word) <= 2:
         return word
     word = _step_1a(word)

@@ -1,8 +1,11 @@
 """Porter stemmer against the reference vocabulary of Porter (1980)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ir.stemmer import stem
+from repro.ir.text import analyzer_config
 
 # the worked examples from the original paper, per step
 REFERENCE = {
@@ -72,3 +75,25 @@ def test_query_and_document_forms_meet():
     assert stem("approaches") == stem("approach")
     assert stem("playing") == stem("played") == "plai" or True
     assert stem("championships").startswith("championship"[:8])
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", max_size=24))
+def test_memoised_stem_is_the_algorithm(word):
+    # twice: the second call is answered by the memo
+    assert stem(word) == stem.__wrapped__(word) == stem(word)
+
+
+def test_stem_memo_is_bounded():
+    assert stem.cache_info().maxsize is not None
+
+
+def test_memoising_left_the_analyzer_fingerprint_alone():
+    # artifacts exported before the memo must still load: the
+    # fingerprint names the algorithm, and the algorithm did not change
+    assert analyzer_config() == {
+        "tokenizer": "alnum-lower-apostrophe-joining",
+        "stemmer": "porter-1980",
+        "stop_words": 124,
+        "stop_words_sha256": "ad996f782762541585cf4301ab194fd0666a67ab"
+                             "67ba076553185dd44147e4cc",
+    }
