@@ -58,7 +58,7 @@ from pathlib import Path
 
 from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.engine import SearchEngine
-from repro.core.persistence import load_engine, save_engine
+from repro.persistence import load_engine, save_engine
 from repro.errors import ReproError
 
 __all__ = ["main"]
@@ -477,14 +477,10 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     # it can be older than what CURRENT points at
     loaded = engine.snapshot_generation
     verified = "verified" if args.verify else "unverified"
-    if loaded is not None:
-        manifest = Manifest.load(store.path(loaded))
-        print(f"restored {site!r} from generation {loaded} "
-              f"({verified}): schema {manifest.schema}, "
-              f"cluster_size {manifest.config.cluster_size}")
-    else:
-        print(f"restored {site!r} from legacy snapshot {snapshot} "
-              f"(unverified: no manifest checksums)")
+    manifest = Manifest.load(store.path(loaded))
+    print(f"restored {site!r} from generation {loaded} "
+          f"({verified}): schema {manifest.schema}, "
+          f"cluster_size {manifest.config.cluster_size}")
     print(f"{len(engine.conceptual_store)} conceptual documents, "
           f"{len(engine.meta_store)} parse trees, "
           f"{len(engine.fds)} maintained objects")

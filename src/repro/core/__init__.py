@@ -27,6 +27,6 @@ def __getattr__(name):
     # lazy (PEP 562): the snapshot code lives in repro.persistence,
     # which imports this package — an eager import here would cycle
     if name in ("save_engine", "load_engine"):
-        from repro.core import persistence
-        return getattr(persistence, name)
+        from repro.persistence import engine
+        return getattr(engine, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -44,6 +44,15 @@ from repro.core.translate import ConceptualIndex, execute_query
 __all__ = ["SearchEngine", "PopulationReport", "RecrawlReport"]
 
 
+def _source_stamps(server: SimulatedWebServer):
+    """The FDS's ``source_stamp``: a source's ``Last-Modified``, if any."""
+    def stamp(key: str):
+        if key in server:
+            return server.head(key)["Last-Modified"]
+        return None
+    return stamp
+
+
 @dataclass
 class PopulationReport:
     """What one population run ingested."""
@@ -103,7 +112,10 @@ class SearchEngine:
         self.grammar = grammar or build_tennis_grammar()
         self.registry = registry or build_tennis_registry(self.video_library)
         self.fde = FDE(self.grammar, self.registry)
-        self.fds = FDS(self.fde, source_stamp=self._source_stamp)
+        # a closure over the server, not a bound method: the FDS must not
+        # hold the engine, or a dropped engine (relations, postings and
+        # all) would live on in a reference cycle until a full GC
+        self.fds = FDS(self.fde, source_stamp=_source_stamps(server))
 
         self._index = ConceptualIndex(self.conceptual_store)
         # generation-stamped cache of whole textual-query results; keys
@@ -111,7 +123,7 @@ class SearchEngine:
         # write path (populate/recrawl/maintain/reindex) invalidates
         self.query_cache = QueryCache(name="engine")
         # which checkpoint generation this engine was restored from, if
-        # any; None for freshly built engines and legacy flat snapshots
+        # any; None for freshly built engines
         self.snapshot_generation: int | None = None
         # the last write-ahead-log sequence number this engine's state
         # covers (snapshot wal_seq plus any replayed tail); None when
@@ -121,11 +133,6 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # populating
     # ------------------------------------------------------------------
-
-    def _source_stamp(self, key: str):
-        if key in self.server:
-            return self.server.head(key)["Last-Modified"]
-        return None
 
     def populate(self) -> PopulationReport:
         """Crawl, re-engineer, shred, index, analyze."""

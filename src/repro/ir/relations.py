@@ -37,9 +37,10 @@ from __future__ import annotations
 import itertools
 import threading
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import CatalogError
 from repro.monetdb.atoms import Oid
@@ -56,6 +57,54 @@ __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
 _INDEX_TOKENS = itertools.count(1)
 
 _ADD, _REMOVE = "add", "remove"
+
+
+def _int64(column) -> np.ndarray:
+    """An oid/int column as an int64 numpy array — a copy, so no
+    exported buffer pins the column against the next append."""
+    return np.array(column, dtype=np.int64)
+
+
+def _packed(typecode: str, values: np.ndarray) -> array:
+    return array(typecode, values.astype(typecode, copy=False).tobytes())
+
+
+def _inverse(bat) -> dict:
+    """A functional BAT's tail -> head map (last row wins)."""
+    heads, tails = bat.raw_columns()
+    return dict(zip(tails, heads))
+
+
+def _rows_of(keys: np.ndarray, heads: np.ndarray,
+             ascending: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's row in a head column, and whether it is there at all:
+    ``searchsorted`` on the column when it ascends, else on a stably
+    sorted copy."""
+    if not len(heads):
+        return (np.zeros(len(keys), dtype=np.int64),
+                np.zeros(len(keys), dtype=bool))
+    order = None if ascending else np.argsort(heads, kind="stable")
+    ordered = heads if order is None else heads[order]
+    rows = np.minimum(np.searchsorted(ordered, keys), len(heads) - 1)
+    found = ordered[rows] == keys
+    return (rows if order is None else order[rows]), found
+
+
+def _tails_by_pair(pairs: np.ndarray, bat) -> np.ndarray:
+    """``bat``'s tail for every pair oid in ``pairs``.
+
+    The pair-oid BATs are appended and deleted in lockstep, so their
+    heads are positionally aligned and one array comparison proves it;
+    anything else is matched by head.
+    """
+    heads, tails = (_int64(column) for column in bat.raw_columns())
+    if np.array_equal(heads, pairs):
+        return tails
+    rows, found = _rows_of(pairs, heads, bat.head_ascending)
+    if not found.all():
+        raise CatalogError(f"{bat.name} lacks a row for a pair of "
+                           "ir:DT:term")
+    return tails[rows]
 
 
 def url_segments(url: str) -> tuple[str, str]:
@@ -171,7 +220,7 @@ class PackedPostings:
 class PostingsIndex:
     """The TF access path, precomputed: term -> packed postings.
 
-    Built in one pass over DT/TF (the paper's fragmentation then orders
+    Built column-wise from DT/TF (the paper's fragmentation then orders
     these terms by descending idf) and from then on patched per
     generation; also carries the dense document universe (``doc_ids``:
     dense position -> doc oid) the scoring kernels accumulate over, the
@@ -214,12 +263,18 @@ class IrRelations:
         # Catalogs restored from pre-v2 snapshots simply lack entries:
         # those pairs stay searchable, just not phrase-matchable.
         self.POS = self.catalog.ensure("ir:POS", "oid", "str")
-        self._term_oids: dict[str, Oid] = {t: o for o, t in self.T}
-        self._doc_oids: dict[str, Oid] = {u: o for o, u in self.D}
+        self._term_oids: dict[str, Oid] = _inverse(self.T)
+        self._doc_oids: dict[str, Oid] = _inverse(self.D)
         # term oid -> document frequency, maintained by every write (a
-        # restored catalog derives it from the authoritative DT once);
-        # a term no document holds any more has no entry
-        self._df: dict[Oid, int] = dict(Counter(self.DT_term.tail))
+        # restored catalog derives it from the authoritative DT once,
+        # in order of first appearance); a term no document holds any
+        # more has no entry
+        terms = _int64(self.DT_term.raw_columns()[1])
+        unique, first, counts = np.unique(terms, return_index=True,
+                                          return_counts=True)
+        order = np.argsort(first)
+        self._df: dict[Oid, int] = dict(zip(unique[order].tolist(),
+                                            counts[order].tolist()))
         # Bumped on every mutation; IDF (and the callers' fragment sets
         # and query caches) are memoized against it.  A restored
         # snapshot starts stale so the first read writes IDF afresh.
@@ -232,7 +287,7 @@ class IrRelations:
         self._journal: list[tuple] = []
         # total term occurrences (for LM ranking); restored from TF when
         # the catalog comes from a snapshot
-        self.collection_length = sum(self.TF.tail)
+        self.collection_length = int(_int64(self.TF.raw_columns()[1]).sum())
 
     # -- vocabulary ------------------------------------------------------
 
@@ -394,7 +449,7 @@ class IrRelations:
     def postings_index(self) -> PostingsIndex:
         """The packed postings access path, memoized per generation.
 
-        Lifecycle: **build** — one O(pairs) pass over DT/TF/POS when no
+        Lifecycle: **build** — one columnar sort of DT/TF/POS when no
         index exists (a bulk load before the first read pays exactly
         this, once); **journal** — while an index exists every write
         appends one entry; **patch** — the next read turns the old
@@ -431,41 +486,71 @@ class IrRelations:
         return index
 
     def _build_postings_index(self, generation: int) -> PostingsIndex:
+        """The full build, columnar: one stable argsort of ``DT:term``'s
+        tail groups the pair columns by term, and every term's postings
+        are slices of the sorted columns.
+
+        The sort is stable, so a term's postings stay in pair order;
+        terms enter ``by_term`` in order of first appearance; a pair
+        without a ``POS`` row (pre-v2) keeps ``None``.  The scalar
+        per-pair build this replaces is the oracle in ``tests/kernels``.
+        """
         index = PostingsIndex(generation=generation,
                               token=next(_INDEX_TOKENS))
-        doc_ids = index.doc_ids
-        doc_dense = index.doc_dense
-        for doc, url in zip(self.D.head, self.D.tail):
-            doc = int(doc)
-            doc_dense[doc] = len(doc_ids)
-            doc_ids.append(doc)
-            index.doc_class[doc], index.doc_field[doc] = url_segments(url)
-        # pair oid -> (doc, tf); the dict probes are the only per-pair
-        # Python work, paid once per build instead of per query
-        doc_of = dict(zip(self.DT_doc.head, self.DT_doc.tail))
-        tf_of = dict(zip(self.TF.head, self.TF.tail))
-        pos_of = dict(zip(self.POS.head, self.POS.tail))
-        grouped: dict[int, tuple[list[int], list[int], list[str | None]]] = {}
-        doc_lengths = index.doc_lengths
-        for pair, term in zip(self.DT_term.head, self.DT_term.tail):
-            doc = doc_of[pair]
-            tf = tf_of[pair]
-            entry = grouped.get(term)
-            if entry is None:
-                entry = grouped[term] = ([], [], [])
-            entry[0].append(doc)
-            entry[1].append(tf)
-            entry[2].append(pos_of.get(pair))  # None: a pre-v2 pair
-            doc_lengths[doc] = doc_lengths.get(doc, 0) + tf
-        for term, (docs, tfs, positions) in grouped.items():
-            index.by_term[term] = PackedPostings(
-                docs=array("q", docs),
-                dense=array("q", [doc_dense[doc] for doc in docs]),
-                tfs=array("q", tfs),
-                tf_weights=array("d", tfs),
-                max_tf=max(tfs, default=0),
-                positions=positions,
-                unpositioned=positions.count(None))
+        doc_column, urls = self.D.raw_columns()
+        doc_ids = index.doc_ids = array("q", doc_column)
+        index.doc_dense = dict(zip(doc_ids, range(len(doc_ids))))
+        segments = list(map(url_segments, urls))
+        index.doc_class = dict(zip(doc_ids, (cls for cls, _ in segments)))
+        index.doc_field = dict(zip(doc_ids, (fld for _, fld in segments)))
+        pair_column, term_column = self.DT_term.raw_columns()
+        if not pair_column:
+            return index
+        pairs = _int64(pair_column)
+        docs = _tails_by_pair(pairs, self.DT_doc)
+        tfs = _tails_by_pair(pairs, self.TF)
+        doc_oids = _int64(doc_ids)
+        dense, known = _rows_of(docs, doc_oids, self.D.head_ascending)
+        if not known.all():
+            raise CatalogError("ir:DT:doc names a document missing from ir:D")
+        lengths = np.bincount(dense, weights=tfs, minlength=len(doc_ids))
+        held = np.zeros(len(doc_ids), dtype=bool)
+        held[dense] = True
+        index.doc_lengths = dict(zip(
+            doc_oids[held].tolist(), lengths[held].astype(np.int64).tolist()))
+        pos_heads, pos_tails = self.POS.raw_columns()
+        pos_rows, positioned = _rows_of(pairs, _int64(pos_heads),
+                                        self.POS.head_ascending)
+        terms = _int64(term_column)
+        order = np.argsort(terms, kind="stable")
+        terms = terms[order]
+        starts = np.flatnonzero(np.r_[True, terms[1:] != terms[:-1]])
+        stops = np.r_[starts[1:], len(terms)]
+        tfs = tfs[order]
+        positioned = positioned[order]
+        # one shared pool: POS's strings, then None for an absent row
+        pool = list(pos_tails)
+        pool.append(None)
+        positions = list(map(pool.__getitem__, np.where(
+            positioned, pos_rows[order], len(pool) - 1).tolist()))
+        doc_sorted = _packed("q", docs[order])
+        dense_sorted = _packed("q", dense[order])
+        tf_sorted = _packed("q", tfs)
+        weights_sorted = _packed("d", tfs)
+        groups = list(zip(terms[starts].tolist(), starts.tolist(),
+                          stops.tolist(),
+                          np.maximum.reduceat(tfs, starts).tolist(),
+                          np.add.reduceat(~positioned, starts,
+                                          dtype=np.int64).tolist()))
+        by_term = index.by_term
+        # the first pair of each term is ``order[start]`` (stable sort)
+        for number in np.argsort(order[starts], kind="stable").tolist():
+            term, start, stop, max_tf, unpositioned = groups[number]
+            by_term[term] = PackedPostings(
+                docs=doc_sorted[start:stop], dense=dense_sorted[start:stop],
+                tfs=tf_sorted[start:stop],
+                tf_weights=weights_sorted[start:stop], max_tf=max_tf,
+                positions=positions[start:stop], unpositioned=unpositioned)
         return index
 
     @staticmethod

@@ -129,7 +129,7 @@ def _check_flt_many(values: Sequence[Any]) -> Sequence[Any]:
 
 
 def _check_str_many(values: Sequence[Any]) -> Sequence[Any]:
-    if all(type(value) is str for value in values):
+    if set(map(type, values)) <= {str}:  # one C-speed pass
         return list(values)
     return [_check_str(value) for value in values]
 

@@ -43,6 +43,11 @@ from repro.errors import BatError
 from repro.monetdb.atoms import AtomType, Oid, atom_type
 from repro.telemetry.runtime import get_telemetry
 
+try:  # whole-column property checks vectorize when numpy is present
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is a declared dependency
+    _np = None
+
 __all__ = ["BAT", "ColumnView"]
 
 Column = "list[Any] | array"
@@ -153,6 +158,9 @@ def _ascending_from(column: Any, start: int) -> bool:
     if not isinstance(column, array):
         return False  # spilled past int64: the property is not tracked
     fresh = column[max(start - 1, 0):]  # from the last old row: the seam
+    if _np is not None and len(fresh) >= 1024:  # a load: one column op
+        values = _np.frombuffer(fresh, dtype=_np.int64)
+        return bool((values[1:] >= values[:-1]).all())
     return all(map(le, fresh, islice(fresh, 1, None)))
 
 
@@ -270,6 +278,13 @@ class BAT:
     def tail_ascending(self) -> bool:
         """Whether the tail column is known to be ascending."""
         return self._tail_ascending
+
+    def raw_columns(self) -> tuple[Any, Any]:
+        """The physical ``(head, tail)`` storage — packed ``array``\\ s or
+        lists, oids as raw ints.  Read-only: for whole-column consumers
+        (persistence, the postings build) that must not pay a per-value
+        wrapper."""
+        return self._head, self._tail
 
     def storage(self) -> tuple[str, str]:
         """Physical storage classes: an array typecode or ``"list"``."""

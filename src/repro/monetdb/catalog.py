@@ -42,8 +42,9 @@ class OidGenerator:
 
     def advance_past(self, oid: int) -> None:
         """Ensure future oids are strictly greater than ``oid``."""
-        while self._next <= oid:
-            self._next += self._stride
+        if self._next <= oid:  # whole strides, in one step
+            self._next += ((oid - self._next) // self._stride + 1) \
+                * self._stride
 
 
 class Catalog:

@@ -1,176 +1,271 @@
-"""Snapshot persistence for a server catalog.
+"""Snapshot persistence for a server catalog: one binary column container.
 
-Monet is a main-memory system with explicit persistence; we mirror that
-with a line-oriented JSON snapshot (one header line per BAT, one line per
-association) so that example scripts can save and reload an index without
-rebuilding it.
+Monet is a main-memory system of binary relations with explicit
+persistence, and a BAT *is* two columns — so a catalog file stores
+columns, not records.  A container (``*.bats``) is a file header and a
+run of length-prefixed, checksummed sections::
 
-Since the crash-safe snapshot subsystem (:mod:`repro.persistence`) the
-snapshot is written through the atomic write path — temp file, fsync,
-``os.replace`` — so an interrupted :func:`save_catalog` leaves the
-previous file intact rather than a torn half-snapshot, and loaders of a
-truncated or malformed file get a typed
-:class:`~repro.errors.SnapshotError` instead of a silent partial load.
+    header    magic b"MONETBAT" · u32 container version
+    section   kind (1 byte) · u64 payload length · u32 CRC-32 · payload
+
+All integers are little-endian.  Every payload is zlib level 1 (a
+constant of the format, not an option) and the CRC-32 covers the stored
+payload, so a flipped bit is caught before anything is inflated.  The
+first section (kind ``H``) is the BAT header — JSON naming the catalog's
+next oid and each BAT's name, atom types and count — then every BAT
+contributes its head and its tail column, in header order:
+
+=====  ======================  ==========================================
+kind   column                  payload before zlib
+=====  ======================  ==========================================
+``q``  int64 (oid, int)        the raw ``array('q')`` bytes
+``d``  float64 (flt)           the raw ``array('d')`` bytes
+``s``  str, url                ``count`` int64 character lengths, then
+                               one UTF-8 blob (``surrogatepass``)
+``j``  anything else           one JSON list — int64-overflow spills,
+                               ``bit``, custom ADTs
+=====  ======================  ==========================================
+
+A file ends after its last section.  Loading is ``frombytes`` plus
+column operations: no per-association parsing.  Truncation, a flipped
+bit, a bad magic or version, a count that disagrees with its column, a
+corrupt zlib stream and trailing bytes are each a typed
+:class:`~repro.errors.SnapshotError` naming the file — never a silent
+partial load.  Writes go through the atomic path (temp file, fsync,
+``os.replace``), so an interrupted :func:`save_catalog` leaves the
+previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import sys
+import zlib
+from array import array
+from itertools import accumulate
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
-from repro.errors import CatalogError, SnapshotError
-from repro.monetdb.atoms import Oid
+from repro.errors import AtomTypeError, BatError, SnapshotError
+from repro.monetdb.atoms import AtomType, atom_type
 from repro.monetdb.catalog import Catalog
 
-__all__ = ["save_catalog", "load_catalog", "count_records"]
+__all__ = ["CONTAINER_MAGIC", "CONTAINER_VERSION", "save_catalog",
+           "load_catalog"]
 
-_FORMAT_VERSION = 1
+CONTAINER_MAGIC = b"MONETBAT"
+#: Bumped whenever the container layout changes; readers refuse others.
+CONTAINER_VERSION = 1
+
+_FILE_HEADER = struct.Struct("<8sI")
+_SECTION = struct.Struct("<cQI")
+_LEVEL = 1
+_HEADER, _TEXT, _JSON = b"H", b"s", b"j"
+_TEXT_ATOMS = ("str", "url")
+# raw columns are stored little-endian whatever the host
+_SWAP = sys.byteorder == "big"
 
 
-def _encode_value(value: Any, type_name: str) -> Any:
-    if type_name == "oid":
-        return int(value)
-    return value
+def _little_endian(column: array) -> bytes:
+    if _SWAP:
+        column = column[:]
+        column.byteswap()
+    return column.tobytes()
 
 
-def _decode_value(value: Any, type_name: str) -> Any:
-    if type_name == "oid":
-        return Oid(value)
-    return value
+def _section(kind: bytes, raw: bytes) -> bytes:
+    payload = zlib.compress(raw, _LEVEL)
+    return _SECTION.pack(kind, len(payload), zlib.crc32(payload)) + payload
+
+
+def _kinds(atom: AtomType) -> bytes:
+    """The section kinds a column of ``atom`` may be stored as."""
+    if atom.typecode:
+        return atom.typecode.encode() + _JSON  # packed, or spilled
+    return _TEXT if atom.name in _TEXT_ATOMS else _JSON
+
+
+def _column_section(atom: AtomType, column: Any) -> bytes:
+    if isinstance(column, array):
+        return _section(column.typecode.encode(), _little_endian(column))
+    if atom.name in _TEXT_ATOMS:
+        lengths = array("q", map(len, column))
+        return _section(_TEXT, _little_endian(lengths) + "".join(
+            column).encode("utf-8", "surrogatepass"))
+    return _section(_JSON, json.dumps(column).encode("utf-8"))
 
 
 def save_catalog(catalog: Catalog, path: str | Path,
                  names: list[str] | None = None) -> int:
-    """Atomically write the catalog to ``path`` as a JSON-lines snapshot.
+    """Atomically write the catalog to ``path`` as one column container.
 
-    Returns the number of records (lines) written, which the snapshot
+    Returns the number of associations written, which the snapshot
     manifest stores next to the file's checksum.  ``names`` restricts
-    the snapshot to a subset of the catalog's BATs (in the given
-    order) — the offline index artifact splits one catalog over
-    several files this way; an unknown name is a
-    :class:`~repro.errors.CatalogError`.  Every file keeps the full
-    header, so any subset file alone still restores a collision-free
-    oid sequence.
+    the file to a subset of the catalog's BATs (in the given order) —
+    the offline index artifact splits one catalog over several files
+    this way; an unknown name is a :class:`~repro.errors.CatalogError`.
+    Every file records the catalog's next oid, so any subset file alone
+    still restores a collision-free oid sequence.
     """
     from repro.persistence.atomic import atomic_write
 
-    path = Path(path)
-    records = 0
-    with atomic_write(path, "w") as stream:
-        header = {
-            "format": _FORMAT_VERSION,
-            "next_oid": int(catalog.oids.peek()),
-        }
-        stream.write(json.dumps(header) + "\n")
-        records += 1
-        for name in (catalog.names() if names is None else names):
-            bat = catalog.get(name)
-            meta = {
-                "bat": name,
-                "head": bat.head_type.name,
-                "tail": bat.tail_type.name,
-                "count": len(bat),
-            }
-            stream.write(json.dumps(meta) + "\n")
-            records += 1
-            for head, tail in bat:
-                pair = [_encode_value(head, bat.head_type.name),
-                        _encode_value(tail, bat.tail_type.name)]
-                stream.write(json.dumps(pair) + "\n")
-                records += 1
-    return records
+    names = catalog.names() if names is None else list(names)
+    bats = [catalog.get(name) for name in names]
+    header = {
+        "next_oid": int(catalog.oids.peek()),
+        "bats": [{"name": name, "head": bat.head_type.name,
+                  "tail": bat.tail_type.name, "count": len(bat)}
+                 for name, bat in zip(names, bats)],
+    }
+    with atomic_write(Path(path), "wb") as stream:
+        stream.write(_FILE_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION))
+        stream.write(_section(_HEADER, json.dumps(header).encode("utf-8")))
+        for bat in bats:
+            head, tail = bat.raw_columns()
+            stream.write(_column_section(bat.head_type, head))
+            stream.write(_column_section(bat.tail_type, tail))
+    return sum(len(bat) for bat in bats)
 
 
-def count_records(path: str | Path) -> int:
-    """Line count of a JSON-lines snapshot (the manifest's record count)."""
-    with Path(path).open("r", encoding="utf-8") as stream:
-        return sum(1 for _ in stream)
+class _Container:
+    """A cursor over one container's bytes; every defect is typed."""
+
+    def __init__(self, data: bytes, path: Path):
+        self.data = data
+        self.view = memoryview(data)
+        self.path = path
+        self.offset = _FILE_HEADER.size
+        if len(data) < _FILE_HEADER.size:
+            raise self.error(f"truncated container header "
+                             f"({len(data)} bytes)")
+        magic, version = _FILE_HEADER.unpack_from(data)
+        if magic != CONTAINER_MAGIC:
+            raise self.error(f"not a column container (magic {magic!r})")
+        if version != CONTAINER_VERSION:
+            raise self.error(f"unsupported container version {version} "
+                             f"(this reader speaks {CONTAINER_VERSION})")
+
+    def error(self, message: str) -> SnapshotError:
+        return SnapshotError(f"{message}: {self.path}", path=self.path)
+
+    def section(self, what: str) -> tuple[bytes, bytes]:
+        """The next section's kind and inflated payload."""
+        start = self.offset
+        end = start + _SECTION.size
+        if end > len(self.data):
+            raise self.error(f"truncated before the {what} section")
+        kind, length, crc = _SECTION.unpack_from(self.data, start)
+        if length > len(self.data) - end:
+            raise self.error(f"truncated inside the {what} section")
+        payload = self.view[end:end + length]
+        if zlib.crc32(payload) != crc:
+            raise self.error(f"CRC-32 mismatch in the {what} section")
+        try:
+            raw = zlib.decompress(payload)
+        except zlib.error as exc:
+            raise self.error(f"corrupt zlib stream in the {what} section "
+                             f"({exc})") from exc
+        self.offset = end + length
+        return kind, raw
+
+    def column(self, atom: AtomType, count: int, what: str) -> Sequence:
+        kind, raw = self.section(what)
+        if kind not in _kinds(atom):
+            raise self.error(f"{kind!r} section cannot hold the {what} "
+                             f"({atom.name})")
+        if kind == _JSON:
+            try:
+                values = json.loads(raw)
+            except ValueError as exc:
+                raise self.error(f"malformed {what}: {exc}") from exc
+            if not isinstance(values, list) or len(values) != count:
+                raise self.error(f"the {what} does not hold {count} values")
+            return values
+        if kind == _TEXT:
+            return self._text(raw, count, what)
+        values = array(kind.decode())
+        if len(raw) != count * values.itemsize:
+            raise self.error(f"the {what} holds {len(raw)} bytes, not "
+                             f"{count} values")
+        values.frombytes(raw)
+        if _SWAP:
+            values.byteswap()
+        return values
+
+    def _text(self, raw: bytes, count: int, what: str) -> list[str]:
+        split = count * 8
+        lengths = array("q")
+        if len(raw) < split:
+            raise self.error(f"the {what} lacks its {count} lengths")
+        lengths.frombytes(raw[:split])
+        if _SWAP:
+            lengths.byteswap()
+        try:
+            text = raw[split:].decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"malformed UTF-8 in the {what}") from exc
+        ends = list(accumulate(lengths, initial=0))
+        if min(lengths, default=0) < 0 or ends[-1] != len(text):
+            raise self.error(f"the {what}'s lengths do not add up to its "
+                             f"{len(text)} characters")
+        return [text[start:end] for start, end in zip(ends, ends[1:])]
+
+    def finish(self) -> None:
+        if self.offset != len(self.data):
+            raise self.error(f"{len(self.data) - self.offset} trailing "
+                             "bytes after the last section")
+
+
+def _bat_entries(container: _Container, raw: bytes) -> tuple[int, list]:
+    """``(next_oid, [(name, head atom, tail atom, count), ...])``."""
+    try:
+        header = json.loads(raw)
+        entries = [(str(entry["name"]), atom_type(entry["head"]),
+                    atom_type(entry["tail"]), int(entry["count"]))
+                   for entry in header["bats"]]
+        next_oid = int(header["next_oid"])
+    except (AtomTypeError, KeyError, TypeError, ValueError) as exc:
+        raise container.error(f"malformed BAT header ({exc})") from exc
+    if any(count < 0 for *_, count in entries):
+        raise container.error("negative BAT count in the BAT header")
+    return next_oid, entries
 
 
 def load_catalog(path: str | Path, *, oid_start: int = 0,
                  oid_stride: int = 1,
                  catalog: Catalog | None = None) -> Catalog:
-    """Load a catalog snapshot written by :func:`save_catalog`.
+    """Load a catalog container written by :func:`save_catalog`.
 
     ``oid_start``/``oid_stride`` reconstruct a cluster node's strided
     oid sequence, so a restored shared-nothing server keeps handing out
     collision-free oids.  Passing an existing ``catalog`` merges the
-    snapshot's BATs into it instead of building a fresh one — how a
+    file's BATs into it instead of building a fresh one — how a
     multi-file artifact (postings / positions / meta) reassembles into
-    one catalog; a BAT name present in both is a
-    :class:`CatalogError`.  Truncated or malformed snapshots raise
-    :class:`~repro.errors.SnapshotError` (a :class:`CatalogError`
-    subclass, so pre-existing handlers still apply).
+    one catalog; a BAT name present in both is a :class:`CatalogError`.
+    Every section is decoded and checked before the first BAT is
+    created; any defect raises :class:`~repro.errors.SnapshotError` (a
+    :class:`CatalogError` subclass, so pre-existing handlers still
+    apply).
     """
     path = Path(path)
+    container = _Container(path.read_bytes(), path)
+    kind, raw = container.section("BAT header")
+    if kind != _HEADER:
+        raise container.error(f"expected the BAT header section, found a "
+                              f"{kind!r} section")
+    next_oid, entries = _bat_entries(container, raw)
+    columns = [(container.column(head, count, f"head column of {name!r}"),
+                container.column(tail, count, f"tail column of {name!r}"))
+               for name, head, tail, count in entries]
+    container.finish()
     if catalog is None:
         catalog = Catalog(oid_start=oid_start, oid_stride=oid_stride)
-    with path.open("r", encoding="utf-8") as stream:
-        header_line = stream.readline()
-        if not header_line:
-            raise SnapshotError(f"empty snapshot: {path}", path=path)
+    for (name, head, tail, _), (heads, tails) in zip(entries, columns):
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise SnapshotError(f"corrupt snapshot header in {path}: {exc}",
-                                path=path) from exc
-        if not isinstance(header, dict) \
-                or header.get("format") != _FORMAT_VERSION:
-            raise CatalogError(
-                "unsupported snapshot format: "
-                f"{header.get('format') if isinstance(header, dict) else header!r}")
-        current = None
-        remaining = 0
-        heads: list[Any] = []
-        tails: list[Any] = []
-
-        def flush() -> None:
-            # one packed append per BAT: the batch path validates whole
-            # columns at C speed instead of per-pair insert()
-            if current is not None and heads:
-                current.append_many(heads, tails)
-                heads.clear()
-                tails.clear()
-
-        for line in stream:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SnapshotError(
-                    f"corrupt snapshot record in {path}: {exc}",
-                    path=path) from exc
-            if isinstance(record, dict):
-                if remaining:
-                    raise SnapshotError(
-                        f"snapshot truncated: {remaining} pairs missing in "
-                        f"{current.name if current else '?'}", path=path)
-                flush()
-                try:
-                    current = catalog.create(record["bat"], record["head"],
-                                             record["tail"])
-                    remaining = int(record["count"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SnapshotError(
-                        f"corrupt BAT header in {path}: {exc}",
-                        path=path) from exc
-            else:
-                if current is None:
-                    raise SnapshotError(
-                        f"snapshot pair before any BAT header in {path}",
-                        path=path)
-                try:
-                    heads.append(_decode_value(record[0],
-                                               current.head_type.name))
-                    tails.append(_decode_value(record[1],
-                                               current.tail_type.name))
-                except (IndexError, TypeError, ValueError) as exc:
-                    raise SnapshotError(
-                        f"corrupt association record in {path}: {exc}",
-                        path=path) from exc
-                remaining -= 1
-        if remaining:
-            raise SnapshotError(f"snapshot {path} ends mid-BAT", path=path)
-        flush()
-    catalog.oids.advance_past(header["next_oid"] - 1)
+            catalog.create(name, head, tail).append_many(heads, tails)
+        except (AtomTypeError, BatError) as exc:
+            raise container.error(f"invalid values in {name!r}: "
+                                  f"{exc}") from exc
+    catalog.oids.advance_past(next_oid - 1)
     return catalog

@@ -3,22 +3,24 @@
 An exported index is one flat directory::
 
     index.json        the manifest — written last, the commit record
-    postings.jsonl    ir:T, ir:DT:doc, ir:DT:term, ir:TF, ir:IDF
-    positions.jsonl   ir:POS (phrase search)
-    meta.jsonl        ir:D (doc-oid -> url)
+    postings.bats     ir:T, ir:DT:doc, ir:DT:term, ir:TF, ir:IDF
+    positions.bats    ir:POS (phrase search)
+    meta.bats         ir:D (doc-oid -> url)
 
 The data files are :func:`~repro.monetdb.persistence.save_catalog`
-JSON-lines subsets of one catalog; ``index.json`` carries the artifact
-``format_version``, the newest request ``schema_version`` the artifact
-answers, the exporting index's ``generation``, the analyzer
-fingerprint (:func:`~repro.ir.text.analyzer_config`), the full
+column containers, each a subset of one catalog; ``index.json`` carries
+the artifact ``format_version``, the newest request ``schema_version``
+the artifact answers, the exporting index's ``generation``, the
+analyzer fingerprint (:func:`~repro.ir.text.analyzer_config`), the full
 :class:`~repro.core.config.EngineConfig` and a per-file SHA-256 / byte
-/ record stamp (:class:`~repro.persistence.manifest.FileStamp`).  The
-manifest is written last through the atomic write path, so a directory
-either has a manifest certifying complete data files or is not an
-artifact; readers verify the stamps before deserializing a single
-record, so truncation and bit-flips are typed
-:class:`~repro.errors.SnapshotError`\\ s, never wrong answers.
+/ association-count stamp
+(:class:`~repro.persistence.manifest.FileStamp`).  The manifest is
+written last through the atomic write path, so a directory either has
+a manifest certifying complete data files or is not an artifact;
+readers verify the stamps before deserializing a single column, and
+each container checks its own sections too, so truncation and
+bit-flips are typed :class:`~repro.errors.SnapshotError`\\ s, never
+wrong answers.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ __all__ = ["OFFLINE_FORMAT_VERSION", "INDEX_MANIFEST", "ARTIFACT_FILES",
 
 #: Bumped whenever the artifact layout changes; readers refuse other
 #: versions with a typed error instead of guessing.
-OFFLINE_FORMAT_VERSION = 1
+OFFLINE_FORMAT_VERSION = 2
 INDEX_MANIFEST = "index.json"
 
-POSTINGS_FILE = "postings.jsonl"
-POSITIONS_FILE = "positions.jsonl"
-META_FILE = "meta.jsonl"
+POSTINGS_FILE = "postings.bats"
+POSITIONS_FILE = "positions.bats"
+META_FILE = "meta.bats"
 
 #: Which IR relations land in which data file.  Postings carry the
 #: scored access path, positions the phrase-match columns, meta the

@@ -15,8 +15,9 @@ The subsystem layers four modules:
   engine resumes *incremental* maintenance,
 
 and ties them together in :mod:`repro.persistence.engine`'s
-:func:`save_engine` / :func:`load_engine`, re-exported here and (for
-backward compatibility) from :mod:`repro.core.persistence`.
+:func:`save_engine` / :func:`load_engine`, re-exported here.  Every
+catalog file a checkpoint holds is a
+:mod:`repro.monetdb.persistence` column container.
 
 ``save_engine``/``load_engine`` are exposed lazily (PEP 562): the
 engine module pulls in the whole core stack, and eager import here

@@ -26,9 +26,11 @@ trees, source stamps, observed detector versions —
 *incremental* maintenance: a detector bump after restore schedules only
 the revalidations it warrants instead of a full re-populate.
 
-Pre-retention snapshots (the flat version-1 layout with ``engine.json``
-at the directory root) still load, with the legacy field subset and no
-integrity verification.
+Every catalog file is a :mod:`repro.monetdb.persistence` column
+container (``*.bats``).  Older layouts — the flat format-1 directory
+with ``engine.json`` at its root, format-2 JSON-lines generations — are
+refused with a typed :class:`~repro.errors.SnapshotError` naming their
+version.
 """
 
 from __future__ import annotations
@@ -42,23 +44,23 @@ from repro.monetdb.persistence import load_catalog, save_catalog
 from repro.telemetry.runtime import get_telemetry
 from repro.web.site import SimulatedWebServer
 from repro.webspace.schema import WebspaceSchema
-from repro.core.config import EngineConfig
 from repro.core.engine import SearchEngine
 from repro.persistence.atomic import atomic_write_text
 from repro.persistence.fdsstate import (FDS_STATE_NAME, dump_fds_state,
                                         load_fds_state, restore_fds_state)
-from repro.persistence.manifest import Manifest, stamp_file, verify_files
+from repro.persistence.manifest import (FORMAT_VERSION, Manifest,
+                                        stamp_file, verify_files)
 from repro.persistence.snapshot import SnapshotStore
 
 __all__ = ["save_engine", "load_engine"]
 
-_CONCEPTUAL = "conceptual.jsonl"
-_META = "meta.jsonl"
-_IR = "ir.jsonl"
+_CONCEPTUAL = "conceptual.bats"
+_META = "meta.bats"
+_IR = "ir.bats"
 
 
 def _node_file(name: str) -> str:
-    return f"ir-{name}.jsonl"
+    return f"ir-{name}.bats"
 
 
 def _is_clustered(engine: SearchEngine) -> bool:
@@ -195,13 +197,11 @@ def load_engine(directory: str | Path, schema: WebspaceSchema,
             candidates = sorted(store.generations(), reverse=True)
         if not candidates:
             if (directory / "engine.json").exists():
-                span.set_attribute("legacy", True)
-                engine = _load_legacy(directory, schema, server, extractor)
-                if wal is not None:
-                    # legacy manifests predate wal_seq: the whole log
-                    # postdates the snapshot, replay it all
-                    _replay_wal_tail(engine, wal, span)
-                return engine
+                raise SnapshotError(
+                    f"{directory} is a flat format_version 1 snapshot; "
+                    f"this build reads format_version {FORMAT_VERSION} "
+                    "only — re-populate and snapshot again",
+                    path=directory)
             raise SnapshotError(f"no engine snapshot in {directory}",
                                 path=directory)
         last_error: SnapshotError | None = None
@@ -333,38 +333,3 @@ def _restore_ir(engine: SearchEngine, path: Path, stamps: dict) -> None:
         relations.generation = int(stamps.get("ir", 0))
         engine.ir.relations = relations
         relations.refresh_idf()
-
-
-def _load_legacy(directory: Path, schema: WebspaceSchema,
-                 server: SimulatedWebServer, extractor) -> SearchEngine:
-    """Load a pre-retention (format 1) flat snapshot directory."""
-    import json
-
-    from repro.xmlstore.store import XmlStore
-    from repro.core.translate import ConceptualIndex
-
-    try:
-        manifest = json.loads(
-            (directory / "engine.json").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"corrupt legacy manifest in {directory}: "
-                            f"{exc}", path=directory) from exc
-    if manifest.get("schema") != schema.name:
-        raise CatalogError(f"snapshot is for schema "
-                           f"{manifest.get('schema')!r}, got "
-                           f"{schema.name!r}")
-    config = EngineConfig(
-        fragment_count=manifest.get("fragment_count", 4),
-        ranking_model=manifest.get("ranking_model", "tfidf"),
-        top_n=manifest.get("top_n", 10),
-        crawl_seed=manifest.get("crawl_seed", "index.html"),
-    )
-    engine = SearchEngine(schema, server, config, extractor=extractor)
-    engine.conceptual_store = XmlStore.load(directory / _CONCEPTUAL,
-                                            engine.conceptual_store.server)
-    engine.meta_store = XmlStore.load(directory / _META,
-                                      engine.meta_store.server)
-    engine.ir.relations = IrRelations(load_catalog(directory / _IR))
-    engine.ir.relations.refresh_idf()
-    engine._index = ConceptualIndex(engine.conceptual_store)
-    return engine

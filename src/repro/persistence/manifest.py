@@ -5,7 +5,8 @@ presence certifies that every data file it describes was already
 written and fsynced.  It carries:
 
 * ``format_version`` — bumped when the snapshot layout changes (the
-  flat pre-retention layout is version 1; this layer writes version 2),
+  flat pre-retention layout is version 1, JSON-lines generations are
+  version 2; this layer writes version 3: column containers),
 * ``files`` — per-file SHA-256, byte size and record count, so
   :func:`verify_files` detects truncation and bit-flips before a single
   record is deserialized,
@@ -33,7 +34,7 @@ __all__ = ["FORMAT_VERSION", "MANIFEST_NAME", "FileStamp", "Manifest",
            "sha256_file", "stamp_file", "verify_files",
            "config_to_dict", "config_from_dict"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "engine.json"
 
 
@@ -101,7 +102,7 @@ class Manifest:
     format_version: int = FORMAT_VERSION
     # the last write-ahead-log sequence number this checkpoint covers;
     # recovery replays the WAL tail strictly past it.  None for
-    # snapshots taken without a WAL attached (additive — still v2)
+    # snapshots taken without a WAL attached
     wal_seq: int | None = None
 
     def to_dict(self) -> dict[str, Any]:

@@ -27,6 +27,11 @@ Words are pushed through the full analyzer: stop words vanish (a query
 of only stop words parses to an empty tree), stems apply, and a word
 that tokenizes to several terms (``mother-in-law``) becomes an implicit
 phrase.
+
+Nesting — parenthesised groups and ``NOT`` chains — is bounded by
+:data:`MAX_NESTING`: the parser and every tree walk after it recurse
+per level, so a nesting bomb is a typed :class:`QueryError` (a
+``bad_request``), not a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,10 @@ from repro.ir.text import analyze
 from repro.query.ast import And, Node, Not, Or, ParsedQuery, Phrase, \
     Range, Term, with_boost, with_field
 
-__all__ = ["parse_rich_query"]
+__all__ = ["MAX_NESTING", "parse_rich_query"]
+
+#: deepest parenthesis / ``NOT`` nesting a query may use
+MAX_NESTING = 64
 
 _SPECIAL = frozenset('()"^:')
 _RANGE_RE = re.compile(r"^(\d+(?:\.\d+)?)?-(\d+(?:\.\d+)?)?$")
@@ -108,6 +116,7 @@ class _Parser:
         self.source = source
         self.tokens = _lex(source)
         self.position = 0
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -147,6 +156,17 @@ class _Parser:
                 f"{self.source!r}")
         return ParsedQuery(root=root)
 
+    def _nested(self, parse):
+        """Run ``parse`` one nesting level deeper, within the bound."""
+        if self.depth == MAX_NESTING:
+            raise QueryError(f"query nests deeper than {MAX_NESTING} "
+                             f"levels: {self.source[:80]!r}")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def _or_expr(self) -> Node | None:
         children = [self._and_expr()]
         while True:
@@ -185,7 +205,7 @@ class _Parser:
     def _unary(self) -> Node | None:
         if self._at_operator("NOT"):
             self._next()
-            child = self._unary()
+            child = self._nested(self._unary)
             return Not(child) if child is not None else None
         return self._atom()
 
@@ -200,7 +220,7 @@ class _Parser:
     def _atom(self) -> Node | None:
         kind, value = self._next()
         if kind == "(":
-            node = self._or_expr()
+            node = self._nested(self._or_expr)
             closing = self._next()
             if closing[0] != ")":
                 raise QueryError(f"expected ')' in query {self.source!r}")
@@ -224,7 +244,7 @@ class _Parser:
         if kind == "phrase":
             node = self._maybe_boost(_phrase_node(value))
         elif kind == "(":
-            node = self._or_expr()
+            node = self._nested(self._or_expr)
             closing = self._next()
             if closing[0] != ")":
                 raise QueryError(f"expected ')' in query {self.source!r}")

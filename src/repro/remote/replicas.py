@@ -56,7 +56,7 @@ __all__ = ["ReplicaSet", "WorkerHandle", "live_worker_pids"]
 _LIVE_WORKERS: dict[int, subprocess.Popen] = {}
 _REGISTRY_LOCK = threading.Lock()
 
-CATALOG_FILE = "catalog.jsonl"
+CATALOG_FILE = "catalog.bats"
 META_FILE = "meta.json"
 
 

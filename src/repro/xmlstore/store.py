@@ -216,9 +216,10 @@ class XmlStore:
                 node.attribute_names.add(decoration)
 
     def save(self, path) -> int:
-        """Snapshot the whole store (relations + registry) to a file.
+        """Snapshot the whole store (relations + registry) to one
+        column container.
 
-        Returns the number of records written, which the snapshot
+        Returns the number of associations written, which the snapshot
         manifest stores next to the file's checksum.
         """
         from repro.monetdb.persistence import save_catalog

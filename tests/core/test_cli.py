@@ -23,7 +23,7 @@ class TestPopulate:
         generation = (snapshot / "CURRENT").read_text().strip()
         checkpoint = snapshot / "snapshot" / generation
         assert (checkpoint / "engine.json").exists()
-        assert (checkpoint / "conceptual.jsonl").exists()
+        assert (checkpoint / "conceptual.bats").exists()
 
     def test_populate_report_printed(self, tmp_path, capsys):
         main(["populate", "--site", "lonelyplanet",
@@ -85,7 +85,7 @@ class TestSnapshotRestore:
 
     def test_restore_detects_corruption(self, snapshot, capsys):
         generation = (snapshot / "CURRENT").read_text().strip()
-        target = snapshot / "snapshot" / generation / "ir.jsonl"
+        target = snapshot / "snapshot" / generation / "ir.bats"
         original = target.read_bytes()
         try:
             target.write_bytes(original[:-10])
@@ -99,7 +99,7 @@ class TestSnapshotRestore:
     def test_restore_fallback_degrades_to_older_generation(self, snapshot,
                                                            capsys):
         generation = (snapshot / "CURRENT").read_text().strip()
-        target = snapshot / "snapshot" / generation / "ir.jsonl"
+        target = snapshot / "snapshot" / generation / "ir.bats"
         original = target.read_bytes()
         try:
             target.write_bytes(original[:-10])
@@ -116,7 +116,7 @@ class TestSnapshotRestore:
     def test_snapshot_fallback_repairs_corrupt_current(self, snapshot,
                                                        capsys):
         generation = (snapshot / "CURRENT").read_text().strip()
-        target = snapshot / "snapshot" / generation / "ir.jsonl"
+        target = snapshot / "snapshot" / generation / "ir.bats"
         original = target.read_bytes()
         try:
             target.write_bytes(original[:-10])

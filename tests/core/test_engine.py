@@ -168,3 +168,35 @@ class TestConceptualQueries:
                  .where("p.name", "==", "Nobody Atall")
                  .select("p.name"))
         assert len(search.query(query)) == 0
+
+
+class TestNoReferenceCycle:
+    """Regression: the FDS held the engine through a bound method, so a
+    dropped engine — relations, postings index and all — lived until a
+    full garbage collection.  Reference counting alone must free it."""
+
+    def test_a_dropped_engine_is_freed_without_the_cyclic_gc(self):
+        import gc
+        import weakref
+
+        server, _ = build_ausopen_site(players=2, articles=1, videos=1,
+                                       frames_per_shot=2)
+        gc.collect()
+        gc.disable()
+        try:
+            engine = SearchEngine(australian_open_schema(), server,
+                                  EngineConfig(fragment_count=2))
+            engine.populate()
+            engine.ir.relations.postings_index()
+            dropped = (weakref.ref(engine), weakref.ref(engine.ir.relations))
+            del engine
+            assert [ref() for ref in dropped] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_source_stamps_still_track_the_server(self):
+        server, _ = build_ausopen_site(players=2, articles=1, videos=1,
+                                       frames_per_shot=2)
+        engine = SearchEngine(australian_open_schema(), server)
+        engine.populate()
+        assert len(engine.fds) and engine.fds.check_all_sources() == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import SearchEngine
-from repro.core.persistence import load_engine, save_engine
+from repro.persistence import load_engine, save_engine
 from repro.errors import CatalogError
 from repro.web.ausopen import build_ausopen_site
 from repro.webspace.schema import australian_open_schema
@@ -17,8 +17,8 @@ class TestXmlStoreSnapshot:
         store = XmlStore()
         doc = element("a", {"k": "v"}, element("b", None, "text"))
         store.insert("d1", doc)
-        store.save(tmp_path / "s.jsonl")
-        restored = XmlStore.load(tmp_path / "s.jsonl")
+        store.save(tmp_path / "s.bats")
+        restored = XmlStore.load(tmp_path / "s.bats")
         assert "d1" in restored
         assert isomorphic(restored.reconstruct("d1"), doc)
         assert restored.paths() == store.paths()
@@ -26,8 +26,8 @@ class TestXmlStoreSnapshot:
     def test_restored_store_accepts_new_documents(self, tmp_path):
         store = XmlStore()
         store.insert("d1", element("a", None, element("b", None, "x")))
-        store.save(tmp_path / "s.jsonl")
-        restored = XmlStore.load(tmp_path / "s.jsonl")
+        store.save(tmp_path / "s.bats")
+        restored = XmlStore.load(tmp_path / "s.bats")
         restored.insert("d2", element("a", None, element("b", None, "y")))
         values = restored.query("/a/b/text()").value_list()
         assert sorted(values) == ["x", "y"]
@@ -35,16 +35,16 @@ class TestXmlStoreSnapshot:
     def test_restored_store_supports_delete(self, tmp_path):
         store = XmlStore()
         store.insert("d1", element("a", None, element("b", None, "x")))
-        store.save(tmp_path / "s.jsonl")
-        restored = XmlStore.load(tmp_path / "s.jsonl")
+        store.save(tmp_path / "s.bats")
+        restored = XmlStore.load(tmp_path / "s.bats")
         restored.delete("d1")
         assert "d1" not in restored
 
     def test_attribute_summary_restored(self, tmp_path):
         store = XmlStore()
         store.insert("d1", element("a", {"k": "v", "m": "w"}))
-        store.save(tmp_path / "s.jsonl")
-        restored = XmlStore.load(tmp_path / "s.jsonl")
+        store.save(tmp_path / "s.bats")
+        restored = XmlStore.load(tmp_path / "s.bats")
         assert restored.query("/a/@k").value_list() == ["v"]
         assert restored.query("/a/@m").value_list() == ["w"]
 

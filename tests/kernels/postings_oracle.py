@@ -1,0 +1,49 @@
+"""The scalar postings build: the oracle the columnar build must equal.
+
+This is ``IrRelations._build_postings_index`` as it was before the
+build went columnar — one Python pass over the pair columns, grouping
+through dicts.  It lives here, not in production, so the columnar build
+has one plain reference to be compared against.
+"""
+
+from array import array
+
+from repro.ir.relations import (_INDEX_TOKENS, IrRelations, PackedPostings,
+                                PostingsIndex, url_segments)
+
+
+def build_postings_index(relations: IrRelations,
+                         generation: int) -> PostingsIndex:
+    index = PostingsIndex(generation=generation, token=next(_INDEX_TOKENS))
+    doc_ids = index.doc_ids
+    doc_dense = index.doc_dense
+    for doc, url in zip(relations.D.head, relations.D.tail):
+        doc = int(doc)
+        doc_dense[doc] = len(doc_ids)
+        doc_ids.append(doc)
+        index.doc_class[doc], index.doc_field[doc] = url_segments(url)
+    doc_of = dict(zip(relations.DT_doc.head, relations.DT_doc.tail))
+    tf_of = dict(zip(relations.TF.head, relations.TF.tail))
+    pos_of = dict(zip(relations.POS.head, relations.POS.tail))
+    grouped: dict[int, tuple[list[int], list[int], list[str | None]]] = {}
+    doc_lengths = index.doc_lengths
+    for pair, term in zip(relations.DT_term.head, relations.DT_term.tail):
+        doc = doc_of[pair]
+        tf = tf_of[pair]
+        entry = grouped.get(term)
+        if entry is None:
+            entry = grouped[term] = ([], [], [])
+        entry[0].append(doc)
+        entry[1].append(tf)
+        entry[2].append(pos_of.get(pair))  # None: a pre-v2 pair
+        doc_lengths[doc] = doc_lengths.get(doc, 0) + tf
+    for term, (docs, tfs, positions) in grouped.items():
+        index.by_term[term] = PackedPostings(
+            docs=array("q", docs),
+            dense=array("q", [doc_dense[doc] for doc in docs]),
+            tfs=array("q", tfs),
+            tf_weights=array("d", tfs),
+            max_tf=max(tfs, default=0),
+            positions=positions,
+            unpositioned=positions.count(None))
+    return index

@@ -25,7 +25,7 @@ class TestPackedRoundTrip:
         flts.insert(Oid(1), 0.25)
         strs = catalog.ensure("t:strs", "oid", "str")
         strs.insert(Oid(1), "hello")
-        path = tmp_path / "snap.jsonl"
+        path = tmp_path / "snap.bats"
         save_catalog(catalog, path)
         loaded = load_catalog(path)
         assert loaded.get("t:ints").storage() == ("q", "q")
@@ -37,7 +37,7 @@ class TestPackedRoundTrip:
         bat = catalog.ensure("t:pairs", "oid", "int")
         bat.append_many([Oid(i) for i in range(50)],
                         [i * 3 for i in range(50)])
-        path = tmp_path / "snap.jsonl"
+        path = tmp_path / "snap.bats"
         save_catalog(catalog, path)
         loaded = load_catalog(path).get("t:pairs")
         assert loaded.head == bat.head
@@ -48,7 +48,7 @@ class TestPackedRoundTrip:
         catalog = Catalog()
         bat = catalog.ensure("t:big", "oid", "int")
         bat.insert(Oid(1), 2 ** 80)
-        path = tmp_path / "snap.jsonl"
+        path = tmp_path / "snap.bats"
         save_catalog(catalog, path)
         loaded = load_catalog(path).get("t:big")
         assert loaded.find(Oid(1)) == 2 ** 80
@@ -59,7 +59,7 @@ class TestIrRoundTrip:
     @pytest.fixture
     def restored(self, tmp_path):
         original = build_relations(seed=5, docs=60)
-        path = tmp_path / "ir.jsonl"
+        path = tmp_path / "ir.bats"
         save_catalog(original.catalog, path)
         restored = IrRelations(load_catalog(path))
         restored.refresh_idf()

@@ -1,11 +1,19 @@
-"""Catalog snapshot save/load round-trips."""
+"""Catalog container save/load: round-trips and a typed error for every
+defect the container can carry."""
+
+import json
+import struct
+import zlib
 
 import pytest
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, SnapshotError
 from repro.monetdb.atoms import Oid
 from repro.monetdb.catalog import Catalog
-from repro.monetdb.persistence import load_catalog, save_catalog
+from repro.monetdb.persistence import (CONTAINER_MAGIC, CONTAINER_VERSION,
+                                       load_catalog, save_catalog)
+
+from tests.monetdb.container import SECTION, sections
 
 
 @pytest.fixture
@@ -21,9 +29,43 @@ def catalog() -> Catalog:
     return catalog
 
 
+# -- an independent encoder: the layout as the module docstring states it --
+
+def file_header(version: int = CONTAINER_VERSION,
+                magic: bytes = CONTAINER_MAGIC) -> bytes:
+    return struct.pack("<8sI", magic, version)
+
+
+def frame(kind: bytes, raw: bytes, *, payload: bytes | None = None) -> bytes:
+    payload = zlib.compress(raw, 1) if payload is None else payload
+    return SECTION.pack(kind, len(payload), zlib.crc32(payload)) + payload
+
+
+def bat_header(*bats, next_oid: int = 2) -> bytes:
+    return frame(b"H", json.dumps({"next_oid": next_oid, "bats": [
+        {"name": name, "head": head, "tail": tail, "count": count}
+        for name, head, tail, count in bats]}).encode())
+
+
+def int64s(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}q", *values)
+
+
+def container(*parts: bytes) -> bytes:
+    return file_header() + b"".join(parts)
+
+
+def raises_typed(path, data: bytes) -> SnapshotError:
+    path.write_bytes(data)
+    with pytest.raises(SnapshotError) as info:
+        load_catalog(path)
+    assert info.value.path == path
+    return info.value
+
+
 class TestRoundTrip:
     def test_round_trip_preserves_relations(self, catalog, tmp_path):
-        path = tmp_path / "snapshot.jsonl"
+        path = tmp_path / "snapshot.bats"
         save_catalog(catalog, path)
         loaded = load_catalog(path)
         assert loaded.names() == ["flags", "names", "scores"]
@@ -32,48 +74,162 @@ class TestRoundTrip:
         assert loaded.get("flags").find(Oid(1)) is True
 
     def test_round_trip_preserves_oid_types(self, catalog, tmp_path):
-        path = tmp_path / "snapshot.jsonl"
+        path = tmp_path / "snapshot.bats"
         save_catalog(catalog, path)
         loaded = load_catalog(path)
         assert isinstance(loaded.get("names").head[0], Oid)
 
     def test_oid_sequence_continues_after_load(self, catalog, tmp_path):
-        path = tmp_path / "snapshot.jsonl"
+        path = tmp_path / "snapshot.bats"
         used = catalog.oids.peek()
         save_catalog(catalog, path)
         loaded = load_catalog(path)
         assert loaded.oids.new() >= used
 
     def test_empty_catalog_round_trips(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
+        path = tmp_path / "empty.bats"
         save_catalog(Catalog(), path)
         assert len(load_catalog(path)) == 0
+
+    def test_the_layout_matches_the_documented_encoder(self, tmp_path):
+        catalog = Catalog()
+        catalog.create("r", "oid", "int").append_many([0, 1], [5, -3])
+        catalog.create("s", "oid", "str").append_many([0], ["é"])
+        catalog.oids.advance_past(1)
+        save_catalog(catalog, tmp_path / "c.bats")
+        expected = container(
+            bat_header(("r", "oid", "int", 2), ("s", "oid", "str", 1)),
+            frame(b"q", int64s(0, 1)), frame(b"q", int64s(5, -3)),
+            frame(b"q", int64s(0)),
+            frame(b"s", int64s(1) + "é".encode()))
+        assert (tmp_path / "c.bats").read_bytes() == expected
+
+    def test_saves_are_deterministic(self, catalog, tmp_path):
+        save_catalog(catalog, tmp_path / "a.bats")
+        save_catalog(load_catalog(tmp_path / "a.bats"), tmp_path / "b.bats")
+        assert (tmp_path / "a.bats").read_bytes() \
+            == (tmp_path / "b.bats").read_bytes()
+
+    def test_merge_into_an_existing_catalog(self, catalog, tmp_path):
+        save_catalog(catalog, tmp_path / "a.bats", names=["names"])
+        save_catalog(catalog, tmp_path / "b.bats", names=["scores"])
+        merged = load_catalog(tmp_path / "b.bats",
+                              catalog=load_catalog(tmp_path / "a.bats"))
+        assert merged.names() == ["names", "scores"]
+        with pytest.raises(CatalogError, match="already exists"):
+            load_catalog(tmp_path / "a.bats", catalog=merged)
 
 
 class TestErrors:
     def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
+        path = tmp_path / "broken.bats"
         path.write_text("")
         with pytest.raises(CatalogError):
             load_catalog(path)
 
     def test_bad_format_version_raises(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text('{"format": 99, "next_oid": 0}\n')
-        with pytest.raises(CatalogError):
-            load_catalog(path)
+        error = raises_typed(tmp_path / "broken.bats",
+                             file_header(version=99) + bat_header())
+        assert "unsupported container version 99" in str(error)
 
     def test_truncated_bat_raises(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text(
-            '{"format": 1, "next_oid": 1}\n'
-            '{"bat": "r", "head": "oid", "tail": "int", "count": 2}\n'
-            '[0, 5]\n')
-        with pytest.raises(CatalogError):
-            load_catalog(path)
+        # the header promises a BAT whose tail column never comes
+        error = raises_typed(tmp_path / "broken.bats", container(
+            bat_header(("r", "oid", "int", 1)), frame(b"q", int64s(0))))
+        assert "tail column of 'r'" in str(error)
 
     def test_pair_before_header_raises(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text('{"format": 1, "next_oid": 1}\n[0, 5]\n')
-        with pytest.raises(CatalogError):
-            load_catalog(path)
+        error = raises_typed(tmp_path / "broken.bats",
+                             container(frame(b"q", int64s(0))))
+        assert "expected the BAT header" in str(error)
+
+
+class TestContainerSafety:
+    """Every defect is a typed :class:`SnapshotError` naming the file."""
+
+    @pytest.fixture
+    def saved(self, tmp_path) -> bytes:
+        catalog = Catalog()
+        catalog.create("ints", "oid", "int").append_many([0, 1, 2],
+                                                         [7, 2 ** 40, -1])
+        catalog.create("flts", "oid", "flt").append_many([0], [0.5])
+        catalog.create("strs", "oid", "str").append_many(
+            [1, 2], ["a\x00", "\U0001d11e"])
+        catalog.create("bits", "oid", "bit").append_many([0], [False])
+        catalog.create("big", "oid", "int").append_many([0], [2 ** 70])
+        catalog.create("none", "oid", "url")
+        save_catalog(catalog, tmp_path / "good.bats")
+        return (tmp_path / "good.bats").read_bytes()
+
+    def test_the_fixture_has_every_section_kind(self, saved):
+        kinds = {saved[start:start + 1] for start, _ in sections(saved)}
+        assert kinds == {b"H", b"q", b"d", b"s", b"j"}
+
+    def test_truncation_at_and_inside_every_section(self, saved, tmp_path):
+        cuts = set(range(len(saved)))  # every byte prefix, boundaries too
+        assert {start for start, _ in sections(saved)} <= cuts
+        for cut in sorted(cuts):
+            raises_typed(tmp_path / "cut.bats", saved[:cut])
+
+    def test_a_bit_flip_anywhere_is_caught(self, saved, tmp_path):
+        for position in range(len(saved)):
+            flipped = bytearray(saved)
+            flipped[position] ^= 1 << (position % 8)
+            raises_typed(tmp_path / "flip.bats", bytes(flipped))
+
+    def test_bad_magic(self, saved, tmp_path):
+        error = raises_typed(tmp_path / "m.bats", b"NOTABATS" + saved[8:])
+        assert "magic" in str(error)
+        # a pre-container JSON-lines catalog is just another bad magic
+        raises_typed(tmp_path / "old.jsonl",
+                     b'{"format": 1, "next_oid": 0}\n')
+
+    @pytest.mark.parametrize("kind, raw", [
+        (b"q", int64s(0, 1)),                    # fewer values than count
+        (b"q", int64s(0, 1, 2, 3)),              # more values than count
+        (b"q", int64s(0, 1, 2)[:-1]),            # not a whole int64
+        (b"j", b"[0, 1]"),
+        (b"j", b'{"a": 1}'),                     # not a list
+    ])
+    def test_count_mismatch(self, tmp_path, kind, raw):
+        raises_typed(tmp_path / "n.bats", container(
+            bat_header(("r", "oid", "int", 3)), frame(kind, raw),
+            frame(b"q", int64s(1, 2, 3))))
+
+    @pytest.mark.parametrize("raw", [
+        int64s(1),                    # fewer lengths than values
+        int64s(2, 0) + b"abc",        # lengths promise 2 chars, blob has 3
+        int64s(3, 0),                 # a length the blob cannot hold
+        int64s(4, -1) + b"abc",       # a negative length
+        int64s(1, 1) + b"\xff\xfe",   # not UTF-8
+    ])
+    def test_text_length_mismatch(self, tmp_path, raw):
+        raises_typed(tmp_path / "t.bats", container(
+            bat_header(("r", "oid", "str", 2)), frame(b"q", int64s(0, 1)),
+            frame(b"s", raw)))
+
+    def test_section_kind_must_fit_the_atom(self, tmp_path):
+        raises_typed(tmp_path / "k.bats", container(
+            bat_header(("r", "oid", "str", 1)), frame(b"q", int64s(0)),
+            frame(b"q", int64s(5))))
+
+    def test_values_must_fit_the_atom(self, tmp_path):
+        raises_typed(tmp_path / "a.bats", container(
+            bat_header(("r", "oid", "bit", 1)), frame(b"q", int64s(0)),
+            frame(b"j", b'["yes"]')))
+
+    def test_malformed_bat_header(self, tmp_path):
+        for raw in (b"{", b"[]", b'{"next_oid": 0, "bats": [{"name": "r"}]}',
+                    b'{"next_oid": 0, "bats": [{"name": "r", "head": "oid",'
+                    b' "tail": "nosuchatom", "count": 0}]}'):
+            raises_typed(tmp_path / "h.bats", container(frame(b"H", raw)))
+
+    def test_trailing_garbage(self, saved, tmp_path):
+        error = raises_typed(tmp_path / "g.bats", saved + b"\x00")
+        assert "trailing" in str(error)
+
+    def test_corrupt_zlib_stream(self, tmp_path):
+        # the CRC is right (it covers the stored bytes), the stream is not
+        error = raises_typed(tmp_path / "z.bats", container(
+            frame(b"H", b"", payload=b"\x78\x01garbage")))
+        assert "zlib" in str(error)

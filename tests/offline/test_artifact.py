@@ -18,6 +18,8 @@ from repro.offline import (INDEX_MANIFEST, OFFLINE_FORMAT_VERSION,
 from repro.offline.artifact import (ARTIFACT_FILES, META_FILE,
                                     POSITIONS_FILE, POSTINGS_FILE)
 
+from tests.monetdb.container import damaged
+
 pytestmark = pytest.mark.offline
 
 
@@ -105,6 +107,28 @@ class TestCorruptionIsTyped:
         edit_manifest(artifact, drop_stamp)
         with pytest.raises(SnapshotError, match="lacks stamps"):
             load(artifact)
+
+
+class TestContainerChecksWithoutVerify:
+    """``verify=False`` skips the SHA-256 pass: each container's own
+    framing and CRC-32s must still turn every defect into a typed
+    error — in every section of every data file."""
+
+    @pytest.mark.parametrize("victim", list(ARTIFACT_FILES))
+    def test_every_defect_in_every_section_is_typed(self, artifact, victim):
+        path = artifact / victim
+        original = path.read_bytes()
+        for number, defect, data in damaged(original):
+            path.write_bytes(data)
+            with pytest.raises(SnapshotError):
+                load(artifact, verify=False)
+        path.write_bytes(original)
+        assert load(artifact, verify=False).document_count() > 0
+
+    def test_a_format_1_artifact_is_refused_by_version(self, artifact):
+        edit_manifest(artifact, lambda data: {**data, "format_version": 1})
+        with pytest.raises(SnapshotError, match="format_version 1"):
+            load(artifact, verify=False)
 
 
 class TestVersionSkewIsTyped:

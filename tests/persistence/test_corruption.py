@@ -9,9 +9,12 @@ from repro.persistence import engine as engine_module
 from repro.telemetry import telemetry_session
 from repro.webspace.schema import australian_open_schema
 
+from tests.monetdb.container import damaged, sections
+
 pytestmark = pytest.mark.persistence
 
-DATA_FILES = ["conceptual.jsonl", "meta.jsonl", "ir.jsonl", "fds.json"]
+CATALOG_FILES = ["conceptual.bats", "meta.bats", "ir.bats"]
+DATA_FILES = CATALOG_FILES + ["fds.json"]
 QUERY = "SELECT p.name FROM Player p WHERE " \
         "p.history CONTAINS 'Winner' TOP 20"
 
@@ -59,20 +62,50 @@ class TestDetection:
 
     def test_deleted_data_file_raises(self, saved):
         root, server = saved
-        (current_path(root) / "ir.jsonl").unlink()
+        (current_path(root) / "ir.bats").unlink()
         with pytest.raises(SnapshotError):
             reload(root, server)
 
     def test_verify_false_skips_checksums(self, saved):
         root, server = saved
-        target = current_path(root) / "conceptual.jsonl"
+        target = current_path(root) / "conceptual.bats"
         data = bytearray(target.read_bytes())
-        data[10] ^= 0x01
+        data[len(data) // 2] ^= 0x01
         target.write_bytes(bytes(data))
-        # without verification the flip may or may not surface during
-        # deserialization — here it lands in JSON and does
-        with pytest.raises(SnapshotError):
+        # without verification the manifest's SHA-256 pass is skipped;
+        # the flipped section's own CRC-32 still catches it
+        with pytest.raises(SnapshotError, match="CRC-32"):
             reload(root, server, verify=False)
+
+
+class TestContainerChecksWithoutVerify:
+    """``verify=False`` skips the manifest's SHA-256 pass, so what is
+    exercised here is each container's own framing and CRC-32s."""
+
+    @pytest.fixture()
+    def saved(self, populated, tmp_path):
+        engine, server, _ = populated
+        save_engine(engine, tmp_path)
+        return tmp_path, server
+
+    @pytest.mark.parametrize("name", CATALOG_FILES)
+    def test_every_defect_class_is_typed(self, saved, name):
+        root, server = saved
+        target = current_path(root) / name
+        original = target.read_bytes()
+        spans = sections(original)
+        # the xmlstore catalogs hold hundreds of BATs: one defect of each
+        # class in the first, a middle and the last section (the
+        # exhaustive sweep is tests/monetdb's and tests/offline's)
+        keep = {0, len(spans) // 2, len(spans) - 1}
+        for number, defect, data in damaged(original):
+            if number not in keep:
+                continue
+            target.write_bytes(data)
+            with pytest.raises(SnapshotError):
+                reload(root, server, verify=False)
+        target.write_bytes(original)
+        assert reload(root, server, verify=False) is not None
 
 
 class TestFallback:
@@ -87,7 +120,7 @@ class TestFallback:
     def test_fallback_degrades_to_older_intact_generation(
             self, two_generations):
         root, server, engine = two_generations
-        target = SnapshotStore(root).path(2) / "ir.jsonl"
+        target = SnapshotStore(root).path(2) / "ir.bats"
         target.write_bytes(target.read_bytes()[:-9])
         restored = reload(root, server, on_corrupt="fallback")
         # records the generation actually loaded, not the corrupt CURRENT
@@ -97,7 +130,7 @@ class TestFallback:
 
     def test_raise_mode_does_not_fall_back(self, two_generations):
         root, server, _ = two_generations
-        target = SnapshotStore(root).path(2) / "ir.jsonl"
+        target = SnapshotStore(root).path(2) / "ir.bats"
         target.write_bytes(target.read_bytes()[:-9])
         with pytest.raises(SnapshotError):
             reload(root, server)  # default on_corrupt="raise"
@@ -105,7 +138,7 @@ class TestFallback:
     def test_all_generations_corrupt_raises(self, two_generations):
         root, server, _ = two_generations
         for generation in (1, 2):
-            target = SnapshotStore(root).path(generation) / "ir.jsonl"
+            target = SnapshotStore(root).path(generation) / "ir.bats"
             target.write_bytes(target.read_bytes()[:-9])
         with pytest.raises(SnapshotError, match="no intact snapshot"):
             reload(root, server, on_corrupt="fallback")
@@ -120,7 +153,7 @@ class TestFallback:
 
     def test_corruption_counter_increments(self, two_generations):
         root, server, _ = two_generations
-        target = SnapshotStore(root).path(2) / "ir.jsonl"
+        target = SnapshotStore(root).path(2) / "ir.bats"
         target.write_bytes(target.read_bytes()[:-9])
         with telemetry_session() as telemetry:
             reload(root, server, on_corrupt="fallback")

@@ -7,7 +7,6 @@ import pytest
 from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.engine import SearchEngine
 from repro.errors import CatalogError, SnapshotError
-from repro.monetdb.persistence import save_catalog
 from repro.persistence import load_engine, save_engine
 from repro.web.ausopen import build_ausopen_site
 from repro.webspace.schema import australian_open_schema
@@ -123,8 +122,8 @@ class TestClusterRoundTrip:
         engine, server, _ = build_engine(cluster_size=3)
         path = save_engine(engine, tmp_path)
         names = {entry.name for entry in path.iterdir()}
-        assert {"ir.jsonl", "ir-node0.jsonl", "ir-node1.jsonl",
-                "ir-node2.jsonl"} <= names
+        assert {"ir.bats", "ir-node0.bats", "ir-node1.bats",
+                "ir-node2.bats"} <= names
 
     def test_restored_cluster_keeps_strided_oids(self, tmp_path):
         engine, server, _ = build_engine(cluster_size=3)
@@ -137,36 +136,31 @@ class TestClusterRoundTrip:
         assert urls  # the restored cluster answers over old + new docs
 
 
-class TestLegacySnapshots:
-    def legacy_snapshot(self, engine, directory):
-        """A pre-retention (format 1) flat snapshot directory."""
-        directory.mkdir(parents=True, exist_ok=True)
-        engine.conceptual_store.save(directory / "conceptual.jsonl")
-        engine.meta_store.save(directory / "meta.jsonl")
-        engine.ir.relations.refresh_idf()
-        save_catalog(engine.ir.relations.catalog, directory / "ir.jsonl")
-        (directory / "engine.json").write_text(json.dumps({
+class TestOldLayoutsAreRefused:
+    """Format 1 (flat) and format 2 (JSON-lines generations) snapshots
+    are typed errors naming their version, never a half-load."""
+
+    def test_flat_format_1_snapshot_is_refused(self, populated, tmp_path):
+        engine, server, _ = populated
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "ir.jsonl").write_text('{"format": 1, "next_oid": 0}\n')
+        (legacy / "engine.json").write_text(json.dumps({
             "schema": engine.schema.name,
-            "fragment_count": engine.config.fragment_count,
-            "ranking_model": engine.config.ranking_model,
-            "top_n": engine.config.top_n,
-            "crawl_seed": engine.config.crawl_seed,
-        }))
+            "fragment_count": engine.config.fragment_count}))
+        with pytest.raises(SnapshotError, match="format_version 1"):
+            load_engine(legacy, australian_open_schema(), server)
 
-    def test_legacy_flat_snapshot_still_loads(self, populated, tmp_path):
+    def test_format_2_generation_is_refused(self, populated, tmp_path):
         engine, server, _ = populated
-        self.legacy_snapshot(engine, tmp_path / "legacy")
-        restored = load_engine(tmp_path / "legacy",
-                               australian_open_schema(), server)
-        assert engine.query_text(QUERY).column("p.name") \
-            == restored.query_text(QUERY).column("p.name")
-
-    def test_legacy_schema_mismatch_rejected(self, populated, tmp_path):
-        engine, server, _ = populated
-        self.legacy_snapshot(engine, tmp_path / "legacy")
-        from repro.web.lonelyplanet import lonely_planet_schema
-        with pytest.raises(CatalogError):
-            load_engine(tmp_path / "legacy", lonely_planet_schema(), server)
+        path = save_engine(engine, tmp_path)
+        manifest = json.loads((path / "engine.json").read_text())
+        manifest["format_version"] = 2
+        (path / "engine.json").write_text(json.dumps(manifest))
+        for on_corrupt in ("raise", "fallback"):
+            with pytest.raises(SnapshotError, match="format_version 2"):
+                load_engine(tmp_path, australian_open_schema(), server,
+                            on_corrupt=on_corrupt)
 
 
 class TestLoadArguments:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.ir.text import analyze
+from repro.query.parser import MAX_NESTING
 from repro.query import (And, Not, Or, ParsedQuery, Phrase, Range, Term,
                         parse_rich_query)
 
@@ -72,6 +73,34 @@ class TestBooleans:
     def test_unbalanced_paren_is_an_error(self):
         with pytest.raises(QueryError):
             parse("(database OR retrieval")
+
+
+class TestNestingBound:
+    """Regression: a nesting bomb raised ``RecursionError`` (an
+    ``internal`` error on the wire); it is a typed ``QueryError``."""
+
+    @pytest.mark.parametrize("source", [
+        "(" * 5000 + "hello" + ")" * 5000,
+        "NOT " * 5000 + "hello",
+        "title:" + "(" * 5000 + "hello" + ")" * 5000,
+        "(NOT " * 40 + "hello" + ")" * 40,
+    ])
+    def test_a_nesting_bomb_is_a_query_error(self, source):
+        with pytest.raises(QueryError, match="nests deeper than"):
+            parse(source)
+
+    def test_the_bound_itself_still_parses(self):
+        deep = parse("(" * MAX_NESTING + "hello" + ")" * MAX_NESTING)
+        assert deep == Term("hello")
+        negated = parse("NOT " * MAX_NESTING + "hello")
+        for _ in range(MAX_NESTING):
+            assert isinstance(negated, Not)
+            negated = negated.child
+        assert negated == Term("hello")
+
+    def test_depth_is_nesting_not_a_count_of_groups(self):
+        wide = " ".join(["(a1 OR (b2))"] * (MAX_NESTING * 2))
+        assert isinstance(parse(wide), Or)
 
 
 class TestPhrases:

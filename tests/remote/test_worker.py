@@ -124,7 +124,7 @@ class TestCheckpointBootstrap:
         docs = corpus(documents=10)
         worker.client.call("add_documents",
                            {"documents": [list(d) for d in docs]})
-        path = tmp_path / "ckpt.jsonl"
+        path = tmp_path / "ckpt.bats"
         saved = worker.client.call("checkpoint", {"path": str(path)})
         assert saved["generation"] == 10
         assert path.is_file()

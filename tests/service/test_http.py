@@ -83,6 +83,23 @@ class TestSearchEndpoint:
         assert body["error"]["kind"] == "bad_request"
         assert "mode" in body["error"]["message"]
 
+    def test_a_query_nesting_bomb_is_a_400_not_internal(self, server):
+        # regression: RecursionError in the schema-2 parser surfaced as
+        # the `internal` kind
+        bomb = "(" * 5000 + "hello" + ")" * 5000
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server.address, {"schema_version": 2, "query": bomb,
+                                  "mode": "content"})
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read())
+        assert body["error"]["kind"] == "bad_request"
+        assert "nests deeper" in body["error"]["message"]
+        # the server is unharmed: a sane nested query answers
+        status, _ = post(server.address, {"schema_version": 2,
+                                          "query": "(trophy)",
+                                          "mode": "content"})
+        assert status == 200
+
     def test_unknown_endpoint_is_a_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(server.address + "/v2/search",

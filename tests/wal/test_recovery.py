@@ -172,7 +172,7 @@ class TestFallbackGeneration:
             service.reindex("doc:new-tail", "written after checkpoint two")
         store = SnapshotStore(root)
         newest = store.path(store.current_generation())
-        target = newest / "ir.jsonl"
+        target = newest / "ir.bats"
         target.write_bytes(target.read_bytes()[:-7])  # corrupt newest
         with WriteAheadLog(wal_root) as wal:
             restored = _reload(root, server, wal, on_corrupt="fallback")

@@ -121,7 +121,7 @@ class TestReplaceIsAllOrNothing:
 
     def snapshot_bytes(self, store, tmp_path):
         from repro.monetdb.persistence import save_catalog
-        target = tmp_path / "state.jsonl"
+        target = tmp_path / "state.bats"
         save_catalog(store.catalog, target)
         return target.read_bytes()
 
