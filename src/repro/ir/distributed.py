@@ -566,26 +566,28 @@ def patch_fragment_idf(fragments: FragmentSet, relations: IrRelations,
     (:mod:`repro.remote.worker`) patch their own against the idf dict
     pushed over the wire — which is what makes the two executions score
     identically.
-    """
-    from repro.ir.fragmentation import Fragment
 
+    The cost is O(pushed terms), not O(vocabulary): the pushed names are
+    resolved to local oids once, a fragment holding one of them gets a
+    copy of its idf dict with just those entries overwritten, and every
+    other fragment shares its original dict.
+    """
+    pushed = {}
+    for term, weight in global_idf.items():
+        oid = relations.term_oid(term)
+        if oid is not None:
+            pushed[oid] = weight
     # the packed columns, dense universe and plan token are shared:
     # only the weights change, never the physical layout — so a plan
     # compiled against the unpatched set drives the patched view too
     patched = FragmentSet(doc_ids=fragments.doc_ids,
                           plan_token=fragments.plan_token)
     for fragment in fragments:
-        idf = {}
-        for term_oid in fragment.term_oids:
-            term = relations.T.find(term_oid)
-            idf[term_oid] = global_idf.get(term, fragment.idf[term_oid])
-        patched.fragments.append(Fragment(
-            index=fragment.index,
-            term_oids=fragment.term_oids,
-            postings=fragment.postings,
-            idf=idf,
-            max_tf=fragment.max_tf,
-            tuples=fragment.tuples,
-            packed=fragment.packed,
-        ))
+        idf = fragment.idf
+        held = [oid for oid in pushed if oid in fragment.term_oids]
+        if held:
+            idf = dict(idf)
+            for oid in held:
+                idf[oid] = pushed[oid]
+        patched.fragments.append(replace(fragment, idf=idf))
     return patched

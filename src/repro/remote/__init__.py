@@ -9,13 +9,15 @@ address space.  This package supplies that execution level:
 * :mod:`repro.remote.worker` — one node as a subprocess
   (``python -m repro.remote.worker``) serving search/write/bootstrap
   RPCs over its private :class:`~repro.ir.relations.IrRelations`,
-* :mod:`repro.remote.client` — per-call connections with connect/read
-  deadlines and the transport/protocol/application error taxonomy,
+* :mod:`repro.remote.client` — kept-alive pooled connections, RPCs in
+  send/receive halves with connect/read deadlines, and the
+  transport/protocol/application error taxonomy,
 * :mod:`repro.remote.replicas` — N-way placement, dual-write
   generation reconciliation, snapshot checkpoint/bootstrap and repair,
 * :mod:`repro.remote.executor` — the read path: rotation, failover and
-  hedged requests behind the same :class:`NodeOutcome` contract as the
-  thread backend's :class:`~repro.cluster.executor.Executor`.
+  hedged requests on one thread's socket loop, behind the same
+  :class:`NodeOutcome` contract as the thread backend's
+  :class:`~repro.cluster.executor.Executor`.
 
 ``DistributedIndex.start_remote`` wires it all to the existing cluster
 API; ``ExecutionPolicy(backend="process")`` routes a query through it.
@@ -23,7 +25,7 @@ API; ``ExecutionPolicy(backend="process")`` routes a query through it.
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "send_frame", "recv_frame",
-    "frame_size", "NodeWorker", "WorkerClient", "ReplicaSet",
+    "NodeWorker", "WorkerClient", "ReplicaSet",
     "WorkerHandle", "live_worker_pids", "RemoteExecutor", "RemoteCall",
 ]
 
@@ -38,7 +40,6 @@ _EXPORTS = {
     "MAX_FRAME_BYTES": "repro.remote.protocol",
     "send_frame": "repro.remote.protocol",
     "recv_frame": "repro.remote.protocol",
-    "frame_size": "repro.remote.protocol",
     "NodeWorker": "repro.remote.worker",
     "WorkerClient": "repro.remote.client",
     "ReplicaSet": "repro.remote.replicas",

@@ -1,10 +1,26 @@
-"""Socket client for one node worker: deadlines, retries, typed errors.
+"""Socket client for one node worker: deadlines, pooling, typed errors.
 
-A :class:`WorkerClient` opens one TCP connection per call — the RPCs
-are chunky (a search, a bulk add), so connection reuse buys little and
-per-call connections make cancellation trivial: closing the socket of
-an abandoned hedge attempt makes its blocked ``recv`` fail immediately
-instead of leaking a thread until the worker answers.
+An RPC is two halves.  :meth:`WorkerClient.send` puts the request on a
+connection and returns the :class:`Exchange` awaiting its reply;
+:meth:`WorkerClient.receive` blocks until that reply is in.
+:meth:`~WorkerClient.call` is one then the other.  The read-path
+executor drives many exchanges from one thread instead: it waits until
+an exchange's socket is readable and :meth:`Exchange.feed`\\ s it.
+
+Connections are kept alive.  Each client keeps a few idle connections
+to its worker (``TCP_NODELAY`` on both ends), and the worker serves
+frame after frame on one connection.  Two rules keep a reply from ever
+reaching the wrong request:
+
+* a connection goes back to the pool only once its reply frame has been
+  read in full; a cancelled, timed-out, torn or failed one is closed;
+* a *pooled* connection that ends cleanly (or is reset) before any
+  reply byte is one the worker dropped while it sat idle.  The request
+  is re-sent once on a fresh connection, and that is not a failure of
+  the worker.  A fresh connection that does the same is.
+
+Cancellation is :meth:`Exchange.close`: ``shutdown`` + ``close``, and
+the socket is never pooled.
 
 Failure taxonomy (what callers key replica-health decisions on):
 
@@ -17,26 +33,133 @@ Failure taxonomy (what callers key replica-health decisions on):
   and replied with a structured error (``ok: false``); ``kind`` names
   the worker-side exception type.  The worker is healthy.
 
-Byte and call counts land on the ``remote.rpcs`` /
-``remote.bytes_sent`` / ``remote.bytes_received`` telemetry counters.
+Byte, call and connection counts land on the ``remote.rpcs`` /
+``remote.connects`` / ``remote.bytes_sent`` / ``remote.bytes_received``
+telemetry counters; received bytes are counted from the length prefix
+actually read.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
-from typing import Callable
 
-from repro.errors import (RemoteError, RemoteTransportError)
+from repro.errors import RemoteError, RemoteTransportError
 from repro.remote.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                                   frame_size, recv_frame, send_frame)
+                                   FrameBuffer, send_frame)
 from repro.telemetry.runtime import get_telemetry
 
-__all__ = ["WorkerClient", "DEFAULT_CONNECT_TIMEOUT_S"]
+__all__ = ["WorkerClient", "Exchange", "StaleConnection",
+           "DEFAULT_CONNECT_TIMEOUT_S"]
 
 #: Connect budget when the caller supplies no deadline: workers are
 #: local processes, so a connect that takes longer than this is dead.
 DEFAULT_CONNECT_TIMEOUT_S = 5.0
+
+#: Idle connections kept per worker; one per concurrent caller is
+#: plenty, and a surplus connection is closed rather than pooled.
+_IDLE_LIMIT = 4
+
+
+class StaleConnection(RemoteTransportError):
+    """A pooled connection ended before any reply byte: the worker had
+    dropped it while idle.  :meth:`Exchange.reopen` re-sends once."""
+
+
+class Exchange:
+    """One request on one connection, until its reply frame is read."""
+
+    def __init__(self, client: "WorkerClient", request: dict,
+                 deadline: float | None):
+        self.client = client
+        self.request = request
+        self.deadline = deadline
+        self.sock: socket.socket | None = None
+        self.reused = False
+        self._frame = FrameBuffer(client.max_frame_bytes)
+        self._reply: dict | None = None
+
+    def remaining(self, what: str) -> float | None:
+        """Seconds left before the deadline (``None``: no deadline)."""
+        if self.deadline is None:
+            return None
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise RemoteTransportError(
+                f"deadline exceeded {what} {self.client.name}")
+        return left
+
+    def transmit(self, sock: socket.socket, reused: bool) -> None:
+        """Send the request on ``sock``, which this exchange now owns."""
+        self.sock, self.reused = sock, reused
+        sock.settimeout(self.remaining("before sending to"))
+        sent = send_frame(sock, self.request, self.client.max_frame_bytes)
+        get_telemetry().metrics.counter("remote.bytes_sent").add(sent)
+
+    def reopen(self) -> None:
+        """Re-send on a fresh connection (the pooled one had gone)."""
+        self.close()
+        self.transmit(self.client.connect(self.deadline), reused=False)
+
+    def feed(self) -> bool:
+        """Read what the socket holds; True once the reply is complete.
+
+        One ``recv``: called when the socket is readable it never
+        blocks, and :meth:`WorkerClient.receive` loops it under the
+        socket's deadline timeout.
+        """
+        name, op = self.client.name, self.request["op"]
+        try:
+            chunk = self.sock.recv(65536)
+        except socket.timeout as exc:
+            raise RemoteTransportError(
+                f"read deadline exceeded awaiting {name}") from exc
+        except OSError as exc:
+            if isinstance(exc, ConnectionError) and self.reused \
+                    and not self._frame.received:
+                raise StaleConnection(
+                    f"pooled connection to {name} was reset") from exc
+            raise RemoteTransportError(
+                f"connection to {name} failed: {exc}") from exc
+        if not chunk:
+            if self._frame.received:
+                raise RemoteTransportError(
+                    f"torn frame: {name} closed the connection after "
+                    f"{self._frame.received} bytes of the reply to "
+                    f"{op!r}")
+            if self.reused:
+                raise StaleConnection(
+                    f"pooled connection to {name} was closed")
+            raise RemoteTransportError(
+                f"worker {name} closed the connection before replying "
+                f"to {op!r}")
+        self._reply = self._frame.feed(chunk)
+        return self._reply is not None
+
+    def result(self) -> dict:
+        """Pool the connection and return the complete reply's value.
+
+        Raises :class:`RemoteError` for an ``ok: false`` reply — the
+        frame was read in full, so the connection is pooled either way.
+        """
+        self.client.release(self.sock)
+        self.sock = None
+        get_telemetry().metrics.counter("remote.bytes_received").add(
+            self._frame.size)
+        reply = self._reply
+        if reply.get("ok"):
+            return reply.get("value", {})
+        raise RemoteError(
+            f"worker {self.client.name} failed {self.request['op']!r}: "
+            f"{reply.get('error', 'unknown error')}",
+            kind=reply.get("kind"))
+
+    def close(self) -> None:
+        """Cancel: shut the connection down; it is never pooled."""
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            _close(sock)
 
 
 class WorkerClient:
@@ -48,34 +171,21 @@ class WorkerClient:
         self.port = port
         self.name = name
         self.max_frame_bytes = max_frame_bytes
+        self._idle: list[socket.socket] = []
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WorkerClient({self.name}@{self.host}:{self.port})"
 
-    def call(self, op: str, params: dict | None = None, *,
-             deadline_s: float | None = None,
-             on_socket: Callable[[socket.socket], None] | None = None
-             ) -> dict:
-        """One RPC: connect, send, await the reply, close.
+    # -- connections -----------------------------------------------------
 
-        ``deadline_s`` bounds the *whole* call (connect + send + reply)
-        measured from entry; ``None`` means the default connect budget
-        and no read deadline.  ``on_socket`` receives the connected
-        socket before the request is sent — the hedging executor uses
-        it to retain a cancellation handle (closing the socket aborts a
-        blocked read immediately).
-        """
-        request = {"v": PROTOCOL_VERSION, "op": op}
-        if params:
-            request.update(params)
-        started = time.monotonic()
-        connect_timeout = DEFAULT_CONNECT_TIMEOUT_S if deadline_s is None \
-            else max(deadline_s, 0.001)
-        metrics = get_telemetry().metrics
-        metrics.counter("remote.rpcs").add(1)
+    def connect(self, deadline: float | None) -> socket.socket:
+        """A fresh connection, within the deadline's remaining budget."""
+        timeout = DEFAULT_CONNECT_TIMEOUT_S if deadline is None \
+            else max(deadline - time.monotonic(), 0.001)
         try:
             sock = socket.create_connection((self.host, self.port),
-                                            timeout=connect_timeout)
+                                            timeout=timeout)
         except socket.timeout as exc:
             raise RemoteTransportError(
                 f"connect to {self.name} ({self.host}:{self.port}) "
@@ -84,42 +194,76 @@ class WorkerClient:
             raise RemoteTransportError(
                 f"connect to {self.name} ({self.host}:{self.port}) "
                 f"failed: {exc}") from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        get_telemetry().metrics.counter("remote.connects").add(1)
+        return sock
+
+    def release(self, sock: socket.socket) -> None:
+        """Pool a connection whose reply was read in full."""
+        with self._lock:
+            if len(self._idle) < _IDLE_LIMIT:
+                self._idle.append(sock)
+                return
+        _close(sock)
+
+    def close(self) -> None:
+        """Close every idle connection (the worker is going away)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for sock in idle:
+            _close(sock)
+
+    # -- RPC -------------------------------------------------------------
+
+    def send(self, op: str, params: dict | None = None, *,
+             deadline_s: float | None = None) -> Exchange:
+        """First half of an RPC: the request is on the wire on return.
+
+        ``deadline_s`` bounds the *whole* call (connect + send + reply)
+        measured from entry; ``None`` means the default connect budget
+        and no read deadline.
+        """
+        request = {"v": PROTOCOL_VERSION, "op": op}
+        if params:
+            request.update(params)
+        deadline = None if deadline_s is None \
+            else time.monotonic() + deadline_s
+        get_telemetry().metrics.counter("remote.rpcs").add(1)
+        exchange = Exchange(self, request, deadline)
+        with self._lock:
+            pooled = self._idle.pop() if self._idle else None
         try:
-            if on_socket is not None:
-                on_socket(sock)
-            if deadline_s is not None:
-                remaining = deadline_s - (time.monotonic() - started)
-                if remaining <= 0:
-                    raise RemoteTransportError(
-                        f"deadline exceeded before sending to {self.name}")
-                sock.settimeout(remaining)
+            if pooled is None:
+                exchange.transmit(self.connect(deadline), reused=False)
             else:
-                sock.settimeout(None)
-            sent = send_frame(sock, request, self.max_frame_bytes)
-            metrics.counter("remote.bytes_sent").add(sent)
-            if deadline_s is not None:
-                remaining = deadline_s - (time.monotonic() - started)
-                if remaining <= 0:
-                    raise RemoteTransportError(
-                        f"deadline exceeded awaiting {self.name}")
-                sock.settimeout(remaining)
-            reply = recv_frame(sock, self.max_frame_bytes)
-        finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close never matters
-                pass
-        if reply is None:
-            raise RemoteTransportError(
-                f"worker {self.name} closed the connection before "
-                f"replying to {op!r}")
-        metrics.counter("remote.bytes_received").add(frame_size(reply))
-        if reply.get("ok"):
-            return reply.get("value", {})
-        raise RemoteError(
-            f"worker {self.name} failed {op!r}: "
-            f"{reply.get('error', 'unknown error')}",
-            kind=reply.get("kind"))
+                try:
+                    exchange.transmit(pooled, reused=True)
+                except RemoteTransportError:
+                    exchange.reopen()  # the worker dropped it while idle
+        except BaseException:
+            exchange.close()
+            raise
+        return exchange
+
+    def receive(self, exchange: Exchange) -> dict:
+        """Second half: block until the reply is in (or the deadline)."""
+        try:
+            while True:
+                exchange.sock.settimeout(exchange.remaining("awaiting"))
+                try:
+                    if exchange.feed():
+                        break
+                except StaleConnection:
+                    exchange.reopen()
+        except BaseException:
+            exchange.close()
+            raise
+        return exchange.result()
+
+    def call(self, op: str, params: dict | None = None, *,
+             deadline_s: float | None = None) -> dict:
+        """One RPC: :meth:`send`, then :meth:`receive`."""
+        return self.receive(self.send(op, params, deadline_s=deadline_s))
 
     def ping(self, deadline_s: float | None = 2.0) -> dict:
         return self.call("ping", deadline_s=deadline_s)
@@ -144,3 +288,11 @@ class WorkerClient:
                 last = exc
         assert last is not None
         raise last
+
+
+def _close(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already reset or never connected
+        pass
+    sock.close()

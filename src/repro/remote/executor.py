@@ -1,40 +1,39 @@
 """Read-path fan-out over replicas: failover, hedging, typed outcomes.
 
 :class:`RemoteExecutor` is the process-backend twin of
-:class:`~repro.cluster.executor.Executor`: it takes one task per node
-and returns one :class:`~repro.cluster.executor.NodeOutcome` per node,
-so :meth:`DistributedIndex.query <repro.ir.distributed.DistributedIndex.query>`
-can merge either backend's outcomes with the same code.  A task here is
-a :class:`RemoteCall` — an RPC op plus params — because the executor,
-not the caller, decides *which replica* answers it:
+:class:`~repro.cluster.executor.Executor`: one task per node in, one
+:class:`~repro.cluster.executor.NodeOutcome` per node out, so
+``DistributedIndex.query`` merges either backend's outcomes alike.  A
+task is a :class:`RemoteCall` because the executor decides *which
+replica* answers it: the node's healthy replicas are rotated
+(:meth:`ReplicaSet.route`) and the first is tried; a **transport**
+failure marks a replica unhealthy and fails over to the next
+(``remote.failovers``); under ``policy.hedge_after_ms`` a replica
+slower than that gets company on the next one (``remote.hedges_issued``,
+``remote.hedges_won`` when the hedge answers first).
+``node_deadline_ms`` bounds each node's effort from fan-out start,
+``retries``/``backoff_ms`` wrap it in full-jitter retry rounds, and
+``max_workers`` caps the nodes in flight.
 
-* the node's healthy replicas are rotated (:meth:`ReplicaSet.route`)
-  and the first is tried;
-* a replica that fails **transport-wise** is marked unhealthy and the
-  call fails over to the next replica (``remote.failovers``);
-* under ``policy.hedge_after_ms``, a replica that has not answered in
-  time gets company: the same call is re-issued to the next replica
-  (``remote.hedges_issued``) and the first success wins
-  (``remote.hedges_won`` when the hedge beats the primary).  The loser
-  is cancelled by closing its socket, which aborts its blocked read
-  immediately — no thread outlives the call;
-* ``policy.node_deadline_ms`` bounds the whole per-node effort from
-  fan-out start, and ``retries``/``backoff_ms`` wrap the above in
-  full-jitter exponential retry rounds, mirroring the thread executor.
+All of it runs on the calling thread: every primary is sent, then one
+``selectors`` loop waits for a readable socket (which feeds only its
+own exchange's buffer), a hedge or backoff timer, or the deadline.  A
+hedge loser or an attempt past the deadline is cancelled by closing
+its socket, which is never pooled.
 """
 
 from __future__ import annotations
 
 import random
-import socket
-import threading
+import selectors
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from queue import Empty, SimpleQueue
 
 from repro.cluster.executor import NodeOutcome
 from repro.core.config import ExecutionPolicy
 from repro.errors import RemoteError, RemoteTransportError
+from repro.remote.client import Exchange, StaleConnection
 from repro.remote.replicas import ReplicaSet, WorkerHandle
 from repro.telemetry.runtime import get_telemetry
 
@@ -50,16 +49,29 @@ class RemoteCall:
     params: dict = field(default_factory=dict)
 
 
-@dataclass
-class _Attempt:
-    """One in-flight RPC attempt inside a race."""
+@dataclass(eq=False)
+class _Node:
+    """One node's effort: rounds of primary + failovers + one hedge."""
 
+    call: RemoteCall
+    outcome: NodeOutcome
+    started: float = 0.0
+    targets: list[WorkerHandle] = field(default_factory=list)
+    next_target: int = 0
+    # in a round: when to hedge; between rounds: when to retry
+    wake_at: float | None = None
+    attempts: list["_Attempt"] = field(default_factory=list)  # in flight
+    finished: bool = False
+
+
+@dataclass(eq=False)
+class _Attempt:
+    """One RPC in flight to one replica."""
+
+    node: _Node
     handle: WorkerHandle
     is_hedge: bool
-    thread: threading.Thread | None = None
-    sock: socket.socket | None = None
-    done: bool = False
-    cancelled: bool = False
+    exchange: Exchange
 
 
 class RemoteExecutor:
@@ -73,202 +85,185 @@ class RemoteExecutor:
         self.rng = rng or random.Random()
 
     def run(self, calls: dict[str, RemoteCall]) -> dict[str, NodeOutcome]:
-        """Execute every node's call; returns one outcome per node.
+        """Execute every node's call; one outcome per node in task order
+        (the contract of :meth:`cluster.Executor.run`)."""
+        nodes = {name: _Node(call, NodeOutcome(node=name))
+                 for name, call in calls.items()}
+        if nodes:
+            _FanOut(self).run(list(nodes.values()))
+        return {name: node.outcome for name, node in nodes.items()}
 
-        Mirrors :meth:`cluster.Executor.run`: outcomes preserve task
-        order, the deadline is measured from fan-out start, and the
-        call blocks until every node resolved — there are no leaked
-        attempt threads (losers are socket-cancelled and joined).
-        """
-        if not calls:
-            return {}
-        start = time.monotonic()
-        deadline = None
-        if self.policy.node_deadline_ms is not None:
-            deadline = start + self.policy.node_deadline_ms / 1000.0
-        outcomes: dict[str, NodeOutcome] = {}
-        workers = self.policy.max_workers or len(calls)
-        if workers >= len(calls):
-            threads = []
-            for name, call in calls.items():
-                outcomes[name] = NodeOutcome(node=name)
-                thread = threading.Thread(
-                    target=self._run_node,
-                    args=(name, call, deadline, outcomes[name]),
-                    name=f"repro-remote-{name}")
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-        else:
-            # width-limited: run node coordinations in bounded batches
-            pending = list(calls.items())
-            for name, _ in pending:
-                outcomes[name] = NodeOutcome(node=name)
-            for index in range(0, len(pending), workers):
-                batch = pending[index:index + workers]
-                threads = [threading.Thread(
-                    target=self._run_node,
-                    args=(name, call, deadline, outcomes[name]),
-                    name=f"repro-remote-{name}")
-                    for name, call in batch]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-        return {name: outcomes[name] for name in calls}
+
+class _FanOut:
+    """One :meth:`RemoteExecutor.run`: its selector and its nodes."""
+
+    def __init__(self, executor: RemoteExecutor):
+        self.replicas, self.rng = executor.replicas, executor.rng
+        self.policy = policy = executor.policy
+        self.deadline = self.expired = None
+        if policy.node_deadline_ms is not None:
+            self.deadline = time.monotonic() + policy.node_deadline_ms / 1e3
+            self.expired = \
+                f"deadline exceeded ({policy.node_deadline_ms:g}ms)"
+        self.selector = selectors.DefaultSelector()
+        self.metrics = get_telemetry().metrics
+
+    def run(self, nodes: list[_Node]) -> None:
+        waiting = deque(nodes)
+        width = self.policy.max_workers or len(nodes)
+        live: list[_Node] = []
+        try:
+            while waiting or live:
+                while waiting and len(live) < width:
+                    node = waiting.popleft()
+                    node.started = time.monotonic()
+                    live.append(node)
+                    self._round(node)
+                now = time.monotonic()
+                for node in live:
+                    self._tick(node, now)
+                live = [node for node in live if not node.finished]
+                if live:
+                    for key, _ in self.selector.select(
+                            self._timeout(live, now)):
+                        self._readable(key.data)
+        finally:
+            for node in nodes:
+                self._cancel(node)
+            self.selector.close()
+
+    def _timeout(self, live: list[_Node], now: float) -> float | None:
+        """Seconds until the next timer: a hedge, a retry, the deadline."""
+        times = [node.wake_at for node in live if node.wake_at is not None]
+        if self.deadline is not None:
+            times.append(self.deadline)
+        return max(0.0, min(times) - now) if times else None
 
     # -- one node --------------------------------------------------------
 
-    def _backoff_s(self, attempt: int) -> float:
-        """Full-jitter exponential backoff before retry ``attempt + 1``."""
-        ceiling = self.policy.backoff_ms / 1000.0 * (2 ** (attempt - 1))
-        return self.rng.uniform(0.0, ceiling) if ceiling > 0 else 0.0
+    def _round(self, node: _Node) -> None:
+        """Start the next round: route, then send to the primary."""
+        node.outcome.attempts += 1
+        now = time.monotonic()
+        if self.deadline is not None and now >= self.deadline:
+            self._expire(node, node.outcome.error or self.expired)
+            return
+        node.targets = self.replicas.route(node.call.node)
+        node.next_target = 0
+        if not node.targets:
+            node.outcome.error = \
+                f"no healthy replicas for node {node.call.node}"
+            self._lost(node)
+            return
+        node.wake_at = None if self.policy.hedge_after_ms is None \
+            else now + self.policy.hedge_after_ms / 1000.0
+        self._launch(node, is_hedge=False)
 
-    def _run_node(self, name: str, call: RemoteCall,
-                  deadline: float | None, outcome: NodeOutcome) -> None:
-        start = time.monotonic()
-        for attempt in range(1, self.policy.retries + 2):
-            outcome.attempts = attempt
-            if deadline is not None and time.monotonic() >= deadline:
-                outcome.timed_out = True
-                outcome.error = outcome.error or (
-                    "deadline exceeded "
-                    f"({self.policy.node_deadline_ms:g}ms)")
-                break
-            targets = self.replicas.route(call.node)
-            if not targets:
-                outcome.error = f"no healthy replicas for node {call.node}"
-            else:
-                won = self._race(call, targets, deadline, outcome)
-                if won:
-                    outcome.error = None
-                    break
-                if outcome.timed_out:
-                    break
-            if attempt <= self.policy.retries:
-                pause = self._backoff_s(attempt)
-                if deadline is not None:
-                    pause = min(pause, max(0.0,
-                                           deadline - time.monotonic()))
-                if pause > 0:
-                    time.sleep(pause)
-        outcome.elapsed_ms = (time.monotonic() - start) * 1000.0
+    def _tick(self, node: _Node, now: float) -> None:
+        """Fire whichever of the node's timers is due."""
+        if node.finished:
+            return
+        if node.attempts and self.deadline is not None \
+                and now >= self.deadline:
+            self._expire(node, self.expired)
+        elif node.wake_at is not None and now >= node.wake_at:
+            node.wake_at = None
+            if not node.attempts:
+                self._round(node)
+            elif node.next_target < len(node.targets):
+                self._launch(node, is_hedge=True)
+                self.metrics.counter("remote.hedges_issued").add(1)
 
-    def _race(self, call: RemoteCall, targets: list[WorkerHandle],
-              deadline: float | None, outcome: NodeOutcome) -> bool:
-        """One round: primary + failovers + at most one hedge.
-
-        Returns True when some replica answered; the winning value is
-        stored on ``outcome``.  On False, ``outcome.error`` (or
-        ``timed_out``) says why.
-        """
-        metrics = get_telemetry().metrics
-        events: SimpleQueue = SimpleQueue()
-        attempts: list[_Attempt] = []
-        next_target = 0
-
-        def launch(is_hedge: bool) -> None:
-            nonlocal next_target
-            handle = targets[next_target]
-            next_target += 1
-            record = _Attempt(handle=handle, is_hedge=is_hedge)
-            attempts.append(record)
-
-            def runner() -> None:
-                try:
-                    remaining = None
-                    if deadline is not None:
-                        remaining = max(0.001,
-                                        deadline - time.monotonic())
-                    value = handle.client.call(
-                        call.op, call.params, deadline_s=remaining,
-                        on_socket=lambda sock: setattr(
-                            record, "sock", sock))
-                except RemoteError as error:
-                    events.put((record, None, error))
-                else:
-                    events.put((record, value, None))
-
-            record.thread = threading.Thread(
-                target=runner,
-                name=f"repro-remote-rpc-{handle.name}")
-            record.thread.start()
-
-        launch(is_hedge=False)
-        hedge_at = None
-        if self.policy.hedge_after_ms is not None:
-            hedge_at = time.monotonic() + self.policy.hedge_after_ms / 1000.0
-        won = False
-        inflight = 1
+    def _launch(self, node: _Node, is_hedge: bool) -> None:
+        handle = node.targets[node.next_target]
+        node.next_target += 1
+        remaining = None if self.deadline is None \
+            else max(0.001, self.deadline - time.monotonic())
         try:
-            while inflight:
-                now = time.monotonic()
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - now
-                    if timeout <= 0:
-                        outcome.timed_out = True
-                        outcome.error = (
-                            "deadline exceeded "
-                            f"({self.policy.node_deadline_ms:g}ms)")
-                        return False
-                if hedge_at is not None and next_target < len(targets):
-                    until_hedge = hedge_at - now
-                    if until_hedge <= 0:
-                        launch(is_hedge=True)
-                        inflight += 1
-                        hedge_at = None
-                        metrics.counter("remote.hedges_issued").add(1)
-                        continue
-                    timeout = until_hedge if timeout is None \
-                        else min(timeout, until_hedge)
-                try:
-                    record, value, error = events.get(timeout=timeout)
-                except Empty:
-                    continue
-                record.done = True
-                inflight -= 1
-                if record.cancelled:
-                    continue  # a loser we aborted; not a real failure
-                if error is None:
-                    outcome.value = value
-                    won = True
-                    if record.is_hedge:
-                        metrics.counter("remote.hedges_won").add(1)
-                    return True
-                outcome.error = f"{type(error).__name__}: {error}"
-                if isinstance(error, RemoteTransportError):
-                    self.replicas.note_failure(record.handle)
-                if next_target < len(targets):
-                    metrics.counter("remote.failovers").add(1)
-                    launch(is_hedge=False)
-                    inflight += 1
-            return False
-        finally:
-            self._cancel_stragglers(attempts)
+            exchange = handle.client.send(node.call.op, node.call.params,
+                                          deadline_s=remaining)
+        except RemoteError as error:
+            self._failed(node, handle, error)
+            return
+        self._watch(_Attempt(node, handle, is_hedge, exchange))
 
-    @staticmethod
-    def _cancel_stragglers(attempts: list[_Attempt]) -> None:
-        """Abort and join every unfinished attempt (hedge losers etc.).
+    def _readable(self, attempt: _Attempt) -> None:
+        node, exchange = attempt.node, attempt.exchange
+        if attempt not in node.attempts:
+            return  # cancelled by a sibling's win earlier in this batch
+        self._unwatch(attempt)  # before its socket is pooled or swapped
+        try:
+            try:
+                done = exchange.feed()
+            except StaleConnection:
+                # the worker dropped this idle pooled connection: the
+                # request goes once more on a fresh one, not a failover
+                exchange.reopen()
+                done = False
+            if not done:
+                self._watch(attempt)
+                return
+            value = exchange.result()
+        except RemoteError as error:
+            exchange.close()
+            self._failed(node, attempt.handle, error)
+            return
+        node.outcome.value = value
+        node.outcome.error = None
+        if attempt.is_hedge:
+            self.metrics.counter("remote.hedges_won").add(1)
+        self._finish(node)
 
-        ``shutdown(SHUT_RDWR)`` — not a bare ``close()``, which leaves a
-        TCP ``recv`` blocked in the kernel — makes the attempt's pending
-        read return EOF at once, so the join below is prompt: the race
-        never leaks a thread past :meth:`run`'s return.
-        """
-        for record in attempts:
-            if not record.done:
-                record.cancelled = True
-                if record.sock is not None:
-                    try:
-                        record.sock.shutdown(socket.SHUT_RDWR)
-                    except OSError:  # pragma: no cover - already dead
-                        pass
-                    try:
-                        record.sock.close()
-                    except OSError:  # pragma: no cover
-                        pass
-        for record in attempts:
-            if record.thread is not None:
-                record.thread.join(timeout=10.0)
+    def _failed(self, node: _Node, handle: WorkerHandle,
+                error: RemoteError) -> None:
+        """One attempt failed: fail over, or end the round."""
+        node.outcome.error = f"{type(error).__name__}: {error}"
+        if isinstance(error, RemoteTransportError):
+            self.replicas.note_failure(handle)
+        if node.next_target < len(node.targets):
+            self.metrics.counter("remote.failovers").add(1)
+            self._launch(node, is_hedge=False)
+        elif not node.attempts:
+            self._lost(node)
+
+    def _lost(self, node: _Node) -> None:
+        """A round ended without an answer: back off and retry, or stop."""
+        attempts = node.outcome.attempts
+        if attempts > self.policy.retries:
+            self._finish(node)
+            return
+        now = time.monotonic()
+        # full jitter: uniform below an exponentially growing ceiling
+        ceiling = self.policy.backoff_ms / 1000.0 * (2 ** (attempts - 1))
+        pause = self.rng.uniform(0.0, ceiling) if ceiling > 0 else 0.0
+        if self.deadline is not None:
+            pause = min(pause, max(0.0, self.deadline - now))
+        node.wake_at = now + pause
+
+    def _expire(self, node: _Node, error: str) -> None:
+        node.outcome.timed_out = True
+        node.outcome.error = error
+        self._finish(node)
+
+    def _finish(self, node: _Node) -> None:
+        """The node is resolved; whatever it still has in flight lost."""
+        self._cancel(node)
+        node.finished = True
+        node.outcome.elapsed_ms = (time.monotonic() - node.started) * 1000.0
+
+    # -- sockets ---------------------------------------------------------
+
+    def _watch(self, attempt: _Attempt) -> None:
+        attempt.node.attempts.append(attempt)
+        self.selector.register(attempt.exchange.sock, selectors.EVENT_READ,
+                               attempt)
+
+    def _unwatch(self, attempt: _Attempt) -> None:
+        attempt.node.attempts.remove(attempt)
+        self.selector.unregister(attempt.exchange.sock)
+
+    def _cancel(self, node: _Node) -> None:
+        """Close every attempt still in flight (hedge losers etc.)."""
+        for attempt in list(node.attempts):
+            self._unwatch(attempt)
+            attempt.exchange.close()

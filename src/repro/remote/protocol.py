@@ -24,6 +24,11 @@ future frame-format change is detectable instead of mysterious.  Byte
 counts flow onto the ``remote.bytes_sent`` / ``remote.bytes_received``
 telemetry counters at the call sites (client and worker), keeping this
 module free of side effects.
+
+:func:`recv_frame` reads one frame off a blocking socket;
+:class:`FrameBuffer` decodes one from whatever pieces a readiness-driven
+caller hands it, so a reply that arrives in halves never blocks a loop
+serving other sockets.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import struct
 from repro.errors import RemoteProtocolError, RemoteTransportError
 
 __all__ = ["PROTOCOL_VERSION", "MAX_FRAME_BYTES", "send_frame",
-           "recv_frame", "frame_size"]
+           "recv_frame", "FrameBuffer"]
 
 #: Version stamp carried by every RPC request and reply object.
 PROTOCOL_VERSION = 1
@@ -46,18 +51,6 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
-
-
-def frame_size(payload: dict) -> int:
-    """Exact wire size of a payload's frame (header + encoded body).
-
-    Framing is deterministic (compact separators, UTF-8), so a receiver
-    can recompute how many bytes a decoded frame occupied on the wire —
-    used for the ``remote.bytes_received`` telemetry counter without
-    threading byte counts through every call site.
-    """
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return _HEADER.size + len(body)
 
 
 def send_frame(sock: socket.socket, payload: dict,
@@ -123,12 +116,55 @@ def recv_frame(sock: socket.socket,
     if not first:
         return None
     header = first + _recv_exactly(sock, _HEADER.size - 1, "frame header")
+    length = _body_length(header, max_bytes)
+    return _decode_body(_recv_exactly(sock, length, "frame body"))
+
+
+class FrameBuffer:
+    """Incremental decoder of one frame whose bytes arrive in pieces.
+
+    :meth:`feed` takes whatever one ``recv`` returned and answers the
+    payload once the frame is complete (``None`` before).  The oversized
+    check runs as soon as the header is in, before the body is awaited.
+    Once complete, :attr:`size` is the frame's wire size as its length
+    prefix stated it.
+    """
+
+    def __init__(self, max_bytes: int = MAX_FRAME_BYTES):
+        self.max_bytes = max_bytes
+        self.size = 0
+        self._data = bytearray()
+        self._length: int | None = None
+
+    @property
+    def received(self) -> int:
+        """Bytes fed so far (0: nothing of the frame has arrived)."""
+        return len(self._data)
+
+    def feed(self, chunk: bytes) -> dict | None:
+        self._data += chunk
+        if self._length is None:
+            if len(self._data) < _HEADER.size:
+                return None
+            self._length = _body_length(self._data[:_HEADER.size],
+                                        self.max_bytes)
+        end = _HEADER.size + self._length
+        if len(self._data) < end:
+            return None
+        self.size = end
+        return _decode_body(bytes(self._data[_HEADER.size:end]))
+
+
+def _body_length(header: bytes, max_bytes: int) -> int:
     (length,) = _HEADER.unpack(header)
     if length > max_bytes:
         raise RemoteProtocolError(
             f"oversized frame announced: {length} bytes "
             f"(max {max_bytes})")
-    body = _recv_exactly(sock, length, "frame body")
+    return length
+
+
+def _decode_body(body: bytes) -> dict:
     try:
         payload = json.loads(body)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -127,24 +127,42 @@ class ReplicaSet:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Checkpoint every node and spawn + bootstrap its replicas."""
+        """Spawn every replica, then checkpoint and bootstrap each node.
+
+        A worker's start is mostly interpreter and import time, so all
+        of them are launched before the first READY line is awaited:
+        the starts overlap each other and the checkpoints.
+        """
         if self._started:
             return
-        for node in self.nodes:
-            path, meta = self._checkpoint_from_local(node)
-            handles = []
-            for _ in range(self.replication_factor):
-                handle = self._spawn(node)
-                self._bootstrap(handle, node, path, meta)
-                handles.append(handle)
-            self.replicas[node] = handles
+        launched = [(node, *self._launch(node)) for node in self.nodes
+                    for _ in range(self.replication_factor)]
+        try:
+            checkpoints = {node: self._checkpoint_from_local(node)
+                           for node in self.nodes}
+            while launched:
+                node, slot, proc = launched.pop(0)
+                handle = self._ready(node, slot, proc)
+                self.replicas.setdefault(node, []).append(handle)
+                self._bootstrap(handle, node, *checkpoints[node])
+        finally:
+            for _, _, proc in launched:  # never awaited: start failed
+                proc.kill()
+                self._reap(proc)
         self._started = True
 
     def stop(self) -> None:
-        """Shut every worker down; best-effort RPC, then SIGTERM/SIGKILL."""
-        for handles in self.replicas.values():
-            for handle in handles:
-                self._stop_handle(handle)
+        """Shut every worker down; best-effort RPC, then SIGTERM/SIGKILL.
+
+        Every worker is told to stop before any is waited for, so their
+        exits overlap.
+        """
+        handles = [handle for handles in self.replicas.values()
+                   for handle in handles]
+        for handle in handles:
+            self._signal_stop(handle)
+        for handle in handles:
+            self._reap(handle.process)
         self.replicas = {}
         self._started = False
         if self._tmpdir is not None:
@@ -152,26 +170,39 @@ class ReplicaSet:
             self._tmpdir = None
 
     def _stop_handle(self, handle: WorkerHandle) -> None:
+        self._signal_stop(handle)
+        self._reap(handle.process)
+
+    @staticmethod
+    def _signal_stop(handle: WorkerHandle) -> None:
         if handle.alive():
             try:
                 handle.client.call("shutdown", deadline_s=2.0)
             except RemoteError:
                 pass
             handle.process.terminate()
+        handle.client.close()
+
+    @staticmethod
+    def _reap(proc: subprocess.Popen) -> None:
         try:
-            handle.process.wait(timeout=5.0)
+            proc.wait(timeout=5.0)
         except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-            handle.process.kill()
-            handle.process.wait(timeout=5.0)
-        if handle.process.stdout is not None:
-            handle.process.stdout.close()
+            proc.kill()
+            proc.wait(timeout=5.0)
+        if proc.stdout is not None:
+            proc.stdout.close()
         with _REGISTRY_LOCK:
-            _LIVE_WORKERS.pop(handle.process.pid, None)
+            _LIVE_WORKERS.pop(proc.pid, None)
 
     # -- spawning --------------------------------------------------------
 
     def _spawn(self, node: str) -> WorkerHandle:
         """Launch one worker subprocess and wait for its READY line."""
+        return self._ready(node, *self._launch(node))
+
+    def _launch(self, node: str) -> tuple[int, subprocess.Popen]:
+        """Start one worker subprocess; returns its slot and process."""
         with self._lock:
             slot = self._slots[node]
             self._slots[node] += 1
@@ -189,6 +220,12 @@ class ReplicaSet:
             env=env, text=True)
         with _REGISTRY_LOCK:
             _LIVE_WORKERS[proc.pid] = proc
+        return slot, proc
+
+    def _ready(self, node: str, slot: int,
+               proc: subprocess.Popen) -> WorkerHandle:
+        """Await a launched worker's READY line; its handle."""
+        name = f"{node}/r{slot}"
         try:
             info = self._await_ready(proc, name)
         except WorkerStartupError:

@@ -79,6 +79,8 @@ class NodeWorker:
         self._fault_delay_ms = 0.0
         self._closing = threading.Event()
         self._conn_threads: list[threading.Thread] = []
+        # live connections: close() wakes their idle keep-alive reads
+        self._conns: set[socket.socket] = set()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -118,34 +120,55 @@ class NodeWorker:
         return thread
 
     def close(self) -> None:
-        """Stop accepting; in-flight connections finish their frame."""
+        """Stop accepting; in-flight connections finish their frame.
+
+        ``SHUT_RD`` wakes a connection thread parked on an idle
+        keep-alive read at once (it reads EOF) while a request already
+        being served can still send its reply; without it the serve
+        loop would wait out each idle thread's join timeout.
+        """
         self._closing.set()
+        for conn in list(self._conns):
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its thread
+                pass
 
     def _reap_threads(self) -> None:
         self._conn_threads = [thread for thread in self._conn_threads
                               if thread.is_alive()]
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        self._conns.add(conn)
         with conn:
-            # a stuck client must not pin the connection thread forever
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # a stuck or long-idle client must not pin the connection
+            # thread forever; its pool re-sends on a fresh connection
             conn.settimeout(300.0)
-            while not self._closing.is_set():
-                try:
-                    request = recv_frame(conn, self.max_frame_bytes)
-                except (RemoteProtocolError, RemoteTransportError):
-                    # a torn or malformed frame poisons the stream; the
-                    # only safe reaction is to drop the connection
-                    return
-                if request is None:
-                    return  # clean EOF
-                reply = self._dispatch(request)
-                try:
-                    send_frame(conn, reply, self.max_frame_bytes)
-                except (RemoteProtocolError, RemoteTransportError):
-                    return  # peer went away (e.g. a cancelled hedge)
-                if request.get("op") == "shutdown":
-                    self.close()
-                    return
+            try:
+                self._serve_frames(conn)
+            finally:
+                self._conns.discard(conn)
+
+    def _serve_frames(self, conn: socket.socket) -> None:
+        """Answer frame after frame: a client keeps its connection."""
+        while not self._closing.is_set():
+            try:
+                request = recv_frame(conn, self.max_frame_bytes)
+            except (RemoteProtocolError, RemoteTransportError):
+                # a torn or malformed frame poisons the stream; the
+                # only safe reaction is to drop the connection
+                return
+            if request is None:
+                return  # clean EOF
+            reply = self._dispatch(request)
+            try:
+                send_frame(conn, reply, self.max_frame_bytes)
+            except (RemoteProtocolError, RemoteTransportError):
+                return  # peer went away (e.g. a cancelled hedge)
+            if request.get("op") == "shutdown":
+                self.close()
+                return
 
     # -- dispatch --------------------------------------------------------
 

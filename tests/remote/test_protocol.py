@@ -1,5 +1,6 @@
 """Framing tests: roundtrips, torn frames, oversized frames, clean EOF."""
 
+import json
 import socket
 import struct
 import threading
@@ -7,7 +8,7 @@ import threading
 import pytest
 
 from repro.errors import RemoteProtocolError, RemoteTransportError
-from repro.remote.protocol import (MAX_FRAME_BYTES, frame_size, recv_frame,
+from repro.remote.protocol import (MAX_FRAME_BYTES, FrameBuffer, recv_frame,
                                    send_frame)
 
 pytestmark = pytest.mark.remote
@@ -25,7 +26,8 @@ class TestRoundtrip:
                        "idf": {"a": 0.5, "b": 1.0 / 3.0}, "n": 10}
             sent = send_frame(left, payload)
             assert recv_frame(right) == payload
-            assert sent == frame_size(payload)
+            body = json.dumps(payload, separators=(",", ":")).encode()
+            assert sent == 4 + len(body)
 
     def test_float_bits_roundtrip_exactly(self):
         """JSON float round-trips preserve the exact double, which is
@@ -45,6 +47,28 @@ class TestRoundtrip:
                 send_frame(left, {"seq": index})
             for index in range(20):
                 assert recv_frame(right) == {"seq": index}
+
+
+class TestFrameBuffer:
+    def test_frame_fed_byte_by_byte(self):
+        left, right = socket_pair()
+        with left, right:
+            payload = {"ok": True, "value": {"hits": [1, 2, 3]}}
+            sent = send_frame(left, payload)
+            wire = right.recv(sent)
+        buffer = FrameBuffer()
+        for byte in wire[:-1]:
+            assert buffer.feed(bytes([byte])) is None
+        assert buffer.received == sent - 1
+        assert buffer.feed(wire[-1:]) == payload
+        assert buffer.size == sent
+
+    def test_oversized_header_rejected_before_body(self):
+        header = struct.pack(">I", 2 ** 31)
+        buffer = FrameBuffer(max_bytes=1024)
+        assert buffer.feed(header[:2]) is None
+        with pytest.raises(RemoteProtocolError, match="oversized"):
+            buffer.feed(header[2:])
 
 
 class TestTornFrames:
