@@ -9,10 +9,10 @@ Two claims, measured on the same 4-node index:
    large corpus with pruning disabled) its wall clock beats the thread
    backend despite paying socket RPC per node.  Rankings stay
    bit-identical; that is asserted, not assumed.  The speedup needs
-   real hardware parallelism: on a single-core host every worker shares
-   the one core and the RPC overhead is a pure tax, so the scaling
-   assertion is enforced only when ``os.cpu_count() > 1`` — the
-   measured numbers (and the core count) land in the report either
+   a core per node: with fewer cores than nodes the workers share them
+   and the RPC overhead can outweigh the parallelism, so the scaling
+   assertion is enforced only when ``os.cpu_count() >= CLUSTER_SIZE``
+   — the measured ratio and the core count land in the report either
    way.
 
 2. **Tail latency under stragglers.**  With one replica of each node
@@ -101,6 +101,7 @@ def test_process_backend_scales_and_hedging_cuts_p99(tmp_path):
         for node in index.nodes:
             index.remote.set_fault(node, 0.0, slot=0)
 
+        enforce_scaling = (os.cpu_count() or 1) >= CLUSTER_SIZE
         report = {
             "version": 1,
             "meta": {
@@ -119,6 +120,7 @@ def test_process_backend_scales_and_hedging_cuts_p99(tmp_path):
                 "thread_backend_ms": round(thread_ms, 3),
                 "process_backend_ms": round(process_ms, 3),
                 "speedup": round(thread_ms / process_ms, 3),
+                "speedup_enforced": enforce_scaling,
                 "rankings_identical": process_result.ranking
                 == thread_result.ranking,
             },
@@ -139,7 +141,7 @@ def test_process_backend_scales_and_hedging_cuts_p99(tmp_path):
         }
         REPORT.write_text(json.dumps(report, indent=2, sort_keys=True))
 
-        if (os.cpu_count() or 1) > 1:
+        if enforce_scaling:
             assert process_ms < thread_ms, (
                 f"process backend ({process_ms:.2f}ms) should beat the "
                 f"GIL-bound thread backend ({thread_ms:.2f}ms) on the "

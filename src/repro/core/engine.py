@@ -505,10 +505,9 @@ class SearchEngine:
         ``"rich"`` passes it to the schema-2 language verbatim.
 
         Returns ``(ranked, info)``: the info dict carries how the
-        physical level executed (columnar kernel or scalar reference
-        path, result-cache hit) and lands on the ``IrProbe`` plan node.
+        physical level executed (columnar kernel, result-cache hit) and
+        lands on the ``IrProbe`` plan node.
         """
-        from repro.ir.topn import kernels_available
         from repro.service.api import (MODE_CONTENT, SCHEMA_VERSION_V2,
                                        SearchRequest)
 
@@ -535,7 +534,7 @@ class SearchEngine:
                 key = url[len(prefix):len(url) - len(suffix)]
                 ranked[key] = hit.score
         info: dict[str, object] = {
-            "kernel": "columnar" if kernels_available() else "scalar",
+            "kernel": "columnar",
             "cache_hit": response.cache_hit,
         }
         if kind != "terms":

@@ -29,8 +29,9 @@ reconciliation, and a query under
 workers over the socket RPC — with per-replica failover, optional
 hedged requests, and automatic replacement-worker bootstrap from the
 newest snapshot.  Rankings are bit-identical between the two backends:
-the workers score the same postings against the same pushed global idf
-and tie-break in the same insertion order, and the coordinator merges
+both run the one node task :func:`node_topn`, the workers over the same
+postings against the same pushed global idf with the same insertion
+order to tie-break, and the coordinator merges
 both through :func:`~repro.monetdb.algebra.topn_merge` on central oids.
 """
 
@@ -54,7 +55,7 @@ from repro.ir.relations import IrRelations
 from repro.ir.topn import TopNResult, topn_fragmented
 from repro.telemetry.runtime import get_telemetry
 
-__all__ = ["DistributedIndex", "DistributedQueryResult",
+__all__ = ["DistributedIndex", "DistributedQueryResult", "node_topn",
            "patch_fragment_idf"]
 
 
@@ -469,19 +470,8 @@ class DistributedIndex:
         with telemetry.tracer.attach(parent_span):
             with telemetry.tracer.span("ir.node_topn",
                                        node=name) as node_span:
-                # translate global terms into this node's vocabulary
-                local_terms = []
-                for term in central_term_names:
-                    oid = relations.term_oid(term)
-                    if oid is not None:
-                        local_terms.append(oid)
-                fragments = self._node_fragments(name)
-                # override local idf with the pushed global weights
-                patched = patch_fragment_idf(fragments, relations,
-                                             global_idf)
-                local = topn_fragmented(patched, local_terms, policy.n,
-                                        prune=policy.prune, refine=True,
-                                        plan_cache=policy.plan_cache)
+                local = node_topn(relations, self._node_fragments(name),
+                                  central_term_names, global_idf, policy)
                 node_span.set_attributes(
                     tuples_read=local.tuples_read,
                     fragments_read=local.fragments_read,
@@ -555,6 +545,29 @@ class DistributedIndex:
         """Reference ranking computed at the central node alone."""
         from repro.ir.ranking import rank_tfidf
         return rank_tfidf(self.central, query, n)
+
+
+def node_topn(relations: IrRelations, fragments: FragmentSet,
+              term_names: list[str], global_idf: dict[str, float],
+              policy: ExecutionPolicy) -> TopNResult:
+    """One node's task: its exact local top-N under the global weights.
+
+    The one node task of both backends — the thread backend runs it on
+    the coordinator's copy of a node, a process worker
+    (:mod:`repro.remote.worker`) on its own relations.  The pushed term
+    names resolve into the node's vocabulary (a name the node never saw
+    drops), the fragments' idf is patched to the pushed global weights,
+    and the refined top-N makes the local scores exact for the merge.
+    """
+    local_terms = []
+    for term in term_names:
+        oid = relations.term_oid(term)
+        if oid is not None:
+            local_terms.append(oid)
+    patched = patch_fragment_idf(fragments, relations, global_idf)
+    return topn_fragmented(patched, local_terms, policy.n,
+                           prune=policy.prune, refine=True,
+                           plan_cache=policy.plan_cache)
 
 
 def patch_fragment_idf(fragments: FragmentSet, relations: IrRelations,

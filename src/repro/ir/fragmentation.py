@@ -24,40 +24,21 @@ from repro.telemetry.runtime import get_telemetry
 __all__ = ["Fragment", "FragmentSet", "fragment_by_idf"]
 
 
-class _ScalarPostings(dict):
-    """``term -> [(doc, tf)]``, derived from the packed columns the
-    first time a term is asked for (the scalar scan bodies and the cost
-    model index it; nothing enumerates it)."""
-
-    __slots__ = ("packed",)
-
-    def __init__(self, packed: dict[Oid, PackedPostings]):
-        super().__init__()
-        self.packed = packed
-
-    def __missing__(self, term_oid: Oid) -> list[tuple[Oid, int]]:
-        pairs = self[term_oid] = self.packed[term_oid].pairs()
-        return pairs
-
-
 @dataclass
 class Fragment:
     """One horizontal fragment of the TF relation.
 
-    ``postings`` is the scalar access path (tuple lists); ``packed``
-    shares the :class:`~repro.ir.relations.PackedPostings` columns of
-    the relations' postings index, which is what the batch scoring
-    kernels read.  Hand-built fragments may leave ``packed`` empty —
-    the top-N scorer then falls back to the scalar path.
+    ``packed`` shares the :class:`~repro.ir.relations.PackedPostings`
+    columns of the relations' postings index, which is what the scoring
+    kernels read; every term in ``term_oids`` has an entry.
     """
 
     index: int
     term_oids: set[Oid]
-    postings: dict[Oid, list[tuple[Oid, int]]]   # term -> [(doc, tf)]
     idf: dict[Oid, float]
     max_tf: dict[Oid, int]
+    packed: dict[Oid, PackedPostings]
     tuples: int = 0
-    packed: dict[Oid, PackedPostings] = field(default_factory=dict)
 
     def max_score_bound(self, term_oid: Oid) -> float:
         """Upper bound on any document's score gain from this term here."""
@@ -76,14 +57,15 @@ class FragmentSet:
     the packed postings' ``dense`` columns index into, shared with the
     postings index that built this set — it sizes the kernels'
     accumulators and may hold dead slots of removed documents, which no
-    posting points at; ``plan_token`` identifies the
-    physical layout for the plan cache — an idf-patched view
-    (:func:`~repro.ir.distributed.patch_fragment_idf`) keeps the token
-    because only weights change, never the compiled access order.
+    posting points at (an empty set has an empty universe);
+    ``plan_token`` identifies the physical layout for the plan cache —
+    an idf-patched view (:func:`~repro.ir.distributed.patch_fragment_idf`)
+    keeps the token because only weights change, never the compiled
+    access order.
     """
 
     fragments: list[Fragment] = field(default_factory=list)
-    doc_ids: array | None = None
+    doc_ids: array = field(default_factory=lambda: array("q"))
     plan_token: tuple | None = None
 
     def __len__(self) -> int:
@@ -153,7 +135,6 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
         fragment_set.fragments.append(Fragment(
             index=len(fragment_set.fragments),
             term_oids=set(terms),
-            postings=_ScalarPostings(packed),
             idf={oid: idf_of[oid] for oid in terms},
             max_tf={oid: entry.max_tf for oid, entry in packed.items()},
             tuples=sum(sizes[start:stop]),

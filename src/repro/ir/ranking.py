@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+import numpy as np
+
 from repro.monetdb.atoms import Oid
 from repro.ir.relations import IrRelations
 from repro.ir.text import analyze
-
-try:  # the tf·idf scoring kernel vectorizes through numpy when present
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 __all__ = ["query_term_oids", "rank_tfidf", "rank_hiemstra", "Ranking"]
 
@@ -44,51 +41,32 @@ def query_term_oids(relations: IrRelations, query: str) -> list[Oid]:
 
 
 def _sorted_ranking(scores: dict[Oid, float], n: int | None) -> Ranking:
-    # quantized sort key: see repro.ir.topn._rank — different summation
-    # orders across access paths must not flip float ties
+    # quantized sort key, the one the top-N kernels use: a 1-ulp
+    # difference between summation orders must not flip a float tie
     ranking = sorted(scores.items(),
                      key=lambda item: (-round(item[1], 9), item[0]))
     return ranking if n is None else ranking[:n]
 
 
-def rank_tfidf(relations: IrRelations, query: str, n: int | None = 10,
-               *, kernel: bool | None = None) -> Ranking:
+def rank_tfidf(relations: IrRelations, query: str,
+               n: int | None = 10) -> Ranking:
     """Exact tf·idf ranking over the full TF relation.
 
-    Runs the columnar scoring kernel (scatter-adds over the packed
-    postings index) when numpy is importable; ``kernel=False`` forces
-    the scalar reference loop.  Both accumulate per document in the
-    identical sequence (query-term order; each doc occurs at most once
-    per term), so rankings are bit-identical.
+    Scatter-adds each query term's packed postings column in query-term
+    order (a repeated term contributes again; each doc occurs at most
+    once per term), then sorts under the canonical quantized order.
     """
-    use_kernel = kernel if kernel is not None else _np is not None
-    if use_kernel and _np is None:
-        raise ValueError("kernel=True requires numpy")
-    terms = query_term_oids(relations, query)
-    if use_kernel:
-        return _rank_tfidf_kernel(relations, terms, n)
-    scores: dict[Oid, float] = defaultdict(float)
-    for term_oid in terms:
-        weight = relations.idf(term_oid)
-        for doc, tf in relations.postings(term_oid):
-            scores[doc] += tf * weight
-    return _sorted_ranking(scores, n)
-
-
-def _rank_tfidf_kernel(relations: IrRelations, terms: list[Oid],
-                       n: int | None) -> Ranking:
-    np = _np
     index = relations.postings_index()
     universe = len(index.doc_ids)
     acc = np.zeros(universe)
     touched = np.zeros(universe, dtype=bool)
-    for term_oid in terms:  # query order, duplicates contribute twice
+    for term_oid in query_term_oids(relations, query):
         packed = index.by_term.get(int(term_oid))
         if packed is None:
             continue
         weight = relations.idf(term_oid)
-        dense = packed.dense_view(np)
-        acc[dense] += packed.weights_view(np) * weight
+        dense = packed.dense_view()
+        acc[dense] += packed.weights_view() * weight
         touched[dense] = True
     selected = np.flatnonzero(touched)
     if not len(selected):

@@ -167,7 +167,7 @@ class PackedPostings:
         return [int(value) for value in encoded.split(" ")] \
             if encoded else []
 
-    def dense_view(self, np):
+    def dense_view(self) -> np.ndarray:
         """The dense-position column as an int64 numpy view (zero-copy)."""
         view = self._dense_view
         if view is None:
@@ -176,7 +176,7 @@ class PackedPostings:
             self._dense_view = view
         return view
 
-    def weights_view(self, np):
+    def weights_view(self) -> np.ndarray:
         """The float64 tf column as a numpy view (zero-copy)."""
         view = self._weights_view
         if view is None:

@@ -50,9 +50,9 @@ class QueryCostModel:
         for fragment in fragments:
             stats: dict[Oid, tuple[int, float]] = {}
             for term in fragment.term_oids:
-                postings = fragment.postings[term]
-                mass = fragment.idf[term] * sum(tf for _, tf in postings)
-                stats[term] = (len(postings), mass)
+                packed = fragment.packed[term]
+                mass = fragment.idf[term] * sum(packed.tfs)
+                stats[term] = (len(packed), mass)
             self._stats.append(stats)
 
     # -- predictions -------------------------------------------------------

@@ -14,21 +14,18 @@ Two techniques from the paper's query section:
   trade-off of [BHC+01] — "IR is inherently uncertain allowing other
   probabilistic query optimization tricks".
 
-Since the columnar redesign the scan has two interchangeable bodies:
-
-* the **scalar** reference path (:func:`_topn_scan`): per-posting Python
-  loops over the fragments' tuple lists, and
-* the **columnar kernel** (:func:`_topn_scan_kernel`): numpy
-  scatter-adds over the fragments' packed postings columns, following a
-  *compiled physical plan* — the per-(query shape, index layout) list
-  of (fragment, term) access steps cached in
-  :mod:`repro.core.plan_cache`.
-
-Both bodies execute the identical sequence of float additions per
-document (per-term postings hold each doc at most once, so an
-unordered scatter-add equals the sequential sum), and both tie-break
-through the canonical quantizer — rankings are bit-identical, which
-the ``kernels`` parity suite asserts across backends.
+Every scan is one columnar kernel: numpy scatter-adds over the
+fragments' packed postings columns, following a *compiled physical
+plan* — the per-(query shape, index layout) list of (fragment, term)
+access steps cached in :mod:`repro.core.plan_cache`.  There is one body
+per query shape: the bag scan (pruned, refined or exhaustive), the
+structured scan, and the cut-off, which is the bag scan over an
+idf-ordered prefix.  The per-posting loops they replaced live in
+``tests/kernels/topn_oracle.py`` as the reference the ``kernels`` and
+``query`` suites compare them against, rankings (scores included) and
+work accounting by ``==``: per-term postings hold each doc at most
+once, so an unordered scatter-add performs the same float additions as
+the sequential loop, and both tie-break through the canonical quantizer.
 """
 
 from __future__ import annotations
@@ -36,23 +33,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.monetdb.atoms import Oid
 from repro.ir.fragmentation import FragmentSet
 from repro.ir.ranking import Ranking
 from repro.telemetry.runtime import get_telemetry
 
-try:  # the kernels vectorize through numpy when it is importable
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 __all__ = ["TopNResult", "topn_fragmented", "topn_structured",
-           "topn_cutoff", "quality_degrade", "kernels_available"]
-
-
-def kernels_available() -> bool:
-    """Whether the columnar scoring kernels can run (numpy importable)."""
-    return _np is not None
+           "topn_cutoff", "quality_degrade"]
 
 
 @dataclass
@@ -67,13 +56,6 @@ class TopNResult:
     details: dict[str, object] = field(default_factory=dict)
 
 
-def _rank(scores: dict[Oid, float], n: int) -> Ranking:
-    # scores are quantized in the sort key: summation order differs
-    # between access paths, and a 1-ulp difference must not flip a tie
-    return sorted(scores.items(),
-                  key=lambda item: (-round(item[1], 9), item[0]))[:n]
-
-
 # ----------------------------------------------------------------------
 # compiled physical plans
 # ----------------------------------------------------------------------
@@ -83,36 +65,30 @@ class _TopNPlan:
     """The physical access plan of one (query shape, fragment layout).
 
     ``steps`` lists, in scan order, each fragment position a query term
-    touches together with the touched terms (frozen in the same set
-    iteration order the scalar path uses, so both bodies accumulate in
-    the identical sequence).  Weights are *not* baked in: idf is read
-    from the executing fragment set, so one plan serves patched
-    (global-idf) and unpatched views alike.
+    touches together with the touched terms (frozen in one set iteration
+    order, so every execution of the plan accumulates in the identical
+    sequence).  Weights are *not* baked in: idf is read from the
+    executing fragment set, so one plan serves patched (global-idf) and
+    unpatched views alike.
     """
 
     steps: tuple[tuple[int, tuple[int, ...]], ...]
-    kernel_ready: bool  # every touched term has packed postings
 
 
 def _compile_plan(fragments: FragmentSet,
                   wanted: set) -> _TopNPlan:
     steps = []
-    kernel_ready = fragments.doc_ids is not None
     for position, fragment in enumerate(fragments):
         touched = wanted & fragment.term_oids
-        if not touched:
-            continue
-        if kernel_ready:
-            kernel_ready = all(term in fragment.packed for term in touched)
-        steps.append((position, tuple(touched)))
-    return _TopNPlan(steps=tuple(steps), kernel_ready=kernel_ready)
+        if touched:
+            steps.append((position, tuple(touched)))
+    return _TopNPlan(steps=tuple(steps))
 
 
 def topn_fragmented(fragments: FragmentSet, query_terms: list[Oid],
                     n: int, prune: bool = True,
                     refine: bool = False, *,
-                    plan_cache: bool = True,
-                    kernel: bool | None = None) -> TopNResult:
+                    plan_cache: bool = True) -> TopNResult:
     """Exact top-N over fragments, stopping early when provably final.
 
     After each fragment, ``remaining[t]`` bounds the score any document
@@ -131,35 +107,22 @@ def topn_fragmented(fragments: FragmentSet, query_terms: list[Oid],
     exact local scores before merging); ``prune=False`` is exhaustive.
 
     ``plan_cache=False`` recompiles the physical plan instead of
-    consulting :mod:`repro.core.plan_cache`; ``kernel`` forces the
-    columnar (``True``) or scalar (``False``) body — by default the
-    kernel runs whenever numpy is importable and the fragments carry
-    packed postings, falling back to the scalar reference path
-    otherwise.  Both bodies produce bit-identical rankings.
+    consulting :mod:`repro.core.plan_cache`.
     """
     telemetry = get_telemetry()
     with telemetry.tracer.span("ir.topn", n=n, prune=prune,
                                refine=refine) as span:
         wanted = set(query_terms)
         plan, plan_hit = _plan_for(fragments, wanted, n, prune, plan_cache)
-        use_kernel = kernel if kernel is not None \
-            else (_np is not None and plan.kernel_ready)
-        if use_kernel and (_np is None or not plan.kernel_ready):
-            raise ValueError(
-                "kernel=True needs numpy and packed fragments; "
-                "build the FragmentSet through fragment_by_idf")
-        if use_kernel:
-            result = _topn_scan_kernel(fragments, wanted, n, prune,
-                                       refine, plan)
-            telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
-        else:
-            result = _topn_scan(fragments, query_terms, n, prune, refine)
-        result.details["kernel"] = "columnar" if use_kernel else "scalar"
+        result = _topn_scan_kernel(fragments, wanted, n, prune, refine,
+                                   plan)
+        telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
+        result.details["kernel"] = "columnar"
         result.details["plan_cache_hit"] = plan_hit
         span.set_attributes(tuples_read=result.tuples_read,
                             fragments_read=result.fragments_read,
                             stopped_early=result.stopped_early,
-                            kernel=result.details["kernel"],
+                            kernel="columnar",
                             plan_cache_hit=plan_hit)
     telemetry.metrics.counter("ir.topn_queries").add(1)
     telemetry.metrics.counter("ir.topn_tuples_read").add(result.tuples_read)
@@ -187,83 +150,25 @@ def _plan_for(fragments: FragmentSet, wanted: set, n: int, prune: bool,
         key, lambda: _compile_plan(fragments, wanted))
 
 
-def _topn_scan(fragments: FragmentSet, query_terms: list[Oid],
-               n: int, prune: bool, refine: bool) -> TopNResult:
-    result = TopNResult(ranking=[])
-    scores: dict[Oid, float] = defaultdict(float)
-    wanted = set(query_terms)
-
-    remaining: dict[Oid, float] = defaultdict(float)
-    for fragment in fragments:
-        for term in wanted & fragment.term_oids:
-            remaining[term] += fragment.max_score_bound(term)
-
-    stop_index = len(fragments.fragments)
-    for position, fragment in enumerate(fragments):
-        touched = wanted & fragment.term_oids
-        if not touched and prune:
-            # bound bookkeeping only; nothing read from this fragment
-            continue
-        result.fragments_read += 1
-        for term in touched:
-            weight = fragment.idf[term]
-            postings = fragment.postings[term]
-            result.tuples_read += len(postings)
-            for doc, tf in postings:
-                scores[doc] += tf * weight
-            remaining[term] -= fragment.max_score_bound(term)
-        if not prune:
-            continue
-        total_remaining = sum(remaining[term] for term in wanted)
-        if total_remaining <= 0.0:
-            result.stopped_early = True
-            stop_index = position + 1
-            break
-        if len(scores) < n:
-            continue
-        ranking = _rank(scores, len(scores))
-        nth_score = ranking[n - 1][1]
-        if nth_score <= total_remaining:
-            continue
-        runners_up = ranking[n:]
-        ceiling = max((score for _, score in runners_up), default=0.0)
-        # strict: an unseen or runner-up document can never even tie
-        if nth_score > ceiling + total_remaining:
-            result.stopped_early = True
-            stop_index = position + 1
-            break
-
-    if refine and result.stopped_early:
-        members = {doc for doc, _ in _rank(scores, n)}
-        for fragment in fragments.fragments[stop_index:]:
-            for term in wanted & fragment.term_oids:
-                weight = fragment.idf[term]
-                postings = fragment.postings[term]
-                result.tuples_read += len(postings)
-                for doc, tf in postings:
-                    if doc in members:
-                        scores[doc] += tf * weight
-
-    result.ranking = _rank(scores, n)
-    return result
+def _doc_column(fragments: FragmentSet) -> np.ndarray:
+    """The dense document universe as an int64 column (zero-copy)."""
+    return np.frombuffer(fragments.doc_ids, dtype=np.int64) \
+        if fragments.doc_ids else np.empty(0, dtype=np.int64)
 
 
 def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
                       prune: bool, refine: bool,
                       plan: _TopNPlan) -> TopNResult:
-    """The columnar body: scatter-add scoring over packed postings.
+    """The bag scan: scatter-add scoring over packed postings.
 
-    Mirrors :func:`_topn_scan` decision for decision — the same bound
-    bookkeeping (plain Python floats, same accumulation order), the
-    same stop conditions against the same quantized interim rankings —
-    only the per-posting accumulation and the sorting are vectorized.
+    The bound bookkeeping is plain Python floats in plan-step order, and
+    each stop test runs against the quantized interim ranking; only the
+    per-posting accumulation and the sorting are vectorized.
     """
-    np = _np
     result = TopNResult(ranking=[])
     frags = fragments.fragments
-    universe = len(fragments.doc_ids)
-    doc_column = np.frombuffer(fragments.doc_ids, dtype=np.int64) \
-        if universe else np.empty(0, dtype=np.int64)
+    doc_column = _doc_column(fragments)
+    universe = len(doc_column)
     acc = np.zeros(universe)
     touched_mask = np.zeros(universe, dtype=bool)
 
@@ -274,7 +179,7 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
             remaining[term] += fragment.max_score_bound(term)
 
     if not prune:
-        # the scalar body counts every fragment as read when exhaustive
+        # an exhaustive scan counts every fragment as read
         result.fragments_read = len(frags)
 
     stop_step = len(plan.steps)
@@ -287,8 +192,8 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
             weight = fragment.idf[term]
             packed = fragment.packed[term]
             result.tuples_read += len(packed)
-            dense = packed.dense_view(np)
-            acc[dense] += packed.weights_view(np) * weight
+            dense = packed.dense_view()
+            acc[dense] += packed.weights_view() * weight
             touched_mask[dense] = True
             remaining[term] -= fragment.max_score_bound(term)
         if not prune:
@@ -303,7 +208,7 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
         if candidates < n:
             continue
         selected = np.flatnonzero(touched_mask)
-        order, raw = _order_candidates(np, acc, doc_column, selected)
+        order, raw = _order_candidates(acc, doc_column, selected)
         nth_score = float(raw[order[n - 1]])
         if nth_score <= total_remaining:
             continue
@@ -317,7 +222,7 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
 
     if refine and result.stopped_early:
         selected = np.flatnonzero(touched_mask)
-        order, _ = _order_candidates(np, acc, doc_column, selected)
+        order, _ = _order_candidates(acc, doc_column, selected)
         member_flags = np.zeros(universe, dtype=bool)
         member_flags[selected[order[:n]]] = True
         for position, terms in plan.steps[stop_step:]:
@@ -328,27 +233,33 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
                 weight = fragment.idf[term]
                 packed = fragment.packed[term]
                 result.tuples_read += len(packed)
-                dense = packed.dense_view(np)
+                dense = packed.dense_view()
                 hit = member_flags[dense]
                 if hit.any():
-                    acc[dense[hit]] += packed.weights_view(np)[hit] * weight
+                    acc[dense[hit]] += packed.weights_view()[hit] * weight
 
-    selected = np.flatnonzero(touched_mask)
-    order, raw = _order_candidates(np, acc, doc_column, selected)
-    docs = doc_column[selected]
-    result.ranking = [(int(docs[i]), float(raw[i])) for i in order[:n]]
+    result.ranking = _ranking(acc, doc_column,
+                              np.flatnonzero(touched_mask), n)
     return result
 
 
-def _order_candidates(np, acc, doc_column, selected):
+def _order_candidates(acc, doc_column, selected):
     """Candidate order under the canonical quantized total order.
 
     Returns ``(order, raw)``: positions into ``selected`` sorted by
-    quantized score desc then doc oid asc, plus the raw scores.
+    quantized score desc then doc oid asc, plus the raw scores.  Scores
+    are quantized in the sort key so that a 1-ulp difference between
+    access paths can never flip a tie.
     """
     raw = acc[selected]
     quantized = np.round(raw, 9)
     return np.lexsort((doc_column[selected], -quantized)), raw
+
+
+def _ranking(acc, doc_column, selected, n: int) -> Ranking:
+    order, raw = _order_candidates(acc, doc_column, selected)
+    docs = doc_column[selected]
+    return [(int(docs[i]), float(raw[i])) for i in order[:n]]
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +267,7 @@ def _order_candidates(np, acc, doc_column, selected):
 # ----------------------------------------------------------------------
 
 def topn_structured(fragments: FragmentSet, compiled, n: int, *,
-                    plan_cache: bool = True,
-                    kernel: bool | None = None) -> TopNResult:
+                    plan_cache: bool = True) -> TopNResult:
     """Exhaustive top-N over a compiled structured query.
 
     ``compiled`` is a :class:`~repro.query.eval.CompiledQuery`: the
@@ -372,91 +282,42 @@ def topn_structured(fragments: FragmentSet, compiled, n: int, *,
     Unlike :func:`topn_fragmented` the scan is exhaustive — early-stop
     bounds under per-entry doc restrictions and per-doc boosts would
     need per-restriction ceilings to stay safe, and structured queries
-    are rare enough that correctness beats the saved fragments.  Both
-    bodies (scalar reference / columnar kernel) follow the same compiled
-    plan steps and accumulate in the same order, so rankings are
-    bit-identical; the plan-cache key embeds ``compiled.shape``.
+    are rare enough that correctness beats the saved fragments.  The
+    plan-cache key embeds ``compiled.shape``.
     """
     telemetry = get_telemetry()
     with telemetry.tracer.span("ir.topn_structured", n=n) as span:
         wanted = {entry.term_oid for entry in compiled.entries}
         plan, plan_hit = _plan_for(fragments, wanted, n, False, plan_cache,
                                    shape=compiled.shape)
-        use_kernel = kernel if kernel is not None \
-            else (_np is not None and plan.kernel_ready)
-        if use_kernel and (_np is None or not plan.kernel_ready):
-            raise ValueError(
-                "kernel=True needs numpy and packed fragments; "
-                "build the FragmentSet through fragment_by_idf")
-        if use_kernel:
-            result = _structured_scan_kernel(fragments, compiled, n, plan)
-            telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
-        else:
-            result = _structured_scan(fragments, compiled, n, plan)
-        result.details["kernel"] = "columnar" if use_kernel else "scalar"
+        result = _structured_scan_kernel(fragments, compiled, n, plan)
+        telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
+        result.details["kernel"] = "columnar"
         result.details["plan_cache_hit"] = plan_hit
         result.details["matched"] = len(compiled.matched)
         span.set_attributes(tuples_read=result.tuples_read,
                             matched=len(compiled.matched),
-                            kernel=result.details["kernel"],
+                            kernel="columnar",
                             plan_cache_hit=plan_hit)
     telemetry.metrics.counter("ir.topn_structured_queries").add(1)
     return result
 
 
-def _entries_by_term(compiled) -> dict[int, list]:
+def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
+                            plan: _TopNPlan) -> TopNResult:
+    """Masked scatter-adds in plan-step order, one per scoring entry,
+    each contribution associated as ``(tf · weight) · boost``."""
+    result = TopNResult(ranking=[])
+    frags = fragments.fragments
     grouped: dict[int, list] = {}
     for entry in compiled.entries:
         grouped.setdefault(entry.term_oid, []).append(entry)
-    return grouped
-
-
-def _structured_scan(fragments: FragmentSet, compiled, n: int,
-                     plan: _TopNPlan) -> TopNResult:
-    """Scalar reference body: per-posting loops, plan-step order."""
-    result = TopNResult(ranking=[])
-    frags = fragments.fragments
-    grouped = _entries_by_term(compiled)
-    field_weight = compiled.field_weight
-    # every matched doc is a candidate from the start: match-only docs
-    # must appear (score 0.0) and the kernel body seeds the same mask
-    scores: dict[Oid, float] = {doc: 0.0 for doc in compiled.allowed}
-    result.fragments_read = len(frags)
-    for position, terms in plan.steps:
-        fragment = frags[position]
-        for term in terms:
-            idf = fragment.idf[term]
-            postings = fragment.postings[term]
-            for entry in grouped[term]:
-                weight = idf * entry.weight
-                restriction = entry.docs
-                result.tuples_read += len(postings)
-                for doc, tf in postings:
-                    if doc not in scores:
-                        continue  # outside the boolean match set
-                    if restriction is not None and doc not in restriction:
-                        continue
-                    scores[doc] += tf * weight * field_weight.get(doc, 1.0)
-    result.ranking = _rank(scores, n)
-    return result
-
-
-def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
-                            plan: _TopNPlan) -> TopNResult:
-    """Columnar body: masked scatter-adds, decision-identical to the
-    scalar reference (same plan-step order, same per-entry sequence,
-    same ``(tf · weight) · boost`` association)."""
-    np = _np
-    result = TopNResult(ranking=[])
-    frags = fragments.fragments
-    grouped = _entries_by_term(compiled)
-    universe = len(fragments.doc_ids)
-    doc_column = np.frombuffer(fragments.doc_ids, dtype=np.int64) \
-        if universe else np.empty(0, dtype=np.int64)
+    doc_column = _doc_column(fragments)
+    universe = len(doc_column)
     acc = np.zeros(universe)
     doc_dense = compiled.doc_dense
 
-    def _mask_of(docs) -> object:
+    def _mask_of(docs) -> np.ndarray:
         mask = np.zeros(universe, dtype=bool)
         for doc in docs:
             dense = doc_dense.get(int(doc))
@@ -464,6 +325,8 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
                 mask[dense] = True
         return mask
 
+    # every matched doc is a candidate from the start: match-only docs
+    # must appear, at score 0.0
     allowed_mask = _mask_of(compiled.allowed)
     boost_column = np.ones(universe)
     for doc, weight in compiled.field_weight.items():
@@ -481,8 +344,8 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
         for term in terms:
             idf = fragment.idf[term]
             packed = fragment.packed[term]
-            dense = packed.dense_view(np)
-            weights = packed.weights_view(np)
+            dense = packed.dense_view()
+            weights = packed.weights_view()
             for entry in grouped[term]:
                 weight = idf * entry.weight
                 result.tuples_read += len(packed)
@@ -494,31 +357,25 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
                     rows = dense[hit]
                     acc[rows] += (weights[hit] * weight) \
                         * boost_column[rows]
-    selected = np.flatnonzero(allowed_mask)
-    order, raw = _order_candidates(np, acc, doc_column, selected)
-    docs = doc_column[selected]
-    result.ranking = [(int(docs[i]), float(raw[i])) for i in order[:n]]
+    result.ranking = _ranking(acc, doc_column,
+                              np.flatnonzero(allowed_mask), n)
     return result
 
 
 def topn_cutoff(fragments: FragmentSet, query_terms: list[Oid], n: int,
                 keep_fragments: int) -> TopNResult:
-    """Approximate top-N reading only the first ``keep_fragments``."""
-    scores: dict[Oid, float] = defaultdict(float)
-    result = TopNResult(ranking=[], exact=False)
+    """Approximate top-N reading only the first ``keep_fragments``.
+
+    The exhaustive bag scan over the kept idf-ordered prefix; only the
+    fragments a query term touches count as read.
+    """
+    kept = FragmentSet(fragments=fragments.fragments[:keep_fragments],
+                       doc_ids=fragments.doc_ids)
     wanted = set(query_terms)
-    for fragment in fragments.fragments[:keep_fragments]:
-        touched = wanted & fragment.term_oids
-        if not touched:
-            continue
-        result.fragments_read += 1
-        for term in touched:
-            weight = fragment.idf[term]
-            postings = fragment.postings[term]
-            result.tuples_read += len(postings)
-            for doc, tf in postings:
-                scores[doc] += tf * weight
-    result.ranking = _rank(scores, n)
+    plan = _compile_plan(kept, wanted)
+    result = _topn_scan_kernel(kept, wanted, n, False, False, plan)
+    result.fragments_read = len(plan.steps)
+    result.exact = False
     return result
 
 

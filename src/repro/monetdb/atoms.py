@@ -13,12 +13,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import AtomTypeError
+import numpy as np
 
-try:  # batch validation vectorizes the bool scan when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from repro.errors import AtomTypeError
 
 __all__ = ["Oid", "AtomType", "ATOM_TYPES", "atom_type", "register_atom_type"]
 
@@ -94,9 +91,9 @@ def _check_ints_many(values: Sequence[Any], label: str) -> Sequence[Any]:
         return [checker(value) for value in values]
     # bools pack as 0/1, so only positions holding 0 or 1 can hide one;
     # find those at C speed and type-check just them
-    if _np is not None and len(packed) >= 1024:
-        column = _np.frombuffer(packed, dtype=_np.int64)
-        suspects = _np.flatnonzero(_np.abs(column) <= 1).tolist()
+    if len(packed) >= 1024:
+        column = np.frombuffer(packed, dtype=np.int64)
+        suspects = np.flatnonzero(np.abs(column) <= 1).tolist()
         if any(type(values[i]) is bool for i in suspects):
             raise AtomTypeError(f"not an {label}: True")
     elif any(type(value) is bool for value in values):

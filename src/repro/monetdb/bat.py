@@ -39,14 +39,11 @@ from itertools import islice
 from operator import le
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import BatError
 from repro.monetdb.atoms import AtomType, Oid, atom_type
 from repro.telemetry.runtime import get_telemetry
-
-try:  # whole-column property checks vectorize when numpy is present
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 __all__ = ["BAT", "ColumnView"]
 
@@ -158,8 +155,8 @@ def _ascending_from(column: Any, start: int) -> bool:
     if not isinstance(column, array):
         return False  # spilled past int64: the property is not tracked
     fresh = column[max(start - 1, 0):]  # from the last old row: the seam
-    if _np is not None and len(fresh) >= 1024:  # a load: one column op
-        values = _np.frombuffer(fresh, dtype=_np.int64)
+    if len(fresh) >= 1024:  # a load: one column op
+        values = np.frombuffer(fresh, dtype=np.int64)
         return bool((values[1:] >= values[:-1]).all())
     return all(map(le, fresh, islice(fresh, 1, None)))
 

@@ -7,9 +7,8 @@ satisfy the boolean predicate, phrase adjacency via the positional
 postings, numeric ranges via the vocabulary) plus the flat *scoring
 entries* the structured top-N scan accumulates
 (:func:`repro.ir.topn.topn_structured`).  Match evaluation runs once,
-scalar, up front; both scan bodies (scalar reference and columnar
-kernel) then consume the identical sets, which is what keeps their
-rankings bit-identical.
+scalar, up front; the columnar scan and its test oracle then consume
+the identical sets, which is what keeps their rankings bit-identical.
 
 Fields map onto the conceptual level's document naming: the engine
 indexes every Hypertext attribute under ``class:key:attribute``, so a

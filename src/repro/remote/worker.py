@@ -50,9 +50,9 @@ import time
 
 from repro.errors import (QueryError, RemoteProtocolError,
                           RemoteTransportError, ReproError)
+from repro.ir.distributed import node_topn
 from repro.ir.fragmentation import FragmentSet, fragment_by_idf
 from repro.ir.relations import IrRelations
-from repro.ir.topn import topn_fragmented
 from repro.monetdb.persistence import load_catalog, save_catalog
 from repro.remote.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                                    recv_frame, send_frame)
@@ -240,17 +240,8 @@ class NodeWorker:
         if delay_ms > 0:
             time.sleep(delay_ms / 1000.0)  # injected straggler latency
         with self._rw.read_locked():
-            local_terms = []
-            for term in terms:
-                oid = self.relations.term_oid(term)
-                if oid is not None:
-                    local_terms.append(oid)
-            fragments = _patched(self._fragment_set(), self.relations,
-                                 global_idf)
-            local = topn_fragmented(fragments, local_terms,
-                                    search.policy.n,
-                                    prune=search.policy.prune, refine=True,
-                                    plan_cache=search.policy.plan_cache)
+            local = node_topn(self.relations, self._fragment_set(), terms,
+                              global_idf, search.policy)
             pairs = [(self.relations.doc_url(doc), score)
                      for doc, score in local.ranking]
             generation = self.relations.generation
@@ -303,13 +294,6 @@ class NodeWorker:
                                                   self.fragment_count)
                 self._fragments_generation = generation
             return self._fragments
-
-
-def _patched(fragments: FragmentSet, relations: IrRelations,
-             global_idf: dict) -> FragmentSet:
-    """The fragment view scored against the pushed global idf weights."""
-    from repro.ir.distributed import patch_fragment_idf
-    return patch_fragment_idf(fragments, relations, global_idf)
 
 
 def main(argv: list[str] | None = None) -> int:

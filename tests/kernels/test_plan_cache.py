@@ -76,6 +76,8 @@ class TestTopNPlanCacheWiring:
         terms = query_term_oids(relations, "w0")
         result = topn_fragmented(FragmentSet(), terms, 5)
         assert result.details["plan_cache_hit"] is False
+        # an empty set has an empty universe: the kernel answers nothing
+        assert result.ranking == []
 
     def test_distinct_shapes_are_distinct_entries(self, relations,
                                                   fragments):

@@ -1,21 +1,20 @@
-"""Acceptance: schema-2 rankings are bit-identical scalar vs kernel.
+"""Acceptance: schema-2 rankings are bit-identical kernel vs oracle.
 
 Every structured query shape — bag, phrase, fielded, boolean, range,
-boosted, filtered, paginated inputs — runs through both scan bodies of
-:func:`repro.ir.topn.topn_structured`; the rankings (including scores,
-not just order) must compare equal.
+boosted, filtered, paginated inputs — runs through the columnar
+:func:`repro.ir.topn.topn_structured` and the scalar loop of
+``tests/kernels/topn_oracle.py``; the rankings (including scores, not
+just order) and the tuples read must compare equal.
 """
 
 import pytest
 
-from repro.ir.topn import kernels_available, topn_structured
+from repro.ir.topn import topn_structured
 from repro.query import compile_query, parse_rich_query
 
-pytestmark = [
-    pytest.mark.query,
-    pytest.mark.skipif(not kernels_available(),
-                       reason="numpy unavailable: no kernel to compare"),
-]
+from tests.kernels import topn_oracle as oracle
+
+pytestmark = pytest.mark.query
 
 SHAPES = [
     "digital library",                       # v1-style bag of words
@@ -33,10 +32,11 @@ SHAPES = [
 
 
 def both(fragments, compiled, n=10):
-    scalar = topn_structured(fragments, compiled, n, kernel=False)
-    kernel = topn_structured(fragments, compiled, n, kernel=True)
-    assert scalar.details["kernel"] == "scalar"
+    scalar = oracle.topn_structured(fragments, compiled, n)
+    kernel = topn_structured(fragments, compiled, n)
     assert kernel.details["kernel"] == "columnar"
+    assert kernel.tuples_read == scalar.tuples_read
+    assert kernel.fragments_read == scalar.fragments_read
     return scalar, kernel
 
 
