@@ -2,9 +2,9 @@
 
 Two claims, measured on the same 4-node index:
 
-1. **CPU-bound scaling.**  The thread backend shares one interpreter —
-   its fan-out overlaps I/O but the GIL serialises the per-node scoring
-   work.  The process backend runs every node's scoring in its own
+1. **CPU-bound scaling.**  The thread backend runs every node's
+   scoring in turn on the calling thread, in one interpreter.  The
+   process backend runs every node's scoring in its own
    worker process, so on a CPU-bound workload (multi-term query over a
    large corpus with pruning disabled) its wall clock beats the thread
    backend despite paying socket RPC per node.  Rankings stay

@@ -35,7 +35,7 @@ class LruCache:
     """Bounded mapping with least-recently-used eviction.
 
     All operations take one lock, so the cache is safe to share between
-    the cluster executor's worker threads and concurrent query callers.
+    concurrent query callers.
     """
 
     def __init__(self, capacity: int = 128, name: str = "query"):

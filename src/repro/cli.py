@@ -157,7 +157,8 @@ def _add_policy_flags(command: argparse.ArgumentParser) -> None:
         "execution policy",
         "how content predicates run on a clustered backend")
     group.add_argument("--workers", type=int, default=None,
-                       help="fan-out width (default: one per node)")
+                       help="fan-out width: nodes in flight at once "
+                            "(default: every node)")
     group.add_argument("--deadline-ms", type=float, default=None,
                        help="per-node deadline in milliseconds "
                             "(default: none)")
@@ -171,12 +172,12 @@ def _add_policy_flags(command: argparse.ArgumentParser) -> None:
                             "degrade to the surviving nodes' ranking")
     group.add_argument("--backend", choices=["thread", "process"],
                        default="thread",
-                       help="node execution backend: the in-process "
-                            "thread pool, or the shared-nothing "
+                       help="node execution backend: in-process on the "
+                            "calling thread, or the shared-nothing "
                             "process-per-node workers (needs a "
                             "clustered index with replicas attached)")
     group.add_argument("--hedge-after-ms", type=float, default=None,
-                       help="process backend: re-issue a straggling "
+                       help="re-issue a straggling process-backend "
                             "node read to another replica after this "
                             "many milliseconds (default: no hedging)")
     group.add_argument("--no-cache", action="store_true",

@@ -1,11 +1,11 @@
-"""Cluster execution: parallel fan-out, deadlines, retries, fault hooks.
+"""Cluster execution: fan-out, deadlines, retries, hedges, fault hooks.
 
 One surface in front of the shared-nothing backend: an
-:class:`Executor` runs per-node work concurrently under an
+:class:`Executor` fans per-node work out under an
 :class:`~repro.core.config.ExecutionPolicy` (re-exported here for
 convenience); a :class:`FaultInjector` makes slow and failing hosts
-reproducible.  The distributed IR plan
-(:mod:`repro.ir.distributed`) and the population path ride on it.
+reproducible.  The distributed IR plan (:mod:`repro.ir.distributed`)
+rides on it, over either backend's transport.
 """
 
 from repro.cluster.executor import Executor, NodeOutcome

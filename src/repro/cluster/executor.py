@@ -1,56 +1,59 @@
-"""Parallel, fault-tolerant fan-out over cluster nodes.
+"""One fan-out engine for both cluster backends.
 
 The paper's distributed plan pushes one node-local top-N task to every
 host and merges the returned rankings — "almost perfect shared nothing
-parallelism".  :class:`Executor` is that fan-out: it runs one callable
-per node on a :class:`~concurrent.futures.ThreadPoolExecutor` and
-enforces the :class:`~repro.core.config.ExecutionPolicy` around each
-node:
+parallelism".  :class:`Executor` is that fan-out: one task per node in,
+one :class:`NodeOutcome` per node out, under one
+:class:`~repro.core.config.ExecutionPolicy`:
 
-* **width** — ``max_workers`` bounds concurrency (``None`` = one worker
-  per node; ``1`` degenerates to the old sequential visit, which the
-  benchmarks use as the baseline),
-* **deadline** — ``node_deadline_ms`` is a per-node budget measured
-  from fan-out start; a node that misses it is *abandoned*: its cancel
-  event is set (so cancellable waits such as
-  :class:`~repro.cluster.faults.FaultInjector` delays wake immediately)
-  and its outcome is marked ``timed_out``,
-* **retry** — a raising attempt is retried up to ``retries`` times with
-  *full-jitter* exponential backoff: the sleep before retry ``k`` is
-  drawn uniformly from ``[0, backoff_ms * 2**(k-1))``, so a cluster of
-  clients retrying against the same struggling node does not thunder
-  back in lock-step.  Pass ``rng=random.Random(seed)`` for reproducible
-  schedules in tests; the backoff sleep stays cancellable,
-* **faults** — an optional :class:`FaultInjector` hook runs before
-  every attempt, injecting latency or errors for tests and benchmarks.
+* **width** — ``max_workers`` caps the nodes in flight (``None`` = all
+  of them; ``1`` visits the nodes one after another, the benchmarks'
+  baseline),
+* **deadline** — ``node_deadline_ms`` bounds every node's effort from
+  fan-out start; a node past it is ``timed_out``,
+* **rounds** — a round routes the node and tries its first target; a
+  failed attempt fails over to the next target (``remote.failovers``),
+  and under ``hedge_after_ms`` a silent one gets company on the next
+  (``remote.hedges_issued``, ``remote.hedges_won`` when it answers
+  first),
+* **retry** — a round that ends without an answer is retried up to
+  ``retries`` times after a *full-jitter* backoff
+  (:meth:`Executor.backoff_s`), so clients retrying against the same
+  struggling node do not thunder back in lock-step,
+* **cancel-on-finish** — once a node has its answer, or its deadline
+  has passed, whatever it still has in flight is cancelled.
+
+All of it runs on the calling thread: one :mod:`selectors` loop waits
+for a readable socket, the next timer (an attempt's start, a hedge, a
+backoff) or the deadline.  Below the loop is a transport of three
+methods — :meth:`~Executor.route`, :meth:`~Executor.start` (begin one
+attempt on one target) and :meth:`~Executor.note_failure`.  This class
+is the thread backend's transport (the name is historical: it starts
+no thread).  A node's one target is the coordinator's own copy, a
+:class:`~repro.cluster.faults.FaultInjector` delay is a loop timer,
+and the task then runs inline.  An attempt that has started is never
+abandoned: the deadline bounds waiting (injected latency, backoff) and
+is checked before each attempt.  :class:`repro.remote.RemoteExecutor`
+is the process backend's transport, where targets are a node's worker
+replicas and an attempt is an RPC whose socket the loop watches.
 
 The executor never interprets failures — it reports one
 :class:`NodeOutcome` per node and leaves the partial-result policy
 (``on_failure``: raise vs. degrade) to the caller, which knows how to
 merge what survived.
-
-Abandoning a node used to be silent and unbounded: the timed-out
-worker thread kept running behind the pool's back and ``shutdown``
-waited on it forever if the task ignored its cancel event.  Now
-shutdown joins the recorded worker threads with a bounded grace period
-(``shutdown_grace_ms``) instead of blocking indefinitely, and every
-timed-out node whose thread is *still alive* after that join — a real,
-if bounded, thread leak — increments the ``cluster.abandoned_threads``
-counter; a node that honoured its cancel event drains inside the grace
-and is not counted.
 """
 
 from __future__ import annotations
 
 import random
-import threading
+import selectors
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.config import ExecutionPolicy
+from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["Executor", "NodeOutcome"]
 
@@ -71,142 +74,284 @@ class NodeOutcome:
         return self.error is None and not self.timed_out
 
 
-@dataclass
-class _NodeState:
-    """Coordinator-side bookkeeping for one submitted node task."""
-
-    cancel: threading.Event = field(default_factory=threading.Event)
-    # the pool thread that picked the task up (set by _run_node); the
-    # bounded shutdown join and the abandonment accounting key off it
-    thread: threading.Thread | None = None
-
-
 class Executor:
     """Fan node tasks out under one :class:`ExecutionPolicy`."""
 
     def __init__(self, policy: ExecutionPolicy | None = None,
                  fault_injector=None, *,
-                 rng: random.Random | None = None,
-                 shutdown_grace_ms: float = 1000.0):
+                 rng: random.Random | None = None):
         self.policy = policy or ExecutionPolicy()
         self.faults = fault_injector
         self.rng = rng or random.Random()
-        self.shutdown_grace_ms = shutdown_grace_ms
 
-    def run(self, tasks: dict[str, Callable[[], Any]]
-            ) -> dict[str, NodeOutcome]:
+    def run(self, tasks: dict[str, Any]) -> dict[str, NodeOutcome]:
         """Run every named task; returns one :class:`NodeOutcome` each.
 
-        Outcomes preserve the order of ``tasks``.  The call blocks until
-        every node either finished, failed its retry budget, or was
-        abandoned at its deadline; abandoned nodes are cancelled
-        cooperatively so the pool drains promptly.
+        Outcomes preserve the order of ``tasks``.  The call returns once
+        every node has an answer, has spent its retry budget, or is past
+        its deadline.
         """
-        if not tasks:
-            return {}
-        policy = self.policy
-        workers = policy.max_workers or len(tasks)
-        states = {name: _NodeState() for name in tasks}
-        deadline_s = (policy.node_deadline_ms / 1000.0
-                      if policy.node_deadline_ms is not None else None)
-        outcomes: dict[str, NodeOutcome] = {}
-        pool = ThreadPoolExecutor(max_workers=workers,
-                                  thread_name_prefix="repro-cluster")
-        start = time.perf_counter()
-        try:
-            futures = {
-                name: pool.submit(self._run_node, name, fn, states[name])
-                for name, fn in tasks.items()
-            }
-            for name, future in futures.items():
-                remaining = None
-                if deadline_s is not None:
-                    remaining = max(0.0,
-                                    start + deadline_s - time.perf_counter())
-                try:
-                    outcomes[name] = future.result(timeout=remaining)
-                except _FutureTimeout:
-                    # abandon the node: wake its cancellable waits; the
-                    # worker (if it ever started) returns an outcome we
-                    # no longer read
-                    states[name].cancel.set()
-                    future.cancel()
-                    outcomes[name] = NodeOutcome(
-                        node=name, attempts=1, timed_out=True,
-                        error=("deadline exceeded "
-                               f"({policy.node_deadline_ms:g}ms)"),
-                        elapsed_ms=(time.perf_counter() - start) * 1000.0)
-        finally:
-            # don't block forever on a node that ignores its cancel
-            # event: cancel queued work, then join the live worker
-            # threads for at most the grace period
-            pool.shutdown(wait=False, cancel_futures=True)
-            deadline = time.perf_counter() + self.shutdown_grace_ms / 1000.0
-            for state in states.values():
-                thread = state.thread
-                if thread is None or thread is threading.current_thread():
-                    continue
-                thread.join(
-                    timeout=max(0.0, deadline - time.perf_counter()))
-            # a timed-out node whose thread outlived the grace join is a
-            # real (bounded) leak; a node that honoured its cancel event
-            # drained above and is *not* abandoned
-            abandoned = len({
-                state.thread
-                for name, state in states.items()
-                if outcomes.get(name) is not None
-                and outcomes[name].timed_out
-                and state.thread is not None
-                and state.thread is not threading.current_thread()
-                and state.thread.is_alive()})
-            if abandoned:
-                from repro.telemetry.runtime import get_telemetry
-                get_telemetry().metrics.counter(
-                    "cluster.abandoned_threads").add(abandoned)
-        return outcomes
+        nodes = {name: _Node(name, task, NodeOutcome(node=name))
+                 for name, task in tasks.items()}
+        if nodes:
+            _FanOut(self).run(list(nodes.values()))
+        return {name: node.outcome for name, node in nodes.items()}
 
-    # -- one node ----------------------------------------------------------
+    def backoff_s(self, attempt: int) -> float:
+        """Full-jitter backoff before the round after round ``attempt``.
 
-    def _backoff_s(self, attempt: int) -> float:
-        """Full-jitter backoff before retrying after attempt ``attempt``.
-
-        Uniform over ``[0, backoff_ms * 2**(attempt-1))`` seconds —
-        the AWS-style "full jitter" variant, which decorrelates
-        retry storms while keeping the exponential ceiling.  Seed the
-        executor's ``rng`` to make schedules reproducible.
+        Uniform over ``[0, backoff_ms * 2**(attempt-1))`` — the
+        AWS-style "full jitter" variant, which decorrelates retry storms
+        while keeping the exponential ceiling.  Seed the executor's
+        ``rng`` to make schedules reproducible.
         """
         ceiling = self.policy.backoff_ms / 1000.0 * (2 ** (attempt - 1))
         return self.rng.uniform(0.0, ceiling) if ceiling > 0 else 0.0
 
-    def _run_node(self, name: str, fn: Callable[[], Any],
-                  state: _NodeState) -> NodeOutcome:
-        policy = self.policy
-        cancel = state.cancel
-        state.thread = threading.current_thread()
-        outcome = NodeOutcome(node=name)
-        start = time.perf_counter()
-        for attempt in range(1, policy.retries + 2):
-            if cancel.is_set():
-                outcome.timed_out = True
-                outcome.error = outcome.error or "cancelled"
-                break
-            outcome.attempts = attempt
-            try:
-                if self.faults is not None \
-                        and self.faults.on_attempt(name, attempt, cancel):
-                    outcome.timed_out = True
-                    outcome.error = "cancelled during injected delay"
-                    break
-                outcome.value = fn()
-                outcome.error = None
-                break
-            except Exception as error:  # noqa: BLE001 - reported, not lost
-                outcome.value = None
-                outcome.error = f"{type(error).__name__}: {error}"
-                if attempt <= policy.retries:
-                    backoff_s = self._backoff_s(attempt)
-                    if backoff_s > 0 and cancel.wait(backoff_s):
-                        outcome.timed_out = True
-                        break
-        outcome.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return outcome
+    # -- the transport (thread backend) -------------------------------
+
+    def route(self, node: str) -> list:
+        """A node's targets, preferred first: its one local copy."""
+        return [node]
+
+    def start(self, node: str, task: Callable[[], Any], target,
+              attempt: int, deadline: float | None) -> "_Inline":
+        """Begin one attempt: the task runs on the loop once the
+        injected delay, if any, is over."""
+        delay_ms = self.faults.delay_ms(node) if self.faults else 0.0
+        return _Inline(lambda: self._attempt(node, task, attempt),
+                       time.monotonic() + delay_ms / 1000.0)
+
+    def note_failure(self, target, error: Exception) -> None:
+        """An attempt on ``target`` failed; a local copy has no health
+        to mark."""
+
+    def _attempt(self, node: str, task: Callable[[], Any], attempt: int):
+        if self.faults is not None:
+            self.faults.on_attempt(node, attempt)
+        return task()
+
+
+@dataclass(eq=False)
+class _Inline:
+    """A thread-backend attempt: the task, run when ``wake_at`` is due.
+
+    Like every attempt the loop drives, it has a ``sock`` to watch (here
+    none) or a ``wake_at`` timer, ``feed()`` advancing it (True once
+    complete), ``result()`` and ``close()``.
+    """
+
+    run: Callable[[], Any]
+    wake_at: float
+    value: Any = None
+    sock = None
+
+    def feed(self) -> bool:
+        self.value = self.run()
+        return True
+
+    def result(self) -> Any:
+        return self.value
+
+    def close(self) -> None:
+        pass
+
+
+@dataclass(eq=False)
+class _Node:
+    """One node's effort: rounds of primary + failovers + one hedge."""
+
+    name: str
+    task: Any
+    outcome: NodeOutcome
+    started: float = 0.0
+    targets: list = field(default_factory=list)
+    next_target: int = 0
+    # in a round: when to hedge; between rounds: when to retry
+    wake_at: float | None = None
+    attempts: list["_Attempt"] = field(default_factory=list)  # in flight
+    finished: bool = False
+
+
+@dataclass(eq=False)
+class _Attempt:
+    """One attempt in flight on one target."""
+
+    node: _Node
+    target: Any
+    is_hedge: bool
+    work: Any  # what Executor.start returned
+
+
+class _FanOut:
+    """One :meth:`Executor.run`: its selector, deadline and nodes."""
+
+    def __init__(self, executor: Executor):
+        self.executor = executor
+        self.policy = policy = executor.policy
+        self.deadline = self.expired = None
+        if policy.node_deadline_ms is not None:
+            self.deadline = time.monotonic() + policy.node_deadline_ms / 1e3
+            self.expired = \
+                f"deadline exceeded ({policy.node_deadline_ms:g}ms)"
+        self.selector = selectors.DefaultSelector()
+        self.metrics = get_telemetry().metrics
+
+    def run(self, nodes: list[_Node]) -> None:
+        waiting = deque(nodes)
+        width = self.policy.max_workers or len(nodes)
+        live: list[_Node] = []
+        try:
+            while waiting or live:
+                while waiting and len(live) < width:
+                    node = waiting.popleft()
+                    node.started = time.monotonic()
+                    live.append(node)
+                    self._round(node)
+                for node in live:
+                    self._tick(node)
+                live = [node for node in live if not node.finished]
+                if live:
+                    for key, _ in self.selector.select(self._timeout(live)):
+                        self._advance(key.data)
+        finally:
+            for node in nodes:
+                self._cancel(node)
+            self.selector.close()
+
+    def _timeout(self, live: list[_Node]) -> float | None:
+        """Seconds until the next timer: an attempt's start, a hedge, a
+        retry, the deadline."""
+        times = [node.wake_at for node in live if node.wake_at is not None]
+        times += [attempt.work.wake_at for node in live
+                  for attempt in node.attempts
+                  if attempt.work.wake_at is not None]
+        if self.deadline is not None:
+            times.append(self.deadline)
+        if not times:
+            return None
+        return max(0.0, min(times) - time.monotonic())
+
+    # -- one node --------------------------------------------------------
+
+    def _round(self, node: _Node) -> None:
+        """Start the next round: route, then start the primary."""
+        node.outcome.attempts += 1
+        now = time.monotonic()
+        if self.deadline is not None and now >= self.deadline:
+            self._expire(node, node.outcome.error or self.expired)
+            return
+        node.targets = self.executor.route(node.name)
+        node.next_target = 0
+        if not node.targets:
+            node.outcome.error = f"no healthy replicas for node {node.name}"
+            self._lost(node)
+            return
+        node.wake_at = None if self.policy.hedge_after_ms is None \
+            else now + self.policy.hedge_after_ms / 1000.0
+        self._launch(node, is_hedge=False)
+
+    def _tick(self, node: _Node) -> None:
+        """Fire whichever of the node's timers is due, deadline first."""
+        now = time.monotonic()
+        if node.attempts and self.deadline is not None \
+                and now >= self.deadline:
+            self._expire(node, self.expired)
+            return
+        due = [attempt for attempt in node.attempts
+               if attempt.work.wake_at is not None
+               and now >= attempt.work.wake_at]
+        for attempt in due:
+            self._advance(attempt)
+        if node.finished or node.wake_at is None or now < node.wake_at:
+            return
+        node.wake_at = None
+        if not node.attempts:
+            self._round(node)
+        elif node.next_target < len(node.targets):
+            self._launch(node, is_hedge=True)
+            self.metrics.counter("remote.hedges_issued").add(1)
+
+    def _launch(self, node: _Node, is_hedge: bool) -> None:
+        target = node.targets[node.next_target]
+        node.next_target += 1
+        try:
+            work = self.executor.start(node.name, node.task, target,
+                                       node.outcome.attempts, self.deadline)
+        except Exception as error:  # noqa: BLE001 - reported on the outcome
+            self._failed(node, target, error)
+            return
+        self._watch(_Attempt(node, target, is_hedge, work))
+
+    def _advance(self, attempt: _Attempt) -> None:
+        """The attempt's socket is readable or its timer is due."""
+        node, work = attempt.node, attempt.work
+        if attempt not in node.attempts:
+            return  # cancelled by a sibling's win earlier in this batch
+        self._unwatch(attempt)  # before its socket is pooled or swapped
+        try:
+            if not work.feed():
+                self._watch(attempt)
+                return
+            value = work.result()
+        except Exception as error:  # noqa: BLE001 - reported on the outcome
+            work.close()
+            self._failed(node, attempt.target, error)
+            return
+        node.outcome.value = value
+        node.outcome.error = None
+        if attempt.is_hedge:
+            self.metrics.counter("remote.hedges_won").add(1)
+        self._finish(node)
+
+    def _failed(self, node: _Node, target, error: Exception) -> None:
+        """One attempt failed: fail over, or end the round."""
+        node.outcome.error = f"{type(error).__name__}: {error}"
+        self.executor.note_failure(target, error)
+        if node.next_target < len(node.targets):
+            self.metrics.counter("remote.failovers").add(1)
+            self._launch(node, is_hedge=False)
+        elif not node.attempts:
+            self._lost(node)
+
+    def _lost(self, node: _Node) -> None:
+        """A round ended without an answer: back off and retry, or stop."""
+        attempts = node.outcome.attempts
+        if attempts > self.policy.retries:
+            self._finish(node)
+            return
+        now = time.monotonic()
+        pause = self.executor.backoff_s(attempts)
+        if self.deadline is not None:
+            pause = min(pause, max(0.0, self.deadline - now))
+        node.wake_at = now + pause
+
+    def _expire(self, node: _Node, error: str) -> None:
+        node.outcome.timed_out = True
+        node.outcome.error = error
+        self._finish(node)
+
+    def _finish(self, node: _Node) -> None:
+        """The node is resolved; whatever it still has in flight lost."""
+        self._cancel(node)
+        node.finished = True
+        node.outcome.elapsed_ms = (time.monotonic() - node.started) * 1000.0
+
+    # -- what the loop watches ---------------------------------------
+
+    def _watch(self, attempt: _Attempt) -> None:
+        attempt.node.attempts.append(attempt)
+        if attempt.work.sock is not None:
+            self.selector.register(attempt.work.sock, selectors.EVENT_READ,
+                                   attempt)
+
+    def _unwatch(self, attempt: _Attempt) -> None:
+        attempt.node.attempts.remove(attempt)
+        if attempt.work.sock is not None:
+            self.selector.unregister(attempt.work.sock)
+
+    def _cancel(self, node: _Node) -> None:
+        """Close every attempt still in flight (hedge losers etc.)."""
+        for attempt in list(node.attempts):
+            self._unwatch(attempt)
+            attempt.work.close()

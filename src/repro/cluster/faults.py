@@ -11,10 +11,9 @@ latency-bound parallelism win is benchmarkable without real hosts:
 * :meth:`fail` — raise an injected error on a node's next N attempts
   (transient by default: a retry after the budget succeeds).
 
-Delays are *cancellable*: they wait on the attempt's cancel event, so a
-node abandoned by the coordinator (deadline exceeded) wakes up
-immediately instead of blocking pool shutdown — the thread-leak checks
-in ``tests/cluster`` rely on this.
+A delay is a timer on the executor's loop, not a sleep: the delays of
+several nodes overlap, and a node past its deadline stops waiting at
+once.
 """
 
 from __future__ import annotations
@@ -69,21 +68,16 @@ class FaultInjector:
             self._default_delay_ms = 0.0
         return self
 
-    # -- the executor-facing hook -----------------------------------------
+    # -- the executor-facing hooks ----------------------------------------
 
-    def on_attempt(self, node: str, attempt: int,
-                   cancel: threading.Event) -> bool:
-        """Apply this node's faults to one attempt.
-
-        Returns ``True`` when the attempt was cancelled while waiting out
-        an injected delay (the caller must abandon the node), raises the
-        injected error when a failure is due, and returns ``False`` when
-        the attempt may proceed.
-        """
+    def delay_ms(self, node: str) -> float:
+        """The latency to wait out before each attempt on ``node``."""
         with self._lock:
-            delay_ms = self._delays_ms.get(node, self._default_delay_ms)
-        if delay_ms > 0 and cancel.wait(delay_ms / 1000.0):
-            return True
+            return self._delays_ms.get(node, self._default_delay_ms)
+
+    def on_attempt(self, node: str, attempt: int) -> None:
+        """Apply this node's failures to one attempt, once its delay is
+        over: raises the injected error when a failure is due."""
         error: Exception | None = None
         due = False
         with self._lock:
@@ -95,4 +89,3 @@ class FaultInjector:
         if due:
             raise error if error is not None else InjectedFault(
                 f"injected fault on {node} (attempt {attempt})")
-        return False

@@ -23,22 +23,25 @@ class ExecutionPolicy:
 
     * ``n`` / ``prune`` — result size and fragment pruning (the former
       ad-hoc kwargs of the top-N plans),
-    * ``max_workers`` — fan-out width of the cluster executor; ``None``
-      means one worker per node ("as parallel as the cluster"),
+    * ``max_workers`` — fan-out width of the cluster executor: how many
+      nodes it keeps in flight at once; ``None`` means every node,
     * ``node_deadline_ms`` — per-node time budget measured from fan-out
       start; ``None`` disables deadlines,
     * ``retries`` / ``backoff_ms`` — how often a failed node attempt is
       retried and the base of the (full-jitter) exponential backoff
       between attempts,
-    * ``backend`` — where node tasks execute: ``"thread"`` fans out
-      over the in-process thread pool (the default, unchanged);
-      ``"process"`` routes them to the shared-nothing process-per-node
-      workers of an attached :class:`~repro.remote.ReplicaSet`
-      (``DistributedIndex.start_remote``),
-    * ``hedge_after_ms`` — process backend only: when a node's read has
-      not answered after this budget, the same task is re-issued to
-      another healthy replica and the first response wins (the loser is
-      cancelled).  ``None`` disables hedging,
+    * ``backend`` — where node tasks execute: ``"thread"`` (the
+      default; the name is historical, no thread is started) runs them
+      in-process on the calling thread against the coordinator's copy
+      of each node; ``"process"`` routes them to the shared-nothing
+      process-per-node workers of an attached
+      :class:`~repro.remote.ReplicaSet` (``DistributedIndex.start_remote``),
+    * ``hedge_after_ms`` — when a node's attempt has not answered after
+      this budget and the node has another target, the same task is
+      re-issued to it and the first response wins (the loser is
+      cancelled).  Only a process-backend node has a second target (its
+      next replica); an in-process node has one.  ``None`` disables
+      hedging,
     * ``on_failure`` — what a node failure means for the query:
       ``"raise"`` propagates a
       :class:`~repro.errors.ClusterExecutionError`; ``"degrade"``

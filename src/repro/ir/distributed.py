@@ -9,26 +9,27 @@ own documents (optionally with fragment pruning), returns
 ``RES(doc-oid, rank)``, and the central node merges the local rankings
 into the final top-N — "almost perfect shared nothing parallelism".
 
-Since the cluster-execution redesign the fan-out is genuinely parallel:
-node tasks run on a :class:`~repro.cluster.Executor` under one
-:class:`~repro.core.config.ExecutionPolicy` (width, per-node deadline,
-retry/backoff), and a node failure either raises a
+Node tasks fan out through one engine, :class:`~repro.cluster.Executor`,
+under one :class:`~repro.core.config.ExecutionPolicy` (width, per-node
+deadline, retry/backoff, hedging), and a node failure either raises a
 :class:`~repro.errors.ClusterExecutionError` or degrades gracefully to
 the merged ranking of the surviving nodes
 (``DistributedQueryResult.failed_nodes`` / ``degraded``, plus the
 ``ir.node_failures`` counter and a ``degraded`` span attribute).
 
-The thread pool shares one interpreter (and one GIL), so its speed-up
-is I/O overlap, not CPU parallelism.  :meth:`DistributedIndex.start_remote`
-adds the *true* shared-nothing execution level: every node gets
-``replication_factor`` process-per-node workers
-(:class:`~repro.remote.ReplicaSet`), writes dual-apply to the local
-authoritative copies and to all replicas with generation-stamp
-reconciliation, and a query under
-``ExecutionPolicy(backend="process")`` fans its node tasks to the
-workers over the socket RPC — with per-replica failover, optional
-hedged requests, and automatic replacement-worker bootstrap from the
-newest snapshot.  Rankings are bit-identical between the two backends:
+Under the default ``backend="thread"`` the engine runs every node task
+inline on the calling thread, against the coordinator's copy of the
+node: one interpreter, so no CPU parallelism, and no thread either.
+:meth:`DistributedIndex.start_remote` adds the *true* shared-nothing
+execution level: every node gets ``replication_factor``
+process-per-node workers (:class:`~repro.remote.ReplicaSet`), writes
+dual-apply to the local authoritative copies and to all replicas with
+generation-stamp reconciliation, and a query under
+``ExecutionPolicy(backend="process")`` sends its node tasks to the
+workers over the socket RPC through the same engine — with per-replica
+failover, optional hedged requests, and automatic replacement-worker
+bootstrap from the newest snapshot.  Rankings are bit-identical between
+the two backends:
 both run the one node task :func:`node_topn`, the workers over the same
 postings against the same pushed global idf with the same insertion
 order to tie-break, and the coordinator merges
@@ -258,28 +259,21 @@ class DistributedIndex:
             self.remote.apply_write(node.name, "add_documents",
                                     {"documents": [[url, text]]})
 
-    def add_documents(self, documents,
-                      policy: ExecutionPolicy | None = None) -> None:
-        """Bulk-index in parallel: one task per node plus the central copy.
-
-        Population is *not* idempotent (re-adding a document duplicates
-        postings), so the executor runs it under a strict derivative of
-        ``policy``: deadlines, retries and fault injection are disabled
-        and any node failure raises — only ``max_workers`` carries over.
-        """
+    def add_documents(self, documents) -> None:
+        """Bulk-index: one task per node plus the central copy."""
         docs = list(documents)
         placements = self.cluster.scatter(docs)
         tasks = {"central": partial(self._add_local, self.central, docs)}
         for name, items in placements.items():
             tasks[name] = partial(self._add_local, self.nodes[name], items)
-        self._run_population(tasks, policy)
+        self._run_population(tasks)
         if self.remote is not None:
             for name, items in placements.items():
                 if items:
                     self.remote.apply_write(
                         name, "add_documents",
                         {"documents": [[url, text] for url, text in items]})
-        self.refresh(policy)
+        self.refresh()
 
     @staticmethod
     def _add_local(relations: IrRelations, items) -> int:
@@ -302,9 +296,8 @@ class DistributedIndex:
             self.remove_document(url)
         self.add_document(url, text)
 
-    def refresh(self, policy: ExecutionPolicy | None = None, *,
-                limit: int | None = None) -> int:
-        """Batch refresh in parallel: IDF everywhere, then node fragments.
+    def refresh(self, *, limit: int | None = None) -> int:
+        """Batch refresh: IDF everywhere, then node fragments.
 
         Generation-stamped: only nodes whose relations mutated since
         their fragment set was built are rebuilt; an all-fresh refresh
@@ -325,9 +318,9 @@ class DistributedIndex:
         for name in batch:
             tasks[name] = partial(self._refresh_local, self.nodes[name],
                                   self.fragment_count)
-        outcomes = self._run_population(tasks, policy)
+        values = self._run_population(tasks)
         for name in batch:
-            self._fragments[name] = outcomes[name].value
+            self._fragments[name] = values[name]
             self._fragment_generations[name] = self.nodes[name].generation
         remaining = len(stale) - len(batch)
         if self.remote is not None and remaining == 0:
@@ -342,16 +335,24 @@ class DistributedIndex:
         relations.refresh_idf()
         return fragment_by_idf(relations, fragment_count)
 
-    def _run_population(self, tasks, policy: ExecutionPolicy | None):
-        strict = ExecutionPolicy(
-            max_workers=policy.max_workers if policy is not None else None)
-        outcomes = Executor(strict).run(tasks)
-        failures = {name: outcome.error for name, outcome in outcomes.items()
-                    if not outcome.ok}
+    @staticmethod
+    def _run_population(tasks) -> dict:
+        """Run every population task in order; their values by name.
+
+        Population is *not* idempotent (re-adding a document duplicates
+        postings), so nothing is retried: every task runs once, and any
+        failure raises one error naming all that failed.
+        """
+        values, failures = {}, {}
+        for name, task in tasks.items():
+            try:
+                values[name] = task()
+            except Exception as error:  # noqa: BLE001 - raised together
+                failures[name] = f"{type(error).__name__}: {error}"
         if failures:
             raise ClusterExecutionError(
                 f"cluster population failed on {sorted(failures)}", failures)
-        return outcomes
+        return values
 
     def _node_fragments(self, name: str) -> FragmentSet:
         if name not in self._fragments \
@@ -409,13 +410,13 @@ class DistributedIndex:
                                               global_idf, policy, servers,
                                               telemetry)
             else:
-                # build fragments up front: the lazy rebuild is not
-                # thread-safe, node tasks must only read
+                # build fragments before the fan-out starts: a rebuild
+                # is not node work and must not eat a node's deadline
                 for name in self.nodes:
                     self._node_fragments(name)
 
                 tasks = {
-                    name: partial(self._node_topn, span, name, relations,
+                    name: partial(self._node_topn, name, relations,
                                   servers[name], central_term_names,
                                   global_idf, policy, telemetry)
                     for name, relations in self.nodes.items()
@@ -463,19 +464,17 @@ class DistributedIndex:
             self.query_cache.store(key, result)
         return result
 
-    def _node_topn(self, parent_span, name: str, relations: IrRelations,
+    def _node_topn(self, name: str, relations: IrRelations,
                    server, central_term_names, global_idf,
                    policy: ExecutionPolicy, telemetry):
-        """One node's local top-N (runs on an executor worker thread)."""
-        with telemetry.tracer.attach(parent_span):
-            with telemetry.tracer.span("ir.node_topn",
-                                       node=name) as node_span:
-                local = node_topn(relations, self._node_fragments(name),
-                                  central_term_names, global_idf, policy)
-                node_span.set_attributes(
-                    tuples_read=local.tuples_read,
-                    fragments_read=local.fragments_read,
-                    stopped_early=local.stopped_early)
+        """One node's local top-N (runs inline on the fan-out loop)."""
+        with telemetry.tracer.span("ir.node_topn", node=name) as node_span:
+            local = node_topn(relations, self._node_fragments(name),
+                              central_term_names, global_idf, policy)
+            node_span.set_attributes(
+                tuples_read=local.tuples_read,
+                fragments_read=local.fragments_read,
+                stopped_early=local.stopped_early)
         # report work against the node's server accounting and the
         # registry, so snapshots show the per-node 1/k split
         server.charge(local.tuples_read)

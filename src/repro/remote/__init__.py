@@ -14,10 +14,10 @@ address space.  This package supplies that execution level:
   transport/protocol/application error taxonomy,
 * :mod:`repro.remote.replicas` — N-way placement, dual-write
   generation reconciliation, snapshot checkpoint/bootstrap and repair,
-* :mod:`repro.remote.executor` — the read path: rotation, failover and
-  hedged requests on one thread's socket loop, behind the same
-  :class:`NodeOutcome` contract as the thread backend's
-  :class:`~repro.cluster.executor.Executor`.
+* :mod:`repro.remote.executor` — the read path: the process transport
+  (replica rotation, transport-failure health, RPC attempts) under the
+  one fan-out engine, :class:`~repro.cluster.executor.Executor`, whose
+  socket loop adds failover and hedged requests.
 
 ``DistributedIndex.start_remote`` wires it all to the existing cluster
 API; ``ExecutionPolicy(backend="process")`` routes a query through it.

@@ -3,9 +3,10 @@
 An RPC is two halves.  :meth:`WorkerClient.send` puts the request on a
 connection and returns the :class:`Exchange` awaiting its reply;
 :meth:`WorkerClient.receive` blocks until that reply is in.
-:meth:`~WorkerClient.call` is one then the other.  The read-path
-executor drives many exchanges from one thread instead: it waits until
-an exchange's socket is readable and :meth:`Exchange.feed`\\ s it.
+:meth:`~WorkerClient.call` is one then the other.  The fan-out loop
+(:mod:`repro.cluster.executor`) drives many exchanges from one thread
+instead: it waits until an exchange's socket is readable and
+:meth:`Exchange.feed`\\ s it.
 
 Connections are kept alive.  Each client keeps a few idle connections
 to its worker (``TCP_NODELAY`` on both ends), and the worker serves
@@ -50,8 +51,7 @@ from repro.remote.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                                    FrameBuffer, send_frame)
 from repro.telemetry.runtime import get_telemetry
 
-__all__ = ["WorkerClient", "Exchange", "StaleConnection",
-           "DEFAULT_CONNECT_TIMEOUT_S"]
+__all__ = ["WorkerClient", "Exchange", "DEFAULT_CONNECT_TIMEOUT_S"]
 
 #: Connect budget when the caller supplies no deadline: workers are
 #: local processes, so a connect that takes longer than this is dead.
@@ -62,13 +62,12 @@ DEFAULT_CONNECT_TIMEOUT_S = 5.0
 _IDLE_LIMIT = 4
 
 
-class StaleConnection(RemoteTransportError):
-    """A pooled connection ended before any reply byte: the worker had
-    dropped it while idle.  :meth:`Exchange.reopen` re-sends once."""
-
-
 class Exchange:
     """One request on one connection, until its reply frame is read."""
+
+    #: the fan-out loop wakes an exchange when its socket is readable,
+    #: never on a timer
+    wake_at = None
 
     def __init__(self, client: "WorkerClient", request: dict,
                  deadline: float | None):
@@ -107,7 +106,10 @@ class Exchange:
 
         One ``recv``: called when the socket is readable it never
         blocks, and :meth:`WorkerClient.receive` loops it under the
-        socket's deadline timeout.
+        socket's deadline timeout.  A pooled connection that ends before
+        any reply byte was dropped by the worker while idle: the request
+        is re-sent once on a fresh connection (:meth:`reopen`, a new
+        ``sock``) and this returns False.
         """
         name, op = self.client.name, self.request["op"]
         try:
@@ -118,8 +120,8 @@ class Exchange:
         except OSError as exc:
             if isinstance(exc, ConnectionError) and self.reused \
                     and not self._frame.received:
-                raise StaleConnection(
-                    f"pooled connection to {name} was reset") from exc
+                self.reopen()
+                return False
             raise RemoteTransportError(
                 f"connection to {name} failed: {exc}") from exc
         if not chunk:
@@ -129,8 +131,8 @@ class Exchange:
                     f"{self._frame.received} bytes of the reply to "
                     f"{op!r}")
             if self.reused:
-                raise StaleConnection(
-                    f"pooled connection to {name} was closed")
+                self.reopen()
+                return False
             raise RemoteTransportError(
                 f"worker {name} closed the connection before replying "
                 f"to {op!r}")
@@ -250,11 +252,8 @@ class WorkerClient:
         try:
             while True:
                 exchange.sock.settimeout(exchange.remaining("awaiting"))
-                try:
-                    if exchange.feed():
-                        break
-                except StaleConnection:
-                    exchange.reopen()
+                if exchange.feed():
+                    break
         except BaseException:
             exchange.close()
             raise
@@ -267,27 +266,6 @@ class WorkerClient:
 
     def ping(self, deadline_s: float | None = 2.0) -> dict:
         return self.call("ping", deadline_s=deadline_s)
-
-    def call_with_retry(self, op: str, params: dict | None = None, *,
-                        deadline_s: float | None = None,
-                        attempts: int = 3, backoff_s: float = 0.05
-                        ) -> dict:
-        """A write-path helper: retry transport failures a few times.
-
-        Only :class:`RemoteTransportError` retries — an application
-        error means the worker *executed* the request and replaying it
-        could double-apply a write.
-        """
-        last: RemoteTransportError | None = None
-        for attempt in range(max(1, attempts)):
-            if attempt:
-                time.sleep(backoff_s * (2 ** (attempt - 1)))
-            try:
-                return self.call(op, params, deadline_s=deadline_s)
-            except RemoteTransportError as exc:
-                last = exc
-        assert last is not None
-        raise last
 
 
 def _close(sock: socket.socket) -> None:

@@ -369,7 +369,7 @@ class ReplicaSet:
             tail = [record for record in self._oplog[node]
                     if record.seq > meta["seq"]]
         for record in tail:
-            reply = handle.client.call_with_retry(
+            reply = handle.client.call(
                 record.op, record.params, deadline_s=self.rpc_deadline_s)
             handle.generation = int(reply.get("generation",
                                               handle.generation))
@@ -479,13 +479,16 @@ class ReplicaSet:
     # -- writes ----------------------------------------------------------
 
     def apply_write(self, node: str, op: str, params: dict) -> None:
-        """Log a write and fan it to every replica of the node.
+        """Log a write and send it once to every usable replica.
 
         The caller has already applied the write to the authoritative
         local relations; this method never raises — a replica that
         misses the write or disagrees on the resulting generation is
         marked unhealthy and healed later by :meth:`repair` (the op is
-        in the log, so nothing is lost).
+        in the log, so nothing is lost).  A replica already written off
+        gets nothing until its replacement bootstraps, and a write is
+        never retried: one wedged replica costs the write lock at most
+        one ``rpc_deadline_s``.
         """
         local_generation = self.nodes[node].generation
         with self._lock:
@@ -493,18 +496,16 @@ class ReplicaSet:
             self._oplog[node].append(Record(self._seq[node], op,
                                             dict(params)))
         for handle in self.replicas.get(node, ()):
-            if not handle.alive():
+            if not handle.usable():
                 self.note_failure(handle)
                 continue
             try:
-                reply = handle.client.call_with_retry(
+                reply = handle.client.call(
                     op, params, deadline_s=self.rpc_deadline_s)
-            except RemoteTransportError:
-                self.note_failure(handle)
-                continue
             except RemoteError:
-                # the worker executed and refused — its state diverged
-                # from the authoritative copy; replace it
+                # a transport failure, or the worker executed and
+                # refused (its state diverged from the authoritative
+                # copy): either way, replace it
                 self.note_failure(handle)
                 continue
             handle.generation = int(reply.get("generation",

@@ -269,11 +269,11 @@ class SearchService:
         self._write("remove", lambda: self._ir.remove(url),
                     log_params={"url": url})
 
-    def add_documents(self, documents, policy=None) -> None:
+    def add_documents(self, documents) -> None:
         """Bulk-index on the clustered backend (see DistributedIndex)."""
         documents = [(str(url), str(text)) for url, text in documents]
         self._write("add_documents",
-                    lambda: self._ir.index.add_documents(documents, policy),
+                    lambda: self._ir.index.add_documents(documents),
                     log_params={"documents": [list(pair)
                                               for pair in documents]})
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Any, Iterator
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
@@ -145,26 +144,6 @@ class Tracer:
                 stack.pop()
             stack.pop()
 
-    @contextmanager
-    def attach(self, parent: Span) -> "Iterator[Span]":
-        """Nest this thread's spans under ``parent`` (cross-thread).
-
-        The per-thread stack cannot see a span opened by another thread,
-        so worker threads of a parallel fan-out would record their spans
-        as unrelated roots.  ``attach`` pushes the coordinator's open
-        span onto *this* thread's stack without timing it, so everything
-        the worker opens nests where it belongs.  Child attachment is a
-        plain list append, which is safe under the GIL even when several
-        workers attach to the same parent concurrently.
-        """
-        stack = self._stack()
-        stack.append(parent)
-        try:
-            yield parent
-        finally:
-            if stack and stack[-1] is parent:
-                stack.pop()
-
     # -- reading ----------------------------------------------------------
 
     def current(self) -> Span | None:
@@ -223,10 +202,6 @@ class NullTracer:
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         return NULL_SPAN
-
-    @contextmanager
-    def attach(self, parent) -> Iterator[_NullSpan]:
-        yield NULL_SPAN
 
     def current(self) -> None:
         return None

@@ -1,10 +1,10 @@
 """Shared fixtures for the cluster-execution suite.
 
-Every test here runs under the thread-leak check: a test that leaves a
-live non-daemon thread behind (an abandoned executor worker, an
-unjoined pool) fails, because leaked workers are exactly how a
-"parallel" search backend quietly serialises or deadlocks in
-production.  The corpus helpers mirror ``tests/ir/test_distributed``.
+Every test here runs under the thread-leak check: neither cluster
+backend starts a thread, so a test that leaves any new live thread
+behind, daemon or not, fails.  A test that starts its own threads
+(racing callers) must join them.  The corpus helpers mirror
+``tests/ir/test_distributed``.
 """
 
 import random
@@ -19,20 +19,18 @@ from repro.monetdb.server import Cluster
 
 @pytest.fixture(autouse=True)
 def no_thread_leaks():
-    """Fail any test that leaks a live non-daemon thread."""
+    """Fail any test that leaks a live thread, daemon or not."""
     before = set(threading.enumerate())
     yield
     leaked = set()
-    # executor shutdown is synchronous, but give cancelled workers a
-    # short grace period to unwind their stacks
+    # a joined thread can still be unwinding for a moment
     for _ in range(100):
         leaked = {thread for thread in threading.enumerate()
-                  if thread not in before
-                  and not thread.daemon and thread.is_alive()}
+                  if thread not in before and thread.is_alive()}
         if not leaked:
             break
         time.sleep(0.01)
-    assert not leaked, f"leaked non-daemon threads: {sorted(t.name for t in leaked)}"
+    assert not leaked, f"leaked threads: {sorted(t.name for t in leaked)}"
 
 
 def corpus(documents=60, seed=5):

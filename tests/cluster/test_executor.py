@@ -8,7 +8,8 @@ import pytest
 
 from repro.cluster import (ExecutionPolicy, Executor, FaultInjector,
                            InjectedFault)
-from repro.telemetry import telemetry_session
+
+from tests.cluster.conftest import build_index
 
 pytestmark = pytest.mark.cluster
 
@@ -35,13 +36,20 @@ class TestFanOut:
             {"b": 1, "a": 2, "c": 3}))
         assert list(outcomes) == ["b", "a", "c"]
 
-    def test_tasks_run_concurrently(self):
-        """With one worker per node, N sleeps overlap in wall-clock."""
-        barrier = threading.Barrier(4, timeout=5)
-        outcomes = Executor(ExecutionPolicy()).run(
-            {f"n{i}": barrier.wait for i in range(4)})
-        # the barrier releases only if all four waits overlap
-        assert all(outcome.ok for outcome in outcomes.values())
+    def test_injected_delays_overlap_at_full_width(self):
+        """Delays are loop timers: at full width four 40ms waits
+        overlap, at width one they add up."""
+        faults = FaultInjector().delay_all(40)
+        tasks = tasks_returning({f"n{i}": i for i in range(4)})
+        timings = {}
+        for width in (None, 1):
+            start = time.perf_counter()
+            outcomes = Executor(ExecutionPolicy(max_workers=width),
+                                faults).run(tasks)
+            timings[width] = time.perf_counter() - start
+            assert all(outcome.ok for outcome in outcomes.values())
+        assert timings[None] < 0.080
+        assert timings[1] >= 0.160
 
     def test_max_workers_one_serialises(self):
         running = []
@@ -98,7 +106,7 @@ class TestFailureHandling:
     def test_default_injected_error_is_typed(self):
         faults = FaultInjector().fail("node0")
         with pytest.raises(InjectedFault):
-            faults.on_attempt("node0", 1, threading.Event())
+            faults.on_attempt("node0", 1)
 
 
 class TestDeadlines:
@@ -114,7 +122,7 @@ class TestDeadlines:
         assert not outcomes["node1"].ok
         assert "deadline" in outcomes["node1"].error \
             or "cancelled" in outcomes["node1"].error
-        # the cancellable delay must not hold the pool for the full 500ms
+        # the delay is a timer the deadline cuts short, not a sleep
         assert elapsed < 0.4
 
     def test_deadline_cancels_backoff_wait(self):
@@ -142,7 +150,7 @@ class TestJitteredBackoff:
                             rng=random.Random(42))
         for attempt in (1, 2, 3, 4):
             ceiling = 0.010 * (2 ** (attempt - 1))
-            samples = [executor._backoff_s(attempt) for _ in range(200)]
+            samples = [executor.backoff_s(attempt) for _ in range(200)]
             assert all(0.0 <= sample < ceiling for sample in samples)
             # full jitter, not fixed exponential: the draws spread out
             assert max(samples) - min(samples) > ceiling / 4
@@ -151,56 +159,15 @@ class TestJitteredBackoff:
         policy = ExecutionPolicy(backoff_ms=25)
         first = Executor(policy, rng=random.Random(7))
         second = Executor(policy, rng=random.Random(7))
-        schedule = [first._backoff_s(attempt) for attempt in (1, 2, 3)]
-        assert schedule == [second._backoff_s(a) for a in (1, 2, 3)]
+        schedule = [first.backoff_s(attempt) for attempt in (1, 2, 3)]
+        assert schedule == [second.backoff_s(a) for a in (1, 2, 3)]
         third = Executor(policy, rng=random.Random(8))
-        assert schedule != [third._backoff_s(a) for a in (1, 2, 3)]
+        assert schedule != [third.backoff_s(a) for a in (1, 2, 3)]
 
     def test_zero_backoff_never_sleeps(self):
         executor = Executor(ExecutionPolicy(backoff_ms=0))
-        assert executor._backoff_s(1) == 0.0
-        assert executor._backoff_s(5) == 0.0
-
-
-class TestAbandonedThreads:
-    def test_uncancellable_task_is_counted_and_bounded(self):
-        """A task that ignores its cancel event is abandoned at the
-        deadline: counted on ``cluster.abandoned_threads``, and run()
-        returns after the bounded shutdown grace instead of blocking
-        until the task finishes."""
-        release = threading.Event()
-
-        def stuck():
-            release.wait(10.0)  # ignores the executor's cancel event
-            return "late"
-
-        executor = Executor(ExecutionPolicy(node_deadline_ms=40),
-                            shutdown_grace_ms=100.0)
-        try:
-            with telemetry_session() as telemetry:
-                start = time.perf_counter()
-                outcomes = executor.run({"node0": stuck, "node1": lambda: 1})
-                elapsed = time.perf_counter() - start
-                counters = telemetry.metrics.snapshot()["counters"]
-            assert outcomes["node0"].timed_out
-            assert not outcomes["node0"].ok
-            assert outcomes["node1"].ok
-            assert counters.get("cluster.abandoned_threads") == 1
-            # deadline (40ms) + grace (100ms) + slack, not the task's 10s
-            assert elapsed < 2.0
-        finally:
-            release.set()  # let the abandoned thread unwind (leak check)
-
-    def test_cancellable_task_is_not_counted_abandoned(self):
-        """A task honouring its cancel event drains promptly — the
-        abandonment counter must stay untouched."""
-        faults = FaultInjector().delay("node0", 5000)
-        executor = Executor(ExecutionPolicy(node_deadline_ms=40), faults)
-        with telemetry_session() as telemetry:
-            outcomes = executor.run(tasks_returning({"node0": 1}))
-            counters = telemetry.metrics.snapshot()["counters"]
-        assert outcomes["node0"].timed_out
-        assert "cluster.abandoned_threads" not in counters
+        assert executor.backoff_s(1) == 0.0
+        assert executor.backoff_s(5) == 0.0
 
 
 class TestInjectorConfig:
@@ -218,3 +185,27 @@ class TestInjectorConfig:
             tasks_returning({"node0": 1}))["node0"]
         assert outcome.ok
         assert outcome.elapsed_ms < 40
+
+
+class TestNoThreads:
+    def test_thread_backend_constructs_no_thread(self, monkeypatch):
+        """Population and a thread-backend query (with retries, a
+        deadline and injected delays) run on the calling thread."""
+        faults = FaultInjector().delay_all(5).fail("node1", times=1)
+        constructed = []
+        init = threading.Thread.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(kwargs.get("name"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "__init__", counting_init)
+        index = build_index(cluster_size=4, fault_injector=faults)
+        index.add_documents([(f"http://site/extra{i}", "trophy w1 w2")
+                             for i in range(10)])
+        result = index.query("trophy melbourne w0", policy=ExecutionPolicy(
+            cache=False, retries=1, backoff_ms=1, node_deadline_ms=5000))
+        monkeypatch.undo()
+        assert constructed == []
+        assert not result.degraded
+        assert result.attempts["node1"] == 2

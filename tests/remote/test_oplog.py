@@ -1,8 +1,12 @@
-"""Op-log hygiene: checkpoint-driven truncation and online expansion."""
+"""Op-log hygiene: the write fan-out, checkpoint-driven truncation and
+online expansion."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import RemoteError
+from repro.errors import RemoteError, RemoteTransportError
+from repro.remote.replicas import ReplicaSet, WorkerHandle
 from repro.telemetry import telemetry_session
 
 from tests.remote.conftest import process_policy
@@ -12,6 +16,50 @@ pytestmark = pytest.mark.remote
 
 def _oplog_sizes(index):
     return index.remote.status()["oplog"]
+
+
+class _Running:
+    """A worker process that is alive."""
+
+    pid = 0
+
+    def poll(self):
+        return None
+
+
+class _Client:
+    """A worker client that records its calls and refuses when told."""
+
+    port = 0
+
+    def __init__(self, name, generation, refuse=False):
+        self.name = name
+        self.generation = generation
+        self.refuse = refuse
+        self.calls = []
+
+    def call(self, op, params=None, *, deadline_s=None):
+        self.calls.append(op)
+        if self.refuse:
+            raise RemoteTransportError(f"{self.name} is wedged")
+        return {"generation": self.generation}
+
+
+class TestWriteFanOut:
+    def test_each_usable_replica_gets_the_write_once(self, tmp_path):
+        local = SimpleNamespace(generation=3)
+        replicas = ReplicaSet({"node0": local}, snapshot_root=tmp_path)
+        clients = [_Client("node0/r0", 3), _Client("node0/r1", 3),
+                   _Client("node0/r2", 3, refuse=True)]
+        handles = [WorkerHandle("node0", slot, _Running(), client)
+                   for slot, client in enumerate(clients)]
+        replicas.replicas["node0"] = handles
+        replicas.note_failure(handles[1])  # written off by an earlier read
+        replicas.apply_write("node0", "remove_document", {"url": "u"})
+        assert [client.calls for client in clients] \
+            == [["remove_document"], [], ["remove_document"]]
+        assert [handle.healthy for handle in handles] == [True, False, False]
+        assert replicas.status()["oplog"] == {"node0": 1}
 
 
 class TestOplogTruncation:
