@@ -36,7 +36,7 @@ from repro.web.site import SimulatedWebServer
 from repro.webspace.documents import document_to_xml
 from repro.webspace.query import WebspaceQuery
 from repro.webspace.schema import WebspaceSchema
-from repro.xmlstore.store import XmlStore
+from repro.xmlstore.store import ElementRef, XmlStore
 from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.results import QueryResult
 from repro.core.translate import ConceptualIndex, execute_query
@@ -466,7 +466,8 @@ class SearchEngine:
                                                    policy, kind=kind))
             result = execute_query(query, self._index,
                                    content_search, self._event_search,
-                                   self._audio_search)
+                                   self._audio_search,
+                                   meta_server=self.meta_store.server)
             if recent:
                 self._merge_distributed_accounting(result, recent)
             span.set_attributes(rows=len(result.rows),
@@ -546,51 +547,49 @@ class SearchEngine:
 
     def _event_search(self, media_url: str, event: str
                       ) -> list[tuple[int, int]]:
-        """Meta-index hook: shots of a video in which an event holds."""
-        if media_url not in self.meta_store:
+        """Meta-index hook: shots of a video in which an event holds.
+
+        A shot holds when an ``event`` element in its subtree (the shot
+        itself included) has direct text ``true`` and is not marked
+        ``valid="false"``; nested shots both hold.  The ranges come in
+        document order, from each shot's first ``begin``/``end`` child.
+        It reads the event elements, their enclosing edges and the
+        holding shots' bounds, never a frame.
+        """
+        store = self.meta_store
+        if media_url not in store:
             return []
+        holding: dict[int, ElementRef] = {}
+        for node in store.elements(media_url, event):
+            if store.text(node).strip() != "true" \
+                    or store.attribute(node, "valid") == "false":
+                continue
+            for shot in [node, *store.ancestors(node)]:
+                if shot.tag == "shot":
+                    holding[shot.oid] = shot
         ranges: list[tuple[int, int]] = []
-        tree = self.meta_store.reconstruct(media_url)
-        for shot in tree.iter():
-            if getattr(shot, "tag", None) != "shot":
-                continue
-            event_nodes = [node for node in shot.iter()
-                           if getattr(node, "tag", None) == event]
-            if not event_nodes:
-                continue
-            holds = any(node.text().strip() == "true"
-                        and node.attributes.get("valid") != "false"
-                        for node in event_nodes)
-            if not holds:
-                continue
-            begin = shot.find("begin")
-            end = shot.find("end")
-            if begin is None or end is None:
-                continue
-            ranges.append((int(begin.deep_text().strip()),
-                           int(end.deep_text().strip())))
+        for oid in sorted(holding):
+            begin = store.children(holding[oid], "begin")
+            end = store.children(holding[oid], "end")
+            if begin and end:
+                ranges.append((int(store.deep_text(begin[0]).strip()),
+                               int(store.deep_text(end[0]).strip())))
         return ranges
 
     def _audio_search(self, media_url: str, kind: str
                       ) -> tuple[bool, list[tuple[float, float, int]]]:
         """Audio meta-index hook: kind match + speaker turns."""
-        if media_url not in self.meta_store:
+        store = self.meta_store
+        if media_url not in store:
             return False, []
-        tree = self.meta_store.reconstruct(media_url)
-        kind_nodes = [node for node in tree.iter()
-                      if getattr(node, "tag", None) == "audio_kind"]
-        if not kind_nodes:
-            return False, []
-        matched = any(node.children and node.children[0].tag == kind
-                      for node in kind_nodes)
-        if not matched:
+        # the kind is the audio_kind element's first child
+        if not any([child.tag for child in store.children(node)][:1] == [kind]
+                   for node in store.elements(media_url, "audio_kind")):
             return False, []
         speaker_turns: list[tuple[float, float, int]] = []
-        for turn in tree.iter():
-            if getattr(turn, "tag", None) != "turn":
-                continue
-            values = [child.deep_text().strip()
-                      for child in turn.element_children()]
+        for turn in store.elements(media_url, "turn"):
+            values = [store.deep_text(child).strip()
+                      for child in store.children(turn)]
             if len(values) == 3:
                 speaker_turns.append((float(values[0]), float(values[1]),
                                       int(values[2])))

@@ -198,9 +198,17 @@ def _content_probe(content_search, cls: str, predicate):
     return content_search(cls, predicate.attribute, predicate.text, kind)
 
 
+def _meta_probe_node(operator: str, detail: str, counters: dict,
+                     meta_server, read_before: int) -> PlanNode:
+    """A meta-index probe's plan node; ``tuples`` are the meta rows read."""
+    if meta_server:
+        counters["tuples"] = meta_server.tuples_touched - read_before
+    return PlanNode(operator, detail, counters)
+
+
 def execute_query(query: WebspaceQuery, index: ConceptualIndex,
                   content_search, event_search,
-                  audio_search=None) -> QueryResult:
+                  audio_search=None, meta_server=None) -> QueryResult:
     """Run a conceptual query.
 
     ``content_search(cls, attribute, text)`` must return
@@ -211,7 +219,10 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
     (begin, end) shot ranges, empty when the event never occurs;
     ``audio_search(media_url, kind)`` must return
     (matched, [(start, end, speaker)]) — all three are the physical
-    level's optimization hooks.
+    level's optimization hooks.  Given the meta-index's ``meta_server``,
+    each ``MetaProbe``/``AudioProbe`` plan node counts the ``tuples``
+    its probes read there; ``tuples_touched`` stays the conceptual
+    store's.
     """
     query.validate()
     telemetry = get_telemetry()
@@ -326,6 +337,7 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
         for predicate in query.event_predicates:
             cls = query.cls_of(predicate.alias)
             before = len(candidates[predicate.alias])
+            read_before = meta_server.tuples_touched if meta_server else 0
             with tracer.span("op.MetaProbe", cls=cls,
                              event=predicate.event) as op:
                 media = index.attribute_values(cls, predicate.attribute)
@@ -344,11 +356,12 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
             operators.counter("translate.operators",
                               operator="MetaProbe").add(1)
             candidates[predicate.alias] &= surviving
-            bind_nodes[predicate.alias].add(PlanNode(
+            bind_nodes[predicate.alias].add(_meta_probe_node(
                 "MetaProbe",
                 f"{predicate.alias}.{predicate.attribute} EVENT "
                 f"{predicate.event}",
-                {"in": before, "out": len(candidates[predicate.alias])}))
+                {"in": before, "out": len(candidates[predicate.alias])},
+                meta_server, read_before))
 
     with tracer.span("plan.audio",
                      predicates=len(query.audio_predicates)):
@@ -357,6 +370,7 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
                 raise QueryError("this engine has no audio meta-index hook")
             cls = query.cls_of(predicate.alias)
             before = len(candidates[predicate.alias])
+            read_before = meta_server.tuples_touched if meta_server else 0
             with tracer.span("op.AudioProbe", cls=cls,
                              kind=predicate.kind) as op:
                 media = index.attribute_values(cls, predicate.attribute)
@@ -376,11 +390,12 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
             operators.counter("translate.operators",
                               operator="AudioProbe").add(1)
             candidates[predicate.alias] &= surviving
-            bind_nodes[predicate.alias].add(PlanNode(
+            bind_nodes[predicate.alias].add(_meta_probe_node(
                 "AudioProbe",
                 f"{predicate.alias}.{predicate.attribute} KIND "
                 f"{predicate.kind}",
-                {"in": before, "out": len(candidates[predicate.alias])}))
+                {"in": before, "out": len(candidates[predicate.alias])},
+                meta_server, read_before))
 
     result.candidates_considered = sum(len(keys)
                                        for keys in candidates.values())

@@ -102,25 +102,20 @@ class InternetSearchEngine:
 
     # -- content-based predicates ------------------------------------------
 
+    def _first_text(self, location: str, tag: str) -> str | None:
+        """Direct text of the first ``tag`` element in a stored tree."""
+        if location not in self.meta_store:
+            return None
+        nodes = self.meta_store.elements(location, tag)
+        return self.meta_store.text(nodes[0]).strip() if nodes else None
+
     def is_portrait(self, location: str) -> bool:
         """Does the meta-index say this object is a portrait photograph?"""
-        if location not in self.meta_store:
-            return False
-        tree = self.meta_store.reconstruct(location)
-        for node in tree.iter():
-            if getattr(node, "tag", None) == "is_portrait":
-                return node.text().strip() == "true"
-        return False
+        return self._first_text(location, "is_portrait") == "true"
 
     def page_language(self, location: str) -> str | None:
         """The detected language of a page, from the meta-index."""
-        if location not in self.meta_store:
-            return None
-        tree = self.meta_store.reconstruct(location)
-        for node in tree.iter():
-            if getattr(node, "tag", None) == "lang_code":
-                return node.text().strip()
-        return None
+        return self._first_text(location, "lang_code")
 
     # -- querying ---------------------------------------------------------
 

@@ -74,9 +74,11 @@ class PathNode:
 
     def walk(self) -> Iterator["PathNode"]:
         """All path nodes of the subtree, preorder."""
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PathNode({self.path})"

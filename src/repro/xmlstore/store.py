@@ -10,7 +10,8 @@ expressions, and supports incremental replacement and deletion — the
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import XmlStoreError
 from repro.monetdb.atoms import Oid
@@ -19,14 +20,32 @@ from repro.monetdb.server import MonetServer
 from repro.xmlstore.model import Element
 from repro.xmlstore.pathexpr import (PathExpression, PathResult, evaluate,
                                      parse_path, root_of)
-from repro.xmlstore.pathsummary import PathNode, PathSummary
+from repro.xmlstore.pathsummary import PCDATA, PathNode, PathSummary
 from repro.xmlstore.reconstruct import reconstruct
 from repro.xmlstore.sax import parse_document
 from repro.xmlstore.shredder import SYS_RELATION, BulkLoader, LoadStats
 
-__all__ = ["XmlStore"]
+__all__ = ["XmlStore", "ElementRef"]
 
 DOCS_RELATION = "docs"  # (root oid, document key): the persistent registry
+
+
+class ElementRef(NamedTuple):
+    """One stored element: its path-summary node and its oid.
+
+    The bulkloader draws oids in preorder, so within one document
+    ascending oid order is document order.
+    """
+
+    path: PathNode
+    oid: Oid
+
+    @property
+    def tag(self) -> str:
+        return self.path.tag
+
+
+_by_oid = attrgetter("oid")
 
 
 class XmlStore:
@@ -170,6 +189,117 @@ class XmlStore:
     def reconstruct(self, key: str) -> Element:
         """Rebuild the original document for a key (inverse mapping)."""
         return reconstruct(self.catalog, self.summary, self.root_oid(key))
+
+    # -- path-relation reads -------------------------------------------
+    #
+    # A probe that needs a few leaves of a stored tree reads them here
+    # instead of reconstructing the tree: the path summary names the
+    # only relations that can hold what is asked for, and each call
+    # charges the rows it read to ``server``.
+
+    def _children_of(self, node: PathNode, oids: list[Oid]) -> list[Oid]:
+        """Child oids at ``node`` of the given parent instances."""
+        edges = self.catalog.get_or_none(node.edge_relation())
+        if edges is None:
+            return []
+        return [child for oid in oids for child in edges.find_all(oid)]
+
+    def _descend(self, node: PathNode, oids: list[Oid], enter
+                 ) -> Iterator[tuple[PathNode, list[Oid]]]:
+        """(path node, instance oids) below ``oids`` at ``node``, for
+        every path node with instances for which ``enter`` holds."""
+        frontier = [(node, oids)]
+        while frontier:
+            node, oids = frontier.pop()
+            for child in node.children.values():
+                if enter(child) and (found := self._children_of(child, oids)):
+                    yield child, found
+                    frontier.append((child, found))
+
+    def elements(self, key: str, tag: str) -> list[ElementRef]:
+        """The elements named ``tag`` in one document, in document order.
+
+        Only path-summary subtrees holding a ``tag`` path are descended,
+        so no row of an unrelated path is read.
+        """
+        root_oid = self.root_oid(key)
+        root = self.summary.get_root(self.catalog.get(SYS_RELATION)
+                                     .find(root_oid))
+        wanted: set[PathNode] = set()
+        for node in root.walk():
+            if node.tag == tag and not node.is_pcdata():
+                while node is not None and node not in wanted:
+                    wanted.add(node)
+                    node = node.parent
+        found = [ElementRef(root, root_oid)] if root.tag == tag else []
+        rows = 1  # the document's sys row
+        for node, oids in self._descend(root, [root_oid], wanted.__contains__):
+            rows += len(oids)
+            if node.tag == tag:
+                found.extend(ElementRef(node, oid) for oid in oids)
+        self.server.charge(rows)
+        found.sort(key=_by_oid)
+        return found
+
+    def ancestors(self, ref: ElementRef) -> list[ElementRef]:
+        """The elements enclosing ``ref``, nearest first, root last."""
+        found: list[ElementRef] = []
+        node, oid = ref
+        while node.parent is not None:
+            edges = self.catalog.get(node.edge_relation())
+            parents = edges.find_heads(oid)
+            if not parents:
+                raise XmlStoreError(f"dangling node {oid!r} at {node.path}")
+            node, oid = node.parent, parents[0]
+            found.append(ElementRef(node, oid))
+        self.server.charge(len(found))
+        return found
+
+    def children(self, ref: ElementRef,
+                 tag: str | None = None) -> list[ElementRef]:
+        """Child elements of ``ref`` (only ``tag`` ones if given), in
+        document order."""
+        found = [ElementRef(child, oid)
+                 for child in ref.path.children.values()
+                 if not child.is_pcdata() and tag in (None, child.tag)
+                 for oid in self._children_of(child, [ref.oid])]
+        self.server.charge(len(found))
+        found.sort(key=_by_oid)
+        return found
+
+    def text(self, ref: ElementRef) -> str:
+        """Concatenated direct character data of ``ref``."""
+        node = ref.path.get_child(PCDATA)
+        if node is None:
+            return ""
+        oids = self._children_of(node, [ref.oid])
+        cdata = self.catalog.get(node.cdata_relation())
+        self.server.charge(2 * len(oids))
+        return "".join(cdata.find(oid) for oid in oids)
+
+    def deep_text(self, ref: ElementRef) -> str:
+        """Concatenated character data of ``ref``'s whole subtree."""
+        parts: list[tuple[Oid, str]] = []
+        rows = 0
+        for node, oids in self._descend(ref.path, [ref.oid],
+                                        lambda node: True):
+            rows += len(oids)
+            if node.is_pcdata():
+                cdata = self.catalog.get(node.cdata_relation())
+                parts.extend((oid, cdata.find(oid)) for oid in oids)
+                rows += len(oids)
+        self.server.charge(rows)
+        parts.sort()
+        return "".join(value for _, value in parts)
+
+    def attribute(self, ref: ElementRef, name: str) -> str | None:
+        """The value of one attribute of ``ref``, None when absent."""
+        if name not in ref.path.attribute_names:
+            return None
+        relation = self.catalog.get_or_none(ref.path.attribute_relation(name))
+        values = relation.find_all(ref.oid) if relation is not None else []
+        self.server.charge(len(values))
+        return values[0] if values else None
 
     def parse(self, text: str) -> Element:
         """Convenience: parse XML text to a tree (no storage)."""

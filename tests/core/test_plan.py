@@ -85,6 +85,24 @@ class TestExecutedPlans:
             .audio_event("p.interview", "speech").select("p.name"))
         assert len(result.plan.find("AudioProbe")) == 1
 
+    def test_meta_probes_count_the_meta_rows_they_read(self, engine):
+        """``tuples`` on a probe node is the meta-store rows its probes
+        read; ``tuples_touched`` stays the conceptual store's."""
+        search, _ = engine
+        for _ in range(2):  # the same plan reads the same rows
+            result = search.query_text(
+                "SELECT v.title FROM Video v WHERE v.video EVENT netplay")
+            (probe,) = result.plan.find("MetaProbe")
+            assert probe.counters == {"in": 3, "out": 2, "tuples": 119}
+            assert result.tuples_touched \
+                == search.conceptual_store.server.tuples_touched
+        result = search.query(
+            search.new_query().from_class("p", "Player")
+            .audio_event("p.interview", "speech").select("p.name"))
+        (probe,) = result.plan.find("AudioProbe")
+        assert probe.counters == {"in": 8, "out": 2, "tuples": 100}
+        assert "tuples=100" in result.explain()
+
     def test_plan_rows_counter_matches_result(self, engine):
         search, _ = engine
         result = search.query_text(

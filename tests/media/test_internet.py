@@ -4,6 +4,7 @@ import pytest
 
 from repro.media.internet import InternetSearchEngine
 from repro.web.ausopen import build_ausopen_site
+from repro.xmlstore.store import XmlStore
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +76,17 @@ class TestPortraitQuery:
         search, server, truth = engine
         profile = server.absolute(truth.players[0].page_path)
         assert search.page_language(profile) == "en"
+
+    def test_predicates_read_paths_not_rebuilt_trees(self, engine,
+                                                     monkeypatch):
+        search, server, truth = engine
+
+        def refuse(self, key):
+            raise AssertionError(f"reconstruct({key!r}) on the query path")
+
+        monkeypatch.setattr(XmlStore, "reconstruct", refuse)
+        assert search.portraits_about("champion", n=20)
+        assert search.page_language(
+            server.absolute(truth.players[0].page_path)) == "en"
+        assert search.page_language(server.absolute("img/logo.gif")) is None
+        assert search.page_language("http://elsewhere/none.html") is None

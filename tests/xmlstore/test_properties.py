@@ -68,6 +68,44 @@ def test_many_documents_reconstruct_independently(docs):
         assert isomorphic(store.reconstruct(f"d{index}"), doc)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_documents(), min_size=1, max_size=3))
+def test_path_reads_equal_the_rebuilt_tree(docs):
+    """The path-relation reads see what reconstruct rebuilds: per
+    document, in document order, without rebuilding anything."""
+    store = XmlStore()
+    for index, doc in enumerate(docs):
+        store.insert(f"d{index}", doc)
+    for key in store.document_keys():
+        tree = store.reconstruct(key)
+        for tag in ("a", "b", "c", "item", "node"):
+            nodes = [node for node in tree.iter()
+                     if getattr(node, "tag", None) == tag]
+            refs = store.elements(key, tag)
+            assert [(store.text(ref), store.deep_text(ref))
+                    for ref in refs] \
+                == [(node.text(), node.deep_text()) for node in nodes]
+            assert [[store.attribute(ref, name) for name in ("k", "id")]
+                    for ref in refs] \
+                == [[node.attributes.get(name) for name in ("k", "id")]
+                    for node in nodes]
+            assert [[child.tag for child in store.children(ref)]
+                    for ref in refs] \
+                == [[child.tag for child in node.element_children()]
+                    for node in nodes]
+        root = store.elements(key, tree.tag)[0]
+        for ref in store.elements(key, "node") + store.elements(key, "b"):
+            ancestors = store.ancestors(ref)
+            if ref == root:
+                assert ancestors == []
+                continue
+            assert ref in store.children(ancestors[0])
+            assert ancestors[-1] == root
+            assert [ancestor.path for ancestor in ancestors] \
+                == [ancestor.path.parent for ancestor in [ref, *ancestors]
+                    if ancestor.path.parent is not None]
+
+
 @settings(max_examples=30, deadline=None)
 @given(_documents(), _documents())
 def test_delete_restores_bun_counts(first, second):
