@@ -263,9 +263,9 @@ class DistributedIndex:
         """Bulk-index: one task per node plus the central copy."""
         docs = list(documents)
         placements = self.cluster.scatter(docs)
-        tasks = {"central": partial(self._add_local, self.central, docs)}
+        tasks = {"central": partial(self.central.add_documents, docs)}
         for name, items in placements.items():
-            tasks[name] = partial(self._add_local, self.nodes[name], items)
+            tasks[name] = partial(self.nodes[name].add_documents, items)
         self._run_population(tasks)
         if self.remote is not None:
             for name, items in placements.items():
@@ -274,12 +274,6 @@ class DistributedIndex:
                         name, "add_documents",
                         {"documents": [[url, text] for url, text in items]})
         self.refresh()
-
-    @staticmethod
-    def _add_local(relations: IrRelations, items) -> int:
-        for url, text in items:
-            relations.add_document(url, text)
-        return len(items)
 
     def remove_document(self, url: str) -> None:
         """Un-index a document centrally and on its placement node."""

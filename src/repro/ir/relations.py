@@ -295,14 +295,6 @@ class IrRelations:
         """Oid of a (normalised) term, or ``None`` when out of vocabulary."""
         return self._term_oids.get(term)
 
-    def _intern_term(self, term: str) -> Oid:
-        oid = self._term_oids.get(term)
-        if oid is None:
-            oid = self.catalog.oids.new()
-            self.T.insert(oid, term)
-            self._term_oids[term] = oid
-        return oid
-
     def vocabulary_size(self) -> int:
         return len(self._term_oids)
 
@@ -325,31 +317,46 @@ class IrRelations:
     # -- indexing ---------------------------------------------------------
 
     def add_document(self, url: str, text: str) -> Oid:
-        """Index one document body; IDF refresh is deferred (lazy)."""
+        """Index one document body; IDF refresh is deferred (lazy).
+
+        Each relation takes one batched append.  Oids are drawn in one
+        fixed order — the document's, then per term in order of first
+        occurrence the term's (if new) and its pair's — which snapshot
+        bytes and every oid tie-break depend on.
+        """
         if url in self._doc_oids:
             raise CatalogError(f"document already indexed: {url!r}")
         occurrences: dict[str, list[int]] = {}
         for position, term in enumerate(analyze(text)):
             occurrences.setdefault(term, []).append(position)
-        doc = self.catalog.oids.new()
-        self.D.insert(doc, url)
+        new_oid = self.catalog.oids.new
+        doc = new_oid()
+        self.D.append_many((doc,), (url,))
         self._doc_oids[url] = doc
+        term_oids = self._term_oids
+        new_terms: list[str] = []
+        new_term_oids: list[Oid] = []
         terms: list[Oid] = []
-        tfs: list[int] = []
-        encodings: list[str] = []
-        df = self._df
-        for term, positions in occurrences.items():
-            term_oid = self._intern_term(term)
-            pair = self.catalog.oids.new()
-            encoded = " ".join(map(str, positions))
-            self.DT_doc.insert(pair, doc)
-            self.DT_term.insert(pair, term_oid)
-            self.TF.insert(pair, len(positions))
-            self.POS.insert(pair, encoded)
-            df[term_oid] = df.get(term_oid, 0) + 1
+        pairs: list[Oid] = []
+        for term in occurrences:
+            term_oid = term_oids.get(term)
+            if term_oid is None:
+                term_oid = term_oids[term] = new_oid()
+                new_terms.append(term)
+                new_term_oids.append(term_oid)
             terms.append(term_oid)
-            tfs.append(len(positions))
-            encodings.append(encoded)
+            pairs.append(new_oid())
+        tfs = list(map(len, occurrences.values()))
+        encodings = [" ".join(map(str, positions))
+                     for positions in occurrences.values()]
+        self.T.append_many(new_term_oids, new_terms)
+        self.DT_doc.append_many(pairs, [doc] * len(pairs))
+        self.DT_term.append_many(pairs, terms)
+        self.TF.append_many(pairs, tfs)
+        self.POS.append_many(pairs, encodings)
+        df = self._df
+        for term_oid in terms:
+            df[term_oid] = df.get(term_oid, 0) + 1
         self.collection_length += sum(tfs)
         self._journal_write((_ADD, doc, url, terms, tfs, encodings))
         self.generation += 1

@@ -9,6 +9,7 @@ vocabulary space.
 from __future__ import annotations
 
 import hashlib
+import re
 
 from repro.ir.stemmer import stem
 
@@ -29,8 +30,9 @@ will with you your yours yourself yourselves
 """.split())
 
 
-# Apostrophe forms that glue word halves together ("don't", "it’s").
-_APOSTROPHES = frozenset("'’")
+# A word: a run of letters and digits (``\w`` minus ``_`` is exactly
+# ``str.isalnum``), its halves glued by apostrophes ("don't", "it’s").
+_WORD = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -41,22 +43,21 @@ def tokenize(text: str) -> list[str]:
     ``don`` + ``t`` that used to pollute the vocabulary (and would have
     forced phrase matching to require the halves adjacently).  A
     leading or trailing apostrophe still separates.
+
+    Case folds as if letter by letter: ``str.lower`` on a word folds a
+    word-final ``Σ`` to ``ς`` (its one context rule), where the
+    vocabulary holds ``σ``, so text holding a ``Σ`` folds per letter.
     """
-    tokens: list[str] = []
-    word: list[str] = []
-    length = len(text)
-    for index, char in enumerate(text):
-        if char.isalnum():
-            word.append(char.lower())
-        elif (char in _APOSTROPHES and word
-              and index + 1 < length and text[index + 1].isalnum()):
-            continue  # intra-word apostrophe: join the halves
-        elif word:
-            tokens.append("".join(word))
-            word.clear()
-    if word:
-        tokens.append("".join(word))
-    return tokens
+    words = _WORD.findall(text)
+    if not words:
+        return []
+    if "Σ" in text:
+        return ["".join(map(str.lower, word)).replace("'", "")
+                .replace("’", "") for word in words]
+    # no capital sigma, so folding all words at once folds each alone
+    # (no word holds a newline, and no letter lowercases to one)
+    return ("\n".join(words).lower().replace("'", "").replace("’", "")
+            .split("\n"))
 
 
 def normalize(token: str) -> str | None:
@@ -75,13 +76,10 @@ def normalize(token: str) -> str | None:
 
 
 def analyze(text: str) -> list[str]:
-    """The full pipeline: tokenize, stop, stem."""
-    terms: list[str] = []
-    for token in tokenize(text):
-        term = normalize(token)
-        if term is not None:
-            terms.append(term)
-    return terms
+    """The full pipeline: tokenize, stop, stem (tokens are already
+    lowercase and non-empty, so this is :func:`normalize` of each)."""
+    return [stem(token) for token in tokenize(text)
+            if token not in STOP_WORDS]
 
 
 def analyzer_config() -> dict[str, object]:

@@ -96,7 +96,7 @@ def _check_ints_many(values: Sequence[Any], label: str) -> Sequence[Any]:
         suspects = np.flatnonzero(np.abs(column) <= 1).tolist()
         if any(type(values[i]) is bool for i in suspects):
             raise AtomTypeError(f"not an {label}: True")
-    elif any(type(value) is bool for value in values):
+    elif bool in set(map(type, values)):  # one C-speed pass
         raise AtomTypeError(f"not an {label}: True")
     return packed
 
@@ -120,7 +120,7 @@ def _check_flt_many(values: Sequence[Any]) -> Sequence[Any]:
         packed = array("d", values)
     except TypeError:
         return [_check_flt(value) for value in values]
-    if any(type(value) is bool for value in values):
+    if bool in set(map(type, values)):
         raise AtomTypeError("not a flt: True")
     return packed
 

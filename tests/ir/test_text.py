@@ -1,10 +1,23 @@
 """Tokenizer, stopper, analyzer."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir.stemmer import stem
-from repro.ir.text import STOP_WORDS, analyze, normalize, tokenize
+from repro.ir.text import (STOP_WORDS, analyze, analyzer_config, normalize,
+                           tokenize)
+from tests.ir import text_oracle
+
+# where a regex and the per-character loop could part ways: the
+# underscore (``\w`` but not alnum), apostrophes single, doubled and at
+# word edges, capital sigma (word-final folds differently under
+# ``str.lower``), letters whose lowercase is longer or titlecased,
+# numerals that are alnum but not ASCII digits, combining marks, breaks
+EDGES = ["_", "'", "’", "''", "'’", "a'", "'b", "Σ", "ΑΣ", "Σα", "σ", "ς",
+         "İ", "ǅ", "Ⅻ", "²", "٣", "٠١", "́", "é", "̇",
+         "\n", " ", "x", "Z", "7"]
+_edgy_text = st.lists(st.one_of(st.sampled_from(EDGES), st.characters()),
+                      max_size=40).map("".join)
 
 
 class TestTokenize:
@@ -86,6 +99,30 @@ def test_tokens_are_lowercase_alnum(text):
     for token in tokenize(text):
         assert token == token.lower()
         assert token.isalnum()
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(st.one_of(_edgy_text, st.text(max_size=200)))
+def test_tokenize_equals_the_per_character_loop(text):
+    assert tokenize(text) == text_oracle.tokenize(text)
+
+
+def test_capital_sigma_folds_per_character():
+    # str.lower("ΟΔΟΣ") ends in "ς"; the vocabulary has always held "σ"
+    assert tokenize("ΟΔΟΣ ΣΑΣ") == ["οδοσ", "σασ"]
+    assert analyze("ΟΔΟΣ ΣΑΣ") == text_oracle.analyze("ΟΔΟΣ ΣΑΣ")
+
+
+def test_analyzer_config_is_pinned():
+    # static artifacts compare this at load: the regex tokenizer is the
+    # same tokenizer, so the fingerprint must not move
+    assert analyzer_config() == {
+        "tokenizer": "alnum-lower-apostrophe-joining",
+        "stemmer": "porter-1980",
+        "stop_words": 124,
+        "stop_words_sha256": "ad996f782762541585cf4301ab194fd0666a67ab67"
+                             "ba076553185dd44147e4cc",
+    }
 
 
 @given(st.text(max_size=200))

@@ -1,5 +1,8 @@
 """Atom ADT validation and coercion."""
 
+import enum
+from array import array
+
 import pytest
 
 from repro.errors import AtomTypeError
@@ -82,6 +85,35 @@ class TestBuiltinTypes:
     def test_accepts_reports_without_raising(self):
         assert atom_type("int").accepts(3)
         assert not atom_type("int").accepts("3")
+
+
+class Seed(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class TestBatchValidation:
+    """``coerce_many`` rejects a bool wherever it hides, on both sides
+    of the 1 024-value switch between its small and large scans."""
+
+    @pytest.mark.parametrize("name", ["oid", "int", "flt"])
+    @pytest.mark.parametrize("size", [1, 2, 1023, 1024, 5000])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, name, size, where, flag):
+        values = [7] * size
+        values[{"first": 0, "middle": size // 2, "last": -1}[where]] = flag
+        with pytest.raises(AtomTypeError):
+            atom_type(name).coerce_many(values)
+
+    @pytest.mark.parametrize("name", ["oid", "int", "flt"])
+    @pytest.mark.parametrize("size", [1, 2, 1023, 1024, 5000])
+    def test_int_subclasses_accepted(self, name, size):
+        # an IntEnum member equal to 1 sits where the large scan looks
+        values = ([Seed.ONE, Seed.TWO, 0, 1] * size)[:size]
+        packed = atom_type(name).coerce_many(values)
+        assert isinstance(packed, array)
+        assert list(packed) == [int(value) for value in values]
 
 
 class TestRegistry:
