@@ -1,13 +1,9 @@
-"""Batched bulk loading and compiled-plan caching, measured.
+"""Batched bulk loading, measured.
 
-1. **Bulk loading.**  The per-pair ``insert`` path validates one atom
-   pair per call; ``append_many`` validates whole columns through the
-   ADTs' C-speed ``coerce_many`` and extends the packed arrays once.
-   The acceptance bar is a ≥ 5× speedup.
-
-2. **Plan caching.**  A repeated query shape must hit the compiled-plan
-   cache (``plan_cache.hit > 0``); the cache's book lands in the report
-   so the trajectory is diffable across commits.
+The per-pair ``insert`` path validates one atom pair per call;
+``append_many`` validates whole columns through the ADTs' C-speed
+``coerce_many`` and extends the packed arrays once.  The acceptance bar
+is a ≥ 5× speedup.
 
 The scoring kernels themselves have no scalar twin in production to be
 timed against: ``tests/kernels/topn_oracle.py`` holds the per-posting
@@ -21,20 +17,9 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.core.plan_cache import get_plan_cache
-from repro.ir.fragmentation import fragment_by_idf
-from repro.ir.ranking import query_term_oids
-from repro.ir.relations import IrRelations
-from repro.ir.topn import topn_fragmented
 from repro.monetdb.atoms import Oid
 from repro.monetdb.bat import BAT
 
-from benchmarks.conftest import zipf_corpus
-
-DOCUMENTS = 4000
-QUERY = "term000 term001 term002 term005 grandslam finalist"
-N = 10
-FRAGMENTS = 8
 BULK_PAIRS = 120_000
 REPORT = Path(__file__).parent / "BENCH_kernels.json"
 
@@ -74,39 +59,12 @@ def _bulkload_section():
     }
 
 
-def test_bulkload_and_plan_cache():
-    relations = IrRelations()
-    relations.add_documents(zipf_corpus(DOCUMENTS, vocabulary=250,
-                                        words_per_doc=80, seed=17))
-    fragments = fragment_by_idf(relations, FRAGMENTS)
-    terms = query_term_oids(relations, QUERY)
-
-    # repeated query shape: the compiled plan must come from the cache
-    cache = get_plan_cache()
-    topn_fragmented(fragments, terms, N)
-    repeat = topn_fragmented(fragments, terms, N)
-    assert repeat.details["plan_cache_hit"] is True
-    stats = cache.stats()
-    assert stats["hits"] > 0, "repeated query shape never hit the cache"
-
+def test_bulkload():
     bulkload = _bulkload_section()
-
     report = {
-        "version": 2,
-        "meta": {
-            "suite": "bench_kernels",
-            "documents": DOCUMENTS,
-            "fragments": FRAGMENTS,
-            "n": N,
-            "query": QUERY,
-        },
+        "version": 3,
+        "meta": {"suite": "bench_kernels"},
         "bulkload": bulkload,
-        "plan_cache": {
-            "hits": stats["hits"],
-            "misses": stats["misses"],
-            "entries": stats["entries"],
-            "hit_on_repeated_shape": repeat.details["plan_cache_hit"],
-        },
     }
     REPORT.write_text(json.dumps(report, indent=2, sort_keys=True))
 

@@ -3,25 +3,20 @@
 Two cooperating pieces:
 
 * **generation stamps** — :class:`~repro.ir.relations.IrRelations`
-  bumps a ``generation`` counter on every mutation; IDF refresh and
-  idf-ordered fragmentation are memoized against it, so the per-query
-  recomputation the seed paid on every search happens only when the
-  index actually changed,
-* **query-result caches** — bounded, thread-safe LRUs
-  (:class:`LruCache`) keyed on normalized query terms + ranking model +
-  result-affecting :class:`~repro.core.config.ExecutionPolicy` knobs +
-  the generation stamp (:class:`QueryCache`), wired into
-  :class:`~repro.ir.engine.IrEngine`,
-  :class:`~repro.ir.distributed.DistributedIndex` and
-  :meth:`~repro.core.engine.SearchEngine.query_text`.
+  and :class:`~repro.xmlstore.store.XmlStore` bump a ``generation``
+  counter on every mutation; IDF refresh, the packed postings, the
+  idf-ordered fragments and the conceptual index's lookups are memoized
+  against it, so a derived structure is rebuilt only when the data
+  under it actually changed,
+* **the result cache** — one bounded, thread-safe LRU
+  (:class:`LruCache`) owned by :class:`~repro.service.SearchService`,
+  keyed on the request and the engine's generation stamp.  Engines
+  below the service do not cache answers.
 
 Invalidation rides the write path: mutations bump generations, so old
 entries can never be matched again and simply age out of the LRU.
 """
 
 from repro.cache.lru import LruCache, MISS
-from repro.cache.query_cache import (QueryCache, normalized_terms,
-                                     policy_signature)
 
-__all__ = ["LruCache", "QueryCache", "MISS", "normalized_terms",
-           "policy_signature"]
+__all__ = ["LruCache", "MISS"]

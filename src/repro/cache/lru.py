@@ -4,9 +4,9 @@ The store sits between the query surfaces and the physical relations
 (the WebContent XML Store and FEDORA both interpose exactly such a
 layer), so the cache itself is deliberately dumb: keys in, values out,
 least-recently-used entries dropped at capacity.  All invalidation
-policy lives with the callers, who stamp the index generation into
-their keys (:mod:`repro.cache.query_cache`) — a stale entry is simply
-never looked up again and ages out of the LRU order.
+policy lives with the caller, the search service, which stamps the
+index generation into its keys — a stale entry is simply never looked
+up again and ages out of the LRU order.
 
 Every lookup and eviction is recorded on the active telemetry registry
 (``cache.hit`` / ``cache.miss`` / ``cache.eviction`` counters, labelled
@@ -57,14 +57,6 @@ class LruCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def resize(self, capacity: int) -> None:
-        """Change the bound, evicting LRU entries if it shrank."""
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        with self._lock:
-            self._capacity = capacity
-            self._evict_to_capacity()
 
     # -- access -----------------------------------------------------------
 

@@ -42,11 +42,12 @@ report in the ``BENCH_*.json`` format the benchmarks use.
 ``query`` and ``stats`` accept the execution-policy flags
 (``--workers``, ``--deadline-ms``, ``--retries``, ``--backoff-ms``,
 ``--on-failure raise|degrade``) that configure the parallel cluster
-executor behind content predicates, plus the cache knobs
-(``--no-cache``, ``--cache-size``) of the generation-stamped query
-cache; see ``repro-search query --help``.  ``stats --query --warm``
-runs the query once before measuring, so the report shows the warm
-(cached) execution — the ``cache.hit`` counter in the snapshot.
+executor behind content predicates, plus ``--no-cache`` for the
+generation-stamped result cache; see ``repro-search query --help``.
+``stats --query --warm`` runs the query twice through one search
+service and measures the second, so the report shows the warm
+(cached) execution — the ``cache.hit`` counter in the snapshot and the
+response's ``cache_hit``.
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
         on_failure=args.on_failure,
         backend=args.backend,
         hedge_after_ms=args.hedge_after_ms,
-        cache=not args.no_cache,
-        cache_size=args.cache_size,
-        plan_cache=not args.no_plan_cache)
+        cache=not args.no_cache)
 
 
 def _add_policy_flags(command: argparse.ArgumentParser) -> None:
@@ -181,13 +180,7 @@ def _add_policy_flags(command: argparse.ArgumentParser) -> None:
                             "node read to another replica after this "
                             "many milliseconds (default: no hedging)")
     group.add_argument("--no-cache", action="store_true",
-                       help="bypass the generation-stamped query cache")
-    group.add_argument("--no-plan-cache", action="store_true",
-                       help="recompile the top-N physical plan on every "
-                            "execution instead of reusing compiled "
-                            "plans (result-neutral; for measurement)")
-    group.add_argument("--cache-size", type=int, default=128,
-                       help="LRU bound of the query cache (default: 128)")
+                       help="bypass the generation-stamped result cache")
     group.add_argument("--replicas", type=int, default=2,
                        help="replicas per node for --backend process "
                             "(default: 2)")
@@ -390,17 +383,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if policy.backend == "process":
             index = _remote_index(engine)
             index.start_remote(replication_factor=args.replicas)
+        from repro.service import SearchRequest, SearchService
+
+        service = SearchService(engine)
+        request = SearchRequest(query=args.query, policy=policy)
         if args.warm:
-            # warm the query cache so the measured run below is the
+            # warm the result cache so the measured run below is the
             # cached execution (cache.hit in the metric snapshot)
-            engine.query_text(args.query, policy=policy)
+            service.search(request)
         telemetry.reset()  # measure the query, not the population/warm-up
-        result = engine.query_text(args.query, policy=policy)
+        response = service.search(request)
         print()
         print(format_report(telemetry))
         print()
         # one surface for both result types: the unified to_dict shape
-        summary = result.to_dict()
+        summary = response.result.to_dict() \
+            | {"cache_hit": response.cache_hit}
         print(f"query rows: {summary['rows']}  "
               f"tuples_touched: {summary['tuples']['total']}")
         if summary["tuples"]["per_node"]:

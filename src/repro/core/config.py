@@ -47,17 +47,13 @@ class ExecutionPolicy:
       :class:`~repro.errors.ClusterExecutionError`; ``"degrade"``
       returns the merged ranking of the surviving nodes with the
       failures recorded on the result (``failed_nodes`` / ``degraded``),
-    * ``cache`` / ``cache_size`` — whether this query may be served
-      from (and stored into) the engine's generation-stamped result
-      cache, and the cache's LRU bound.  ``cache=False`` bypasses the
-      cache entirely (the CLI's ``--no-cache``); degraded results are
-      never cached regardless,
-    * ``plan_cache`` — whether the top-N scan may reuse compiled
-      physical plans from :mod:`repro.core.plan_cache`
-      (``plan_cache=False``, the CLI's ``--no-plan-cache``, recompiles
-      the plan on every execution).  Like ``cache`` it cannot change a
-      ranking, only how much work produces it, so it is excluded from
-      the result-cache key signature.
+    * ``cache`` — whether this query may be served from (and stored
+      into) the search service's generation-stamped result cache.
+      ``cache=False`` bypasses the cache entirely (the CLI's
+      ``--no-cache``); degraded results are never cached regardless,
+    * ``cache_size`` and ``plan_cache`` — no effect.  They stay
+      accepted because every request's wire ``policy`` carries every
+      field; they go with the next request-wire change.
     """
 
     n: int = 10

@@ -16,9 +16,8 @@ One object drives the whole lifecycle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.cache import MISS, QueryCache, policy_signature
 from repro.cobra.grammar import build_tennis_grammar, build_tennis_registry
 from repro.cobra.library import VideoLibrary
 from repro.errors import QueryError
@@ -118,10 +117,6 @@ class SearchEngine:
         self.fds = FDS(self.fde, source_stamp=_source_stamps(server))
 
         self._index = ConceptualIndex(self.conceptual_store)
-        # generation-stamped cache of whole textual-query results; keys
-        # embed the generations of every store a query can read, so any
-        # write path (populate/recrawl/maintain/reindex) invalidates
-        self.query_cache = QueryCache(name="engine")
         # which checkpoint generation this engine was restored from, if
         # any; None for freshly built engines
         self.snapshot_generation: int | None = None
@@ -149,7 +144,6 @@ class SearchEngine:
             else:
                 self.conceptual_store.insert(document.doc_id, xml)
         report.documents_stored = len(documents)
-        self._index.invalidate()
 
         # full-text hooks: every Hypertext attribute value becomes an
         # IR document keyed <class>:<key>:<attribute>
@@ -214,7 +208,6 @@ class SearchEngine:
                 self._unindex_document(key)
                 self.conceptual_store.delete(key)
                 report.documents_removed += 1
-        self._index.invalidate()
         return report
 
     def _index_hypertexts(self, document) -> int:
@@ -295,8 +288,11 @@ class SearchEngine:
         """Start a conceptual query over this engine's schema."""
         return WebspaceQuery(self.schema)
 
-    def _generation(self) -> tuple:
-        """Combined generation stamp of every store a query can read."""
+    @property
+    def generation(self) -> tuple:
+        """Combined generation stamp of every store a query can read:
+        what :class:`~repro.service.SearchService` keys its result
+        cache on, so a write through any path is a new key space."""
         return (self.ir.generation, self.conceptual_store.generation,
                 self.meta_store.generation)
 
@@ -345,42 +341,16 @@ class SearchEngine:
 
         The textual language is the CLI-friendly counterpart of the
         paper's graphical query interface (Fig 13); see
-        :mod:`repro.webspace.language` for the grammar.  Repeated
-        queries against an unchanged engine are served from the
-        generation-stamped query cache (unless ``policy.cache`` is off);
-        any write through populate/recrawl/maintain/reindex bumps a
-        store generation and thereby invalidates.
-
-        ``request`` carries the schema-2 extras (filters, facets, sort,
-        pagination, CONTAINS remapped to the rich language); the cache
-        key then includes the request's shape token so v2 variants of
-        the same text never collide with each other or with v1.
+        :mod:`repro.webspace.language` for the grammar.  ``request``
+        carries the schema-2 extras (filters, facets, sort, pagination,
+        CONTAINS remapped to the rich language).
         """
         from repro.webspace.language import parse_query
-        key = None
-        if policy.cache:
-            self.query_cache.prepare(policy)
-            key = ("query_text", source.strip(), policy_signature(policy),
-                   self._generation())
-            if request is not None:
-                key = key + (request.shape_token(),)
-            cached = self.query_cache.lookup(key)
-            if cached is not MISS:
-                telemetry = get_telemetry()
-                with telemetry.tracer.span("query",
-                                           schema=self.schema.name) as span:
-                    span.set_attribute("cache_hit", True)
-                telemetry.metrics.counter("engine.queries").add(1)
-                return replace(cached, cache_hit=True)
+
         query = parse_query(self.schema, source)
         if request is not None:
             self._apply_request_extras(query, request)
-        result = self.query(query, policy=policy)
-        # degraded results are partial — never cache them, or a healed
-        # cluster would keep answering degraded until the next write
-        if key is not None and not result.degraded:
-            self.query_cache.store(key, result)
-        return result
+        return self.query(query, policy=policy)
 
     def _resolve_path(self, query: WebspaceQuery, name: str) -> str:
         """Resolve a bare field name to a unique ``alias.attribute``."""
@@ -460,7 +430,6 @@ class SearchEngine:
         telemetry = get_telemetry()
         with telemetry.tracer.span("query", schema=self.schema.name,
                                    bindings=len(query.bindings)) as span:
-            span.set_attribute("cache_hit", False)
             content_search = (lambda cls, attribute, text, kind="terms":
                               self._content_search(cls, attribute, text,
                                                    policy, kind=kind))
@@ -506,8 +475,8 @@ class SearchEngine:
         ``"rich"`` passes it to the schema-2 language verbatim.
 
         Returns ``(ranked, info)``: the info dict carries how the
-        physical level executed (columnar kernel, result-cache hit) and
-        lands on the ``IrProbe`` plan node.
+        physical level executed (the columnar kernel) and lands on the
+        ``IrProbe`` plan node.
         """
         from repro.service.api import (MODE_CONTENT, SCHEMA_VERSION_V2,
                                        SearchRequest)
@@ -534,15 +503,9 @@ class SearchEngine:
             if url.startswith(prefix) and url.endswith(suffix):
                 key = url[len(prefix):len(url) - len(suffix)]
                 ranked[key] = hit.score
-        info: dict[str, object] = {
-            "kernel": "columnar",
-            "cache_hit": response.cache_hit,
-        }
+        info: dict[str, object] = {"kernel": "columnar"}
         if kind != "terms":
             info["content_kind"] = kind
-        details = getattr(response.result, "details", None)
-        if isinstance(details, dict) and "plan_cache_hit" in details:
-            info["plan_cache_hit"] = details["plan_cache_hit"]
         return ranked, info
 
     def _event_search(self, media_url: str, event: str

@@ -39,8 +39,8 @@ class PlanNode:
         Both plan surfaces — ``QueryResult.explain()`` text and
         ``repro-search stats --json`` — derive from this dict, so they
         can never drift apart.  The columnar-execution fields
-        (``kernel``, ``rows_in``/``rows_out``, ``plan_cache_hit``) are
-        lifted out of the counters: ``None`` when the operator did not
+        (``kernel``, ``rows_in``/``rows_out``) are lifted out of the
+        counters: ``None`` when the operator did not
         record them.
         """
         from repro.service.api import SCHEMA_VERSION
@@ -54,7 +54,6 @@ class PlanNode:
             "rows_in": counters.get("rows_in", counters.get("in")),
             "rows_out": counters.get(
                 "rows_out", counters.get("out", counters.get("rows"))),
-            "plan_cache_hit": counters.get("plan_cache_hit"),
             "counters": counters,
             "children": [child.to_dict() for child in self.children],
         }

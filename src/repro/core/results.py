@@ -65,9 +65,6 @@ class QueryResult:
     degraded: bool = False
     failed_nodes: list[str] = field(default_factory=list)
     node_tuples: dict[str, int] = field(default_factory=dict)
-    # True on results served from the engine's generation-stamped query
-    # cache; the accounting fields then describe the original execution
-    cache_hit: bool = False
     # schema-2 extras: per-facet value counts over the full (pre-limit)
     # row set, and that set's size.  Empty/None on v1 queries, and only
     # then omitted from to_dict() so v1 result shapes stay byte-stable.
@@ -79,8 +76,6 @@ class QueryResult:
         from repro.service.api import SCHEMA_VERSION
 
         text = str(self.plan) if self.plan is not None else "(no plan)"
-        if self.cache_hit:
-            text += "\n(served from the query cache)"
         if self.degraded:
             text += ("\n(degraded: content ranking excludes failed nodes "
                      f"{sorted(self.failed_nodes)})")
@@ -95,7 +90,6 @@ class QueryResult:
             "kind": "conceptual",
             "rows": len(self.rows),
             "degraded": self.degraded,
-            "cache_hit": self.cache_hit,
             "failed_nodes": sorted(self.failed_nodes),
             "tuples": {
                 "total": self.tuples_touched,

@@ -21,6 +21,7 @@ joined with BAT algebra and ranked by the summed IR scores.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import wraps
 from typing import Any
 
 from repro.errors import QueryError
@@ -35,23 +36,40 @@ from repro.core.results import QueryResult, ResultRow, ShotRange, TurnRange
 __all__ = ["ConceptualIndex", "execute_query"]
 
 
+def _memoized(lookup):
+    """Memoize a :class:`ConceptualIndex` lookup per store generation.
+
+    The memo is one dict keyed ``(lookup name, *args)``; it is dropped
+    whenever the store's ``generation`` has moved, so a write through
+    any path — the engine's populate/recrawl or the store directly — is
+    seen by the next read.
+    """
+    @wraps(lookup)
+    def memoized(self, *args):
+        generation = self.store.generation
+        if self._generation != generation:
+            self._memo = {}
+            self._generation = generation
+        key = (lookup.__name__, *args)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = lookup(self, *args)
+        return value
+    return memoized
+
+
 class ConceptualIndex:
     """Read access to the shredded materialized views.
 
-    Thin, cached lookups over the conceptual :class:`XmlStore`:
-    class instances, attribute values and association pairs.
+    Thin lookups over the conceptual :class:`XmlStore` — class
+    instances, attribute values and association pairs — memoized
+    against the store's generation.
     """
 
     def __init__(self, store: XmlStore):
         self.store = store
-        self._attr_cache: dict[tuple[str, str], dict[str, str]] = {}
-        self._key_cache: dict[str, set[str]] = {}
-        self._assoc_cache: dict[str, list[tuple[str, str]]] = {}
-
-    def invalidate(self) -> None:
-        self._attr_cache.clear()
-        self._key_cache.clear()
-        self._assoc_cache.clear()
+        self._memo: dict[tuple, Any] = {}
+        self._generation = store.generation
 
     def _class_nodes(self, cls: str) -> tuple[Any, list[Oid]]:
         paths = match_paths(self.store.summary, f"/webspace/{cls}")
@@ -60,11 +78,9 @@ class ConceptualIndex:
         node = paths[0]
         return node, node_oids(self.store.catalog, node, self.store.server)
 
+    @_memoized
     def keys_of(self, cls: str) -> set[str]:
         """All object keys of a class (deduplicated across documents)."""
-        cached = self._key_cache.get(cls)
-        if cached is not None:
-            return cached
         node, oids = self._class_nodes(cls)
         keys: set[str] = set()
         if node is not None:
@@ -74,15 +90,11 @@ class ConceptualIndex:
                 self.store.server.charge(len(id_relation))
                 keys = {key for key in id_relation.get_many(oids)
                         if key is not None}
-        self._key_cache[cls] = keys
         return keys
 
+    @_memoized
     def attribute_values(self, cls: str, attribute: str) -> dict[str, str]:
         """object key -> attribute value (text or href), merged over docs."""
-        slot = (cls, attribute)
-        cached = self._attr_cache.get(slot)
-        if cached is not None:
-            return cached
         values: dict[str, str] = {}
         node, oids = self._class_nodes(cls)
         if node is not None:
@@ -121,14 +133,11 @@ class ConceptualIndex:
                         for key, text in zip(keys, texts):
                             if text is not None and key is not None:
                                 values.setdefault(key, text)
-        self._attr_cache[slot] = values
         return values
 
+    @_memoized
     def association_pairs(self, name: str) -> list[tuple[str, str]]:
         """(source key, target key) pairs of an association concept."""
-        cached = self._assoc_cache.get(name)
-        if cached is not None:
-            return cached
         pairs: list[tuple[str, str]] = []
         paths = match_paths(self.store.summary, f"/webspace/{name}")
         if paths:
@@ -147,7 +156,6 @@ class ConceptualIndex:
                     if pair not in seen:
                         seen.add(pair)
                         pairs.append(pair)
-        self._assoc_cache[name] = pairs
         return pairs
 
 
@@ -213,10 +221,10 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
 
     ``content_search(cls, attribute, text)`` must return
     ``dict[object key, score]`` (the IR hook), or a
-    ``(ranked, info)`` tuple whose ``info`` dict (``kernel``,
-    ``plan_cache_hit``, ``cache_hit``) is stamped onto the ``IrProbe``
-    plan node; ``event_search(media_url, event)`` must return a list of
-    (begin, end) shot ranges, empty when the event never occurs;
+    ``(ranked, info)`` tuple whose ``info`` dict's ``kernel`` is
+    stamped onto the ``IrProbe`` plan node;
+    ``event_search(media_url, event)`` must return a list of (begin,
+    end) shot ranges, empty when the event never occurs;
     ``audio_search(media_url, kind)`` must return
     (matched, [(start, end, speaker)]) — all three are the physical
     level's optimization hooks.  Given the meta-index's ``meta_server``,
@@ -309,7 +317,7 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
                              text=predicate.text) as op:
                 probed = _content_probe(content_search, cls, predicate)
                 # hooks may return (ranked, info) to surface how the
-                # physical level executed (kernel, plan-cache hit)
+                # physical level executed (the kernel)
                 if isinstance(probed, tuple):
                     ranked, probe_info = probed
                 else:
@@ -327,9 +335,8 @@ def execute_query(query: WebspaceQuery, index: ConceptualIndex,
                 f"{predicate.text!r}",
                 {"in": before, "matched": len(ranked),
                  "out": len(candidates[predicate.alias])})
-            for field in ("kernel", "plan_cache_hit"):
-                if field in probe_info:
-                    probe_node.counters[field] = probe_info[field]
+            if "kernel" in probe_info:
+                probe_node.counters["kernel"] = probe_info["kernel"]
             bind_nodes[predicate.alias].add(probe_node)
 
     with tracer.span("plan.events",

@@ -43,7 +43,6 @@ from functools import partial
 
 from pathlib import Path
 
-from repro.cache import MISS, QueryCache, normalized_terms, policy_signature
 from repro.cluster.executor import Executor, NodeOutcome
 from repro.core.config import ExecutionPolicy
 from repro.errors import ClusterExecutionError, QueryError
@@ -78,9 +77,6 @@ class DistributedQueryResult:
     failed_nodes: dict[str, str] = field(default_factory=dict)
     degraded: bool = False
     attempts: dict[str, int] = field(default_factory=dict)
-    # True on results served from the generation-stamped query cache;
-    # the accounting fields then describe the original execution
-    cache_hit: bool = False
 
     def tuples_read_per_node(self) -> dict[str, int]:
         return {name: result.tuples_read
@@ -107,7 +103,6 @@ class DistributedQueryResult:
             "kind": "distributed",
             "rows": len(self.ranking),
             "degraded": self.degraded,
-            "cache_hit": self.cache_hit,
             "failed_nodes": sorted(self.failed_nodes),
             "tuples": {
                 "total": self.total_tuples(),
@@ -120,8 +115,8 @@ class DistributedQueryResult:
     def _plan_dict(self) -> dict[str, object]:
         """The distributed plan in ``PlanNode.to_dict()`` shape.
 
-        One ``NodeTopN`` child per node, carrying the node's kernel and
-        plan-cache fields — the same schema the conceptual engine's
+        One ``NodeTopN`` child per node, carrying the node's kernel
+        field — the same schema the conceptual engine's
         ``QueryResult`` emits, so ``stats --json`` reads one format.
         """
         # deferred: repro.core imports repro.ir, so a module-level
@@ -140,9 +135,8 @@ class DistributedQueryResult:
                 "attempts": self.attempts.get(name, 1),
             }
             details = getattr(local, "details", None) or {}
-            for field in ("kernel", "plan_cache_hit"):
-                if field in details:
-                    counters[field] = details[field]
+            if "kernel" in details:
+                counters["kernel"] = details["kernel"]
             root.add(PlanNode("NodeTopN", name, counters))
         for name, error in sorted(self.failed_nodes.items()):
             root.add(PlanNode("NodeTopN", name, {"failed": str(error)}))
@@ -155,8 +149,7 @@ class DistributedQueryResult:
         header = (f"ir.distributed_query  (schema_version={SCHEMA_VERSION}, "
                   f"nodes="
                   f"{len(self.local_results) + len(self.failed_nodes)}, "
-                  f"rows={len(self.ranking)}, degraded={self.degraded}"
-                  f"{', cached' if self.cache_hit else ''})")
+                  f"rows={len(self.ranking)}, degraded={self.degraded})")
         lines = [header]
         for name, local in self.local_results.items():
             attempts = self.attempts.get(name, 1)
@@ -187,7 +180,6 @@ class DistributedIndex:
         }
         self._fragments: dict[str, FragmentSet] = {}
         self._fragment_generations: dict[str, int] = {}
-        self.query_cache = QueryCache(name="cluster")
         # the process backend's replica set; attached by start_remote()
         self.remote = None
 
@@ -196,7 +188,7 @@ class DistributedIndex:
         """Central + per-node generation stamps.
 
         Every mutation through this index bumps the central stamp *and*
-        the placement node's, so query-cache keys built from this tuple
+        the placement node's, so result-cache keys built from this tuple
         go stale on any write — including writes that only touched one
         node's relations directly.
         """
@@ -248,7 +240,7 @@ class DistributedIndex:
 
         Write-path invalidation is implicit: both mutations bump their
         relations' generation, which stales the node's fragment set and
-        every query-cache entry stamped with the old generations.  With
+        every result-cache entry stamped with the old generations.  With
         the process backend attached the write also fans to the node's
         replicas (dual-write with generation reconciliation).
         """
@@ -372,24 +364,10 @@ class DistributedIndex:
         """
         policy = ExecutionPolicy.coerce(policy, n=n, prune=prune)
         telemetry = get_telemetry()
-        key = None
-        if policy.cache:
-            self.query_cache.prepare(policy)
-            key = ("distributed", normalized_terms(query),
-                   policy_signature(policy), self.generation)
-            cached = self.query_cache.lookup(key)
-            if cached is not MISS:
-                with telemetry.tracer.span("ir.distributed_query",
-                                           n=policy.n, prune=policy.prune,
-                                           nodes=len(self.nodes)) as span:
-                    span.set_attribute("cache_hit", True)
-                telemetry.metrics.counter("ir.distributed_queries").add(1)
-                return replace(cached, cache_hit=True)
         servers = {server.name: server for server in self.cluster.servers}
         with telemetry.tracer.span("ir.distributed_query", n=policy.n,
                                    prune=policy.prune,
                                    nodes=len(self.nodes)) as span:
-            span.set_attribute("cache_hit", False)
             # The central node stems the query and resolves the vocabulary.
             with telemetry.tracer.span("ir.stem_query") as stem_span:
                 central_terms = query_term_oids(self.central, query)
@@ -451,11 +429,6 @@ class DistributedIndex:
             if repaired:
                 telemetry.metrics.counter("remote.repairs").add(repaired)
         telemetry.metrics.counter("ir.distributed_queries").add(1)
-        # degraded rankings are partial by definition — never cache them,
-        # or a healed cluster would keep serving the degraded answer
-        # until the next write bumps the generation
-        if key is not None and not result.degraded:
-            self.query_cache.store(key, result)
         return result
 
     def _node_topn(self, name: str, relations: IrRelations,
@@ -559,8 +532,7 @@ def node_topn(relations: IrRelations, fragments: FragmentSet,
             local_terms.append(oid)
     patched = patch_fragment_idf(fragments, relations, global_idf)
     return topn_fragmented(patched, local_terms, policy.n,
-                           prune=policy.prune, refine=True,
-                           plan_cache=policy.plan_cache)
+                           prune=policy.prune, refine=True)
 
 
 def patch_fragment_idf(fragments: FragmentSet, relations: IrRelations,
@@ -583,11 +555,9 @@ def patch_fragment_idf(fragments: FragmentSet, relations: IrRelations,
         oid = relations.term_oid(term)
         if oid is not None:
             pushed[oid] = weight
-    # the packed columns, dense universe and plan token are shared:
-    # only the weights change, never the physical layout — so a plan
-    # compiled against the unpatched set drives the patched view too
-    patched = FragmentSet(doc_ids=fragments.doc_ids,
-                          plan_token=fragments.plan_token)
+    # the packed columns and dense universe are shared: only the
+    # weights change, never the physical layout
+    patched = FragmentSet(doc_ids=fragments.doc_ids)
     for fragment in fragments:
         idf = fragment.idf
         held = [oid for oid in pushed if oid in fragment.term_oids]

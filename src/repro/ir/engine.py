@@ -4,14 +4,11 @@ Used by the integrated search engine (``repro.core``) for the Hypertext
 attributes of a webspace, and directly by examples that only need text
 search.
 
-Since the caching layer, both engines are generation-aware: IDF refresh
-and fragment builds are memoized against
-:attr:`~repro.ir.relations.IrRelations.generation`, and query results
-are served from a bounded LRU (:class:`~repro.cache.QueryCache`) keyed
-on normalized terms + ranking model + result-affecting
-:class:`~repro.core.config.ExecutionPolicy` knobs + the generation
-stamp.  Mutations bump the generation, which is the entire invalidation
-protocol.
+Both engines are generation-aware: IDF refresh and fragment builds are
+memoized against :attr:`~repro.ir.relations.IrRelations.generation`,
+and ``generation`` is the stamp :class:`~repro.service.SearchService`
+keys its result cache on.  The engines themselves never cache answers:
+a caller who wants caching puts a service in front.
 
 Since the service layer, ``execute(request)`` is the execution core of
 both engines: a :class:`~repro.service.api.SearchRequest` in
@@ -25,7 +22,6 @@ raise a ``TypeError`` naming
 
 from __future__ import annotations
 
-from repro.cache import MISS, QueryCache, normalized_terms, policy_signature
 from repro.core.config import ExecutionPolicy
 from repro.monetdb.atoms import Oid
 from repro.ir.fragmentation import FragmentSet, fragment_by_idf
@@ -77,13 +73,12 @@ class IrEngine:
         self.relations = IrRelations()
         self.fragment_count = fragment_count
         self.model = model
-        self.query_cache = QueryCache(name="ir")
         self._fragments: FragmentSet | None = None
         self._fragments_generation = -1
 
     @property
     def generation(self) -> int:
-        """The index generation query caches stamp their keys with."""
+        """The index generation the result cache stamps its keys with."""
         return self.relations.generation
 
     # -- indexing ---------------------------------------------------------
@@ -146,80 +141,34 @@ class IrEngine:
                     "SearchEngine, not a bare IR engine")
             return self._structured(request, started)
         if request.mode == api.MODE_CONTENT:
-            ranking, cache_hit = self._ranked(request.query, request.policy)
+            ranking = self._ranked(request.query, request.policy)
             pairs = [(self.relations.doc_url(doc), score)
                      for doc, score in ranking]
             return api.response_from_ranking(
                 request, pairs, api.elapsed_ms_since(started),
-                cache_hit=cache_hit, result=ranking)
+                result=ranking)
         if request.mode == api.MODE_FRAGMENTED:
-            result, cache_hit = self._fragmented(request.query,
-                                                 request.policy)
+            result = self._fragmented(request.query, request.policy)
             pairs = [(self.relations.doc_url(doc), score)
                      for doc, score in result.ranking]
             return api.response_from_ranking(
                 request, pairs, api.elapsed_ms_since(started),
-                cache_hit=cache_hit, tuples_touched=result.tuples_read,
-                result=result)
+                tuples_touched=result.tuples_read, result=result)
         raise QueryError(f"mode {request.mode!r} needs the integrated "
                          "SearchEngine, not a bare IR engine")
 
-    def _ranked(self, query: str, policy: ExecutionPolicy
-                ) -> tuple[Ranking, bool]:
-        """The cached ranking core; returns (ranking, cache_hit)."""
-        key = None
-        if policy.cache:
-            self.query_cache.prepare(policy)
-            key = ("search", self.model, normalized_terms(query), policy.n,
-                   self.relations.generation)
-            cached = self.query_cache.lookup(key)
-            if cached is not MISS:
-                return list(cached), True
+    def _ranked(self, query: str, policy: ExecutionPolicy) -> Ranking:
+        """The full-relation ranking core of mode ``content``."""
         self.relations.refresh_idf()
         if self.model == "hiemstra":
-            ranking = rank_hiemstra(self.relations, query, policy.n)
-        else:
-            ranking = rank_tfidf(self.relations, query, policy.n)
-        if key is not None:
-            self.query_cache.store(key, list(ranking))
-        return ranking, False
+            return rank_hiemstra(self.relations, query, policy.n)
+        return rank_tfidf(self.relations, query, policy.n)
 
     def _structured(self, request, started: float) -> "SearchResponse":
-        """The schema-2 execution core: parse, compile, scan, paginate.
-
-        Cached like the v1 paths, but keyed on the raw query string
-        *plus* :meth:`~repro.service.api.SearchRequest.shape_token` —
-        identical term lists under different fields/boosts/filters/
-        sort/pagination never share an entry.
-        """
-        from repro.service import api
-
-        policy = request.policy
-        key = None
-        if policy.cache:
-            self.query_cache.prepare(policy)
-            key = ("structured", self.model, request.query.strip(),
-                   request.shape_token(), policy.n,
-                   self.relations.generation)
-            cached = self.query_cache.lookup(key)
-            if cached is not MISS:
-                pairs, facets, total, tuples = cached
-                return api.response_from_ranking(
-                    request, pairs, api.elapsed_ms_since(started),
-                    cache_hit=True, tuples_touched=tuples,
-                    facets=facets, total=total)
-        pairs, facets, total, result = self._structured_core(request)
-        if key is not None:
-            self.query_cache.store(
-                key, (list(pairs), facets, total, result.tuples_read))
-        return api.response_from_ranking(
-            request, pairs, api.elapsed_ms_since(started),
-            tuples_touched=result.tuples_read, facets=facets,
-            total=total, result=result)
-
-    def _structured_core(self, request):
+        """The schema-2 execution core: parse, compile, scan, paginate."""
         from repro.ir.topn import topn_structured
         from repro.query import compile_query, parse_rich_query
+        from repro.service import api
 
         parsed = parse_rich_query(request.query)
         compiled = compile_query(self.relations, parsed,
@@ -232,15 +181,17 @@ class IrEngine:
         # score order only needs offset + limit rows
         need = len(compiled.matched) if request.sort \
             else request.offset + limit
-        result = topn_structured(self.fragments(), compiled, max(need, 1),
-                                 plan_cache=request.policy.plan_cache)
+        result = topn_structured(self.fragments(), compiled, max(need, 1))
         pairs = [(self.relations.doc_url(doc), score)
                  for doc, score in result.ranking]
         if request.sort:
             pairs = _sort_pairs(pairs, request.sort)
-        page = pairs[request.offset:request.offset + limit]
-        facets = self._facet_counts(compiled.matched, request.facets)
-        return page, facets, len(compiled.matched), result
+        return api.response_from_ranking(
+            request, pairs[request.offset:request.offset + limit],
+            api.elapsed_ms_since(started),
+            tuples_touched=result.tuples_read,
+            facets=self._facet_counts(compiled.matched, request.facets),
+            total=len(compiled.matched), result=result)
 
     def _facet_counts(self, matched, facet_names):
         """Value counts over the full match set (content modes facet
@@ -269,43 +220,26 @@ class IrEngine:
         return tuple(facets)
 
     def _fragmented(self, query: str, policy: ExecutionPolicy
-                    ) -> tuple[TopNResult, bool]:
-        """The cached fragment-pruned core; returns (result, cache_hit).
+                    ) -> TopNResult:
+        """The fragment-pruned core of mode ``fragmented``.
 
         Exactly one (memoized) IDF refresh per call: the fragment build
         refreshes lazily inside :func:`fragment_by_idf`, and only when
         the generation moved.
         """
-        key = None
-        if policy.cache:
-            self.query_cache.prepare(policy)
-            key = ("fragmented", normalized_terms(query), policy.n,
-                   policy.prune, self.relations.generation)
-            cached = self.query_cache.lookup(key)
-            if cached is not MISS:
-                return cached, True
         terms = query_term_oids(self.relations, query)
-        result = topn_fragmented(self.fragments(), terms, policy.n,
-                                 prune=policy.prune,
-                                 plan_cache=policy.plan_cache)
-        if key is not None:
-            self.query_cache.store(key, result)
-        return result, False
+        return topn_fragmented(self.fragments(), terms, policy.n,
+                               prune=policy.prune)
 
     def search(self, query: str, policy: ExecutionPolicy | None = None, *,
                n: int | None = None) -> Ranking:
         """Rank documents for a free-text query; returns (doc oid, score).
 
-        The result size is ``policy.n``; ``policy`` otherwise only
-        contributes the cache knobs here — a single node has no fan-out
-        to steer.  Results are cached per (terms, model, n, generation);
-        any mutation bumps the generation and thereby invalidates.  The
-        removed ``n=`` kwarg raises a :class:`TypeError` naming
-        :class:`ExecutionPolicy`.
+        The result size is ``policy.n``; a single node has no fan-out
+        for the rest of ``policy`` to steer.  The removed ``n=`` kwarg
+        raises a :class:`TypeError` naming :class:`ExecutionPolicy`.
         """
-        policy = ExecutionPolicy.coerce(policy, n=n)
-        ranking, _ = self._ranked(query, policy)
-        return ranking
+        return self._ranked(query, ExecutionPolicy.coerce(policy, n=n))
 
     def search_urls(self, query: str,
                     policy: ExecutionPolicy | None = None, *,
@@ -389,11 +323,6 @@ class ClusterIrEngine:
         """Central + per-node generation stamps (the cluster cache key)."""
         return self.index.generation
 
-    @property
-    def query_cache(self) -> QueryCache:
-        """The distributed plan's result cache."""
-        return self.index.query_cache
-
     def reindex(self, url: str, text: str) -> None:
         self.index.reindex_document(url, text)
 
@@ -427,7 +356,7 @@ class ClusterIrEngine:
                  for doc, score in result.ranking]
         return api.response_from_ranking(
             request, pairs, api.elapsed_ms_since(started),
-            cache_hit=result.cache_hit, degraded=result.degraded,
+            degraded=result.degraded,
             failed_nodes=tuple(sorted(result.failed_nodes)),
             tuples_touched=result.total_tuples(), result=result)
 

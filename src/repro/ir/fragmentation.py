@@ -57,16 +57,11 @@ class FragmentSet:
     the packed postings' ``dense`` columns index into, shared with the
     postings index that built this set — it sizes the kernels'
     accumulators and may hold dead slots of removed documents, which no
-    posting points at (an empty set has an empty universe);
-    ``plan_token`` identifies the physical layout for the plan cache —
-    an idf-patched view (:func:`~repro.ir.distributed.patch_fragment_idf`)
-    keeps the token because only weights change, never the compiled
-    access order.
+    posting points at (an empty set has an empty universe).
     """
 
     fragments: list[Fragment] = field(default_factory=list)
     doc_ids: array = field(default_factory=lambda: array("q"))
-    plan_token: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.fragments)
@@ -126,9 +121,7 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
         tuples += size
     cuts.append(len(term_oids))
 
-    fragment_set = FragmentSet(doc_ids=index.doc_ids,
-                               plan_token=(index.token, fragment_count,
-                                           order))
+    fragment_set = FragmentSet(doc_ids=index.doc_ids)
     for start, stop in zip(cuts, cuts[1:]):
         terms = term_oids[start:stop]
         packed = {oid: by_term[oid] for oid in terms}

@@ -20,8 +20,8 @@ first read that needs it.  This generalises the paper's batched refresh
 ("started every time the storage manager has parsed a certain number of
 document bodies") — bulk population costs O(docs) instead of
 O(docs × vocabulary), and a query-time refresh is a no-op unless the
-index actually changed.  The generation stamp is also what the query
-caches key on (:mod:`repro.cache`).
+index actually changed.  The generation stamp is also what the result
+cache keys on (:mod:`repro.cache`).
 
 A write costs the document, not the corpus.  The pair-oid BATs are
 append-only with ascending oids, so un-indexing a document is four
@@ -34,7 +34,6 @@ read patches that index copy-on-write instead of rebuilding it
 
 from __future__ import annotations
 
-import itertools
 import threading
 from array import array
 from dataclasses import dataclass, field, replace
@@ -49,12 +48,6 @@ from repro.ir.text import analyze
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
-
-# Monotonic identity for postings-index builds: plan-cache keys embed it
-# so a compiled plan can never outlive the index layout it was built
-# against (two indexes never share a token, even across rebuilds that
-# reuse the same object addresses).
-_INDEX_TOKENS = itertools.count(1)
 
 _ADD, _REMOVE = "add", "remove"
 
@@ -237,7 +230,6 @@ class PostingsIndex:
     """
 
     generation: int
-    token: int
     by_term: dict[int, PackedPostings] = field(default_factory=dict)
     doc_ids: array = field(default_factory=lambda: array("q"))
     doc_dense: dict[int, int] = field(default_factory=dict)
@@ -276,7 +268,7 @@ class IrRelations:
         self._df: dict[Oid, int] = dict(zip(unique[order].tolist(),
                                             counts[order].tolist()))
         # Bumped on every mutation; IDF (and the callers' fragment sets
-        # and query caches) are memoized against it.  A restored
+        # and result cache) are memoized against it.  A restored
         # snapshot starts stale so the first read writes IDF afresh.
         self.generation = 0
         self._idf_generation = -1
@@ -502,8 +494,7 @@ class IrRelations:
         without a ``POS`` row (pre-v2) keeps ``None``.  The scalar
         per-pair build this replaces is the oracle in ``tests/kernels``.
         """
-        index = PostingsIndex(generation=generation,
-                              token=next(_INDEX_TOKENS))
+        index = PostingsIndex(generation=generation)
         doc_column, urls = self.D.raw_columns()
         doc_ids = index.doc_ids = array("q", doc_column)
         index.doc_dense = dict(zip(doc_ids, range(len(doc_ids))))
@@ -571,7 +562,7 @@ class IrRelations:
         ``dense`` numbering (dead slots) and its dict orders differ.
         """
         index = PostingsIndex(
-            generation=generation, token=next(_INDEX_TOKENS),
+            generation=generation,
             by_term=dict(old.by_term), doc_ids=old.doc_ids[:],
             doc_dense=dict(old.doc_dense),
             doc_lengths=dict(old.doc_lengths),

@@ -15,17 +15,18 @@ Two techniques from the paper's query section:
   probabilistic query optimization tricks".
 
 Every scan is one columnar kernel: numpy scatter-adds over the
-fragments' packed postings columns, following a *compiled physical
-plan* — the per-(query shape, index layout) list of (fragment, term)
-access steps cached in :mod:`repro.core.plan_cache`.  There is one body
-per query shape: the bag scan (pruned, refined or exhaustive), the
-structured scan, and the cut-off, which is the bag scan over an
-idf-ordered prefix.  The per-posting loops they replaced live in
-``tests/kernels/topn_oracle.py`` as the reference the ``kernels`` and
-``query`` suites compare them against, rankings (scores included) and
-work accounting by ``==``: per-term postings hold each doc at most
-once, so an unordered scatter-add performs the same float additions as
-the sequential loop, and both tie-break through the canonical quantizer.
+fragments' packed postings columns, following a *physical plan* — the
+list of (fragment, term) access steps, compiled per execution (one set
+intersection per fragment: cheaper than a lookup that could reuse it).
+There is one body per query shape: the bag scan (pruned, refined or
+exhaustive), the structured scan, and the cut-off, which is the bag
+scan over an idf-ordered prefix.  The per-posting loops they replaced
+live in ``tests/kernels/topn_oracle.py`` as the reference the
+``kernels`` and ``query`` suites compare them against, rankings (scores
+included) and work accounting by ``==``: per-term postings hold each
+doc at most once, so an unordered scatter-add performs the same float
+additions as the sequential loop, and both tie-break through the
+canonical quantizer.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class TopNResult:
 
 @dataclass(frozen=True)
 class _TopNPlan:
-    """The physical access plan of one (query shape, fragment layout).
+    """The physical access plan of one query over one fragment layout.
 
     ``steps`` lists, in scan order, each fragment position a query term
     touches together with the touched terms (frozen in one set iteration
@@ -87,8 +88,7 @@ def _compile_plan(fragments: FragmentSet,
 
 def topn_fragmented(fragments: FragmentSet, query_terms: list[Oid],
                     n: int, prune: bool = True,
-                    refine: bool = False, *,
-                    plan_cache: bool = True) -> TopNResult:
+                    refine: bool = False) -> TopNResult:
     """Exact top-N over fragments, stopping early when provably final.
 
     After each fragment, ``remaining[t]`` bounds the score any document
@@ -105,49 +105,22 @@ def topn_fragmented(fragments: FragmentSet, query_terms: list[Oid],
     reads the query terms' tail postings *for the member documents
     only*, making the returned scores exact (the distributed plan needs
     exact local scores before merging); ``prune=False`` is exhaustive.
-
-    ``plan_cache=False`` recompiles the physical plan instead of
-    consulting :mod:`repro.core.plan_cache`.
     """
     telemetry = get_telemetry()
     with telemetry.tracer.span("ir.topn", n=n, prune=prune,
                                refine=refine) as span:
         wanted = set(query_terms)
-        plan, plan_hit = _plan_for(fragments, wanted, n, prune, plan_cache)
         result = _topn_scan_kernel(fragments, wanted, n, prune, refine,
-                                   plan)
+                                   _compile_plan(fragments, wanted))
         telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
         result.details["kernel"] = "columnar"
-        result.details["plan_cache_hit"] = plan_hit
         span.set_attributes(tuples_read=result.tuples_read,
                             fragments_read=result.fragments_read,
                             stopped_early=result.stopped_early,
-                            kernel="columnar",
-                            plan_cache_hit=plan_hit)
+                            kernel="columnar")
     telemetry.metrics.counter("ir.topn_queries").add(1)
     telemetry.metrics.counter("ir.topn_tuples_read").add(result.tuples_read)
     return result
-
-
-def _plan_for(fragments: FragmentSet, wanted: set, n: int, prune: bool,
-              plan_cache: bool,
-              shape: tuple | None = None) -> tuple[_TopNPlan, bool]:
-    if not plan_cache or fragments.plan_token is None:
-        # hand-built fragment sets carry no layout token; caching them
-        # on object identity would resurrect plans across rebuilds
-        return _compile_plan(fragments, wanted), False
-    # deferred: repro.core imports this package, so a module-level
-    # import of repro.core.plan_cache would make the import cyclic
-    from repro.core.plan_cache import get_plan_cache
-    # ``shape`` is the structured query's canonical token: two v2
-    # queries over the same terms but different fields/boosts/filters
-    # must never share a compiled plan entry (a v1 key is a 4-tuple, a
-    # v2 key a 5-tuple, so the spaces cannot collide either)
-    key = (fragments.plan_token, tuple(sorted(wanted)), n, prune)
-    if shape is not None:
-        key = key + (shape,)
-    return get_plan_cache().get_or_compile(
-        key, lambda: _compile_plan(fragments, wanted))
 
 
 def _doc_column(fragments: FragmentSet) -> np.ndarray:
@@ -266,8 +239,8 @@ def _ranking(acc, doc_column, selected, n: int) -> Ranking:
 # structured (schema-2) queries: boolean/phrase/fielded/boosted
 # ----------------------------------------------------------------------
 
-def topn_structured(fragments: FragmentSet, compiled, n: int, *,
-                    plan_cache: bool = True) -> TopNResult:
+def topn_structured(fragments: FragmentSet, compiled, n: int
+                    ) -> TopNResult:
     """Exhaustive top-N over a compiled structured query.
 
     ``compiled`` is a :class:`~repro.query.eval.CompiledQuery`: the
@@ -282,23 +255,19 @@ def topn_structured(fragments: FragmentSet, compiled, n: int, *,
     Unlike :func:`topn_fragmented` the scan is exhaustive — early-stop
     bounds under per-entry doc restrictions and per-doc boosts would
     need per-restriction ceilings to stay safe, and structured queries
-    are rare enough that correctness beats the saved fragments.  The
-    plan-cache key embeds ``compiled.shape``.
+    are rare enough that correctness beats the saved fragments.
     """
     telemetry = get_telemetry()
     with telemetry.tracer.span("ir.topn_structured", n=n) as span:
         wanted = {entry.term_oid for entry in compiled.entries}
-        plan, plan_hit = _plan_for(fragments, wanted, n, False, plan_cache,
-                                   shape=compiled.shape)
-        result = _structured_scan_kernel(fragments, compiled, n, plan)
+        result = _structured_scan_kernel(fragments, compiled, n,
+                                         _compile_plan(fragments, wanted))
         telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
         result.details["kernel"] = "columnar"
-        result.details["plan_cache_hit"] = plan_hit
         result.details["matched"] = len(compiled.matched)
         span.set_attributes(tuples_read=result.tuples_read,
                             matched=len(compiled.matched),
-                            kernel="columnar",
-                            plan_cache_hit=plan_hit)
+                            kernel="columnar")
     telemetry.metrics.counter("ir.topn_structured_queries").add(1)
     return result
 

@@ -3,10 +3,10 @@
 The surface syntax (:mod:`repro.query.parser`) compiles to this small
 closed set of immutable nodes; everything downstream — boolean/phrase
 evaluation (:mod:`repro.query.eval`), the structured top-N scan
-(:func:`repro.ir.topn.topn_structured`), cache and plan keys — works on
-the AST, never on query strings.  :meth:`ParsedQuery.token` is the
-canonical hashable shape every cache layer keys on: two queries share a
-token exactly when they are the same structured query.
+(:func:`repro.ir.topn.topn_structured`) — works on the AST, never on
+query strings.  :meth:`ParsedQuery.token` is the canonical hashable
+shape: two queries share a token exactly when they are the same
+structured query.
 """
 
 from __future__ import annotations
@@ -135,5 +135,5 @@ class ParsedQuery:
     root: Node | None
 
     def token(self) -> tuple:
-        """The canonical hashable shape (cache / plan-cache keys)."""
+        """The canonical hashable shape: equal exactly for equal queries."""
         return _token(self.root) if self.root is not None else ("empty",)

@@ -65,7 +65,6 @@ class CompiledQuery:
     matched: frozenset
     doc_dense: dict
     field_weight: dict = field(default_factory=dict)
-    shape: tuple = ()
 
     @property
     def allowed(self) -> frozenset:
@@ -265,8 +264,6 @@ def compile_query(relations, parsed: ParsedQuery, *,
             if weight is not None:
                 field_weight[doc] = float(weight)
 
-    shape = (parsed.token(), tuple(sorted(boost_of.items())),
-             tuple(filters))
     return CompiledQuery(entries=entries, matched=matched,
                          doc_dense=evaluator.index.doc_dense,
-                         field_weight=field_weight, shape=shape)
+                         field_weight=field_weight)

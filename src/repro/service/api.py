@@ -351,8 +351,8 @@ class SearchResponse:
     :class:`~repro.core.results.QueryResult`, a
     :class:`~repro.ir.topn.TopNResult` or a raw ranking) for embedders
     that need more than the wire shape; it never crosses the wire.
-    ``queue_ms`` and ``coalesced`` are stamped by the service layer —
-    zero / False on direct engine execution.
+    ``queue_ms``, ``coalesced`` and ``cache_hit`` are stamped by the
+    service layer — zero / False on direct engine execution.
     """
 
     request: SearchRequest
@@ -581,14 +581,14 @@ def response_from_query_result(request: SearchRequest, result,
         for name, counts in sorted(getattr(result, "facets", {}).items()))
     return SearchResponse(
         request=request, hits=hits, elapsed_ms=elapsed_ms,
-        degraded=result.degraded, cache_hit=result.cache_hit,
+        degraded=result.degraded,
         failed_nodes=tuple(sorted(result.failed_nodes)),
         tuples_touched=result.tuples_touched, result=result,
         facets=facets, total=getattr(result, "total_rows", None))
 
 
 def response_from_ranking(request: SearchRequest, pairs, elapsed_ms: float,
-                          *, cache_hit: bool = False, degraded: bool = False,
+                          *, degraded: bool = False,
                           failed_nodes: tuple[str, ...] = (),
                           tuples_touched: int = 0,
                           result: object = None,
@@ -598,6 +598,6 @@ def response_from_ranking(request: SearchRequest, pairs, elapsed_ms: float,
     hits = tuple(Hit(key=url, score=score) for url, score in pairs)
     return SearchResponse(
         request=request, hits=hits, elapsed_ms=elapsed_ms,
-        degraded=degraded, cache_hit=cache_hit,
+        degraded=degraded,
         failed_nodes=tuple(failed_nodes), tuples_touched=tuples_touched,
         result=result, facets=facets, total=total)

@@ -11,8 +11,12 @@ digital library needs that a naked engine lacks:
   :class:`~repro.errors.ServiceOverloadedError` carrying
   ``retry_after`` instead of queueing unboundedly.
 * **Single-flight coalescing** — identical in-flight requests execute
-  once (:mod:`repro.service.singleflight`), on top of the PR-3 query
-  cache which only collapses repeats *over time*.
+  once (:mod:`repro.service.singleflight`).
+* **The result cache** — the one place answers are cached: a bounded
+  LRU keyed on the request and the engine's ``generation``, so
+  repeats *over time* are served without touching the engine and any
+  write makes the next read a miss.  Every reply, cached or coalesced,
+  echoes its own request.
 * **Reader–writer locking** — queries run concurrently with each
   other but serialize against every write path
   (``reindex``/``populate``/``recrawl``/``maintain``/snapshot
@@ -28,25 +32,40 @@ Fully instrumented: ``service.request``/``service.write`` spans and
 from __future__ import annotations
 
 import threading
+import time
 
-from repro.cache import policy_signature
+from repro.cache import MISS, LruCache
 from repro.errors import QueryError, ReproError, ServiceClosedError, \
     ServiceOverloadedError
 from repro.service.admission import AdmissionController, ServicePolicy
-from repro.service.api import SearchRequest, SearchResponse
+from repro.service.api import SearchRequest, SearchResponse, elapsed_ms_since
 from repro.service.rwlock import RwLock
 from repro.service.singleflight import SingleFlight
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["SearchService", "ServicePolicy"]
 
+#: entries of the result cache
+RESULT_CACHE_SIZE = 128
 
-def _generation_of(engine) -> object:
-    """The engine's current index-generation stamp, best effort."""
-    stamp = getattr(engine, "_generation", None)
-    if callable(stamp):
-        return stamp()
-    return getattr(engine, "generation", None)
+
+def policy_signature(policy) -> tuple:
+    """The policy fields that can affect a query's result.
+
+    ``cache``, ``cache_size`` and ``plan_cache`` are excluded (the first
+    steers the result cache itself, the other two have no effect);
+    everything else participates: ``n`` and ``prune`` shape the ranking
+    directly, and the execution knobs (workers, deadline, retries,
+    backoff, failure mode, backend, hedging) decide *which* ranking
+    comes back when nodes misbehave — a degraded-tolerant query must
+    not be served a result computed under different fault semantics,
+    and a thread-backend result must not stand in for a process-backend
+    execution's accounting (the rankings are bit-identical, the
+    per-node bookkeeping is not).
+    """
+    return (policy.n, policy.prune, policy.max_workers,
+            policy.node_deadline_ms, policy.retries, policy.backoff_ms,
+            policy.on_failure, policy.backend, policy.hedge_after_ms)
 
 
 class SearchService:
@@ -72,6 +91,7 @@ class SearchService:
         self._rw = RwLock()
         self._admission = AdmissionController(self.policy)
         self._flights = SingleFlight()
+        self._results = LruCache(RESULT_CACHE_SIZE, name="result")
         self._lifecycle = threading.Condition()
         self._state = "running"
         self._inflight = 0
@@ -113,7 +133,8 @@ class SearchService:
                 if coalesced:
                     self._count("coalesced")
                     telemetry.metrics.counter("service.coalesced").add(1)
-                response = response.annotate(queue_ms=queue_ms,
+                response = response.annotate(request=request,
+                                             queue_ms=queue_ms,
                                              coalesced=coalesced)
                 span.set_attributes(rows=len(response.hits),
                                     cache_hit=response.cache_hit,
@@ -144,7 +165,8 @@ class SearchService:
         Bulk items bypass single-flight coalescing: the batch already
         holds its slot, and its items execute back-to-back under one
         lock hold — there is no concurrent duplicate to coalesce with
-        that could answer sooner.
+        that could answer sooner.  They do share the result cache with
+        :meth:`search`.
         """
         from repro.service.api import MAX_BULK_ITEMS, ErrorResponse
 
@@ -183,7 +205,7 @@ class SearchService:
                                         "bulk items must be SearchRequests"
                                         f" (got "
                                         f"{type(request).__name__})")
-                                response = self.engine.execute(request)
+                                response = self._answer(request)
                                 results.append(
                                     response.annotate(queue_ms=queue_ms))
                             except ReproError as error:
@@ -216,18 +238,52 @@ class SearchService:
              ) -> tuple[SearchResponse, bool]:
         if not self.policy.coalesce:
             return self._execute(request), False
-        # the shape token folds in schema_version and every v2 extra
-        # (filters/facets/sort/pagination/boosts), so two requests only
-        # coalesce when their full wire contract is identical
-        key = (request.mode, request.query.strip(),
-               policy_signature(request.policy),
-               request.shape_token(),
-               _generation_of(self.engine))
-        return self._flights.run(key, lambda: self._execute(request))
+        return self._flights.run(self._key(request),
+                                 lambda: self._execute(request))
 
     def _execute(self, request: SearchRequest) -> SearchResponse:
         with self._rw.read_locked():
+            return self._answer(request)
+
+    def _key(self, request: SearchRequest) -> tuple:
+        """What makes two requests one answer: the single-flight and
+        result-cache key.
+
+        The shape token folds in schema_version and every v2 extra
+        (filters/facets/sort/pagination/boosts), so two requests only
+        share a key when their full wire contract is identical; the
+        engine's ``generation`` (``None`` when it has none) makes every
+        write start a new key space.
+        """
+        return (request.mode, request.query.strip(),
+                policy_signature(request.policy), request.shape_token(),
+                getattr(self.engine, "generation", None))
+
+    def _answer(self, request: SearchRequest) -> SearchResponse:
+        """Serve one request from the result cache or the engine.
+
+        The caller holds the read lock, so the generation in the key
+        and the state the engine executes against are the same.  A hit
+        is the stored response re-stamped with this request, its own
+        ``elapsed_ms`` and ``cache_hit``.  Nothing is cached under
+        ``policy.cache=False``, for an engine without a ``generation``,
+        or when the response is ``degraded`` (partial by definition: a
+        healed cluster must not keep serving it).
+        """
+        if not request.policy.cache:
             return self.engine.execute(request)
+        started = time.perf_counter()
+        key = self._key(request)
+        if key[-1] is None:
+            return self.engine.execute(request)
+        cached = self._results.get(key)
+        if cached is not MISS:
+            return cached.annotate(request=request, cache_hit=True,
+                                   elapsed_ms=elapsed_ms_since(started))
+        response = self.engine.execute(request)
+        if not response.degraded:
+            self._results.put(key, response)
+        return response
 
     # ------------------------------------------------------------------
     # the write side (serialized against all queries)
@@ -344,7 +400,7 @@ class SearchService:
         With a WAL attached, the log tail past the snapshot's
         ``wal_seq`` is replayed before the swap completes, so the
         restored engine includes every acknowledged write.  The
-        single-flight table and the query caches flush on swap: a
+        single-flight table and the result cache flush on swap: a
         restored engine's generation stamps can coincide with the old
         one's, and a post-restore query must never coalesce onto or be
         served a pre-restore result.
@@ -358,13 +414,7 @@ class SearchService:
                 extractor=old.extractor, verify=verify,
                 on_corrupt=on_corrupt, wal=self._wal)
             flushed = self._flights.flush()
-            invalidated = 0
-            for owner in (old, self.engine):
-                for cache in (getattr(owner, "query_cache", None),
-                              getattr(getattr(owner, "ir", None),
-                                      "query_cache", None)):
-                    if cache is not None:
-                        invalidated += cache.invalidate()
+            invalidated = self._results.invalidate()
             telemetry = get_telemetry()
             telemetry.metrics.counter("service.restore_flushed_flights") \
                 .add(flushed)

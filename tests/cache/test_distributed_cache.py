@@ -1,11 +1,14 @@
-"""The cluster-level query cache: per-node generations, degraded results,
-thread safety under the parallel executor."""
+"""The result cache over the cluster: per-node generations, degraded
+results, thread safety under the fan-out engine."""
 
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cluster import ExecutionPolicy, FaultInjector
+from repro.ir.engine import ClusterIrEngine
+from repro.service import SearchRequest, SearchService
+from repro.service.api import MODE_CONTENT
 from repro.telemetry import telemetry_session
 
 from tests.cluster.conftest import build_index, corpus
@@ -15,68 +18,85 @@ pytestmark = pytest.mark.cache
 QUERY = "trophy melbourne w0 w1"
 
 
+def build_service(cluster_size=4, documents=60, fault_injector=None):
+    engine = ClusterIrEngine(cluster_size, fragment_count=4,
+                             fault_injector=fault_injector)
+    engine.index.add_documents(corpus(documents))
+    return SearchService(engine), engine.index
+
+
+def query(service, text, policy=None):
+    return service.search(SearchRequest(
+        query=text, mode=MODE_CONTENT,
+        policy=policy if policy is not None else ExecutionPolicy(n=5)))
+
+
+def ranking(response):
+    return [(hit.key, hit.score) for hit in response.hits]
+
+
 class TestHitAfterWarm:
     def test_second_query_is_a_cache_hit(self):
-        index = build_index(cluster_size=3)
-        cold = index.query(QUERY, policy=ExecutionPolicy(n=5))
+        service, _ = build_service(cluster_size=3)
+        cold = query(service, QUERY)
         assert not cold.cache_hit
-        warm = index.query(QUERY, policy=ExecutionPolicy(n=5))
+        warm = query(service, QUERY)
         assert warm.cache_hit
-        assert warm.ranking == cold.ranking
-        assert warm.tuples_read_per_node() == cold.tuples_read_per_node()
+        assert ranking(warm) == ranking(cold)
+        assert warm.result.tuples_read_per_node() \
+            == cold.result.tuples_read_per_node()
 
     def test_cache_hit_surfaces_on_dict_and_explain(self):
-        index = build_index(cluster_size=2)
-        index.query(QUERY, policy=ExecutionPolicy(n=5))
-        warm = index.query(QUERY, policy=ExecutionPolicy(n=5))
+        service, _ = build_service(cluster_size=2)
+        cold = query(service, QUERY)
+        warm = query(service, QUERY)
         assert warm.to_dict()["cache_hit"] is True
-        assert "cached" in warm.explain()
+        # the stored plan is the original execution's, node for node
+        assert warm.result.explain() == cold.result.explain()
 
     def test_cached_ranking_is_bit_identical_to_uncached(self):
-        index = build_index(cluster_size=3)
-        uncached = index.query(QUERY,
-                               policy=ExecutionPolicy(n=10, cache=False))
-        index.query(QUERY, policy=ExecutionPolicy(n=10))
-        cached = index.query(QUERY, policy=ExecutionPolicy(n=10))
+        service, _ = build_service(cluster_size=3)
+        uncached = query(service, QUERY, ExecutionPolicy(n=10, cache=False))
+        query(service, QUERY, ExecutionPolicy(n=10))
+        cached = query(service, QUERY, ExecutionPolicy(n=10))
         assert cached.cache_hit
-        assert cached.ranking == uncached.ranking
+        assert ranking(cached) == ranking(uncached)
+        assert cached.tuples_touched == uncached.tuples_touched
 
     def test_policy_knobs_partition_the_cache(self):
-        index = build_index(cluster_size=2)
-        index.query(QUERY, policy=ExecutionPolicy(n=5))
-        pruned_off = index.query(QUERY,
-                                 policy=ExecutionPolicy(n=5, prune=False))
+        service, _ = build_service(cluster_size=2)
+        query(service, QUERY)
+        pruned_off = query(service, QUERY, ExecutionPolicy(n=5, prune=False))
         assert not pruned_off.cache_hit
 
 
 class TestInvalidation:
     def test_add_documents_invalidates(self):
-        index = build_index(cluster_size=3, documents=40)
-        index.query(QUERY, policy=ExecutionPolicy(n=5))
-        index.add_documents([("http://site/extra0", "trophy melbourne"),
-                             ("http://site/extra1", "trophy trophy")])
-        after = index.query(QUERY, policy=ExecutionPolicy(n=5))
+        service, _ = build_service(cluster_size=3, documents=40)
+        query(service, QUERY)
+        service.add_documents([("http://site/extra0", "trophy melbourne"),
+                               ("http://site/extra1", "trophy trophy")])
+        after = query(service, QUERY)
         assert not after.cache_hit
 
     def test_add_document_invalidates(self):
-        index = build_index(cluster_size=2, documents=30)
-        before = index.query("trophy", policy=ExecutionPolicy(n=5))
+        # a write straight into the index, past the service
+        service, index = build_service(cluster_size=2, documents=30)
+        before = query(service, "trophy")
         index.add_document("http://site/solo", "trophy " * 10)
-        after = index.query("trophy", policy=ExecutionPolicy(n=5))
+        after = query(service, "trophy")
         assert not after.cache_hit
-        urls = {index.central.doc_url(doc) for doc, _ in after.ranking}
-        assert "http://site/solo" in urls
-        assert before.ranking != after.ranking
+        assert "http://site/solo" in [hit.key for hit in after.hits]
+        assert ranking(before) != ranking(after)
 
     def test_remove_document_invalidates(self):
-        index = build_index(cluster_size=2, documents=30)
-        result = index.query("trophy", policy=ExecutionPolicy(n=5))
-        top_url = index.central.doc_url(result.ranking[0][0])
-        index.remove_document(top_url)
-        after = index.query("trophy", policy=ExecutionPolicy(n=5))
+        service, _ = build_service(cluster_size=2, documents=30)
+        result = query(service, "trophy")
+        top_url = result.hits[0].key
+        service.remove(top_url)
+        after = query(service, "trophy")
         assert not after.cache_hit
-        assert top_url not in {index.central.doc_url(doc)
-                               for doc, _ in after.ranking}
+        assert top_url not in [hit.key for hit in after.hits]
 
     def test_refresh_rebuilds_only_stale_nodes(self):
         index = build_index(cluster_size=4)
@@ -93,57 +113,55 @@ class TestInvalidation:
 class TestDegradedNeverCached:
     def test_degraded_result_is_not_stored(self):
         faults = FaultInjector().fail("node1", times=1)
-        index = build_index(cluster_size=3, fault_injector=faults)
+        service, _ = build_service(cluster_size=3, fault_injector=faults)
         policy = ExecutionPolicy(n=5, on_failure="degrade")
-        degraded = index.query(QUERY, policy=policy)
+        degraded = query(service, QUERY, policy)
         assert degraded.degraded
         # the fault budget is spent: this run executes cleanly — it must
         # NOT be a hit on the degraded entry
-        healed = index.query(QUERY, policy=policy)
+        healed = query(service, QUERY, policy)
         assert not healed.cache_hit
         assert not healed.degraded
         # and only now does the clean result populate the cache
-        warm = index.query(QUERY, policy=policy)
+        warm = query(service, QUERY, policy)
         assert warm.cache_hit
-        assert warm.ranking == healed.ranking
+        assert ranking(warm) == ranking(healed)
 
 
 class TestThreadSafety:
     def test_racing_queries_agree_with_sequential(self):
-        index = build_index(cluster_size=4, documents=60)
+        service, _ = build_service(cluster_size=4, documents=60)
         policy = ExecutionPolicy(n=10, max_workers=4)
-        reference = index.query(QUERY,
-                                policy=ExecutionPolicy(n=10, cache=False))
+        reference = query(service, QUERY,
+                          ExecutionPolicy(n=10, max_workers=4, cache=False))
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda _: index.query(QUERY, policy=policy), range(16)))
+                lambda _: query(service, QUERY, policy), range(16)))
         for result in results:
-            assert result.ranking == reference.ranking
-        # racing cold starts may each execute (there is deliberately no
-        # request coalescing), but every store is idempotent: one entry,
-        # and the books balance
-        executions = sum(1 for result in results if not result.cache_hit)
-        assert 1 <= executions <= 16
-        stats = index.query_cache.stats()
+            assert ranking(result) == ranking(reference)
+        # a racing request either led a flight (one lookup, then maybe
+        # an execution) or coalesced onto one; every store is idempotent
+        stats = service._results.stats()
+        coalesced = service.status()["counters"]["coalesced"]
         assert stats["entries"] == 1
-        assert stats["hits"] == 16 - executions
+        assert 1 <= stats["misses"]
+        assert stats["hits"] + stats["misses"] + coalesced == 16
+        assert service.drain(5.0)
 
     def test_racing_mixed_queries_stay_consistent(self):
-        index = build_index(cluster_size=3, documents=50)
+        service, _ = build_service(cluster_size=3, documents=50)
         queries = [QUERY, "trophy", "melbourne w2", "w0 w3 w5"]
         expected = {
-            query: index.query(query,
-                               policy=ExecutionPolicy(n=5,
-                                                      cache=False)).ranking
-            for query in queries}
+            text: ranking(query(service, text,
+                                ExecutionPolicy(n=5, cache=False)))
+            for text in queries}
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(
-                lambda i: (queries[i % 4],
-                           index.query(queries[i % 4],
-                                       policy=ExecutionPolicy(n=5))),
+                lambda i: (queries[i % 4], query(service, queries[i % 4])),
                 range(24)))
-        for query, result in results:
-            assert result.ranking == expected[query]
+        for text, result in results:
+            assert ranking(result) == expected[text]
+        assert service.drain(5.0)
 
 
 class TestCentralIdfLaziness:

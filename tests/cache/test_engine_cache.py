@@ -1,5 +1,5 @@
-"""The integrated engine's query cache, the search_urls parity fix, the
-CLI cache knobs, and the warm-query telemetry surface."""
+"""The result cache over the integrated engine, the search_urls parity
+fix, the CLI cache knob, and the warm-query telemetry surface."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.engine import SearchEngine
 from repro.ir.engine import ClusterIrEngine, IrEngine
+from repro.service import SearchRequest, SearchService
 from repro.web.ausopen import build_ausopen_site
 from repro.webspace.schema import australian_open_schema
 
@@ -31,56 +32,54 @@ def search_engine():
 class TestQueryTextCache:
     def test_warm_query_is_a_hit_with_identical_rows(self, search_engine):
         engine, _, _ = search_engine
-        engine.query_cache.invalidate()
-        cold = engine.query_text(CONTAINS)
+        service = SearchService(engine)
+        cold = service.search(SearchRequest(query=CONTAINS))
         assert not cold.cache_hit
-        warm = engine.query_text(CONTAINS)
+        warm = service.search(SearchRequest(query=CONTAINS))
         assert warm.cache_hit
         assert warm.to_dict()["cache_hit"] is True
-        assert "query cache" in warm.explain()
-        assert [row.keys for row in warm.rows] \
-            == [row.keys for row in cold.rows]
-        assert [row.score for row in warm.rows] \
-            == [row.score for row in cold.rows]
+        assert [row.keys for row in warm.result.rows] \
+            == [row.keys for row in cold.result.rows]
+        assert [row.score for row in warm.result.rows] \
+            == [row.score for row in cold.result.rows]
 
     def test_ir_write_invalidates_the_engine_cache(self, search_engine):
         engine, _, _ = search_engine
-        engine.query_cache.invalidate()
-        engine.query_text(CONTAINS)
+        service = SearchService(engine)
+        service.search(SearchRequest(query=CONTAINS))
         url = next(url for _, url in engine.ir.relations.D
                    if url.endswith(":history"))
         engine.ir.reindex(url, "Winner Winner of everything")
-        after = engine.query_text(CONTAINS)
+        after = service.search(SearchRequest(query=CONTAINS))
         assert not after.cache_hit
 
     def test_conceptual_write_invalidates(self, search_engine):
         engine, server, truth = search_engine
-        engine.query_cache.invalidate()
-        generation = engine._generation()
-        engine.query_text(CONTAINS)
+        service = SearchService(engine)
+        generation = engine.generation
+        service.search(SearchRequest(query=CONTAINS))
         # a changed source page flows through recrawl into the
         # conceptual store, bumping its generation
         player = truth.player("monica-seles")
         page = server.get(player.page_path)
         server.add_page(player.page_path,
                         page.body.replace(">USA<", ">Ruritania<"))
-        report = engine.recrawl()
+        report = service.recrawl()
         assert report.documents_replaced == 1
-        assert engine._generation() != generation
-        assert not engine.query_text(CONTAINS).cache_hit
+        assert engine.generation != generation
+        assert not service.search(SearchRequest(query=CONTAINS)).cache_hit
 
     def test_no_cache_policy_bypasses(self, search_engine):
         engine, _, _ = search_engine
-        engine.query_cache.invalidate()
-        before = engine.query_cache.stats()
-        policy = ExecutionPolicy(cache=False)
-        engine.query_text(CONTAINS, policy=policy)
-        engine.query_text(CONTAINS, policy=policy)
-        after = engine.query_cache.stats()
-        assert after["entries"] == 0
+        service = SearchService(engine)
+        request = SearchRequest(query=CONTAINS,
+                                policy=ExecutionPolicy(cache=False))
+        service.search(request)
+        assert not service.search(request).cache_hit
         # the hit/miss books did not move: the cache was never consulted
-        assert after["hits"] == before["hits"]
-        assert after["misses"] == before["misses"]
+        assert service._results.stats() == {
+            "entries": 0, "capacity": 128, "hits": 0, "misses": 0,
+            "evictions": 0}
 
 
 class TestSearchUrlsParity:
@@ -129,11 +128,9 @@ class TestCliFlags:
         from repro.cli import _parser, _policy_from_args
 
         args = _parser().parse_args(
-            ["query", "--snapshot", "snap", "--no-cache",
-             "--cache-size", "7", CONTAINS])
+            ["query", "--snapshot", "snap", "--no-cache", CONTAINS])
         policy = _policy_from_args(args)
         assert policy.cache is False
-        assert policy.cache_size == 7
 
     def test_cache_defaults_are_on(self):
         from repro.cli import _parser, _policy_from_args
@@ -142,7 +139,6 @@ class TestCliFlags:
                                      CONTAINS])
         policy = _policy_from_args(args)
         assert policy.cache is True
-        assert policy.cache_size == 128
 
     def test_stats_warm_reports_the_cache_hit(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""The bounded, thread-safe LRU underneath every query cache."""
+"""The bounded, thread-safe LRU underneath the result cache."""
 
 import threading
 
@@ -26,8 +26,6 @@ class TestBasics:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             LruCache(capacity=0)
-        with pytest.raises(ValueError):
-            LruCache(capacity=4).resize(0)
 
     def test_invalidate_drops_everything(self):
         cache = LruCache(capacity=4)
@@ -57,15 +55,6 @@ class TestEviction:
         cache.put("c", 3)    # evicts "b"
         assert cache.get("a") == 1
         assert cache.get("b") is MISS
-
-    def test_resize_shrink_evicts(self):
-        cache = LruCache(capacity=4)
-        for i in range(4):
-            cache.put(i, i)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.get(0) is MISS
-        assert cache.get(3) == 3
 
     def test_stats_shape(self):
         cache = LruCache(capacity=2)

@@ -155,7 +155,10 @@ class TestInspection:
         assert "op.IrProbe" in out
         assert "monetdb.tuples_touched{server=conceptual}" in out
         report = json.loads(report_path.read_text())
-        assert report["spans"][0]["name"] == "query"
+        # the query runs through the search service, as a served one does
+        root = report["spans"][0]
+        assert root["name"] == "service.request"
+        assert [child["name"] for child in root["children"]] == ["query"]
         assert report["metrics"]["counters"]["engine.queries"] == 1
 
     def test_stats_query_leaves_telemetry_disabled(self, snapshot):

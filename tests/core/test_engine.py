@@ -200,3 +200,35 @@ class TestNoReferenceCycle:
         engine = SearchEngine(australian_open_schema(), server)
         engine.populate()
         assert len(engine.fds) and engine.fds.check_all_sources() == 0
+
+
+class TestConceptualMemo:
+    def test_direct_store_write_is_seen_by_the_next_query(self):
+        """A write straight into the conceptual store — no engine write
+        path, no hand invalidation — moves the store generation, and the
+        memoized lookups follow it."""
+        from repro.core.config import ExecutionPolicy
+        from repro.web.crawler import crawl
+        from repro.web.reengineer import reengineer_site
+        from repro.webspace.documents import document_to_xml
+
+        server, _ = build_ausopen_site(players=4, articles=2, videos=1,
+                                       frames_per_shot=4)
+        engine = SearchEngine(australian_open_schema(), server,
+                              EngineConfig())
+        engine.populate()
+        source = "SELECT p.name, p.country FROM Player p"
+        uncached = ExecutionPolicy(cache=False)
+        engine.query_text(source, policy=uncached)   # fills the memo
+        documents = reengineer_site(engine.schema, crawl(server).pages)
+        document, player = next(
+            (document, obj) for document in documents
+            for obj in document.objects
+            if obj.cls == "Player" and obj.get("country"))
+        player.attributes["country"] = "Ruritania"
+        engine.conceptual_store.replace(
+            document.doc_id, document_to_xml(engine.schema, document))
+        after = engine.query_text(source, policy=uncached)
+        countries = {row.keys["p"]: row.values["p.country"]
+                     for row in after.rows}
+        assert countries[player.key] == "Ruritania"

@@ -64,8 +64,7 @@ class TestConceptualIndex:
         extra = WebspaceDocument("d3", objects=[
             WebObject("Player", "novak", {"name": "Talia Novak"})])
         store.insert("d3", document_to_xml(schema, extra))
-        assert index.keys_of("Player") == {"seles"}  # stale by design
-        index.invalidate()
+        # the insert moved the store generation: no hand invalidation
         assert index.keys_of("Player") == {"seles", "novak"}
 
 
@@ -100,7 +99,6 @@ class TestExecuteQueryHooks:
             WebObject("Video", "v1", {"title": "Final",
                                       "video": "http://m/v1.mpg"})])
         store.insert("dv", document_to_xml(schema, video_doc))
-        index.invalidate()
         query = (WebspaceQuery(schema)
                  .from_class("v", "Video")
                  .video_event("v.video", "netplay")

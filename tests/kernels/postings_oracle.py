@@ -8,13 +8,13 @@ has one plain reference to be compared against.
 
 from array import array
 
-from repro.ir.relations import (_INDEX_TOKENS, IrRelations, PackedPostings,
+from repro.ir.relations import (IrRelations, PackedPostings,
                                 PostingsIndex, url_segments)
 
 
 def build_postings_index(relations: IrRelations,
                          generation: int) -> PostingsIndex:
-    index = PostingsIndex(generation=generation, token=next(_INDEX_TOKENS))
+    index = PostingsIndex(generation=generation)
     doc_ids = index.doc_ids
     doc_dense = index.doc_dense
     for doc, url in zip(relations.D.head, relations.D.tail):

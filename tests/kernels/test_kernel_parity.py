@@ -84,11 +84,10 @@ class TestTopNParity:
     def test_patched_idf_view_parity(self, relations, fragments):
         # the distributed plan patches per-term idf with global weights
         # keyed by the term *string*; the patched view shares the packed
-        # columns and plan token, so the kernel must follow
+        # columns, so the kernel must follow
         global_idf = {f"w{i}": 0.25 / (i + 1) for i in range(40)}
         global_idf["trophy"] = 0.9
         patched = patch_fragment_idf(fragments, relations, global_idf)
-        assert patched.plan_token == fragments.plan_token
         terms = query_term_oids(relations, "w7 w0 trophy")
         scalar, columnar = kernel_and_oracle(patched, terms, 10)
         assert_same(scalar, columnar)
@@ -149,15 +148,13 @@ class TestKernelDispatch:
         assert result.details["kernel"] == "scalar"
 
     def test_fresh_index_rebuild_keeps_parity(self):
-        # mutate after fragmenting: rebuilt fragments carry a new plan
-        # token and kernel and oracle agree on the new layout
+        # mutate after fragmenting: kernel and oracle agree on the
+        # rebuilt layout
         relations = build_relations(seed=11, docs=40)
         fragments = fragment_by_idf(relations, 3)
-        old_token = fragments.plan_token
         relations.add_document("http://site/extra", "trophy w0 w0 w5")
         relations.refresh_idf()
         fragments = fragment_by_idf(relations, 3)
-        assert fragments.plan_token != old_token
         terms = query_term_oids(relations, "trophy w0")
         scalar, columnar = kernel_and_oracle(fragments, terms, 10)
         assert_same(scalar, columnar)

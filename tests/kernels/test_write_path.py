@@ -11,8 +11,6 @@ journal and postings index.  Hypothesis drives the histories,
 derandomized so CI replays the same ones.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +74,7 @@ def state(relations: IrRelations) -> tuple:
 
 
 def postings(relations: IrRelations):
-    return replace(relations.postings_index(), token=0)
+    return relations.postings_index()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

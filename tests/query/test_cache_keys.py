@@ -1,16 +1,15 @@
 """Cache-key discipline: structured shapes never share entries.
 
-Satellite 4: the result cache and the compiled-plan cache key on the
-query *shape* — the same term list under different fields, boosts,
-filters, sort or pagination must never serve one another's entries.
+The service's result cache keys on the full request shape — the same
+term list under different fields, boosts, filters, sort or pagination
+must never serve one another's entries.
 """
 
 import pytest
 
 from repro.core.config import ExecutionPolicy
 from repro.ir.engine import IrEngine
-from repro.ir.topn import topn_structured
-from repro.query import compile_query, parse_rich_query
+from repro.service import SearchService
 from repro.service.api import MODE_CONTENT, SearchRequest
 
 from tests.query.conftest import ARTICLES, PAPERS, PLAIN_DOCS
@@ -19,7 +18,7 @@ pytestmark = pytest.mark.query
 
 
 @pytest.fixture
-def engine():
+def service():
     engine = IrEngine(fragment_count=4)
     for key, title, abstract, year in PAPERS:
         engine.index(f"Paper:{key}:title", title)
@@ -29,7 +28,7 @@ def engine():
         engine.index(f"Article:{key}:title", title)
     for url, text in PLAIN_DOCS:
         engine.index(url, text)
-    return engine
+    return SearchService(engine)
 
 
 def v2(query, **kwargs):
@@ -38,99 +37,67 @@ def v2(query, **kwargs):
 
 
 class TestResultCacheKeys:
-    def test_same_terms_different_fields_never_collide(self, engine):
-        everywhere = engine.execute(v2("library"))
-        fielded = engine.execute(v2("title:library"))
+    def test_same_terms_different_fields_never_collide(self, service):
+        everywhere = service.search(v2("library"))
+        fielded = service.search(v2("title:library"))
         assert len(fielded.hits) < len(everywhere.hits)
         # warm repeats serve each their own entry
-        assert engine.execute(v2("library")).cache_hit
-        assert engine.execute(v2("title:library")).cache_hit
-        assert len(engine.execute(v2("title:library")).hits) \
+        assert service.search(v2("library")).cache_hit
+        assert service.search(v2("title:library")).cache_hit
+        assert len(service.search(v2("title:library")).hits) \
             == len(fielded.hits)
 
-    def test_same_text_different_boosts_never_collide(self, engine):
-        plain = engine.execute(v2("digital library"))
-        boosted = engine.execute(v2("digital library",
+    def test_same_text_different_boosts_never_collide(self, service):
+        plain = service.search(v2("digital library"))
+        boosted = service.search(v2("digital library",
                                     boosts=(("title", 100.0),)))
         assert [(h.key, h.score) for h in plain.hits] \
             != [(h.key, h.score) for h in boosted.hits]
-        warm = engine.execute(v2("digital library",
+        warm = service.search(v2("digital library",
                                  boosts=(("title", 100.0),)))
         assert warm.cache_hit
         assert [(h.key, h.score) for h in warm.hits] \
             == [(h.key, h.score) for h in boosted.hits]
 
-    def test_filters_and_pagination_never_collide(self, engine):
-        everything = engine.execute(v2("1999 OR 1989"))
-        filtered = engine.execute(v2("1999 OR 1989",
+    def test_filters_and_pagination_never_collide(self, service):
+        everything = service.search(v2("1999 OR 1989"))
+        filtered = service.search(v2("1999 OR 1989",
                                      filters=(("year", "1990-"),)))
         assert len(filtered.hits) < len(everything.hits)
-        page1 = engine.execute(v2("digital library", limit=2))
-        page2 = engine.execute(v2("digital library", limit=2, offset=2))
+        page1 = service.search(v2("digital library", limit=2))
+        page2 = service.search(v2("digital library", limit=2, offset=2))
         assert [h.key for h in page1.hits] != [h.key for h in page2.hits]
-        assert engine.execute(v2("digital library", limit=2)).cache_hit
-        assert engine.execute(
+        assert service.search(v2("digital library", limit=2)).cache_hit
+        assert service.search(
             v2("digital library", limit=2, offset=2)).cache_hit
 
-    def test_sort_never_collides_with_score_order(self, engine):
-        ranked = engine.execute(v2("digital library"))
-        by_url = engine.execute(v2("digital library",
+    def test_sort_never_collides_with_score_order(self, service):
+        ranked = service.search(v2("digital library"))
+        by_url = service.search(v2("digital library",
                                    sort=(("url", "asc"),)))
         urls = [h.key for h in by_url.hits]
         assert urls == sorted(urls)
         assert [h.key for h in ranked.hits] != urls
-        assert engine.execute(
+        assert service.search(
             v2("digital library", sort=(("url", "asc"),))).cache_hit
 
-    def test_v1_and_v2_of_the_same_text_never_collide(self, engine):
+    def test_v1_and_v2_of_the_same_text_never_collide(self, service):
         text = "digital library"
-        cold_v1 = engine.execute(SearchRequest(query=text,
+        cold_v1 = service.search(SearchRequest(query=text,
                                                mode=MODE_CONTENT))
         assert not cold_v1.cache_hit
-        cold_v2 = engine.execute(v2(text, facets=("class",)))
+        cold_v2 = service.search(v2(text, facets=("class",)))
         assert not cold_v2.cache_hit
-        assert engine.execute(SearchRequest(query=text,
+        assert service.search(SearchRequest(query=text,
                                             mode=MODE_CONTENT)).cache_hit
-        assert engine.execute(v2(text, facets=("class",))).cache_hit
-
-
-class TestPlanCacheKeys:
-    def test_same_terms_different_shapes_compile_distinct_plans(
-            self, relations, fragments):
-        parsed = parse_rich_query("digital library")
-        plain = compile_query(relations, parsed)
-        boosted = compile_query(relations, parsed,
-                                field_boosts=(("title", 4.0),))
-        fielded = compile_query(relations,
-                                parse_rich_query("title:(digital library)"))
-        first = topn_structured(fragments, plain, 5)
-        assert first.details["plan_cache_hit"] is False
-        # the boosted shape shares the term set but must miss
-        miss = topn_structured(fragments, boosted, 5)
-        assert miss.details["plan_cache_hit"] is False
-        miss2 = topn_structured(fragments, fielded, 5)
-        assert miss2.details["plan_cache_hit"] is False
-        # each shape hits its own entry on repeat
-        assert topn_structured(fragments, plain, 5) \
-            .details["plan_cache_hit"] is True
-        assert topn_structured(fragments, boosted, 5) \
-            .details["plan_cache_hit"] is True
-        assert topn_structured(fragments, fielded, 5) \
-            .details["plan_cache_hit"] is True
-
-    def test_plan_cache_off_never_hits(self, relations, fragments):
-        compiled = compile_query(relations,
-                                 parse_rich_query("digital library"))
-        topn_structured(fragments, compiled, 5, plan_cache=False)
-        result = topn_structured(fragments, compiled, 5, plan_cache=False)
-        assert result.details["plan_cache_hit"] is False
+        assert service.search(v2(text, facets=("class",))).cache_hit
 
 
 class TestExecutionPolicyStillKeys:
-    def test_different_n_still_misses(self, engine):
+    def test_different_n_still_misses(self, service):
         wide = ExecutionPolicy(n=50)
-        a = engine.execute(v2("digital library", limit=2))
-        b = engine.execute(SearchRequest(query="digital library",
+        a = service.search(v2("digital library", limit=2))
+        b = service.search(SearchRequest(query="digital library",
                                          mode=MODE_CONTENT,
                                          schema_version=2, limit=2,
                                          policy=wide))

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import SearchEngine
 from repro.errors import QueryError
+from repro.service import SearchService
 from repro.service.api import SCHEMA_VERSION_V2, SearchRequest
 from repro.web.ausopen import build_ausopen_site
 from repro.webspace.schema import australian_open_schema
@@ -68,13 +69,12 @@ class TestConceptualV2:
                 v2(CONTAINS, filters=(("colour", "blue"),)))
 
     def test_v2_and_v1_cache_entries_stay_apart(self, search_engine):
-        search_engine.query_cache.invalidate()
-        cold_v1 = search_engine.execute(SearchRequest(query=CONTAINS))
-        cold_v2 = search_engine.execute(v2(CONTAINS, limit=1))
+        service = SearchService(search_engine)
+        cold_v1 = service.search(SearchRequest(query=CONTAINS))
+        cold_v2 = service.search(v2(CONTAINS, limit=1))
         assert not cold_v1.cache_hit and not cold_v2.cache_hit
-        assert search_engine.execute(
-            SearchRequest(query=CONTAINS)).cache_hit
-        assert search_engine.execute(v2(CONTAINS, limit=1)).cache_hit
+        assert service.search(SearchRequest(query=CONTAINS)).cache_hit
+        assert service.search(v2(CONTAINS, limit=1)).cache_hit
 
 
 class TestWebspaceBuilders:

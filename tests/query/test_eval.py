@@ -130,7 +130,8 @@ class TestCompile:
                                 field_boosts=(("title", 4.0),))
         filtered = compile_query(relations, parsed,
                                  filters=(("year", "1990-"),))
-        assert len({plain.shape, boosted.shape, filtered.shape}) == 3
+        assert plain.field_weight != boosted.field_weight
+        assert filtered.matched != plain.matched
 
 
 class TestVocabulary:

@@ -59,7 +59,7 @@ class TestSearchResponse:
         request = SearchRequest(query="trophy", mode="content")
         return response_from_ranking(
             request, [("doc:a", 0.9), ("doc:b", 0.4)], elapsed_ms=1.5,
-            cache_hit=True, tuples_touched=12)
+            tuples_touched=12)
 
     def test_to_dict_is_stamped_and_carries_the_request(self):
         payload = self._response().to_dict()

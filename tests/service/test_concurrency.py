@@ -265,3 +265,45 @@ class TestRestoreUnderLoad(object):
         # the service now fronts the restored engine, not the original
         assert service.engine is not search_engine
         assert service.drain(5.0)
+
+
+class TestEveryReplyEchoesItsRequest:
+    def test_a_coalesced_follower_echoes_its_own_request(self):
+        engine = build_ir_engine(documents=30)
+        started = threading.Event()
+        release = threading.Event()
+        real_execute = engine.execute
+
+        def gated_execute(request):
+            started.set()
+            release.wait(5.0)
+            return real_execute(request)
+
+        engine.execute = gated_execute
+        service = SearchService(engine)
+        leader = SearchRequest(query="tennis", mode="content",
+                               policy=NO_CACHE, trace_id="leader")
+        follower = SearchRequest(query="  tennis ", mode="content",
+                                 policy=NO_CACHE, trace_id="follower")
+        replies = {}
+        threads = [threading.Thread(
+            target=lambda r=request: replies.__setitem__(
+                r.trace_id, service.search(r)))
+            for request in (leader, follower)]
+        threads[0].start()
+        assert started.wait(5.0)
+        threads[1].start()
+        for _ in range(500):
+            if service.status()["flights"]["followers"] == 1:
+                break
+            time.sleep(0.005)
+        release.set()
+        for thread in threads:
+            thread.join(5.0)
+        assert replies["follower"].coalesced
+        for trace_id, request in (("leader", leader),
+                                  ("follower", follower)):
+            payload = replies[trace_id].to_dict()
+            assert payload["trace_id"] == trace_id
+            assert payload["query"] == request.query
+        assert service.drain(5.0)

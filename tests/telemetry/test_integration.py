@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.engine import SearchEngine
+from repro.core.translate import ConceptualIndex
 from repro.ir.distributed import DistributedIndex
 from repro.monetdb.server import Cluster
 from repro.telemetry import telemetry_session
@@ -110,9 +111,10 @@ class TestEngineSpans:
             assert probe.find_all("ir.distributed_query")
 
     def test_engine_counters_cover_all_levels(self, clustered_engine):
-        # conceptual lookups are cached across queries; start cold so the
-        # query charges the conceptual server
-        clustered_engine._index.invalidate()
+        # conceptual lookups are memoized across queries; start cold so
+        # the query charges the conceptual server
+        clustered_engine._index = ConceptualIndex(
+            clustered_engine.conceptual_store)
         with telemetry_session() as telemetry:
             clustered_engine.query_text(
                 "SELECT p.name FROM Player p "
