@@ -22,6 +22,8 @@ raise a ``TypeError`` naming
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import ExecutionPolicy
 from repro.monetdb.atoms import Oid
 from repro.ir.fragmentation import FragmentSet, fragment_by_idf
@@ -62,6 +64,30 @@ def _sort_pairs(pairs: list[tuple[str, float]],
                 f"expected one of {sorted(set(key_functions))}")
         ranked.sort(key=key_function, reverse=(direction == "desc"))
     return ranked
+
+
+def _facet_counts(index, matched, facet_names):
+    """Value counts over the full match set (content modes facet on the
+    two url segments the IR level knows: class, attribute) — one
+    ``bincount`` of the matched slots' segment codes per facet."""
+    from repro.errors import QueryError
+
+    facets = []
+    for name in facet_names:
+        if name == "class":
+            codes, names = index.segment_codes("class")
+        elif name in ("field", "attribute"):
+            codes, names = index.segment_codes("field")
+        else:
+            raise QueryError(
+                f"unknown facet {name!r} for content modes; "
+                "expected 'class' or 'attribute'")
+        counts = np.bincount(codes[matched], minlength=len(names))
+        facets.append((name, tuple(sorted(
+            ((value, int(counts[code])) for value, code in names.items()
+             if value and counts[code]),  # plain urls have no segments
+            key=lambda item: (-item[1], item[0])))))
+    return tuple(facets)
 
 
 class IrEngine:
@@ -174,15 +200,18 @@ class IrEngine:
         compiled = compile_query(self.relations, parsed,
                                  field_boosts=request.boosts,
                                  filters=request.filters)
+        # the index compile_query evaluated against (same generation)
+        index = self.relations.postings_index()
+        total = int(np.count_nonzero(compiled.matched))
         limit = request.limit if request.limit is not None \
             else request.policy.n
         # a non-score sort reorders the *whole* match set before the
         # page is cut, so the scan must rank everything; the default
         # score order only needs offset + limit rows
-        need = len(compiled.matched) if request.sort \
-            else request.offset + limit
+        need = total if request.sort else request.offset + limit
         result = topn_structured(self.fragments(), compiled, max(need, 1))
-        pairs = [(self.relations.doc_url(doc), score)
+        urls, slot_of = index.urls, index.doc_dense
+        pairs = [(urls[slot_of[doc]], score)
                  for doc, score in result.ranking]
         if request.sort:
             pairs = _sort_pairs(pairs, request.sort)
@@ -190,34 +219,8 @@ class IrEngine:
             request, pairs[request.offset:request.offset + limit],
             api.elapsed_ms_since(started),
             tuples_touched=result.tuples_read,
-            facets=self._facet_counts(compiled.matched, request.facets),
-            total=len(compiled.matched), result=result)
-
-    def _facet_counts(self, matched, facet_names):
-        """Value counts over the full match set (content modes facet
-        on the two url segments the IR level knows: class, attribute)."""
-        if not facet_names:
-            return ()
-        from collections import Counter
-
-        from repro.errors import QueryError
-
-        index = self.relations.postings_index()
-        facets = []
-        for name in facet_names:
-            if name == "class":
-                segment_of = index.doc_class
-            elif name in ("field", "attribute"):
-                segment_of = index.doc_field
-            else:
-                raise QueryError(
-                    f"unknown facet {name!r} for content modes; "
-                    "expected 'class' or 'attribute'")
-            counts = Counter(segment_of[doc] for doc in matched)
-            del counts[""]  # plain urls have no segments
-            facets.append((name, tuple(sorted(
-                counts.items(), key=lambda item: (-item[1], item[0])))))
-        return tuple(facets)
+            facets=_facet_counts(index, compiled.matched, request.facets),
+            total=total, result=result)
 
     def _fragmented(self, query: str, policy: ExecutionPolicy
                     ) -> TopNResult:

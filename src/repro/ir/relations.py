@@ -34,8 +34,10 @@ read patches that index copy-on-write instead of rebuilding it
 
 from __future__ import annotations
 
+import math
 import threading
 from array import array
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -60,6 +62,20 @@ def _int64(column) -> np.ndarray:
 
 def _packed(typecode: str, values: np.ndarray) -> array:
     return array(typecode, values.astype(typecode, copy=False).tobytes())
+
+
+def _view(column: array, dtype) -> np.ndarray:
+    """A packed column as a numpy view (zero-copy; pins the column, so
+    only a published, never again appended column gets one)."""
+    return np.frombuffer(column, dtype=dtype) if column \
+        else np.empty(0, dtype=dtype)
+
+
+def _codes(names: dict[str, int], values: Iterable[str]) -> array:
+    """``values`` as codes into ``names``, which grows a code per new
+    name in order of first appearance."""
+    return array("i", [names.setdefault(value, len(names))
+                       for value in values])
 
 
 def _inverse(bat) -> dict:
@@ -138,10 +154,12 @@ class PackedPostings:
     # guesses adjacency.
     positions: list[str | None] = field(default_factory=list)
     unpositioned: int = 0
-    # zero-copy numpy views over dense/tf_weights, built on first
-    # kernel touch and shared by every cached plan
+    # zero-copy numpy views over dense/tf_weights and the decoded
+    # position columns, built on first touch and shared by every reader
     _dense_view: object = field(default=None, repr=False, compare=False)
     _weights_view: object = field(default=None, repr=False, compare=False)
+    _position_columns: object = field(default=None, repr=False,
+                                      compare=False)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -154,28 +172,33 @@ class PackedPostings:
     def has_positions(self) -> bool:
         return not self.unpositioned
 
-    def positions_at(self, row: int) -> list[int]:
-        """Occurrence positions of posting ``row``; ``[]`` w/o positions."""
-        encoded = self.positions[row]
-        return [int(value) for value in encoded.split(" ")] \
-            if encoded else []
+    def position_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occurrence positions as columns: one flat ``uint32``
+        column and per-posting offsets, so posting ``row`` holds
+        ``flat[offsets[row]:offsets[row + 1]]`` (an empty run for a
+        pre-v2 pair).  Decoded from the POS strings on first touch."""
+        columns = self._position_columns
+        if columns is None:
+            offsets = np.zeros(len(self.positions) + 1, dtype=np.int64)
+            np.cumsum([encoded.count(" ") + 1 if encoded else 0
+                       for encoded in self.positions], out=offsets[1:])
+            columns = self._position_columns = (np.fromstring(
+                " ".join(filter(None, self.positions)), dtype=np.uint32,
+                sep=" "), offsets)
+        return columns
 
     def dense_view(self) -> np.ndarray:
         """The dense-position column as an int64 numpy view (zero-copy)."""
         view = self._dense_view
         if view is None:
-            view = np.frombuffer(self.dense, dtype=np.int64) \
-                if self.dense else np.empty(0, dtype=np.int64)
-            self._dense_view = view
+            view = self._dense_view = _view(self.dense, np.int64)
         return view
 
     def weights_view(self) -> np.ndarray:
         """The float64 tf column as a numpy view (zero-copy)."""
         view = self._weights_view
         if view is None:
-            view = np.frombuffer(self.tf_weights, dtype=np.float64) \
-                if self.tf_weights else np.empty(0, dtype=np.float64)
-            self._weights_view = view
+            view = self._weights_view = _view(self.tf_weights, np.float64)
         return view
 
     # -- copy-on-write maintenance (one generation's private copy) -------
@@ -184,7 +207,8 @@ class PackedPostings:
         return replace(self, docs=self.docs[:], dense=self.dense[:],
                        tfs=self.tfs[:], tf_weights=self.tf_weights[:],
                        positions=self.positions[:],
-                       _dense_view=None, _weights_view=None)
+                       _dense_view=None, _weights_view=None,
+                       _position_columns=None)
 
     def _append(self, doc: int, dense: int, tf: int,
                 encoded: str | None) -> None:
@@ -217,15 +241,17 @@ class PostingsIndex:
     these terms by descending idf) and from then on patched per
     generation; also carries the dense document universe (``doc_ids``:
     dense position -> doc oid) the scoring kernels accumulate over, the
-    per-document lengths the language model needs, and the url-segment
-    maps schema-2 queries filter and facet on.
+    per-document lengths the language model needs, and the per-slot
+    columns schema-2 queries match, facet and answer from: ``urls``,
+    ``live``, and the url segments (:func:`url_segments`) as
+    ``class_codes`` / ``field_codes`` into the ``class_names`` /
+    ``field_names`` tables (name -> code, in order of first appearance).
 
     ``doc_ids`` may hold *dead slots*: a removed document keeps its
-    dense position (no posting points at it any more) so surviving
-    ``dense`` columns stay valid.  ``doc_dense``, ``doc_lengths``,
-    ``doc_field`` and ``doc_class`` are keyed by the **live** documents
-    only — whatever enumerates the document universe reads those.  An
-    index is never mutated once published: readers holding one keep a
+    dense position (no posting points at it any more, ``live`` is 0) so
+    surviving ``dense`` columns stay valid.  ``doc_dense`` and
+    ``doc_lengths`` are keyed by the **live** documents only.  An index
+    is never mutated once published: readers holding one keep a
     consistent snapshot.
     """
 
@@ -234,8 +260,24 @@ class PostingsIndex:
     doc_ids: array = field(default_factory=lambda: array("q"))
     doc_dense: dict[int, int] = field(default_factory=dict)
     doc_lengths: dict[int, int] = field(default_factory=dict)
-    doc_field: dict[int, str] = field(default_factory=dict)
-    doc_class: dict[int, str] = field(default_factory=dict)
+    urls: list[str] = field(default_factory=list)
+    live: array = field(default_factory=lambda: array("b"))
+    class_codes: array = field(default_factory=lambda: array("i"))
+    field_codes: array = field(default_factory=lambda: array("i"))
+    class_names: dict[str, int] = field(default_factory=dict)
+    field_names: dict[str, int] = field(default_factory=dict)
+
+    def live_mask(self) -> np.ndarray:
+        """``live`` as a bool column over the slots (zero-copy)."""
+        return _view(self.live, bool)
+
+    def segment_codes(self, segment: str
+                      ) -> tuple[np.ndarray, dict[str, int]]:
+        """One url segment's per-slot codes (zero-copy) and the name
+        table they index; ``segment`` is ``"class"`` or ``"field"``."""
+        if segment == "class":
+            return _view(self.class_codes, np.int32), self.class_names
+        return _view(self.field_codes, np.int32), self.field_names
 
 
 class IrRelations:
@@ -257,6 +299,11 @@ class IrRelations:
         self.POS = self.catalog.ensure("ir:POS", "oid", "str")
         self._term_oids: dict[str, Oid] = _inverse(self.T)
         self._doc_oids: dict[str, Oid] = _inverse(self.D)
+        # (value, term oid) of the str.isdecimal terms — what float
+        # accepts ('١٩٩٧' is 1997, '²' no number) — sorted for bisection
+        self._numbers: list[tuple[float, Oid]] = sorted(
+            (float(term), oid) for term, oid in self._term_oids.items()
+            if term.isdecimal())
         # term oid -> document frequency, maintained by every write (a
         # restored catalog derives it from the authoritative DT once,
         # in order of first appearance); a term no document holds any
@@ -289,6 +336,15 @@ class IrRelations:
 
     def vocabulary_size(self) -> int:
         return len(self._term_oids)
+
+    def numeric_terms(self, low: float | None,
+                      high: float | None) -> list[Oid]:
+        """Oids of the numeric terms in ``[low, high]`` (``None``: open)."""
+        numbers = self._numbers
+        start = 0 if low is None else bisect_left(numbers, (low,))
+        stop = len(numbers) if high is None \
+            else bisect_right(numbers, (high, math.inf))
+        return [oid for _, oid in numbers[start:stop]]
 
     # -- documents -----------------------------------------------------
 
@@ -342,6 +398,9 @@ class IrRelations:
         encodings = [" ".join(map(str, positions))
                      for positions in occurrences.values()]
         self.T.append_many(new_term_oids, new_terms)
+        for term, term_oid in zip(new_terms, new_term_oids):
+            if term.isdecimal():
+                insort(self._numbers, (float(term), term_oid))
         self.DT_doc.append_many(pairs, [doc] * len(pairs))
         self.DT_term.append_many(pairs, terms)
         self.TF.append_many(pairs, tfs)
@@ -498,9 +557,13 @@ class IrRelations:
         doc_column, urls = self.D.raw_columns()
         doc_ids = index.doc_ids = array("q", doc_column)
         index.doc_dense = dict(zip(doc_ids, range(len(doc_ids))))
+        index.urls = list(urls)
+        index.live = array("b", [1]) * len(doc_ids)
         segments = list(map(url_segments, urls))
-        index.doc_class = dict(zip(doc_ids, (cls for cls, _ in segments)))
-        index.doc_field = dict(zip(doc_ids, (fld for _, fld in segments)))
+        index.class_codes = _codes(index.class_names,
+                                   (cls for cls, _ in segments))
+        index.field_codes = _codes(index.field_names,
+                                   (fld for _, fld in segments))
         pair_column, term_column = self.DT_term.raw_columns()
         if not pair_column:
             return index
@@ -565,8 +628,11 @@ class IrRelations:
             generation=generation,
             by_term=dict(old.by_term), doc_ids=old.doc_ids[:],
             doc_dense=dict(old.doc_dense),
-            doc_lengths=dict(old.doc_lengths),
-            doc_field=dict(old.doc_field), doc_class=dict(old.doc_class))
+            doc_lengths=dict(old.doc_lengths), urls=old.urls[:],
+            live=old.live[:], class_codes=old.class_codes[:],
+            field_codes=old.field_codes[:],
+            class_names=dict(old.class_names),
+            field_names=dict(old.field_names))
         by_term = index.by_term
         owned: set[int] = set()  # terms whose columns are private copies
 
@@ -588,16 +654,18 @@ class IrRelations:
             if op == _ADD:
                 dense = index.doc_dense[doc] = len(index.doc_ids)
                 index.doc_ids.append(doc)
+                index.urls.append(url)
+                index.live.append(1)
+                cls, fld = url_segments(url)
+                index.class_codes += _codes(index.class_names, [cls])
+                index.field_codes += _codes(index.field_names, [fld])
                 if tfs:  # like a build: no pairs, no length entry
                     index.doc_lengths[doc] = sum(tfs)
-                index.doc_class[doc], index.doc_field[doc] = \
-                    url_segments(url)
                 for term, tf, encoded in zip(terms, tfs, encodings):
                     own(int(term))._append(doc, dense, tf, encoded)
                 continue
-            for table in (index.doc_dense, index.doc_lengths,
-                          index.doc_field, index.doc_class):
-                table.pop(doc, None)
+            index.live[index.doc_dense.pop(doc)] = 0
+            index.doc_lengths.pop(doc, None)
             for term in terms:
                 term = int(term)
                 packed = own(term)

@@ -231,8 +231,8 @@ def _order_candidates(acc, doc_column, selected):
 
 def _ranking(acc, doc_column, selected, n: int) -> Ranking:
     order, raw = _order_candidates(acc, doc_column, selected)
-    docs = doc_column[selected]
-    return [(int(docs[i]), float(raw[i])) for i in order[:n]]
+    top = order[:n]
+    return list(zip(doc_column[selected[top]].tolist(), raw[top].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -244,13 +244,13 @@ def topn_structured(fragments: FragmentSet, compiled, n: int
     """Exhaustive top-N over a compiled structured query.
 
     ``compiled`` is a :class:`~repro.query.eval.CompiledQuery`: the
-    boolean/phrase/range match set was evaluated up front (scalar, once)
-    and this scan only accumulates the scoring entries over documents in
-    ``compiled.allowed`` — fielded entries additionally restricted to
-    their own ``docs`` sets, every contribution multiplied by the
-    per-document field boost.  Match-only documents (filter hits whose
-    terms score nothing, e.g. a pure ``NOT`` or range query) rank with
-    score 0.0 in doc-oid order.
+    boolean/phrase/range match set was evaluated up front (one mask
+    per node) and this scan only accumulates the scoring entries over
+    documents in ``compiled.matched`` — fielded entries additionally
+    restricted to their own ``docs`` masks, every contribution
+    multiplied by the per-document field boost.  Match-only documents
+    (filter hits whose terms score nothing, e.g. a pure ``NOT`` or range
+    query) rank with score 0.0 in doc-oid order.
 
     Unlike :func:`topn_fragmented` the scan is exhaustive — early-stop
     bounds under per-entry doc restrictions and per-doc boosts would
@@ -263,11 +263,11 @@ def topn_structured(fragments: FragmentSet, compiled, n: int
         result = _structured_scan_kernel(fragments, compiled, n,
                                          _compile_plan(fragments, wanted))
         telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
+        matched = int(np.count_nonzero(compiled.matched))
         result.details["kernel"] = "columnar"
-        result.details["matched"] = len(compiled.matched)
+        result.details["matched"] = matched
         span.set_attributes(tuples_read=result.tuples_read,
-                            matched=len(compiled.matched),
-                            kernel="columnar")
+                            matched=matched, kernel="columnar")
     telemetry.metrics.counter("ir.topn_structured_queries").add(1)
     return result
 
@@ -282,30 +282,11 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
     for entry in compiled.entries:
         grouped.setdefault(entry.term_oid, []).append(entry)
     doc_column = _doc_column(fragments)
-    universe = len(doc_column)
-    acc = np.zeros(universe)
-    doc_dense = compiled.doc_dense
-
-    def _mask_of(docs) -> np.ndarray:
-        mask = np.zeros(universe, dtype=bool)
-        for doc in docs:
-            dense = doc_dense.get(int(doc))
-            if dense is not None and dense < universe:
-                mask[dense] = True
-        return mask
-
+    acc = np.zeros(len(doc_column))
     # every matched doc is a candidate from the start: match-only docs
     # must appear, at score 0.0
-    allowed_mask = _mask_of(compiled.allowed)
-    boost_column = np.ones(universe)
-    for doc, weight in compiled.field_weight.items():
-        dense = doc_dense.get(int(doc))
-        if dense is not None and dense < universe:
-            boost_column[dense] = weight
-    restriction_masks = {
-        id(entry): _mask_of(entry.docs)
-        for entries in grouped.values() for entry in entries
-        if entry.docs is not None}
+    allowed_mask = compiled.matched
+    boost_column = compiled.field_weight
 
     result.fragments_read = len(frags)
     for position, terms in plan.steps:
@@ -319,9 +300,8 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
                 weight = idf * entry.weight
                 result.tuples_read += len(packed)
                 hit = allowed_mask[dense]
-                restriction = restriction_masks.get(id(entry))
-                if restriction is not None:
-                    hit = hit & restriction[dense]
+                if entry.docs is not None:
+                    hit = hit & entry.docs[dense]
                 if hit.any():
                     rows = dense[hit]
                     acc[rows] += (weights[hit] * weight) \

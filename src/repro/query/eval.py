@@ -1,14 +1,22 @@
 """Boolean/phrase/range evaluation of a parsed query against the IR
-relations.
+relations, set-at-a-time.
 
 :func:`compile_query` turns a :class:`~repro.query.ast.ParsedQuery`
 into a :class:`CompiledQuery` — the *match set* (which documents
-satisfy the boolean predicate, phrase adjacency via the positional
-postings, numeric ranges via the vocabulary) plus the flat *scoring
-entries* the structured top-N scan accumulates
-(:func:`repro.ir.topn.topn_structured`).  Match evaluation runs once,
-scalar, up front; the columnar scan and its test oracle then consume
-the identical sets, which is what keeps their rankings bit-identical.
+satisfy the boolean predicate) plus the flat *scoring entries* the
+structured top-N scan accumulates (:func:`repro.ir.topn.topn_structured`).
+Every AST node is evaluated once, into a bool mask over the postings
+index's dense slots, with bulk operators only:
+
+* a term scatters its postings' ``dense`` column;
+* a field compares the index's per-slot field codes;
+* ``AND`` / ``OR`` / ``NOT`` are ``&`` / ``|`` / ``live & ~``;
+* a range bisects the sorted numeric vocabulary;
+* a phrase intersects its words' ``(slot, position - k)`` keys, read
+  from the decoded position columns.
+
+The columnar scan and its test oracle consume the identical masks; the
+per-document evaluator this replaced is ``tests/query/eval_oracle.py``.
 
 Fields map onto the conceptual level's document naming: the engine
 indexes every Hypertext attribute under ``class:key:attribute``, so a
@@ -18,7 +26,9 @@ segment (plain urls have neither).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import QueryError
 from repro.ir.relations import url_segments
@@ -44,32 +54,30 @@ class ScoringEntry:
     """One tf·idf accumulation the structured scan performs.
 
     ``docs`` restricts which documents this entry may score (fielded
-    terms and phrase members); ``None`` means unrestricted — the
-    entry's postings already are the match set.
+    terms and phrase members), as a bool mask over the index's slots;
+    ``None`` means unrestricted — the entry's postings already are the
+    match set.
     """
 
     term_oid: int
     weight: float
-    docs: frozenset | None = None
+    docs: np.ndarray | None = None
 
 
 @dataclass
 class CompiledQuery:
     """Everything the structured top-N scan needs, precomputed.
 
-    ``doc_dense`` is the postings index's own live-document map,
-    shared read-only (an index is never mutated once published).
+    ``matched`` (bool) and ``field_weight`` (the per-document field
+    boost, 1.0 where none applies) are columns over the slots of the
+    postings index the query was compiled against — the universe of
+    the fragment set of the same generation.  Masks are shared between
+    entries and the match set: read them, never write them.
     """
 
     entries: tuple[ScoringEntry, ...]
-    matched: frozenset
-    doc_dense: dict
-    field_weight: dict = field(default_factory=dict)
-
-    @property
-    def allowed(self) -> frozenset:
-        """The global doc restriction of the scan (= the match set)."""
-        return self.matched
+    matched: np.ndarray
+    field_weight: np.ndarray
 
 
 def filters_to_nodes(filters) -> list[Node]:
@@ -100,115 +108,117 @@ def filters_to_nodes(filters) -> list[Node]:
 
 
 class _Evaluator:
+    """Match masks of one query's nodes, each evaluated once."""
+
     def __init__(self, relations):
         self.relations = relations
-        # the live document set and the url-segment maps hang on the
+        # the slot universe and its per-slot columns hang on the
         # postings index: built once, patched with it, shared read-only
         self.index = relations.postings_index()
-        self.field_of = self.index.doc_field
+        self.size = len(self.index.doc_ids)
+        self._masks: dict[int, np.ndarray] = {}
 
     # -- matching ---------------------------------------------------------
 
-    def _term_docs(self, text: str) -> set[int]:
-        oid = self.relations.term_oid(text)
-        if oid is None:
-            return set()
-        packed = self.index.by_term.get(int(oid))
-        if packed is None:
-            return set()
-        return {int(doc) for doc in packed.docs}
+    def _postings(self, word: str):
+        oid = self.relations.term_oid(word)
+        return None if oid is None else self.index.by_term.get(int(oid))
 
-    def _restrict_field(self, docs: set[int], name: str | None) -> set[int]:
+    def _scatter(self, packeds) -> np.ndarray:
+        mask = np.zeros(self.size, dtype=bool)
+        for packed in packeds:
+            if packed is not None:
+                mask[packed.dense_view()] = True
+        return mask
+
+    def _restrict_field(self, mask: np.ndarray,
+                        name: str | None) -> np.ndarray:
         if name is None:
-            return docs
-        return {doc for doc in docs if self.field_of.get(doc) == name}
+            return mask
+        codes, names = self.index.segment_codes("field")
+        return mask & (codes == names.get(name, -1))
 
-    def match(self, node: Node) -> set[int]:
+    def match(self, node: Node) -> np.ndarray:
+        key = id(node)  # the tree outlives the evaluator: ids are stable
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = self._match(node)
+        return mask
+
+    def _match(self, node: Node) -> np.ndarray:
         if isinstance(node, Term):
-            return self._restrict_field(self._term_docs(node.text),
-                                        node.field)
+            return self._restrict_field(
+                self._scatter([self._postings(node.text)]), node.field)
         if isinstance(node, Phrase):
-            return self._match_phrase(node)
+            return self._restrict_field(self._match_phrase(node.words),
+                                        node.field)
         if isinstance(node, Range):
-            return self._match_range(node)
+            oids = self.relations.numeric_terms(node.low, node.high)
+            return self._restrict_field(self._scatter(
+                map(self.index.by_term.get, map(int, oids))), node.field)
         if isinstance(node, Not):
-            return self.index.doc_dense.keys() - self.match(node.child)
+            return self.index.live_mask() & ~self.match(node.child)
         if isinstance(node, Filter):
             return self.match(node.child)
         if isinstance(node, And):
             matched = self.match(node.children[0])
             for child in node.children[1:]:
-                if not matched:
+                if not matched.any():
                     break
-                matched &= self.match(child)
+                matched = matched & self.match(child)
             return matched
         if isinstance(node, Or):
-            matched: set[int] = set()
+            matched = np.zeros(self.size, dtype=bool)
             for child in node.children:
-                matched |= self.match(child)
+                matched = matched | self.match(child)
             return matched
         raise QueryError(f"unknown query node {type(node).__name__}")
 
-    def _match_phrase(self, phrase: Phrase) -> set[int]:
-        packeds = []
-        for word in phrase.words:
-            oid = self.relations.term_oid(word)
-            packed = self.index.by_term.get(int(oid)) \
-                if oid is not None else None
-            if packed is None:
-                return set()  # out-of-vocabulary word: no phrase match
-            packeds.append(packed)
-        if any(not packed.has_positions for packed in packeds):
-            # pre-v2 pairs carry no positions; refuse to guess adjacency
-            return set()
-        row_of = [{int(doc): row for row, doc in enumerate(packed.docs)}
-                  for packed in packeds]
-        candidates = set(row_of[0])
-        for rows in row_of[1:]:
-            candidates &= rows.keys()
-        matched: set[int] = set()
-        for doc in candidates:
-            starts = packeds[0].positions_at(row_of[0][doc])
-            rest = [set(packed.positions_at(rows[doc]))
-                    for packed, rows in zip(packeds[1:], row_of[1:])]
-            for start in starts:
-                if all(start + offset + 1 in positions
-                       for offset, positions in enumerate(rest)):
-                    matched.add(doc)
-                    break
-        return self._restrict_field(matched, phrase.field)
-
-    def _match_range(self, node: Range) -> set[int]:
-        matched: set[int] = set()
-        for oid, term in self.relations.T:
-            if not term.isdigit():
+    def _match_phrase(self, words: tuple[str, ...]) -> np.ndarray:
+        """Documents holding ``words`` adjacently: word ``k``'s
+        occurrences as sorted ``slot << 32 | position`` keys, probed at
+        ``start + k`` for every start the rarest word allows."""
+        mask = np.zeros(self.size, dtype=bool)
+        packeds = [self._postings(word) for word in words]
+        if any(packed is None or not packed.has_positions
+               for packed in packeds):
+            # an out-of-vocabulary word matches nothing, and pre-v2
+            # pairs carry no positions: never guess adjacency
+            return mask
+        keys = []
+        for packed in packeds:
+            flat, offsets = packed.position_columns()
+            slots = np.repeat(packed.dense_view(), np.diff(offsets))
+            keys.append(np.sort((slots << 32) | flat, kind="stable"))
+        rarest = min(range(len(keys)), key=lambda k: len(keys[k]))
+        starts = keys[rarest][(keys[rarest] & 0xFFFFFFFF) >= rarest] \
+            - rarest
+        for k, column in enumerate(keys):
+            if k == rarest or not len(starts):
                 continue
-            value = float(term)
-            if node.low is not None and value < node.low:
-                continue
-            if node.high is not None and value > node.high:
-                continue
-            packed = self.index.by_term.get(int(oid))
-            if packed is not None:
-                matched |= {int(doc) for doc in packed.docs}
-        return self._restrict_field(matched, node.field)
+            probes = starts + k
+            rows = np.minimum(np.searchsorted(column, probes),
+                              len(column) - 1)
+            starts = starts[column[rows] == probes]
+        mask[starts >> 32] = True
+        return mask
 
     # -- scoring entries --------------------------------------------------
 
     def collect_entries(self, node: Node,
-                        out: list[tuple[int, float, frozenset | None]]):
+                        out: list[tuple[int, float, np.ndarray | None]]):
         if isinstance(node, (Not, Filter, Range)):
             return  # negated/filter-only subtrees never score
         if isinstance(node, Term):
             oid = self.relations.term_oid(node.text)
             if oid is None:
                 return
-            docs = frozenset(self.match(node)) if node.field else None
+            docs = self.match(node) if node.field else None
             out.append((int(oid), node.boost, docs))
             return
         if isinstance(node, Phrase):
-            matched = frozenset(self.match(node))
-            if not matched:
+            matched = self.match(node)
+            if not matched.any():
                 return
             for word in node.words:
                 oid = self.relations.term_oid(word)
@@ -240,30 +250,28 @@ def compile_query(relations, parsed: ParsedQuery, *,
         root = parts[0] if len(parts) == 1 else And(tuple(parts))
     evaluator = _Evaluator(relations)
     relations.refresh_idf()
-    matched = frozenset(evaluator.match(root))
+    matched = evaluator.match(root)
 
-    raw_entries: list[tuple[int, float, frozenset | None]] = []
+    raw_entries: list[tuple[int, float, np.ndarray | None]] = []
     evaluator.collect_entries(root, raw_entries)
     # merge duplicates (the same term reachable twice with the same
     # restriction) by summing weights, then freeze a deterministic order
-    merged: dict[tuple[int, frozenset | None], float] = {}
+    merged: dict[tuple[int, bytes | None], list] = {}
     for term_oid, weight, docs in raw_entries:
-        key = (term_oid, docs)
-        merged[key] = merged.get(key, 0.0) + weight
+        key = (term_oid, None if docs is None else docs.tobytes())
+        merged.setdefault(key, [0.0, docs])[0] += weight
     entries = tuple(sorted(
         (ScoringEntry(term_oid=term_oid, weight=weight, docs=docs)
-         for (term_oid, docs), weight in merged.items()),
+         for (term_oid, _), (weight, docs) in merged.items()),
         key=lambda entry: (entry.term_oid, entry.weight,
-                           -1 if entry.docs is None else len(entry.docs))))
+                           -1 if entry.docs is None
+                           else int(np.count_nonzero(entry.docs)))))
 
-    boost_of = dict(field_boosts)
-    field_weight: dict[int, float] = {}
-    if boost_of:
-        for doc, name in evaluator.field_of.items():
-            weight = boost_of.get(name)
-            if weight is not None:
-                field_weight[doc] = float(weight)
+    field_weight = np.ones(evaluator.size)
+    codes, names = evaluator.index.segment_codes("field")
+    for name, weight in dict(field_boosts).items():
+        if name in names:
+            field_weight[codes == names[name]] = float(weight)
 
     return CompiledQuery(entries=entries, matched=matched,
-                         doc_dense=evaluator.index.doc_dense,
                          field_weight=field_weight)

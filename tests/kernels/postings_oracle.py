@@ -21,7 +21,13 @@ def build_postings_index(relations: IrRelations,
         doc = int(doc)
         doc_dense[doc] = len(doc_ids)
         doc_ids.append(doc)
-        index.doc_class[doc], index.doc_field[doc] = url_segments(url)
+        index.urls.append(url)
+        index.live.append(1)
+        cls, fld = url_segments(url)
+        index.class_codes.append(
+            index.class_names.setdefault(cls, len(index.class_names)))
+        index.field_codes.append(
+            index.field_names.setdefault(fld, len(index.field_names)))
     doc_of = dict(zip(relations.DT_doc.head, relations.DT_doc.tail))
     tf_of = dict(zip(relations.TF.head, relations.TF.tail))
     pos_of = dict(zip(relations.POS.head, relations.POS.tail))

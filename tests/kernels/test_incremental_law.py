@@ -76,19 +76,34 @@ def from_scratch(maintained: IrRelations) -> IrRelations:
     return rebuilt
 
 
+def positions_of(packed) -> list[list[int]]:
+    """Every posting's decoded positions (the POS string's values)."""
+    flat, offsets = packed.position_columns()
+    runs = [flat[start:stop].tolist()
+            for start, stop in zip(offsets[:-1], offsets[1:])]
+    assert runs == [[int(value) for value in encoded.split()]
+                    if encoded else [] for encoded in packed.positions]
+    return runs
+
+
 def postings_of(relations: IrRelations) -> dict:
     index = relations.postings_index()
     return {int(term): (list(packed.docs), list(packed.tfs),
-                        [packed.positions_at(row)
-                         for row in range(len(packed))],
+                        positions_of(packed),
                         packed.max_tf, packed.has_positions)
             for term, packed in index.by_term.items()}
 
 
 def universe_of(relations: IrRelations) -> tuple:
+    """The live documents with their url and segment names (dead slots,
+    which only a patched index holds, are left out)."""
     index = relations.postings_index()
-    return (set(index.doc_dense), dict(index.doc_lengths),
-            dict(index.doc_field), dict(index.doc_class))
+    classes, fields = list(index.class_names), list(index.field_names)
+    live = {doc: (index.urls[slot], classes[index.class_codes[slot]],
+                  fields[index.field_codes[slot]])
+            for slot, doc in enumerate(index.doc_ids) if index.live[slot]}
+    assert set(live) == set(index.doc_dense)
+    return live, dict(index.doc_lengths)
 
 
 def layout_of(relations: IrRelations, count: int) -> list:

@@ -1,7 +1,8 @@
 """Postings build parity: the columnar build equals the scalar oracle.
 
 Every :class:`PackedPostings` column, ``positions``, ``unpositioned``,
-``max_tf``, the ``by_term`` order and every ``doc_*`` map must equal
+``max_tf``, the ``by_term`` order, every ``doc_*`` map and every
+per-slot column (urls, live, segment codes and names) must equal
 what the scalar per-pair build (``tests/kernels/postings_oracle.py``)
 produces over the same relations — after a bulk load, after removes,
 with POS-less pre-v2 pairs, on empty relations, and on pair columns that
@@ -35,8 +36,12 @@ def assert_parity(relations: IrRelations) -> None:
     assert built.doc_ids == oracle.doc_ids
     assert built.doc_dense == oracle.doc_dense
     assert built.doc_lengths == oracle.doc_lengths
-    assert built.doc_field == oracle.doc_field
-    assert built.doc_class == oracle.doc_class
+    assert built.urls == oracle.urls
+    assert built.live == oracle.live
+    assert built.class_codes == oracle.class_codes
+    assert built.field_codes == oracle.field_codes
+    assert built.class_names == oracle.class_names
+    assert built.field_names == oracle.field_names
 
 
 def drop_positions(relations: IrRelations, every: int) -> None:

@@ -17,6 +17,8 @@ never mistake one side for the other.
 
 from collections import defaultdict
 
+import numpy as np
+
 from repro.ir.ranking import query_term_oids
 from repro.ir.topn import TopNResult
 
@@ -94,24 +96,44 @@ def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
 
 
 def topn_structured(fragments, compiled, n):
-    """Exhaustive top-N over a compiled schema-2 query."""
+    """Exhaustive top-N over a compiled schema-2 query.
+
+    The compiled masks and boost column are read back into doc-oid
+    sets and a per-doc weight map first; the loop is
+    :func:`structured_scores`.
+    """
+    doc_ids = fragments.doc_ids
+
+    def docs_of(mask):
+        return {doc_ids[slot] for slot in np.flatnonzero(mask)}
+
+    entries = [(entry.term_oid, entry.weight,
+                None if entry.docs is None else docs_of(entry.docs))
+               for entry in compiled.entries]
+    field_weight = {doc_ids[slot]: float(weight)
+                    for slot, weight in enumerate(compiled.field_weight)}
+    return structured_scores(fragments, entries, docs_of(compiled.matched),
+                             field_weight, n)
+
+
+def structured_scores(fragments, entries, matched, field_weight, n):
+    """The scalar structured scan over ``(term_oid, weight, docs)``
+    entries, a matched doc-oid set and a doc -> boost map."""
     result = TopNResult(ranking=[], details={"kernel": "scalar"})
     grouped = {}
-    for entry in compiled.entries:
-        grouped.setdefault(entry.term_oid, []).append(entry)
-    wanted = {entry.term_oid for entry in compiled.entries}
-    field_weight = compiled.field_weight
+    for entry in entries:
+        grouped.setdefault(entry[0], []).append(entry)
+    wanted = {entry[0] for entry in entries}
     # every matched doc is a candidate from the start: match-only docs
     # appear with score 0.0
-    scores = {doc: 0.0 for doc in compiled.allowed}
+    scores = {doc: 0.0 for doc in matched}
     result.fragments_read = len(fragments.fragments)
     for fragment in fragments:
         for term in wanted & fragment.term_oids:
             idf = fragment.idf[term]
             postings = _postings(fragment, term)
-            for entry in grouped[term]:
-                weight = idf * entry.weight
-                restriction = entry.docs
+            for _, entry_weight, restriction in grouped[term]:
+                weight = idf * entry_weight
                 result.tuples_read += len(postings)
                 for doc, tf in postings:
                     if doc not in scores:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import QueryError
 from repro.ir.engine import ClusterIrEngine, IrEngine
+from repro.ir.relations import PackedPostings
+from repro.monetdb.bat import BAT
+from repro.service import SearchService
 from repro.service.api import MODE_CONTENT, SearchRequest
 
 from tests.query.conftest import ARTICLES, PAPERS, PLAIN_DOCS
@@ -105,3 +108,59 @@ class TestClusterRejection:
         cluster = ClusterIrEngine(2)
         with pytest.raises(QueryError):
             cluster.execute(v2("digital library"))
+
+
+class TestColumnarPath:
+    def test_an_execute_probes_no_document_and_decodes_each_phrase_once(
+            self, monkeypatch):
+        """Urls come from the index's ``urls`` column, not ``ir:D``, and
+        a phrase node is evaluated once (not again for its entries)."""
+        engine = IrEngine(fragment_count=4)
+        shapes = (("Paper", "title"), ("Paper", "abstract"),
+                  ("Article", "title"))
+        for number in range(2000):
+            cls, attribute = shapes[number % 3]
+            engine.index(f"{cls}:k{number:04d}:{attribute}",
+                         f"w{number % 7} digital library w{number % 11} "
+                         f"search digital")
+        engine.relations.postings_index()
+        probes, decodes = [], []
+        find, columns = BAT.find, PackedPostings.position_columns
+
+        def counted_find(bat, head):
+            probes.append(bat.name)
+            return find(bat, head)
+
+        def counted_columns(packed):
+            decodes.append(packed)
+            return columns(packed)
+
+        monkeypatch.setattr(BAT, "find", counted_find)
+        monkeypatch.setattr(PackedPostings, "position_columns",
+                            counted_columns)
+        response = engine.execute(v2('"digital library" OR title:search',
+                                     sort=(("url", "asc"),),
+                                     facets=("class", "attribute")))
+        assert response.total == 2000 and len(response.hits) == 10
+        assert dict(response.facets)["class"] == (("Paper", 1334),
+                                                  ("Article", 666))
+        assert "ir:D" not in probes
+        assert len(decodes) == 2  # one phrase node, two words
+
+
+class TestRangeOverNonDecimalDigits:
+    def test_a_superscript_digit_token_does_not_break_ranges(self):
+        """'²'.isdigit() is true but float('²') raises: the numeric
+        vocabulary keeps only decimal terms, so '١٩٩٧' still counts."""
+        engine = IrEngine()
+        engine.index("Tournament:t1:year", "final 1999 ²")
+        engine.index("Tournament:t2:year", "١٩٩٧")
+        engine.index("Tournament:t3:year", "1989")
+        service = SearchService(engine)
+        try:
+            response = service.search(v2("year:1990-2000"))
+        finally:
+            service.close()
+        assert response.total == 2
+        assert sorted(hit.key for hit in response.hits) == \
+            ["Tournament:t1:year", "Tournament:t2:year"]

@@ -1,5 +1,6 @@
 """Boolean/phrase/range matching against the positional postings."""
 
+import numpy as np
 import pytest
 
 from repro.errors import QueryError
@@ -12,8 +13,8 @@ pytestmark = pytest.mark.query
 
 def matched_urls(relations, source, **kwargs):
     compiled = compile_query(relations, parse_rich_query(source), **kwargs)
-    doc_url = {int(oid): url for oid, url in relations.D}
-    return {doc_url[int(doc)] for doc in compiled.matched}
+    urls = relations.postings_index().urls
+    return {urls[slot] for slot in np.flatnonzero(compiled.matched)}
 
 
 class TestDocNaming:
@@ -97,6 +98,14 @@ class TestRangeMatching:
         urls = matched_urls(relations, "year:2000-")
         assert urls == {"Paper:p03:year", "Paper:p05:year"}
 
+    def test_the_numeric_vocabulary_is_rebuilt_on_load(self, relations):
+        relations.add_document("Paper:p09:year", "² ١٩٩٧")
+        restored = IrRelations(relations.catalog)
+        assert restored.numeric_terms(None, None) \
+            == relations.numeric_terms(None, None)
+        assert matched_urls(restored, "year:1997-1997") \
+            == {"Paper:p09:year"}
+
 
 class TestCompile:
     def test_all_stopword_query_without_filters_raises(self, relations):
@@ -106,7 +115,7 @@ class TestCompile:
     def test_filters_alone_supply_the_match_set(self, relations):
         compiled = compile_query(relations, parse_rich_query("the of"),
                                  filters=(("year", "1995-1999"),))
-        assert compiled.matched
+        assert compiled.matched.any()
         assert compiled.entries == ()  # filters never score
 
     def test_filters_to_nodes_rejects_stopword_values(self):
@@ -117,11 +126,12 @@ class TestCompile:
         compiled = compile_query(relations,
                                  parse_rich_query("digital library"),
                                  field_boosts=(("title", 4.0),))
-        title_docs = {int(oid) for oid, url in relations.D
-                      if url.endswith(":title")}
-        assert set(compiled.field_weight) == title_docs
-        assert all(weight == 4.0
-                   for weight in compiled.field_weight.values())
+        urls = relations.postings_index().urls
+        title_slots = [slot for slot, url in enumerate(urls)
+                       if url.endswith(":title")]
+        assert np.flatnonzero(compiled.field_weight != 1.0).tolist() \
+            == title_slots
+        assert set(compiled.field_weight[title_slots]) == {4.0}
 
     def test_shape_distinguishes_boosts_and_filters(self, relations):
         parsed = parse_rich_query("digital library")
@@ -130,8 +140,8 @@ class TestCompile:
                                 field_boosts=(("title", 4.0),))
         filtered = compile_query(relations, parsed,
                                  filters=(("year", "1990-"),))
-        assert plain.field_weight != boosted.field_weight
-        assert filtered.matched != plain.matched
+        assert not np.array_equal(plain.field_weight, boosted.field_weight)
+        assert not np.array_equal(filtered.matched, plain.matched)
 
 
 class TestVocabulary:

@@ -54,6 +54,28 @@ def server():
 
 
 class TestSearchEndpoint:
+    def test_a_range_over_a_superscript_digit_token_is_a_200(self):
+        # regression: '²'.isdigit() is true, float('²') raises, and the
+        # range query answered with the `internal` error kind
+        engine = IrEngine()
+        engine.index("Tournament:t1:year", "final 1999 ²")
+        engine.index("Tournament:t2:year", "١٩٩٧")
+        service = SearchService(engine)
+        httpd = serve(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, payload = post(httpd.address, {
+                "schema_version": 2, "query": "year:1990-2000",
+                "mode": "content"})
+        finally:
+            httpd.shutdown_gracefully(5.0)
+            httpd.server_close()
+            thread.join(5.0)
+        assert status == 200 and "error" not in payload
+        assert sorted(hit["key"] for hit in payload["hits"]) == \
+            ["Tournament:t1:year", "Tournament:t2:year"]
+
     def test_roundtrip_speaks_the_versioned_contract(self, server):
         request = SearchRequest(query="trophy champion", mode="content",
                                 policy=ExecutionPolicy(n=3),
