@@ -302,7 +302,7 @@ class DistributedIndex:
         batch = stale if limit is None else stale[:max(0, limit)]
         tasks: dict = {"central": self.central.refresh_idf}
         for name in batch:
-            tasks[name] = partial(self._refresh_local, self.nodes[name],
+            tasks[name] = partial(fragment_by_idf, self.nodes[name],
                                   self.fragment_count)
         values = self._run_population(tasks)
         for name in batch:
@@ -314,12 +314,6 @@ class DistributedIndex:
             # once the local rebuild is complete
             self.remote.broadcast("refresh")
         return remaining
-
-    @staticmethod
-    def _refresh_local(relations: IrRelations,
-                       fragment_count: int) -> FragmentSet:
-        relations.refresh_idf()
-        return fragment_by_idf(relations, fragment_count)
 
     @staticmethod
     def _run_population(tasks) -> dict:

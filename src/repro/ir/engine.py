@@ -22,6 +22,8 @@ raise a ``TypeError`` naming
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.core.config import ExecutionPolicy
@@ -99,8 +101,9 @@ class IrEngine:
         self.relations = IrRelations()
         self.fragment_count = fragment_count
         self.model = model
-        self._fragments: FragmentSet | None = None
-        self._fragments_generation = -1
+        # (generation, set) in one attribute: read together or not at all
+        self._fragments: tuple[int, FragmentSet] | None = None
+        self._fragments_lock = threading.Lock()
 
     @property
     def generation(self) -> int:
@@ -129,14 +132,19 @@ class IrEngine:
         Memoized against the relations' generation: mutations through
         *any* path (engine methods or the relations directly) make the
         next call rebuild; unchanged indexes reuse the built set.
+        Double-checked under a lock, so concurrent readers of a stale
+        set build the next one exactly once.
         """
-        generation = self.relations.generation
-        if self._fragments is None \
-                or self._fragments_generation != generation:
-            self._fragments = fragment_by_idf(self.relations,
-                                              self.fragment_count)
-            self._fragments_generation = generation
-        return self._fragments
+        memo = self._fragments
+        if memo is not None and memo[0] == self.relations.generation:
+            return memo[1]
+        with self._fragments_lock:
+            generation = self.relations.generation
+            memo = self._fragments
+            if memo is None or memo[0] != generation:
+                memo = self._fragments = (generation, fragment_by_idf(
+                    self.relations, self.fragment_count))
+            return memo[1]
 
     # -- querying ---------------------------------------------------------
 

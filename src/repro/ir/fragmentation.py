@@ -7,14 +7,17 @@ allows us to exploit this knowledge later on during query optimization."
 
 A :class:`FragmentSet` materialises that layout: terms ordered by
 descending idf are split into fragments of (approximately) equal TF tuple
-counts, each fragment carrying its own TF slice, its IDF slice, and the
-per-term statistics (idf, max tf) the top-N optimizer's bounds need.
+counts, each fragment carrying its own TF slice and its IDF slice — the
+per-term idf the top-N optimizer's bounds need beside each term's max
+tf, which the shared postings carry.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import BatError
 from repro.monetdb.atoms import Oid
@@ -36,13 +39,12 @@ class Fragment:
     index: int
     term_oids: set[Oid]
     idf: dict[Oid, float]
-    max_tf: dict[Oid, int]
     packed: dict[Oid, PackedPostings]
     tuples: int = 0
 
     def max_score_bound(self, term_oid: Oid) -> float:
         """Upper bound on any document's score gain from this term here."""
-        return self.idf[term_oid] * self.max_tf[term_oid]
+        return self.idf[term_oid] * self.packed[term_oid].max_tf
 
     def min_idf(self) -> float:
         """Smallest idf of any term stored in this fragment."""
@@ -88,48 +90,52 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
     paper's descending-idf layout; ``"random"`` is the ablation baseline
     (a deterministic shuffle by term oid) used by benchmark E6 to show
     that pruning only pays off under the idf ordering.
+
+    Derived on columns: the maintained document frequencies give each
+    term's idf (the floats IDF holds) and posting count, one sort orders
+    them and one running sum places the cuts.  Its scalar reference is
+    the oracle in ``tests/kernels``.
     """
     if fragment_count < 1:
         raise BatError("fragment_count must be >= 1")
-    # memoized against the relations' generation: a no-op when fresh
-    relations.refresh_idf()
-    get_telemetry().metrics.counter("ir.fragment_rebuilds").add(1)
-    idf_of = dict(zip(relations.IDF.head, relations.IDF.tail))
-    term_oids = list(idf_of)
-    if order == "idf":
-        term_oids.sort(key=lambda oid: (-idf_of[oid], oid))
-    elif order == "random":
-        term_oids.sort(key=lambda oid: (oid * 2654435761) % (1 << 32))
-    else:
+    if order not in ("idf", "random"):
         raise BatError(f"unknown fragmentation order: {order!r}")
-
-    # only the layout is derived here: the fragments share the postings
-    # index's packed columns, generation after generation
+    # memoized against the relations' generation: no-ops when fresh
+    oids, sizes = relations.df_columns()
     index = relations.postings_index()
-    by_term = index.by_term
-    sizes = [len(by_term[oid].docs) for oid in term_oids]
-    target = max(1, -(-sum(sizes) // fragment_count))  # ceil division
+    telemetry = get_telemetry()
+    telemetry.metrics.counter("ir.fragment_rebuilds").add(1)
+    with telemetry.tracer.span("ir.fragment_build") as span:
+        idf = 1.0 / sizes
+        if order == "idf":  # descending idf, ties by ascending oid
+            ranked = np.lexsort((oids, -idf))
+        else:  # stable, so equal keys keep the IDF row order; the
+            # uint64 product wraps mod 2**64, which mod 2**32 absorbs
+            ranked = np.argsort(oids.astype(np.uint64) * 2654435761
+                                % (1 << 32), kind="stable")
+        # a fragment closes at the first term that finds it holding its
+        # share of the tuples (the last one takes the rest); ``before``
+        # counts the tuples ahead of each position
+        before = np.zeros(len(oids) + 1, dtype=np.int64)
+        np.cumsum(sizes[ranked], out=before[1:])
+        target = max(1, -(-int(before[-1]) // fragment_count))  # ceil
+        cuts = [0]
+        while len(cuts) < fragment_count:
+            cut = int(np.searchsorted(before[:-1], before[cuts[-1]] + target))
+            if cut == len(oids):
+                break
+            cuts.append(cut)
+        cuts.append(len(oids))
 
-    # a fragment closes once it holds its share of the tuples (the last
-    # one takes the rest): cut points first, then one slice per fragment
-    cuts = [0]
-    tuples = 0
-    for position, size in enumerate(sizes):
-        if tuples >= target and len(cuts) < fragment_count:
-            cuts.append(position)
-            tuples = 0
-        tuples += size
-    cuts.append(len(term_oids))
-
-    fragment_set = FragmentSet(doc_ids=index.doc_ids)
-    for start, stop in zip(cuts, cuts[1:]):
-        terms = term_oids[start:stop]
-        packed = {oid: by_term[oid] for oid in terms}
-        fragment_set.fragments.append(Fragment(
-            index=len(fragment_set.fragments),
-            term_oids=set(terms),
-            idf={oid: idf_of[oid] for oid in terms},
-            max_tf={oid: entry.max_tf for oid, entry in packed.items()},
-            tuples=sum(sizes[start:stop]),
-            packed=packed))
+        terms_in_order, weights = oids[ranked].tolist(), idf[ranked].tolist()
+        by_term = index.by_term
+        fragment_set = FragmentSet(doc_ids=index.doc_ids)
+        for number, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            terms = terms_in_order[start:stop]
+            fragment_set.fragments.append(Fragment(
+                index=number, term_oids=set(terms),
+                idf=dict(zip(terms, weights[start:stop])),
+                packed={term: by_term[term] for term in terms},
+                tuples=int(before[stop] - before[start])))
+        span.set_attributes(terms=len(oids), fragments=len(fragment_set))
     return fragment_set

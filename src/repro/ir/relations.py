@@ -38,7 +38,7 @@ import math
 import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -204,11 +204,9 @@ class PackedPostings:
     # -- copy-on-write maintenance (one generation's private copy) -------
 
     def _copy(self) -> "PackedPostings":
-        return replace(self, docs=self.docs[:], dense=self.dense[:],
-                       tfs=self.tfs[:], tf_weights=self.tf_weights[:],
-                       positions=self.positions[:],
-                       _dense_view=None, _weights_view=None,
-                       _position_columns=None)
+        return PackedPostings(self.docs[:], self.dense[:], self.tfs[:],
+                              self.tf_weights[:], self.max_tf,
+                              self.positions[:], self.unpositioned)
 
     def _append(self, doc: int, dense: int, tf: int,
                 encoded: str | None) -> None:
@@ -224,11 +222,13 @@ class PackedPostings:
 
     def _remove(self, doc: int) -> None:
         """Drop one document's posting; the others keep their order."""
-        row = self.docs.index(doc)
+        row = bisect_left(self.docs, doc)  # docs ascend, as oids are drawn
+        if row == len(self.docs) or self.docs[row] != doc:
+            row = self.docs.index(doc)
         tf = self.tfs[row]
         for column in (self.docs, self.dense, self.tfs, self.tf_weights):
             del column[row]
-        if tf == self.max_tf:
+        if tf == self.max_tf and tf not in self.tfs:  # it was the only max
             self.max_tf = max(self.tfs, default=0)
         self.unpositioned -= self.positions.pop(row) is None
 
@@ -319,6 +319,8 @@ class IrRelations:
         # snapshot starts stale so the first read writes IDF afresh.
         self.generation = 0
         self._idf_generation = -1
+        # the df map as the columns IDF was last written from
+        self._df_columns: tuple[np.ndarray, np.ndarray] = ()
         self._refresh_lock = threading.Lock()
         self._postings_index: PostingsIndex | None = None
         self._postings_lock = threading.Lock()
@@ -467,9 +469,17 @@ class IrRelations:
         """Whether IDF reflects the current generation."""
         return self._idf_generation == self.generation
 
+    def df_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The maintained document frequencies as two int64 columns —
+        term oids and their dfs, in IDF's row order — as of the IDF
+        refresh this call makes current (read-only: shared)."""
+        self.refresh_idf()
+        return self._df_columns
+
     def refresh_idf(self) -> None:
         """Write IDF from the maintained document frequencies
-        (``idf = 1/df``, as in the paper) — O(vocabulary).
+        (``idf = 1/df``, as in the paper): two packed columns, one
+        vectorized division.
 
         Memoized against :attr:`generation`: a no-op unless the index
         mutated since the last refresh, so every read path may call it
@@ -479,18 +489,22 @@ class IrRelations:
         """
         if self._idf_generation == self.generation:
             return
+        telemetry = get_telemetry()
         with self._refresh_lock:
             generation = self.generation
             if self._idf_generation == generation:
                 return
-            fresh = self.catalog.get("ir:IDF")
-            fresh.clear()  # rewritten wholesale: IDF is small (vocab)
-            fresh.append_many(
-                list(self._df),
-                [1.0 / document_frequency
-                 for document_frequency in self._df.values()])
+            with telemetry.tracer.span("ir.idf_refresh",
+                                       terms=len(self._df)):
+                df = self._df
+                oids = array("q", df)
+                counts = np.fromiter(df.values(), np.int64, len(df))
+                fresh = self.catalog.get("ir:IDF")
+                fresh.clear()  # rewritten wholesale: IDF is small (vocab)
+                fresh.append_many(oids, _packed("d", 1.0 / counts))
+                self._df_columns = (_view(oids, np.int64), counts)
             self._idf_generation = generation
-        get_telemetry().metrics.counter("ir.idf_refresh").add(1)
+        telemetry.metrics.counter("ir.idf_refresh").add(1)
 
     # -- per-term access (used by ranking and fragmentation) -----------
 
@@ -519,28 +533,35 @@ class IrRelations:
         index = self._postings_index
         if index is not None and index.generation == self.generation:
             return index
+        telemetry = get_telemetry()
         with self._postings_lock:
             generation = self.generation
             index = self._postings_index
             if index is not None and index.generation == generation:
                 return index
             journal, self._journal = self._journal, []
-            if index is not None:
-                slots = len(index.doc_ids) + sum(
-                    entry[0] == _ADD for entry in journal)
-                # a generation the journal does not account for was
-                # bumped behind the write methods' back, and an index
-                # with more dead slots than live documents is due for
-                # compaction: either way only a build will do
-                if index.generation + len(journal) == generation \
-                        and slots <= 2 * len(self._doc_oids):
+            # a generation the journal does not account for was bumped
+            # behind the write methods' back, and an index with more
+            # dead slots than live documents is due for compaction:
+            # either way only a build will do
+            patch = index is not None \
+                and index.generation + len(journal) == generation \
+                and len(index.doc_ids) + sum(entry[0] == _ADD
+                                             for entry in journal) \
+                <= 2 * len(self._doc_oids)
+            name = "ir.postings_patch" if patch else "ir.postings_build"
+            touched = len(set().union(*(entry[3] for entry in journal)))
+            with telemetry.tracer.span(name, journal=len(journal),
+                                       touched=touched) as span:
+                if patch:
                     index = self._patch_postings_index(index, journal,
                                                        generation)
-                    self._postings_index = index
-                    return index
-            index = self._build_postings_index(generation)
+                else:
+                    index = self._build_postings_index(generation)
+                span.set_attributes(terms=len(index.by_term))
             self._postings_index = index
-        get_telemetry().metrics.counter("ir.postings_rebuilds").add(1)
+        if not patch:
+            telemetry.metrics.counter("ir.postings_rebuilds").add(1)
         return index
 
     def _build_postings_index(self, generation: int) -> PostingsIndex:

@@ -109,7 +109,7 @@ def universe_of(relations: IrRelations) -> tuple:
 def layout_of(relations: IrRelations, count: int) -> list:
     return [(set(map(int, fragment.term_oids)), fragment.tuples,
              {int(t): w for t, w in fragment.idf.items()},
-             {int(t): m for t, m in fragment.max_tf.items()},
+             {int(t): fragment.packed[t].max_tf for t in fragment.term_oids},
              {int(t): fragment.packed[t].pairs()
               for t in fragment.term_oids})
             for fragment in fragment_by_idf(relations, count)]

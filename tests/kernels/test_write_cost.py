@@ -3,7 +3,8 @@
 The counters are the program's own: ``monetdb.delete_visited`` (BAT rows
 a delete had to look at), ``ir.postings_rebuilds`` (full O(pairs) builds
 of the postings index), ``ir.idf_refresh`` / ``ir.fragment_rebuilds``
-(one per generation that is read).
+(one per generation that is read) — and so are the spans the read after
+a write opens, one per refresh step.
 """
 
 import random
@@ -70,3 +71,46 @@ def test_write_then_read_never_rebuilds_the_postings_index(engines):
             # one refresh per generation that was read, never a rebuild
             assert _counters(telemetry, *names) == \
                 (0, 3 * (cycle + 1), 3 * (cycle + 1))
+
+
+def test_each_generation_read_is_one_span_per_refresh_step(engines):
+    """The post-write refresh is visible as product spans: one patch
+    (or build), one IDF refresh and one layout per generation read."""
+    engine = engines[1600]
+    relations = engine.relations
+    rng = random.Random(11)
+    engine.search_fragmented("w0")  # read what earlier tests wrote
+    steps = ("ir.postings_patch", "ir.idf_refresh", "ir.fragment_build")
+    with telemetry_session() as telemetry:
+        engine.reindex("Article:spans:body", _text(rng))     # add
+        engine.search_fragmented("w1 w2")
+        engine.search_fragmented("w3 w4")  # same generation: no spans
+        engine.reindex("Article:a00011:body", _text(rng))    # remove + add
+        engine.search_fragmented("w5 w6")
+        engine.remove("Article:spans:body")
+        engine.search_fragmented("w7 w8")
+        spans = {name: telemetry.tracer.find_all(name)
+                 for name in steps + ("ir.postings_build",)}
+        rebuilds = _counters(telemetry, "ir.postings_rebuilds",
+                             "ir.idf_refresh", "ir.fragment_rebuilds")
+    assert rebuilds == (0, 3, 3)
+    assert [len(spans[name]) for name in steps] == [3, 3, 3]
+    assert spans["ir.postings_build"] == []
+    patches = [span.attributes for span in spans["ir.postings_patch"]]
+    assert [patch["journal"] for patch in patches] == [1, 2, 1]
+    assert [patch["touched"] for patch in patches][::2] == [TERMS, TERMS]
+    assert TERMS <= patches[1]["touched"] <= 2 * TERMS
+    vocabulary = len(relations.IDF)
+    assert patches[-1]["terms"] == vocabulary
+    assert spans["ir.idf_refresh"][-1].attributes == {"terms": vocabulary}
+    assert spans["ir.fragment_build"][-1].attributes == {
+        "terms": vocabulary, "fragments": 4}
+
+
+def test_the_first_read_after_a_bulk_load_is_one_build_span():
+    with telemetry_session() as telemetry:
+        _engine(40)
+        builds = telemetry.tracer.find_all("ir.postings_build")
+        patches = telemetry.tracer.find_all("ir.postings_patch")
+    assert patches == []
+    assert [span.attributes["journal"] for span in builds] == [0]

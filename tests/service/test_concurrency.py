@@ -307,3 +307,61 @@ class TestEveryReplyEchoesItsRequest:
             assert payload["trace_id"] == trace_id
             assert payload["query"] == request.query
         assert service.drain(5.0)
+
+
+class TestFragmentMemo:
+    def test_concurrent_readers_after_a_write_build_one_set(self,
+                                                            monkeypatch):
+        """Four readers share the read lock on the first read after a
+        write.  A build waits a moment for a second, concurrent build
+        to join it: with the memo locked none comes, and every other
+        reader reuses the first one's set."""
+        import sys
+
+        import repro.ir.engine as ir_engine
+        from repro.telemetry import telemetry_session
+
+        engine = build_ir_engine(documents=30)
+        service = SearchService(engine, ServicePolicy(max_inflight=4))
+        service.reindex("doc:p3", "trophy champion fresh")
+        builders = threading.Barrier(2)
+        real_build = ir_engine.fragment_by_idf
+
+        def build(*args, **kwargs):
+            try:
+                builders.wait(timeout=0.5)
+            except threading.BrokenBarrierError:  # nobody else built
+                pass
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(ir_engine, "fragment_by_idf", build)
+        queries = ("trophy", "champion", "w1 w2", "w3")
+        readers = threading.Barrier(len(queries))
+        errors = []
+
+        def reader(query):
+            readers.wait(5.0)
+            try:
+                service.search(SearchRequest(query=query, mode="fragmented",
+                                             policy=NO_CACHE))
+            except Exception as exc:  # noqa: BLE001 - recorded
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with telemetry_session() as telemetry:
+                threads = [threading.Thread(target=reader, args=(query,))
+                           for query in queries]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                rebuilds = telemetry.metrics.sum_counters(
+                    "ir.fragment_rebuilds")
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert rebuilds == 1
+        assert service.drain(5.0)
