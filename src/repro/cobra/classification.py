@@ -75,12 +75,14 @@ def classify_shots(frames: np.ndarray, shots: list[Shot],
         ent = entropy(frame)
         mean = mean_intensity(frame)
         variance = variance_intensity(frame)
-        if dom == court_color:
+        # entropy first: an audience mosaic's modal colour holds a few
+        # pixels and may happen to be the court's
+        if ent >= AUDIENCE_ENTROPY:
+            category = "audience"
+        elif dom == court_color:
             category = "tennis"
         elif skin >= CLOSEUP_SKIN_FRACTION:
             category = "closeup"
-        elif ent >= AUDIENCE_ENTROPY:
-            category = "audience"
         else:
             category = "other"
         classified.append(ClassifiedShot(

@@ -15,6 +15,7 @@ tf, which the shared postings carry.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +34,14 @@ class Fragment:
 
     ``packed`` shares the :class:`~repro.ir.relations.PackedPostings`
     columns of the relations' postings index, which is what the scoring
-    kernels read; every term in ``term_oids`` has an entry.
+    kernels read; every term in ``term_oids`` has an entry, looked up
+    in the index on first use.
     """
 
     index: int
     term_oids: set[Oid]
     idf: dict[Oid, float]
-    packed: dict[Oid, PackedPostings]
+    packed: Mapping[Oid, PackedPostings]
     tuples: int = 0
 
     def max_score_bound(self, term_oid: Oid) -> float:
@@ -49,6 +51,25 @@ class Fragment:
     def min_idf(self) -> float:
         """Smallest idf of any term stored in this fragment."""
         return min(self.idf.values()) if self.idf else 0.0
+
+
+class _FragmentPostings(Mapping):
+    """One fragment's terms (the keys of its ``idf``, in order) mapped
+    to the postings index's entries, so a layout makes no postings."""
+
+    def __init__(self, terms: dict, by_term: Mapping):
+        self._terms, self._by_term = terms, by_term
+
+    def __getitem__(self, term: Oid) -> PackedPostings:
+        if term not in self._terms:
+            raise KeyError(term)
+        return self._by_term[term]
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
 
 
 @dataclass
@@ -132,10 +153,10 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
         fragment_set = FragmentSet(doc_ids=index.doc_ids)
         for number, (start, stop) in enumerate(zip(cuts, cuts[1:])):
             terms = terms_in_order[start:stop]
+            idf_of = dict(zip(terms, weights[start:stop]))
             fragment_set.fragments.append(Fragment(
-                index=number, term_oids=set(terms),
-                idf=dict(zip(terms, weights[start:stop])),
-                packed={term: by_term[term] for term in terms},
+                index=number, term_oids=set(terms), idf=idf_of,
+                packed=_FragmentPostings(idf_of, by_term),
                 tuples=int(before[stop] - before[start])))
         span.set_attributes(terms=len(oids), fragments=len(fragment_set))
     return fragment_set

@@ -34,10 +34,12 @@ read patches that index copy-on-write instead of rebuilding it
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -52,6 +54,7 @@ from repro.telemetry.runtime import get_telemetry
 __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
 
 _ADD, _REMOVE = "add", "remove"
+_UNMADE = object()
 
 
 def _int64(column) -> np.ndarray:
@@ -64,10 +67,10 @@ def _packed(typecode: str, values: np.ndarray) -> array:
     return array(typecode, values.astype(typecode, copy=False).tobytes())
 
 
-def _view(column: array, dtype) -> np.ndarray:
+def _view(column, dtype) -> np.ndarray:
     """A packed column as a numpy view (zero-copy; pins the column, so
     only a published, never again appended column gets one)."""
-    return np.frombuffer(column, dtype=dtype) if column \
+    return np.frombuffer(column, dtype=dtype) if len(column) \
         else np.empty(0, dtype=dtype)
 
 
@@ -116,6 +119,21 @@ def _tails_by_pair(pairs: np.ndarray, bat) -> np.ndarray:
     return tails[rows]
 
 
+def _grouped(keys: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a stable argsort groups ``keys`` by — the permutation, the
+    sorted keys and the start of each run of equal keys — from one
+    plain sort of the unique composites ``key * n + row`` (cheaper than
+    the stable sort, and the same permutation).  Keys are oids: not
+    negative, and ``key * n`` stays far below 2**63."""
+    width = max(len(keys), 1)
+    composite = np.sort(keys * width + np.arange(len(keys)))
+    ordered = composite // width
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return composite % width, ordered, np.flatnonzero(starts)
+
+
 def url_segments(url: str) -> tuple[str, str]:
     """``(class, attribute)`` of an engine-indexed ``class:key:attribute``
     url; ``("", "")`` for a plain url."""
@@ -123,22 +141,25 @@ def url_segments(url: str) -> tuple[str, str]:
     return (parts[0], parts[-1]) if len(parts) >= 3 else ("", "")
 
 
-@dataclass
+@dataclass(eq=False)
 class PackedPostings:
     """One term's postings as packed parallel columns.
 
     ``docs`` holds the doc oids and ``dense`` their positions in the
-    owning index's ``doc_ids`` universe (both ``array('q')``, posting
-    order = DT insertion order); ``tfs`` are the integer term
-    frequencies and ``tf_weights`` the same values pre-widened to
-    float64 for the scoring kernels.  Each doc occurs at most once per
-    term (one DT pair per document-term), which is what lets the
-    kernels use unordered scatter-adds and stay bit-identical to the
-    sequential scalar accumulation.
+    owning index's ``doc_ids`` universe (both int64, posting order = DT
+    insertion order); ``tfs`` are the integer term frequencies and
+    ``tf_weights`` the same values pre-widened to float64 for the
+    scoring kernels.  Each doc occurs at most once per term (one DT
+    pair per document-term), which is what lets the kernels use
+    unordered scatter-adds and stay bit-identical to the sequential
+    scalar accumulation.
 
-    A built object is immutable and shared between index generations;
-    only :meth:`IrRelations._patch_postings_index` mutates one, and only
-    a private copy it made for the generation under construction.
+    Made by a build, the columns are numpy views over its term's run of
+    the :class:`TermPostings` segment; :meth:`_copy` is the one place
+    that makes owned ``array`` columns.  A made object is immutable and
+    shared between index generations; only
+    :meth:`IrRelations._patch_postings_index` mutates one, and only a
+    private copy it made for the generation under construction.
     """
 
     docs: array
@@ -154,19 +175,29 @@ class PackedPostings:
     # guesses adjacency.
     positions: list[str | None] = field(default_factory=list)
     unpositioned: int = 0
-    # zero-copy numpy views over dense/tf_weights and the decoded
-    # position columns, built on first touch and shared by every reader
-    _dense_view: object = field(default=None, repr=False, compare=False)
-    _weights_view: object = field(default=None, repr=False, compare=False)
+    # the decoded position columns, built on first touch and shared by
+    # every reader
     _position_columns: object = field(default=None, repr=False,
                                       compare=False)
 
     def __len__(self) -> int:
         return len(self.docs)
 
+    def __eq__(self, other) -> bool:
+        """Equal postings: equal column values (views or owned), max tf
+        and positions."""
+        if not isinstance(other, PackedPostings):
+            return NotImplemented
+        return (self.max_tf, self.unpositioned, self.positions) \
+            == (other.max_tf, other.unpositioned, other.positions) \
+            and all(map(np.array_equal, self._columns(), other._columns()))
+
+    def _columns(self) -> tuple:
+        return self.docs, self.dense, self.tfs, self.tf_weights
+
     def pairs(self) -> list[tuple[int, int]]:
         """The scalar view: ``[(doc, tf), ...]`` in posting order."""
-        return list(zip(self.docs, self.tfs))
+        return list(zip(self.docs.tolist(), self.tfs.tolist()))
 
     @property
     def has_positions(self) -> bool:
@@ -189,24 +220,19 @@ class PackedPostings:
 
     def dense_view(self) -> np.ndarray:
         """The dense-position column as an int64 numpy view (zero-copy)."""
-        view = self._dense_view
-        if view is None:
-            view = self._dense_view = _view(self.dense, np.int64)
-        return view
+        return _view(self.dense, np.int64)
 
     def weights_view(self) -> np.ndarray:
         """The float64 tf column as a numpy view (zero-copy)."""
-        view = self._weights_view
-        if view is None:
-            view = self._weights_view = _view(self.tf_weights, np.float64)
-        return view
+        return _view(self.tf_weights, np.float64)
 
     # -- copy-on-write maintenance (one generation's private copy) -------
 
     def _copy(self) -> "PackedPostings":
-        return PackedPostings(self.docs[:], self.dense[:], self.tfs[:],
-                              self.tf_weights[:], self.max_tf,
-                              self.positions[:], self.unpositioned)
+        columns = (array(code, column.tobytes())
+                   for code, column in zip("qqqd", self._columns()))
+        return PackedPostings(*columns, self.max_tf, self.positions[:],
+                              self.unpositioned)
 
     def _append(self, doc: int, dense: int, tf: int,
                 encoded: str | None) -> None:
@@ -233,19 +259,88 @@ class PackedPostings:
         self.unpositioned -= self.positions.pop(row) is None
 
 
+class TermPostings(Mapping):
+    """term oid -> :class:`PackedPostings`, made on a term's first lookup.
+
+    A build leaves every pair in one *segment*: the doc, dense, tf and
+    tf-weight columns and each pair's row in ``pool`` (the ``ir:POS``
+    strings, then ``None`` for a pair without one), all sorted by
+    (term, pair oid), plus ``runs``: per term, in order of first
+    appearance, ``(start, stop, max_tf, unpositioned)`` of its rows.
+    A lookup makes the term's postings as views over its run and
+    memoizes them in an *overlay* with ``setdefault``, so concurrent
+    first lookups share one object.  A patched generation
+    (:meth:`_derive`) shares the segment and copies only the overlay,
+    where ``None`` marks a term no document holds any more.
+    """
+
+    def __init__(self, columns: tuple = (), pool: list | None = None,
+                 runs: dict[int, tuple[int, int, int, int]] | None = None):
+        self._columns = columns
+        self._pool = pool
+        self._runs = runs or {}
+        self._made: dict[int, PackedPostings | None] = {}
+        self._size = len(self._runs)
+
+    def __getitem__(self, term: int) -> PackedPostings:
+        packed = self._made.get(term, _UNMADE)
+        if packed is _UNMADE:
+            packed = self._made.setdefault(term, self._make(term))
+        if packed is None:
+            raise KeyError(term)
+        return packed
+
+    def __contains__(self, term) -> bool:
+        packed = self._made.get(term, _UNMADE)
+        return term in self._runs if packed is _UNMADE \
+            else packed is not None
+
+    def __iter__(self):
+        made = dict(self._made)  # a snapshot: lookups add to the overlay
+        return (term for term in {**self._runs, **made}
+                if made.get(term, _UNMADE) is not None)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _make(self, term: int) -> PackedPostings:
+        start, stop, max_tf, unpositioned = self._runs[term]
+        docs, dense, tfs, weights, rows = (column[start:stop]
+                                           for column in self._columns)
+        get_telemetry().metrics.counter("ir.postings_materialized").add(1)
+        return PackedPostings(docs, dense, tfs, weights, max_tf,
+                              list(map(self._pool.__getitem__,
+                                       rows.tolist())), unpositioned)
+
+    # -- copy-on-write maintenance (one generation's private overlay) ----
+
+    def _derive(self) -> "TermPostings":
+        """The next generation: the same segment, a copied overlay."""
+        derived = copy.copy(self)
+        derived._made = dict(self._made)
+        return derived
+
+    def _put(self, term: int, packed: PackedPostings | None) -> None:
+        """Set (``None``: drop) one term's postings in this overlay."""
+        self._size += (packed is not None) - (term in self)
+        self._made[term] = packed
+
+
 @dataclass
 class PostingsIndex:
-    """The TF access path, precomputed: term -> packed postings.
+    """The TF access path: term -> packed postings.
 
-    Built column-wise from DT/TF (the paper's fragmentation then orders
-    these terms by descending idf) and from then on patched per
-    generation; also carries the dense document universe (``doc_ids``:
-    dense position -> doc oid) the scoring kernels accumulate over, the
-    per-document lengths the language model needs, and the per-slot
-    columns schema-2 queries match, facet and answer from: ``urls``,
-    ``live``, and the url segments (:func:`url_segments`) as
-    ``class_codes`` / ``field_codes`` into the ``class_names`` /
-    ``field_names`` tables (name -> code, in order of first appearance).
+    Built column-wise from DT/TF into one sorted segment whose terms
+    are made on first lookup (:class:`TermPostings`; the paper's
+    fragmentation then orders these terms by descending idf) and from
+    then on patched per generation; also carries the dense document
+    universe (``doc_ids``: dense position -> doc oid) the scoring
+    kernels accumulate over, the per-document lengths the language
+    model needs, and the per-slot columns schema-2 queries match, facet
+    and answer from: ``urls``, ``live``, and the url segments
+    (:func:`url_segments`) as ``class_codes`` / ``field_codes`` into the
+    ``class_names`` / ``field_names`` tables (name -> code, in order of
+    first appearance).
 
     ``doc_ids`` may hold *dead slots*: a removed document keeps its
     dense position (no posting points at it any more, ``live`` is 0) so
@@ -256,7 +351,7 @@ class PostingsIndex:
     """
 
     generation: int
-    by_term: dict[int, PackedPostings] = field(default_factory=dict)
+    by_term: Mapping[int, PackedPostings] = field(default_factory=dict)
     doc_ids: array = field(default_factory=lambda: array("q"))
     doc_dense: dict[int, int] = field(default_factory=dict)
     doc_lengths: dict[int, int] = field(default_factory=dict)
@@ -309,11 +404,11 @@ class IrRelations:
         # in order of first appearance); a term no document holds any
         # more has no entry
         terms = _int64(self.DT_term.raw_columns()[1])
-        unique, first, counts = np.unique(terms, return_index=True,
-                                          return_counts=True)
-        order = np.argsort(first)
-        self._df: dict[Oid, int] = dict(zip(unique[order].tolist(),
-                                            counts[order].tolist()))
+        order, terms, starts = _grouped(terms)
+        firsts = np.argsort(order[starts])
+        counts = np.diff(starts, append=len(terms))
+        self._df: dict[Oid, int] = dict(zip(terms[starts][firsts].tolist(),
+                                            counts[firsts].tolist()))
         # Bumped on every mutation; IDF (and the callers' fragment sets
         # and result cache) are memoized against it.  A restored
         # snapshot starts stale so the first read writes IDF afresh.
@@ -521,9 +616,10 @@ class IrRelations:
     def postings_index(self) -> PostingsIndex:
         """The packed postings access path, memoized per generation.
 
-        Lifecycle: **build** — one columnar sort of DT/TF/POS when no
-        index exists (a bulk load before the first read pays exactly
-        this, once); **journal** — while an index exists every write
+        Lifecycle: **build** — one columnar sort of DT/TF/POS into a
+        segment when no index exists (a bulk load before the first read
+        pays exactly this, once), a term's postings made on its first
+        lookup; **journal** — while an index exists every write
         appends one entry; **patch** — the next read turns the old
         index plus the journal into the next generation copy-on-write,
         O(delta + vocabulary); **compaction** — when dead slots
@@ -565,16 +661,17 @@ class IrRelations:
         return index
 
     def _build_postings_index(self, generation: int) -> PostingsIndex:
-        """The full build, columnar: one stable argsort of ``DT:term``'s
-        tail groups the pair columns by term, and every term's postings
-        are slices of the sorted columns.
+        """The full build, columnar: one sort (:func:`_grouped`) of
+        ``DT:term``'s tail orders the pair columns by term into the
+        :class:`TermPostings` segment; no term's postings are made.
 
-        The sort is stable, so a term's postings stay in pair order;
-        terms enter ``by_term`` in order of first appearance; a pair
-        without a ``POS`` row (pre-v2) keeps ``None``.  The scalar
-        per-pair build this replaces is the oracle in ``tests/kernels``.
+        The sort keeps a term's postings in pair order; terms enter
+        ``by_term`` in order of first appearance; a pair without a
+        ``POS`` row (pre-v2) keeps ``None``.  The scalar per-pair build
+        this replaces is the oracle in ``tests/kernels``.
         """
-        index = PostingsIndex(generation=generation)
+        index = PostingsIndex(generation=generation,
+                              by_term=TermPostings())
         doc_column, urls = self.D.raw_columns()
         doc_ids = index.doc_ids = array("q", doc_column)
         index.doc_dense = dict(zip(doc_ids, range(len(doc_ids))))
@@ -600,39 +697,29 @@ class IrRelations:
         held[dense] = True
         index.doc_lengths = dict(zip(
             doc_oids[held].tolist(), lengths[held].astype(np.int64).tolist()))
+        order, terms, starts = _grouped(_int64(term_column))
+        # one shared pool: POS's strings, then None for an absent row;
+        # an aligned POS (see _tails_by_pair) is rows = pair rows
         pos_heads, pos_tails = self.POS.raw_columns()
-        pos_rows, positioned = _rows_of(pairs, _int64(pos_heads),
-                                        self.POS.head_ascending)
-        terms = _int64(term_column)
-        order = np.argsort(terms, kind="stable")
-        terms = terms[order]
-        starts = np.flatnonzero(np.r_[True, terms[1:] != terms[:-1]])
-        stops = np.r_[starts[1:], len(terms)]
-        tfs = tfs[order]
-        positioned = positioned[order]
-        # one shared pool: POS's strings, then None for an absent row
+        pos_heads = _int64(pos_heads)
         pool = list(pos_tails)
         pool.append(None)
-        positions = list(map(pool.__getitem__, np.where(
-            positioned, pos_rows[order], len(pool) - 1).tolist()))
-        doc_sorted = _packed("q", docs[order])
-        dense_sorted = _packed("q", dense[order])
-        tf_sorted = _packed("q", tfs)
-        weights_sorted = _packed("d", tfs)
-        groups = list(zip(terms[starts].tolist(), starts.tolist(),
-                          stops.tolist(),
-                          np.maximum.reduceat(tfs, starts).tolist(),
-                          np.add.reduceat(~positioned, starts,
-                                          dtype=np.int64).tolist()))
-        by_term = index.by_term
-        # the first pair of each term is ``order[start]`` (stable sort)
-        for number in np.argsort(order[starts], kind="stable").tolist():
-            term, start, stop, max_tf, unpositioned = groups[number]
-            by_term[term] = PackedPostings(
-                docs=doc_sorted[start:stop], dense=dense_sorted[start:stop],
-                tfs=tf_sorted[start:stop],
-                tf_weights=weights_sorted[start:stop], max_tf=max_tf,
-                positions=positions[start:stop], unpositioned=unpositioned)
+        absent = len(pool) - 1
+        rows = order
+        if not np.array_equal(pos_heads, pairs):
+            pos_rows, positioned = _rows_of(pairs, pos_heads,
+                                            self.POS.head_ascending)
+            rows = np.where(positioned, pos_rows, absent)[order]
+        tfs = tfs[order]
+        firsts = np.argsort(order[starts])  # runs by first appearance
+        table = np.column_stack((
+            starts, np.r_[starts[1:], len(terms)],
+            np.maximum.reduceat(tfs, starts),
+            np.add.reduceat(rows == absent, starts, dtype=np.int64)))
+        index.by_term = TermPostings(
+            (docs[order], dense[order], tfs, tfs.astype(np.float64), rows),
+            pool, dict(zip(terms[starts][firsts].tolist(),
+                           map(tuple, table[firsts].tolist()))))
         return index
 
     @staticmethod
@@ -640,14 +727,15 @@ class IrRelations:
                               generation: int) -> PostingsIndex:
         """The next generation of ``old``, copy-on-write.
 
-        Untouched :class:`PackedPostings` are shared with ``old``; a
+        The segment and every made, untouched :class:`PackedPostings`
+        are shared with ``old`` (:meth:`TermPostings._derive`); a
         touched term is copied once, then patched.  The result answers
         exactly like a full build over the same relations — only its
         ``dense`` numbering (dead slots) and its dict orders differ.
         """
         index = PostingsIndex(
             generation=generation,
-            by_term=dict(old.by_term), doc_ids=old.doc_ids[:],
+            by_term=old.by_term._derive(), doc_ids=old.doc_ids[:],
             doc_dense=dict(old.doc_dense),
             doc_lengths=dict(old.doc_lengths), urls=old.urls[:],
             live=old.live[:], class_codes=old.class_codes[:],
@@ -667,7 +755,7 @@ class IrRelations:
             else:
                 packed = packed._copy()
             owned.add(term)
-            by_term[term] = packed
+            by_term._put(term, packed)
             return packed
 
         for op, doc, url, terms, tfs, encodings in journal:
@@ -692,7 +780,7 @@ class IrRelations:
                 packed = own(term)
                 packed._remove(doc)
                 if not packed.docs:
-                    del by_term[term]
+                    by_term._put(term, None)
         return index
 
     def postings(self, term_oid: Oid) -> list[tuple[Oid, int]]:

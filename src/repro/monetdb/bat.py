@@ -186,7 +186,9 @@ def _cut(column: Any, runs: list[tuple[int, int]]) -> None:
 
     Every surviving row behind the first run moves exactly once, as part
     of a slice (a C memmove for packed columns): one contiguous run costs
-    what ``del column[a:b]`` costs, many runs still cost one pass.
+    what ``del column[a:b]`` costs, many runs still cost one pass.  The
+    moves are counted in ``monetdb.rows_moved``, per column (a BAT's
+    head and tail each count).
     """
     write = runs[0][0]
     stops = [start for start, _ in runs[1:]] + [len(column)]
@@ -194,6 +196,8 @@ def _cut(column: Any, runs: list[tuple[int, int]]) -> None:
         width = stop - read
         column[write:write + width] = column[read:stop]
         write += width
+    get_telemetry().metrics.counter("monetdb.rows_moved").add(
+        write - runs[0][0])
     del column[write:]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import VideoError
+from repro.cobra.grammar import analyze_video
 from repro.cobra.classification import classify_shots, estimate_court_color
 from repro.cobra.events import detect_events, detect_netplay, detect_rally
 from repro.cobra.features import shape_features
@@ -13,6 +14,7 @@ from repro.cobra.segmentation import Shot, detect_boundaries, segment_video
 from repro.cobra.tracking import player_mask, track_player
 from repro.cobra.video import (COURT_COLORS, ShotSpec, generate_video,
                                tennis_match_script)
+from repro.web.ausopen import build_ausopen_site
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,19 @@ class TestClassification:
         classified = classify_shots(video.frames, shots)
         assert [s.begin for s in classified] == video.truth.boundaries
         assert [s.category for s in classified] == video.truth.categories
+
+    def test_audience_on_the_court_colour_is_no_tennis_shot(self):
+        """Seed 400's grass-court ``v3``: its audience mosaic's modal
+        colour (a handful of pixels) is the court's; a tennis label sent
+        the tracker over the crowd, which reported a false netplay."""
+        server, truth = build_ausopen_site(players=48, articles=120,
+                                           videos=6, frames_per_shot=8,
+                                           seed=400)
+        found = {video.key for video in truth.videos
+                 if any(event.name == "netplay" for event in analyze_video(
+                     server.get(video.media_path).payload).events)}
+        assert found == {video.key for video in truth.videos
+                         if video.netplay}
 
 
 class TestTracking:
