@@ -48,6 +48,7 @@ import numpy as np
 from repro.errors import CatalogError
 from repro.monetdb.atoms import Oid
 from repro.monetdb.catalog import Catalog
+from repro.monetdb.persistence import load_catalog, save_catalog
 from repro.ir.text import analyze
 from repro.telemetry.runtime import get_telemetry
 
@@ -424,6 +425,25 @@ class IrRelations:
         # total term occurrences (for LM ranking); restored from TF when
         # the catalog comes from a snapshot
         self.collection_length = int(_int64(self.TF.raw_columns()[1]).sum())
+
+    # -- persistence -----------------------------------------------------
+
+    def save(self, path) -> int:
+        """Write the IR part, one column container, with IDF made
+        current first; returns the association count to stamp."""
+        self.refresh_idf()
+        return save_catalog(self.catalog, path)
+
+    @classmethod
+    def load(cls, path, generation: int, *, oid_start: int = 0,
+             oid_stride: int = 1) -> "IrRelations":
+        """Restore an IR part stamped with its manifest's
+        ``generation``; ``oid_start``/``oid_stride`` restore a cluster
+        node's strided oid sequence.  IDF starts stale."""
+        relations = cls(load_catalog(path, oid_start=oid_start,
+                                     oid_stride=oid_stride))
+        relations.generation = generation
+        return relations
 
     # -- vocabulary ------------------------------------------------------
 

@@ -96,21 +96,16 @@ def _column_section(atom: AtomType, column: Any) -> bytes:
     return _section(_JSON, json.dumps(column).encode("utf-8"))
 
 
-def save_catalog(catalog: Catalog, path: str | Path,
-                 names: list[str] | None = None) -> int:
+def save_catalog(catalog: Catalog, path: str | Path) -> int:
     """Atomically write the catalog to ``path`` as one column container.
 
-    Returns the number of associations written, which the snapshot
-    manifest stores next to the file's checksum.  ``names`` restricts
-    the file to a subset of the catalog's BATs (in the given order) —
-    the offline index artifact splits one catalog over several files
-    this way; an unknown name is a :class:`~repro.errors.CatalogError`.
-    Every file records the catalog's next oid, so any subset file alone
-    still restores a collision-free oid sequence.
+    Returns the number of associations written, which the manifest
+    stores next to the file's checksum.  The file records the catalog's
+    next oid, so a restore keeps handing out collision-free oids.
     """
     from repro.persistence.atomic import atomic_write
 
-    names = catalog.names() if names is None else list(names)
+    names = catalog.names()
     bats = [catalog.get(name) for name in names]
     header = {
         "next_oid": int(catalog.oids.peek()),
@@ -233,23 +228,23 @@ def _bat_entries(container: _Container, raw: bytes) -> tuple[int, list]:
 
 
 def load_catalog(path: str | Path, *, oid_start: int = 0,
-                 oid_stride: int = 1,
-                 catalog: Catalog | None = None) -> Catalog:
+                 oid_stride: int = 1) -> Catalog:
     """Load a catalog container written by :func:`save_catalog`.
 
     ``oid_start``/``oid_stride`` reconstruct a cluster node's strided
     oid sequence, so a restored shared-nothing server keeps handing out
-    collision-free oids.  Passing an existing ``catalog`` merges the
-    file's BATs into it instead of building a fresh one — how a
-    multi-file artifact (postings / positions / meta) reassembles into
-    one catalog; a BAT name present in both is a :class:`CatalogError`.
-    Every section is decoded and checked before the first BAT is
-    created; any defect raises :class:`~repro.errors.SnapshotError` (a
-    :class:`CatalogError` subclass, so pre-existing handlers still
-    apply).
+    collision-free oids.  Every section is decoded and checked before
+    the first BAT is created; a missing file or any defect raises
+    :class:`~repro.errors.SnapshotError` (a :class:`CatalogError`
+    subclass, so pre-existing handlers still apply).
     """
     path = Path(path)
-    container = _Container(path.read_bytes(), path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise SnapshotError(f"unreadable container {path}: {exc}",
+                            path=path) from exc
+    container = _Container(data, path)
     kind, raw = container.section("BAT header")
     if kind != _HEADER:
         raise container.error(f"expected the BAT header section, found a "
@@ -259,8 +254,7 @@ def load_catalog(path: str | Path, *, oid_start: int = 0,
                 container.column(tail, count, f"tail column of {name!r}"))
                for name, head, tail, count in entries]
     container.finish()
-    if catalog is None:
-        catalog = Catalog(oid_start=oid_start, oid_stride=oid_stride)
+    catalog = Catalog(oid_start=oid_start, oid_stride=oid_stride)
     for (name, head, tail, _), (heads, tails) in zip(entries, columns):
         try:
             catalog.create(name, head, tail).append_many(heads, tails)

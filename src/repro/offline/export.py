@@ -2,11 +2,12 @@
 
 The export is the offline tier's producer half: any populated engine —
 the integrated :class:`~repro.core.engine.SearchEngine` or a bare
-:class:`~repro.ir.engine.IrEngine` — flattens its IR relations into
-the artifact layout of :mod:`repro.offline.artifact`.  Data files are
-written first through the atomic write path, the checksummed manifest
-last: an interrupted export leaves either the previous complete
-artifact or no manifest, never a torn one.
+:class:`~repro.ir.engine.IrEngine` — writes its IR relations as an
+``artifact`` object (:func:`~repro.persistence.manifest.save_ir_object`):
+the IR part ``ir.bats`` first through the atomic write path, the
+checksummed manifest last.  A re-export into the same directory first
+removes the old manifest, so an interrupted export leaves either the
+previous complete artifact or no manifest, never a torn one.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from pathlib import Path
 
 from repro.errors import QueryError
 from repro.ir.text import analyzer_config
-from repro.monetdb.persistence import save_catalog
-from repro.offline.artifact import (META_BATS, META_FILE, POSITIONS_BATS,
-                                    POSITIONS_FILE, POSTINGS_BATS,
-                                    POSTINGS_FILE, OfflineManifest)
-from repro.persistence.manifest import stamp_file
-from repro.service.api import SCHEMA_VERSION_V2
+from repro.persistence.manifest import IR_PART, save_ir_object
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["export_index"]
@@ -62,42 +58,24 @@ def export_index(engine, directory: str | Path) -> Path:
     """Write a static index artifact; returns the artifact directory.
 
     The exporting index's deferred IDF refresh is materialised first so
-    the artifact is internally consistent, then each relation group
-    lands in its data file (atomic temp + fsync + replace), and the
-    ``index.json`` manifest — format version, schema version,
-    generation, analyzer fingerprint, full engine config, per-file
-    SHA-256 stamps — commits the artifact last.
+    the artifact is internally consistent, then ``ir.bats`` lands
+    (atomic temp + fsync + replace), and the manifest — format version,
+    generation, analyzer fingerprint, full engine config, the SHA-256
+    stamp — commits the artifact last.
     """
     ir = _ir_engine(engine)
     relations = ir.relations
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     telemetry = get_telemetry()
     with telemetry.tracer.span("offline.export",
                                directory=str(directory)) as span:
-        relations.refresh_idf()
-        catalog = relations.catalog
-        files = {}
-        for name, bats in ((POSTINGS_FILE, POSTINGS_BATS),
-                           (POSITIONS_FILE, POSITIONS_BATS),
-                           (META_FILE, META_BATS)):
-            records = save_catalog(catalog, directory / name,
-                                   names=list(bats))
-            files[name] = stamp_file(directory / name, records)
-        manifest = OfflineManifest(
-            generation=relations.generation,
-            config=_engine_config(engine, ir),
-            analyzer=analyzer_config(),
-            schema_version=SCHEMA_VERSION_V2,
-            documents=relations.document_count(),
-            vocabulary=relations.vocabulary_size(),
-            files=files,
-        )
-        manifest.save(directory)
-        total_bytes = sum(stamp.bytes for stamp in files.values())
-        span.set_attributes(generation=relations.generation,
-                            documents=manifest.documents,
-                            files=len(files) + 1, bytes=total_bytes)
+        manifest = save_ir_object(relations, directory, "artifact",
+                                  config=_engine_config(engine, ir),
+                                  analyzer=analyzer_config())
+        total_bytes = manifest.files[IR_PART].bytes
+        span.set_attributes(generation=manifest.generation,
+                            documents=relations.document_count(),
+                            files=len(manifest.files) + 1, bytes=total_bytes)
     telemetry.metrics.counter("offline.exports").add(1)
     telemetry.metrics.counter("offline.export_bytes").add(total_bytes)
     return directory

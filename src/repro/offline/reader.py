@@ -6,7 +6,7 @@ export.export_index` artifact and answers the full schema-2
 fielded, boosted, faceted, sorted, paginated — with rankings
 **bit-identical** to the live service over the same index generation.
 The identity is by construction, not by re-implementation: the reader
-reassembles the exported catalog into the same
+restores the exported IR part into the same
 :class:`~repro.ir.relations.IrRelations` and delegates to a private
 :class:`~repro.ir.engine.IrEngine`, so every scoring path (scalar and
 columnar kernels alike) is the very code the served engine runs.  What
@@ -23,9 +23,8 @@ from repro.errors import SnapshotError
 from repro.ir.engine import IrEngine
 from repro.ir.relations import IrRelations
 from repro.ir.text import analyzer_config
-from repro.monetdb.persistence import load_catalog
-from repro.offline.artifact import (ARTIFACT_FILES, OfflineManifest)
-from repro.persistence.manifest import verify_files
+from repro.persistence.manifest import IR_PART, Manifest, verify_files
+from repro.service.api import SCHEMA_VERSION_V2
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["StaticIndexReader"]
@@ -34,21 +33,20 @@ __all__ = ["StaticIndexReader"]
 class StaticIndexReader:
     """An immutable, dependency-light engine over one index artifact.
 
-    Loading verifies the manifest (format version, analyzer
-    fingerprint) and every data file's SHA-256 / size stamp before a
-    single record is deserialized — a corrupted or version-skewed
-    artifact is always a typed :class:`~repro.errors.SnapshotError`,
-    never a silently wrong ranking.  ``verify=False`` skips only the
-    checksum pass (for repeated loads of an already-trusted artifact);
-    the structural and version checks always run.
+    Loading verifies the manifest (format version, kind, analyzer
+    fingerprint) and the SHA-256 / size stamp of ``ir.bats`` before a
+    single record is deserialized — a corrupted, version-skewed or
+    wrong-kind object is always a typed
+    :class:`~repro.errors.SnapshotError`, never a silently wrong
+    ranking.
     """
 
-    def __init__(self, directory: str | Path, *, verify: bool = True):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         telemetry = get_telemetry()
         with telemetry.tracer.span("offline.load",
                                    directory=str(self.directory)) as span:
-            self.manifest = OfflineManifest.load(self.directory)
+            self.manifest = Manifest.load(self.directory, "artifact")
             live = analyzer_config()
             if self.manifest.analyzer != live:
                 raise SnapshotError(
@@ -56,31 +54,20 @@ class StaticIndexReader:
                     f"different analyzer ({self.manifest.analyzer!r}); "
                     f"this reader analyzes with {live!r} — queries "
                     "would miss silently", path=self.directory)
-            missing = [name for name in ARTIFACT_FILES
-                       if name not in self.manifest.files]
-            if missing:
-                raise SnapshotError(
-                    f"index manifest {self.directory} lacks stamps for "
-                    f"{missing}", path=self.directory)
-            if verify:
-                verify_files(self.directory, self.manifest)
-            catalog = None
-            for name in ARTIFACT_FILES:
-                catalog = load_catalog(self.directory / name,
-                                       catalog=catalog)
-            relations = IrRelations(catalog)
-            # the artifact generation keys the reader's query cache the
-            # same way the live engine's does; IDF is re-derived once
-            # here (the manifest's IDF column is verified input, but
-            # the authoritative derivation is DT, exactly as on restore)
-            relations.generation = self.manifest.generation
+            verify_files(self.directory, self.manifest)
+            # the artifact generation stamps the relations the same way
+            # the live engine's are; IDF is re-derived once here (the
+            # stored IDF column is verified input, but the
+            # authoritative derivation is DT, exactly as on restore)
+            relations = IrRelations.load(self.directory / IR_PART,
+                                         self.manifest.generation)
             relations.refresh_idf()
             config = self.manifest.config
             self._engine = IrEngine(fragment_count=config.fragment_count,
                                     model=config.ranking_model)
             self._engine.relations = relations
             span.set_attributes(generation=self.manifest.generation,
-                                documents=self.manifest.documents)
+                                documents=relations.document_count())
         telemetry.metrics.counter("offline.loads").add(1)
 
     # -- querying ---------------------------------------------------------
@@ -115,7 +102,7 @@ class StaticIndexReader:
         return {
             "directory": str(self.directory),
             "format_version": self.manifest.format_version,
-            "schema_version": self.manifest.schema_version,
+            "schema_version": SCHEMA_VERSION_V2,
             "generation": self.manifest.generation,
             "documents": self.document_count(),
             "vocabulary": self.vocabulary_size(),

@@ -3,10 +3,14 @@
 The subsystem layers four modules:
 
 * :mod:`repro.persistence.atomic` — temp + fsync + ``os.replace``
-  writes; nothing in a snapshot is ever written in place,
-* :mod:`repro.persistence.manifest` — the versioned, checksummed
-  ``engine.json`` (format version, per-file SHA-256 + record counts,
-  store generation stamps, the full engine config),
+  writes; nothing on disk is ever written in place,
+* :mod:`repro.persistence.manifest` — the one on-disk object format:
+  a versioned, checksummed ``manifest.json`` (format version, kind,
+  per-file SHA-256 + record counts, and what its kind needs) over data
+  files that always include the IR part ``ir.bats``.  An engine
+  checkpoint is a ``snapshot`` object, a static index an ``artifact``
+  (:mod:`repro.offline`), a replica checkpoint a ``node``
+  (:mod:`repro.remote.replicas`),
 * :mod:`repro.persistence.snapshot` — retention:
   ``snapshot/<generation>/`` directories behind an atomically flipped
   ``CURRENT`` pointer, keeping the last K checkpoints,
@@ -19,32 +23,31 @@ and ties them together in :mod:`repro.persistence.engine`'s
 catalog file a checkpoint holds is a
 :mod:`repro.monetdb.persistence` column container.
 
-``save_engine``/``load_engine`` are exposed lazily (PEP 562): the
-engine module pulls in the whole core stack, and eager import here
-would recreate the import cycle this split exists to avoid.
+The FDS state and ``save_engine``/``load_engine`` are exposed lazily
+(PEP 562): they pull in the feature-grammar and core stacks, which a
+worker process reading a ``node`` manifest does not need, and eager
+import of the engine module would recreate the import cycle this split
+exists to avoid.
 """
 
 from repro.errors import SnapshotError
 from repro.persistence.atomic import (atomic_write, atomic_write_bytes,
                                       atomic_write_text, fsync_directory,
                                       read_pointer, write_pointer)
-from repro.persistence.manifest import (FORMAT_VERSION, MANIFEST_NAME,
-                                        FileStamp, Manifest,
+from repro.persistence.manifest import (FORMAT_VERSION, IR_PART,
+                                        MANIFEST_NAME, FileStamp, Manifest,
                                         config_from_dict, config_to_dict,
-                                        sha256_file, stamp_file,
-                                        verify_files)
+                                        save_ir_object, sha256_file,
+                                        stamp_file, verify_files)
 from repro.persistence.snapshot import (CURRENT_NAME, SNAPSHOT_DIR,
                                         SnapshotStore)
-from repro.persistence.fdsstate import (FDS_STATE_NAME, decode_tree,
-                                        dump_fds_state, encode_tree,
-                                        load_fds_state, restore_fds_state)
 
 __all__ = [
     "SnapshotError",
     "atomic_write", "atomic_write_bytes", "atomic_write_text",
     "fsync_directory", "read_pointer", "write_pointer",
-    "FORMAT_VERSION", "MANIFEST_NAME", "FileStamp", "Manifest",
-    "config_from_dict", "config_to_dict",
+    "FORMAT_VERSION", "IR_PART", "MANIFEST_NAME", "FileStamp", "Manifest",
+    "config_from_dict", "config_to_dict", "save_ir_object",
     "sha256_file", "stamp_file", "verify_files",
     "CURRENT_NAME", "SNAPSHOT_DIR", "SnapshotStore",
     "FDS_STATE_NAME", "decode_tree", "dump_fds_state", "encode_tree",
@@ -52,11 +55,15 @@ __all__ = [
     "save_engine", "load_engine",
 ]
 
-_LAZY = ("save_engine", "load_engine")
+_LAZY = {"save_engine": "engine", "load_engine": "engine",
+         **dict.fromkeys(("FDS_STATE_NAME", "decode_tree", "dump_fds_state",
+                          "encode_tree", "load_fds_state",
+                          "restore_fds_state"), "fdsstate")}
 
 
 def __getattr__(name):
     if name in _LAZY:
-        from repro.persistence import engine
-        return getattr(engine, name)
+        from importlib import import_module
+        module = import_module(f"repro.persistence.{_LAZY[name]}")
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,9 +7,9 @@ checkpoints, made crash-safe by three cooperating mechanisms:
    ``fsync`` + ``os.replace`` (:mod:`repro.persistence.atomic`), and the
    manifest is written *last*, so a checkpoint directory is either
    complete (manifest present, all files verified) or ignorable.
-2. **A versioned, checksummed manifest** — ``engine.json`` carries a
-   ``format_version``, per-file SHA-256 + size + record counts, the
-   store generation stamps and the *full*
+2. **A versioned, checksummed manifest** — a ``snapshot``-kind
+   ``manifest.json`` carries a ``format_version``, per-file SHA-256 +
+   size + record counts, the store generation stamps and the *full*
    :class:`~repro.core.config.EngineConfig`
    (:mod:`repro.persistence.manifest`); loaders detect truncation and
    bit-flips with a typed :class:`~repro.errors.SnapshotError` before
@@ -27,10 +27,14 @@ trees, source stamps, observed detector versions —
 the revalidations it warrants instead of a full re-populate.
 
 Every catalog file is a :mod:`repro.monetdb.persistence` column
-container (``*.bats``).  Older layouts — the flat format-1 directory
-with ``engine.json`` at its root, format-2 JSON-lines generations — are
+container (``*.bats``); the IR part, ``ir.bats``, is the same file a
+static artifact and a replica checkpoint hold
+(:meth:`~repro.ir.relations.IrRelations.save` /
+:meth:`~repro.ir.relations.IrRelations.load`).  Older layouts — the
+flat format 1 directory, format 2 JSON-lines generations, format 3
+generations under ``engine.json`` — and objects of another kind are
 refused with a typed :class:`~repro.errors.SnapshotError` naming their
-version.
+version or kind.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from shutil import rmtree
 
 from repro.errors import CatalogError, SnapshotError
 from repro.ir.relations import IrRelations
-from repro.monetdb.persistence import load_catalog, save_catalog
 from repro.telemetry.runtime import get_telemetry
 from repro.web.site import SimulatedWebServer
 from repro.webspace.schema import WebspaceSchema
@@ -48,7 +51,7 @@ from repro.core.engine import SearchEngine
 from repro.persistence.atomic import atomic_write_text
 from repro.persistence.fdsstate import (FDS_STATE_NAME, dump_fds_state,
                                         load_fds_state, restore_fds_state)
-from repro.persistence.manifest import (FORMAT_VERSION, Manifest,
+from repro.persistence.manifest import (IR_PART, MANIFEST_NAME, Manifest,
                                         stamp_file, verify_files)
 from repro.persistence.snapshot import SnapshotStore
 
@@ -56,7 +59,6 @@ __all__ = ["save_engine", "load_engine"]
 
 _CONCEPTUAL = "conceptual.bats"
 _META = "meta.bats"
-_IR = "ir.bats"
 
 
 def _node_file(name: str) -> str:
@@ -108,7 +110,7 @@ def save_engine(engine: SearchEngine, directory: str | Path,
             rmtree(path, ignore_errors=True)
             raise
         total_bytes = sum(stamp.bytes for stamp in files.values()) \
-            + (path / "engine.json").stat().st_size
+            + (path / MANIFEST_NAME).stat().st_size
         span.set_attributes(generation=generation, files=len(files) + 1,
                             bytes=total_bytes)
     telemetry.metrics.counter("snapshot.saves").add(1)
@@ -125,15 +127,11 @@ def _write_payload(engine: SearchEngine, path: Path) -> dict:
 
     record(_CONCEPTUAL, engine.conceptual_store.save(path / _CONCEPTUAL))
     record(_META, engine.meta_store.save(path / _META))
-    # materialise any deferred IDF refresh so the snapshot's relations
-    # are internally consistent (restores still re-derive defensively)
-    engine.ir.relations.refresh_idf()
-    record(_IR, save_catalog(engine.ir.relations.catalog, path / _IR))
+    record(IR_PART, engine.ir.relations.save(path / IR_PART))
     if _is_clustered(engine):
         for name, relations in engine.ir.index.nodes.items():
-            relations.refresh_idf()
             record(_node_file(name),
-                   save_catalog(relations.catalog, path / _node_file(name)))
+                   relations.save(path / _node_file(name)))
     state = dump_fds_state(engine.fds)
     atomic_write_text(path / FDS_STATE_NAME, state)
     files[FDS_STATE_NAME] = stamp_file(path / FDS_STATE_NAME,
@@ -196,14 +194,11 @@ def load_engine(directory: str | Path, schema: WebspaceSchema,
             # generation, newest first
             candidates = sorted(store.generations(), reverse=True)
         if not candidates:
-            if (directory / "engine.json").exists():
-                raise SnapshotError(
-                    f"{directory} is a flat format_version 1 snapshot; "
-                    f"this build reads format_version {FORMAT_VERSION} "
-                    "only — re-populate and snapshot again",
-                    path=directory)
-            raise SnapshotError(f"no engine snapshot in {directory}",
-                                path=directory)
+            # names what the directory holds instead: an object of
+            # another kind, an older format, or nothing at all
+            Manifest.load(directory)
+            raise SnapshotError(f"{directory} is one snapshot generation, "
+                                "not a snapshot root", path=directory)
         last_error: SnapshotError | None = None
         for attempt, generation in enumerate(candidates):
             try:
@@ -311,25 +306,18 @@ def _reattach_media(engine: SearchEngine) -> None:
 
 
 def _restore_ir(engine: SearchEngine, path: Path, stamps: dict) -> None:
-    if _is_clustered(engine):
-        node_stamps = stamps.get("ir_nodes", {})
-        cluster = engine.ir.cluster
-        size = len(cluster)
-        for position, monet in enumerate(cluster.servers):
-            node_path = path / _node_file(monet.name)
-            # restore the node's strided oid sequence so a restored
-            # shared-nothing server keeps handing out unique oids
-            monet.catalog = load_catalog(node_path, oid_start=position,
-                                         oid_stride=size)
-            relations = IrRelations(monet.catalog)
-            relations.generation = int(node_stamps.get(monet.name, 0))
-            engine.ir.index.nodes[monet.name] = relations
-        central = IrRelations(load_catalog(path / _IR))
-        central.generation = int(stamps.get("ir", 0))
-        engine.ir.index.central = central
-        central.refresh_idf()
-    else:
-        relations = IrRelations(load_catalog(path / _IR))
-        relations.generation = int(stamps.get("ir", 0))
+    relations = IrRelations.load(path / IR_PART, int(stamps.get("ir", 0)))
+    relations.refresh_idf()
+    if not _is_clustered(engine):
         engine.ir.relations = relations
-        relations.refresh_idf()
+        return
+    engine.ir.index.central = relations
+    node_stamps = stamps.get("ir_nodes", {})
+    cluster = engine.ir.cluster
+    for position, monet in enumerate(cluster.servers):
+        node = IrRelations.load(
+            path / _node_file(monet.name),
+            int(node_stamps.get(monet.name, 0)),
+            oid_start=position, oid_stride=len(cluster))
+        monet.catalog = node.catalog
+        engine.ir.index.nodes[monet.name] = node

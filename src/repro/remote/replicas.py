@@ -14,11 +14,13 @@ replica's post-write generation, which must equal the local node's.  A
 replica that misses a write (transport failure) or diverges (generation
 mismatch) is marked unhealthy and queries route around it; a later
 :meth:`repair` replaces it with a fresh worker **bootstrapped from the
-newest committed snapshot** (written through
-:class:`~repro.persistence.snapshot.SnapshotStore`'s atomic
-generation-directory protocol) and caught up by replaying the per-node
-op-log past the snapshot's sequence number — the cluster keeps serving
-throughout.
+newest committed checkpoint** and caught up by replaying the per-node
+op-log past the checkpoint's sequence number — the cluster keeps
+serving throughout.  A checkpoint is a ``node`` object of
+:mod:`repro.persistence.manifest` (the IR part ``ir.bats`` plus a
+manifest recording the op-log ``seq``) in a
+:class:`~repro.persistence.snapshot.SnapshotStore` generation
+directory; its stamps are verified before any worker loads it.
 
 Every spawned worker registers in a module-level live-process registry
 so test fixtures can assert no worker outlives its test (the process
@@ -42,8 +44,8 @@ import repro
 from repro.errors import (RemoteError, RemoteTransportError, SnapshotError,
                           WorkerStartupError)
 from repro.ir.relations import IrRelations
-from repro.monetdb.persistence import save_catalog
-from repro.persistence.atomic import atomic_write_text
+from repro.persistence.manifest import (Manifest, save_ir_object,
+                                        verify_files)
 from repro.persistence.snapshot import SnapshotStore
 from repro.remote.client import WorkerClient
 from repro.telemetry.runtime import get_telemetry
@@ -55,9 +57,6 @@ __all__ = ["ReplicaSet", "WorkerHandle", "live_worker_pids"]
 #: reaped; test conftests assert it drains back to empty.
 _LIVE_WORKERS: dict[int, subprocess.Popen] = {}
 _REGISTRY_LOCK = threading.Lock()
-
-CATALOG_FILE = "catalog.bats"
-META_FILE = "meta.json"
 
 
 def live_worker_pids() -> list[int]:
@@ -275,23 +274,22 @@ class ReplicaSet:
     def _store(self, node: str) -> SnapshotStore:
         return SnapshotStore(self.snapshot_root / node.replace("/", "_"))
 
-    def _checkpoint_from_local(self, node: str) -> tuple[Path, dict]:
+    def _checkpoint_from_local(self, node: str) -> tuple[Path, Manifest]:
         """Checkpoint the *authoritative* local copy of one node."""
-        local = self.nodes[node]
-        local.refresh_idf()
         store = self._store(node)
         generation, path = store.begin()
-        save_catalog(local.catalog, path / CATALOG_FILE)
-        meta = {"generation": local.generation, "seq": self._seq[node]}
-        # atomic: a crash mid-write must not leave a committed-looking
-        # generation with a torn meta file
-        atomic_write_text(path / META_FILE, json.dumps(meta))
+        manifest = save_ir_object(self.nodes[node], path, "node",
+                                  seq=self._seq[node])
+        return self._commit(node, store, generation, path, manifest)
+
+    def _commit(self, node: str, store: SnapshotStore, generation: int,
+                path: Path, manifest: Manifest) -> tuple[Path, Manifest]:
         store.commit(generation)
         get_telemetry().metrics.counter("remote.checkpoints").add(1)
-        self._truncate_oplog(node, meta["seq"])
-        return path, meta
+        self._truncate_oplog(node, manifest.seq)
+        return path, manifest
 
-    def checkpoint(self, node: str) -> tuple[Path, dict]:
+    def checkpoint(self, node: str) -> tuple[Path, Manifest]:
         """Checkpoint one node from a healthy replica (shared-nothing).
 
         Falls back to the coordinator's local copy when no replica is
@@ -305,18 +303,14 @@ class ReplicaSet:
         store = self._store(node)
         generation, path = store.begin()
         try:
-            value = source.client.call(
-                "checkpoint", {"path": str(path / CATALOG_FILE)},
+            source.client.call(
+                "checkpoint", {"path": str(path), "seq": self._seq[node]},
                 deadline_s=self.rpc_deadline_s)
         except RemoteTransportError:
             self.note_failure(source)
             return self._checkpoint_from_local(node)
-        meta = {"generation": value["generation"], "seq": self._seq[node]}
-        atomic_write_text(path / META_FILE, json.dumps(meta))
-        store.commit(generation)
-        get_telemetry().metrics.counter("remote.checkpoints").add(1)
-        self._truncate_oplog(node, meta["seq"])
-        return path, meta
+        return self._commit(node, store, generation, path,
+                            Manifest.load(path, "node"))
 
     def _truncate_oplog(self, node: str, seq: int) -> int:
         """Drop op-log entries a committed checkpoint covers.
@@ -337,7 +331,9 @@ class ReplicaSet:
                                             node=node).add(dropped)
         return dropped
 
-    def _newest_checkpoint(self, node: str) -> tuple[Path, dict] | None:
+    def _newest_checkpoint(self, node: str
+                           ) -> tuple[Path, Manifest] | None:
+        """The newest committed checkpoint whose stamps verify."""
         store = self._store(node)
         try:
             candidates = store.candidates()
@@ -345,29 +341,26 @@ class ReplicaSet:
             return None
         for generation in candidates:
             path = store.path(generation)
-            catalog = path / CATALOG_FILE
-            meta_path = path / META_FILE
-            if not catalog.is_file() or not meta_path.is_file():
-                continue
             try:
-                meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
+                manifest = Manifest.load(path, "node")
+                verify_files(path, manifest)
+            except SnapshotError:
+                get_telemetry().metrics.counter(
+                    "remote.checkpoint_corruptions").add(1)
                 continue
-            return path, meta
+            return path, manifest
         return None
 
     def _bootstrap(self, handle: WorkerHandle, node: str,
-                   path: Path, meta: dict) -> None:
-        """Restore a worker from a snapshot, then replay the op-log tail."""
-        value = handle.client.call(
-            "bootstrap",
-            {"path": str(path / CATALOG_FILE),
-             "generation": meta["generation"]},
-            deadline_s=self.rpc_deadline_s)
+                   path: Path, manifest: Manifest) -> None:
+        """Restore a worker from a checkpoint, then replay the op-log
+        tail past the checkpoint's ``seq``."""
+        value = handle.client.call("bootstrap", {"path": str(path)},
+                                   deadline_s=self.rpc_deadline_s)
         handle.generation = int(value["generation"])
         with self._lock:
             tail = [record for record in self._oplog[node]
-                    if record.seq > meta["seq"]]
+                    if record.seq > manifest.seq]
         for record in tail:
             reply = handle.client.call(
                 record.op, record.params, deadline_s=self.rpc_deadline_s)

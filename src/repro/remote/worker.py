@@ -19,8 +19,10 @@ op                      effect
                         request/reply reuse the frozen
                         :class:`~repro.service.api.SearchRequest` /
                         ``SearchResponse`` wire shapes
-``checkpoint``          save the catalog to a path (snapshot bootstrap)
-``bootstrap``           replace the relations from a catalog snapshot
+``checkpoint``          write the relations as a ``node`` object (``ir.bats``
+                        plus its manifest) into a directory
+``bootstrap``           replace the relations from a ``node`` object,
+                        stamped with the generation its manifest records
 ``set_fault``           inject per-search latency (tests, benchmarks)
 ``shutdown``            reply, then stop serving
 ======================  ====================================================
@@ -47,13 +49,14 @@ import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 from repro.errors import (QueryError, RemoteProtocolError,
                           RemoteTransportError, ReproError)
 from repro.ir.distributed import node_topn
 from repro.ir.fragmentation import FragmentSet, fragment_by_idf
 from repro.ir.relations import IrRelations
-from repro.monetdb.persistence import load_catalog, save_catalog
+from repro.persistence.manifest import IR_PART, Manifest, save_ir_object
 from repro.remote.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
                                    recv_frame, send_frame)
 from repro.service import api
@@ -259,15 +262,14 @@ class NodeWorker:
 
     def _op_checkpoint(self, request: dict) -> dict:
         with self._rw.read_locked():
-            self.relations.refresh_idf()
-            records = save_catalog(self.relations.catalog, request["path"])
-            return {"records": records,
-                    "generation": self.relations.generation}
+            manifest = save_ir_object(self.relations, request["path"],
+                                      "node", seq=int(request["seq"]))
+            return {"generation": manifest.generation}
 
     def _op_bootstrap(self, request: dict) -> dict:
-        catalog = load_catalog(request["path"])
-        restored = IrRelations(catalog)
-        restored.generation = int(request.get("generation", 0))
+        manifest = Manifest.load(request["path"], "node")
+        restored = IrRelations.load(Path(request["path"]) / IR_PART,
+                                    manifest.generation)
         with self._rw.write_locked():
             self.relations = restored
             self._fragments = None

@@ -22,7 +22,7 @@ class TestPopulate:
         assert (snapshot / "site.json").exists()
         generation = (snapshot / "CURRENT").read_text().strip()
         checkpoint = snapshot / "snapshot" / generation
-        assert (checkpoint / "engine.json").exists()
+        assert (checkpoint / "manifest.json").exists()
         assert (checkpoint / "conceptual.bats").exists()
 
     def test_populate_report_printed(self, tmp_path, capsys):
@@ -195,3 +195,35 @@ class TestInspection:
         code = main(["stats", "--snapshot", str(tmp_path / "nope")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.offline
+class TestExportIndex:
+    def test_populate_export_and_read_back(self, tmp_path, capsys):
+        """populate -> export-index -> StaticIndexReader answers a
+        fragmented probe the same as the snapshot's own engine."""
+        from repro.offline import StaticIndexReader
+        from repro.persistence import FORMAT_VERSION, load_engine
+        from repro.service.api import MODE_FRAGMENTED, SearchRequest
+        from repro.web.ausopen import build_ausopen_site
+        from repro.webspace.schema import australian_open_schema
+
+        snapshot, artifact = tmp_path / "snapshot", tmp_path / "artifact"
+        assert main(["populate", "--site", "ausopen",
+                     "--snapshot", str(snapshot), "--players", "4",
+                     "--articles", "2", "--videos", "1",
+                     "--frames", "6"]) == 0
+        capsys.readouterr()
+        assert main(["export-index", "--snapshot", str(snapshot),
+                     "--output", str(artifact)]) == 0
+        assert f"format {FORMAT_VERSION}," in capsys.readouterr().out
+        server, _ = build_ausopen_site(players=4, articles=2, videos=1,
+                                       frames_per_shot=6)
+        engine = load_engine(snapshot, australian_open_schema(), server)
+        probe = SearchRequest(query="winner champion trophy",
+                              mode=MODE_FRAGMENTED)
+        live = engine.execute(probe)
+        static = StaticIndexReader(artifact).execute(probe)
+        assert live.hits
+        assert [(hit.key, hit.score) for hit in static.hits] \
+            == [(hit.key, hit.score) for hit in live.hits]

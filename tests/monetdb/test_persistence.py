@@ -110,17 +110,12 @@ class TestRoundTrip:
         assert (tmp_path / "a.bats").read_bytes() \
             == (tmp_path / "b.bats").read_bytes()
 
-    def test_merge_into_an_existing_catalog(self, catalog, tmp_path):
-        save_catalog(catalog, tmp_path / "a.bats", names=["names"])
-        save_catalog(catalog, tmp_path / "b.bats", names=["scores"])
-        merged = load_catalog(tmp_path / "b.bats",
-                              catalog=load_catalog(tmp_path / "a.bats"))
-        assert merged.names() == ["names", "scores"]
-        with pytest.raises(CatalogError, match="already exists"):
-            load_catalog(tmp_path / "a.bats", catalog=merged)
-
 
 class TestErrors:
+    def test_missing_file_is_typed(self, tmp_path):
+        with pytest.raises(SnapshotError, match="unreadable container"):
+            load_catalog(tmp_path / "absent.bats")
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "broken.bats"
         path.write_text("")

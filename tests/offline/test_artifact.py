@@ -1,49 +1,89 @@
-"""Artifact integrity: corruption is always a typed error, never a
-silently wrong ranking.
+"""The artifact object: its layout, in-place re-export, and the checks
+only an artifact has.
 
-Every tampering vector — truncation, a flipped bit, a deleted data
-file, a missing or malformed manifest, format/analyzer version skew —
-must surface as a :class:`~repro.errors.SnapshotError` (or a subclass)
-at load time, before a single record is served.
+Missing / torn / incomplete manifests, format skew and the wrong kind
+are the cross-kind matrix of :mod:`tests.persistence.test_object_matrix`;
+what stays here is the analyzer fingerprint, the IR part's stamp,
+format 2's refusal, the export's promise that an interruption never
+leaves a torn artifact, and corruption aimed at each group of relations
+format 2 kept in a file of its own.
 """
 
+import hashlib
 import json
+import zlib
 
 import pytest
 
 from repro.errors import QueryError, SnapshotError
-from repro.offline import (INDEX_MANIFEST, OFFLINE_FORMAT_VERSION,
-                           OfflineManifest, StaticIndexReader,
-                           export_index)
-from repro.offline.artifact import (ARTIFACT_FILES, META_FILE,
-                                    POSITIONS_FILE, POSTINGS_FILE)
+from repro.ir.engine import IrEngine
+from repro.offline import StaticIndexReader, export_index
+from repro.persistence import (FORMAT_VERSION, IR_PART, MANIFEST_NAME,
+                               Manifest)
 
-from tests.monetdb.container import damaged
+from tests.monetdb.container import SECTION, damaged, sections
 
 pytestmark = pytest.mark.offline
 
+#: Format 2 split the IR part into three files; ir.bats now holds the
+#: same relations as sections of one container.  The corruption cases
+#: below still run once per former file, on its relations' sections.
+FORMER_FILES = {
+    "postings.bats": ("ir:T", "ir:DT:doc", "ir:DT:term", "ir:TF", "ir:IDF"),
+    "positions.bats": ("ir:POS",),
+    "meta.bats": ("ir:D",),
+}
 
-def load(artifact, **kwargs):
-    return StaticIndexReader(artifact, **kwargs)
+
+def load(artifact):
+    return StaticIndexReader(artifact)
 
 
 def edit_manifest(artifact, mutate):
-    """Round-trip index.json through ``mutate`` (a dict -> dict)."""
-    path = artifact / INDEX_MANIFEST
+    """Round-trip manifest.json through ``mutate`` (a dict -> dict)."""
+    path = artifact / MANIFEST_NAME
     data = json.loads(path.read_text())
     path.write_text(json.dumps(mutate(data)))
 
 
+def former_sections(data, former):
+    """Numbers of the ir.bats sections holding ``former``'s relations.
+
+    Section 0 is the BAT header; BAT ``i`` of its list contributes its
+    head and tail column as sections ``1 + 2i`` and ``2 + 2i``.
+    """
+    start, end = sections(data)[0]
+    header = json.loads(zlib.decompress(data[start + SECTION.size:end]))
+    names = [entry["name"] for entry in header["bats"]]
+    numbers = [number for index, name in enumerate(names)
+               if name in FORMER_FILES[former]
+               for number in (1 + 2 * index, 2 + 2 * index)]
+    assert len(numbers) == 2 * len(FORMER_FILES[former])
+    return numbers
+
+
+def restamp(artifact):
+    """Make the manifest agree with ir.bats as it now is, so a defect
+    gets past the SHA-256 pass and only the container can catch it."""
+    data = (artifact / IR_PART).read_bytes()
+
+    def stamp(manifest):
+        manifest["files"][IR_PART].update(
+            sha256=hashlib.sha256(data).hexdigest(), bytes=len(data))
+        return manifest
+    edit_manifest(artifact, stamp)
+
+
 class TestExportLayout:
     def test_artifact_is_complete_and_self_describing(self, artifact):
-        assert (artifact / INDEX_MANIFEST).exists()
-        for name in ARTIFACT_FILES:
-            assert (artifact / name).exists()
-        manifest = OfflineManifest.load(artifact)
-        assert manifest.format_version == OFFLINE_FORMAT_VERSION
-        assert set(manifest.files) == set(ARTIFACT_FILES)
-        for name, stamp in manifest.files.items():
-            assert stamp.bytes == (artifact / name).stat().st_size
+        assert sorted(path.name for path in artifact.iterdir()) \
+            == sorted([IR_PART, MANIFEST_NAME])
+        manifest = Manifest.load(artifact, "artifact")
+        assert manifest.format_version == FORMAT_VERSION
+        assert manifest.kind == "artifact"
+        assert set(manifest.files) == {IR_PART}
+        assert manifest.files[IR_PART].bytes \
+            == (artifact / IR_PART).stat().st_size
 
     def test_export_refuses_non_ir_engines(self, tmp_path):
         with pytest.raises(QueryError, match="IrEngine"):
@@ -57,87 +97,97 @@ class TestExportLayout:
         assert reader.document_count() \
             == engine.relations.document_count()
 
+    def test_interrupted_reexport_leaves_no_manifest(self, tmp_path,
+                                                     monkeypatch):
+        """An export that dies before its manifest lands must not leave
+        the previous manifest describing the new data file."""
+        engine = IrEngine(fragment_count=4)
+        for number in range(50):
+            engine.index(f"http://site/d{number}", f"document {number} "
+                         "about digital library search")
+        artifact = export_index(engine, tmp_path / "artifact")
+        engine.index("http://site/late", "one more document")
+
+        def crash(*args, **kwargs):
+            raise OSError("simulated crash before the manifest")
+        monkeypatch.setattr(Manifest, "save", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            export_index(engine, artifact)
+        monkeypatch.undo()
+        assert not (artifact / MANIFEST_NAME).exists()
+        with pytest.raises(SnapshotError, match=f"missing {MANIFEST_NAME}"):
+            load(artifact)
+
 
 class TestCorruptionIsTyped:
-    @pytest.mark.parametrize("victim", list(ARTIFACT_FILES))
+    @pytest.mark.parametrize("victim", list(FORMER_FILES))
     def test_truncation_is_detected(self, artifact, victim):
-        path = artifact / victim
-        path.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(SnapshotError):
+        path = artifact / IR_PART
+        data = path.read_bytes()
+        start, end = sections(data)[former_sections(data, victim)[-1]]
+        path.write_bytes(data[:(start + end) // 2])
+        with pytest.raises(SnapshotError, match="bytes, manifest says"):
             load(artifact)
 
-    @pytest.mark.parametrize("victim", [POSTINGS_FILE, POSITIONS_FILE])
+    @pytest.mark.parametrize("victim", ["postings.bats", "positions.bats"])
     def test_single_bit_flip_is_detected(self, artifact, victim):
-        path = artifact / victim
+        path = artifact / IR_PART
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0x40
+        spans = sections(bytes(data))
+        first, *_, last = former_sections(bytes(data), victim)
+        data[(spans[first][0] + spans[last][1]) // 2] ^= 0x40
         path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="checksum"):
             load(artifact)
 
-    @pytest.mark.parametrize("victim", list(ARTIFACT_FILES))
+    @pytest.mark.parametrize("victim", list(FORMER_FILES))
     def test_missing_data_file_is_detected(self, artifact, victim):
-        (artifact / victim).unlink()
+        # the relations' sections are cut out and the manifest agrees
+        # with what is left: the BAT header still names them
+        path = artifact / IR_PART
+        data = path.read_bytes()
+        spans = sections(data)
+        gone = set(former_sections(data, victim))
+        path.write_bytes(data[:spans[0][0]] + b"".join(
+            data[start:end] for number, (start, end) in enumerate(spans)
+            if number not in gone))
+        restamp(artifact)
         with pytest.raises(SnapshotError):
-            load(artifact)
-
-    def test_missing_manifest_means_not_an_artifact(self, artifact):
-        # the manifest is the commit record: without it the directory
-        # is not an artifact at all, however intact the data files are
-        (artifact / INDEX_MANIFEST).unlink()
-        with pytest.raises(SnapshotError, match="missing index.json"):
-            load(artifact)
-
-    def test_unparseable_manifest_is_typed(self, artifact):
-        (artifact / INDEX_MANIFEST).write_text("{not json")
-        with pytest.raises(SnapshotError, match="unreadable"):
-            load(artifact)
-
-    def test_manifest_missing_fields_is_typed(self, artifact):
-        edit_manifest(artifact, lambda data: {
-            key: value for key, value in data.items()
-            if key != "generation"})
-        with pytest.raises(SnapshotError, match="malformed"):
             load(artifact)
 
     def test_unstamped_data_file_is_refused(self, artifact):
         def drop_stamp(data):
-            del data["files"][META_FILE]
+            del data["files"][IR_PART]
             return data
         edit_manifest(artifact, drop_stamp)
-        with pytest.raises(SnapshotError, match="lacks stamps"):
+        with pytest.raises(SnapshotError, match=f"lacks a stamp for "
+                                                f"{IR_PART}"):
             load(artifact)
 
 
 class TestContainerChecksWithoutVerify:
-    """``verify=False`` skips the SHA-256 pass: each container's own
-    framing and CRC-32s must still turn every defect into a typed
-    error — in every section of every data file."""
+    """A re-stamped defect satisfies the manifest's SHA-256 pass, so
+    the container's own framing and CRC-32s must type every defect in
+    every section of each former file's relations."""
 
-    @pytest.mark.parametrize("victim", list(ARTIFACT_FILES))
+    @pytest.mark.parametrize("victim", list(FORMER_FILES))
     def test_every_defect_in_every_section_is_typed(self, artifact, victim):
-        path = artifact / victim
+        path = artifact / IR_PART
         original = path.read_bytes()
+        keep = set(former_sections(original, victim))
         for number, defect, data in damaged(original):
+            if number not in keep:
+                continue
             path.write_bytes(data)
+            restamp(artifact)
             with pytest.raises(SnapshotError):
-                load(artifact, verify=False)
+                load(artifact)
         path.write_bytes(original)
-        assert load(artifact, verify=False).document_count() > 0
-
-    def test_a_format_1_artifact_is_refused_by_version(self, artifact):
-        edit_manifest(artifact, lambda data: {**data, "format_version": 1})
-        with pytest.raises(SnapshotError, match="format_version 1"):
-            load(artifact, verify=False)
+        restamp(artifact)
+        assert load(artifact).document_count() > 0
 
 
 class TestVersionSkewIsTyped:
-    def test_future_format_version_is_refused(self, artifact):
-        edit_manifest(artifact, lambda data: {
-            **data, "format_version": OFFLINE_FORMAT_VERSION + 1})
-        with pytest.raises(SnapshotError, match="format_version"):
-            load(artifact)
-
     def test_analyzer_skew_is_refused(self, artifact):
         # an artifact tokenized differently would silently miss at
         # query time; the fingerprint turns that into a load error
@@ -147,16 +197,10 @@ class TestVersionSkewIsTyped:
         with pytest.raises(SnapshotError, match="analyzer"):
             load(artifact)
 
-
-class TestVerifyKnob:
-    def test_verify_false_skips_only_the_checksum_pass(self, artifact):
-        reader = load(artifact, verify=False)
-        assert reader.document_count() > 0
-        # structural + version checks still run without verification
-        edit_manifest(artifact, lambda data: {
-            **data, "format_version": OFFLINE_FORMAT_VERSION + 1})
-        with pytest.raises(SnapshotError, match="format_version"):
-            load(artifact, verify=False)
-
-    def test_verified_load_of_an_intact_artifact_succeeds(self, artifact):
-        assert load(artifact, verify=True).document_count() > 0
+    def test_a_format_2_artifact_is_refused_by_version(self, artifact):
+        # the last three-file layout kept its manifest in index.json
+        (artifact / MANIFEST_NAME).unlink()
+        (artifact / "index.json").write_text(json.dumps(
+            {"format_version": 2, "generation": 1, "files": {}}))
+        with pytest.raises(SnapshotError, match="format_version 2"):
+            load(artifact)

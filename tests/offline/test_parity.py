@@ -11,7 +11,7 @@ included, not just the order.
 
 import pytest
 
-from repro.offline import OFFLINE_FORMAT_VERSION
+from repro.persistence import FORMAT_VERSION
 from repro.service import SearchRequest, SearchService
 from repro.service.api import SCHEMA_VERSION_V2
 
@@ -95,7 +95,7 @@ class TestReaderSemantics:
     def test_stats_summarize_the_artifact(self, reader, artifact):
         stats = reader.stats()
         assert stats["directory"] == str(artifact)
-        assert stats["format_version"] == OFFLINE_FORMAT_VERSION == 2
+        assert stats["format_version"] == FORMAT_VERSION == 4
         assert stats["schema_version"] == SCHEMA_VERSION_V2
         assert stats["documents"] == reader.document_count()
         assert stats["bytes"] > 0

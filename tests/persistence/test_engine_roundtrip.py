@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.engine import SearchEngine
 from repro.errors import CatalogError, SnapshotError
-from repro.persistence import load_engine, save_engine
+from repro.persistence import MANIFEST_NAME, load_engine, save_engine
 from repro.web.ausopen import build_ausopen_site
 from repro.webspace.schema import australian_open_schema
 
@@ -154,11 +154,25 @@ class TestOldLayoutsAreRefused:
     def test_format_2_generation_is_refused(self, populated, tmp_path):
         engine, server, _ = populated
         path = save_engine(engine, tmp_path)
-        manifest = json.loads((path / "engine.json").read_text())
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
         manifest["format_version"] = 2
-        (path / "engine.json").write_text(json.dumps(manifest))
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
         for on_corrupt in ("raise", "fallback"):
             with pytest.raises(SnapshotError, match="format_version 2"):
+                load_engine(tmp_path, australian_open_schema(), server,
+                            on_corrupt=on_corrupt)
+
+    def test_format_3_generation_is_refused(self, populated, tmp_path):
+        """Format 3 kept the same containers under ``engine.json``."""
+        engine, server, _ = populated
+        path = save_engine(engine, tmp_path)
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        del manifest["kind"]
+        (path / "engine.json").write_text(json.dumps(
+            {**manifest, "format_version": 3}))
+        (path / MANIFEST_NAME).unlink()
+        for on_corrupt in ("raise", "fallback"):
+            with pytest.raises(SnapshotError, match="format_version 3"):
                 load_engine(tmp_path, australian_open_schema(), server,
                             on_corrupt=on_corrupt)
 

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.core.config import ExecutionPolicy
+from repro.persistence import IR_PART
 from repro.service.api import policy_from_dict, policy_to_dict
 from repro.telemetry import telemetry_session
 
@@ -161,6 +162,28 @@ class TestBootstrapCatchUp:
         process = replicated_index.query("trophy melbourne",
                                          process_policy())
         assert process.ranking == thread.ranking
+
+    def test_a_corrupt_newest_checkpoint_is_skipped(self, replicated_index):
+        """A bit flip in the newest node object fails its stamps, so no
+        worker ever loads it; the replacement still comes up equal to
+        the thread backend."""
+        replicated_index.add_document("http://site/late3", "trophy w4 w5")
+        replicated_index.refresh()
+        node = replicated_index.cluster.place("http://site/late3").name
+        path, _ = replicated_index.remote.checkpoint(node)
+        part = path / IR_PART
+        data = bytearray(part.read_bytes())
+        data[len(data) // 2] ^= 0x40
+        part.write_bytes(bytes(data))
+        replicated_index.remote.kill_replica(node, slot=0)
+        with telemetry_session() as telemetry:
+            assert replicated_index.remote.repair() == 1
+            counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["remote.checkpoint_corruptions"] >= 1
+        for query in ("trophy melbourne", "w4 w5"):
+            thread = replicated_index.query(query, thread_policy())
+            process = replicated_index.query(query, process_policy())
+            assert process.ranking == thread.ranking
 
 
 class TestPolicyWire:

@@ -73,11 +73,11 @@ class TestOplogTruncation:
         node = replicated_index.cluster.place("http://site/t1").name
         assert _oplog_sizes(replicated_index)[node] > 0
         with telemetry_session() as telemetry:
-            _, meta = replicated_index.remote.checkpoint(node)
+            _, manifest = replicated_index.remote.checkpoint(node)
             counters = telemetry.metrics.snapshot()["counters"]
         assert _oplog_sizes(replicated_index)[node] == 0
         assert counters[f"remote.oplog_truncated{{node={node}}}"] > 0
-        assert meta["seq"] > 0
+        assert manifest.kind == "node" and manifest.seq > 0
 
     def test_entries_past_the_checkpoint_survive(self, replicated_index):
         replicated_index.add_document("http://site/t1", "trophy w0 w1")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import RemoteError, RemoteTransportError
 from repro.ir.relations import IrRelations
+from repro.persistence import Manifest, verify_files
 from repro.remote.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.remote.replicas import ReplicaSet
 
@@ -124,17 +125,21 @@ class TestCheckpointBootstrap:
         docs = corpus(documents=10)
         worker.client.call("add_documents",
                            {"documents": [list(d) for d in docs]})
-        path = tmp_path / "ckpt.bats"
-        saved = worker.client.call("checkpoint", {"path": str(path)})
+        path = tmp_path / "ckpt"
+        saved = worker.client.call("checkpoint",
+                                   {"path": str(path), "seq": 4})
         assert saved["generation"] == 10
-        assert path.is_file()
+        # a node object: the IR part plus a manifest stamping it
+        manifest = Manifest.load(path, "node")
+        assert (manifest.generation, manifest.seq) == (10, 4)
+        verify_files(path, manifest)
 
         other = ReplicaSet({"node0": IrRelations()}, replication_factor=1)
         other.start()
         try:
             fresh = other.replicas["node0"][0]
-            restored = fresh.client.call(
-                "bootstrap", {"path": str(path), "generation": 10})
+            # the generation comes from the object's manifest
+            restored = fresh.client.call("bootstrap", {"path": str(path)})
             assert restored == {"documents": 10, "generation": 10}
             status = fresh.client.call("status")
             assert status["documents"] == 10
