@@ -8,8 +8,9 @@ integrates:
 * ``DT(doc-oid, term-oid, pair-oid)`` — the document-term list,
 * ``TF(pair-oid, tf)``    — term frequency per pair (derivable from DT),
 * ``IDF(term-oid, idf)``  — with ``idf = 1/df`` (derivable from TF),
-* ``POS(pair-oid, positions)`` — occurrence positions per pair over the
-  analyzed token sequence (phrase search; absent on pre-v2 snapshots).
+* ``POS(pair-oid, position)`` — one row per occurrence: the positions
+  of each pair over the analyzed token sequence (phrase search), an
+  integer relation whose pair-oid head ascends in runs of ``tf`` rows.
 
 BATs are binary, so the ternary DT is decomposed Monet-style into two
 BATs sharing the pair-oid head (``DT_doc`` and ``DT_term``).  The IDF
@@ -41,6 +42,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -168,15 +170,18 @@ class PackedPostings:
     tfs: array
     tf_weights: array
     max_tf: int = 0
-    # per posting, the POS encoding of its occurrence positions (the
-    # same str objects the ``ir:POS`` BAT holds — decoded on demand by
-    # phrase matching); ``None`` for a pair that predates the POS
-    # relation (a pre-v2 snapshot).  ``unpositioned`` counts those: a
-    # term with any is position-less for phrase matching, which never
+    # the occurrence positions: posting ``row`` holds the run
+    # ``pos_flat[pos_starts[row]:pos_starts[row] + pos_counts[row]]``.
+    # A built term's runs point into the segment's ``ir:POS`` tail; a
+    # patched copy owns its three columns.  A pair with no POS rows (a
+    # pre-v2 snapshot's) has an empty run; ``unpositioned`` counts those:
+    # a term with any is position-less for phrase matching, which never
     # guesses adjacency.
-    positions: list[str | None] = field(default_factory=list)
+    pos_flat: array = field(default_factory=lambda: array("q"))
+    pos_starts: array = field(default_factory=lambda: array("q"))
+    pos_counts: array = field(default_factory=lambda: array("q"))
     unpositioned: int = 0
-    # the decoded position columns, built on first touch and shared by
+    # the gathered position columns, built on first touch and shared by
     # every reader
     _position_columns: object = field(default=None, repr=False,
                                       compare=False)
@@ -189,9 +194,11 @@ class PackedPostings:
         and positions."""
         if not isinstance(other, PackedPostings):
             return NotImplemented
-        return (self.max_tf, self.unpositioned, self.positions) \
-            == (other.max_tf, other.unpositioned, other.positions) \
-            and all(map(np.array_equal, self._columns(), other._columns()))
+        return (self.max_tf, self.unpositioned) \
+            == (other.max_tf, other.unpositioned) \
+            and all(map(np.array_equal, self._columns(), other._columns())) \
+            and all(map(np.array_equal, self.position_columns(),
+                        other.position_columns()))
 
     def _columns(self) -> tuple:
         return self.docs, self.dense, self.tfs, self.tf_weights
@@ -205,18 +212,19 @@ class PackedPostings:
         return not self.unpositioned
 
     def position_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The occurrence positions as columns: one flat ``uint32``
-        column and per-posting offsets, so posting ``row`` holds
+        """The occurrence positions as columns: one flat int64 column
+        and per-posting offsets, so posting ``row`` holds
         ``flat[offsets[row]:offsets[row + 1]]`` (an empty run for a
-        pre-v2 pair).  Decoded from the POS strings on first touch."""
+        pre-v2 pair).  Gathered from the runs on first touch."""
         columns = self._position_columns
         if columns is None:
-            offsets = np.zeros(len(self.positions) + 1, dtype=np.int64)
-            np.cumsum([encoded.count(" ") + 1 if encoded else 0
-                       for encoded in self.positions], out=offsets[1:])
-            columns = self._position_columns = (np.fromstring(
-                " ".join(filter(None, self.positions)), dtype=np.uint32,
-                sep=" "), offsets)
+            counts = _int64(self.pos_counts)
+            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            rows = np.repeat(_int64(self.pos_starts) - offsets[:-1], counts)
+            rows += np.arange(offsets[-1])
+            columns = self._position_columns = (
+                _view(self.pos_flat, np.int64)[rows], offsets)
         return columns
 
     def dense_view(self) -> np.ndarray:
@@ -230,13 +238,18 @@ class PackedPostings:
     # -- copy-on-write maintenance (one generation's private copy) -------
 
     def _copy(self) -> "PackedPostings":
-        columns = (array(code, column.tobytes())
-                   for code, column in zip("qqqd", self._columns()))
-        return PackedPostings(*columns, self.max_tf, self.positions[:],
+        runs = self.pos_flat, self.pos_starts, self.pos_counts
+        if not isinstance(self.pos_flat, array):
+            # a built term's runs point into the whole segment: gather
+            flat, offsets = self.position_columns()
+            runs = flat, offsets[:-1], np.diff(offsets)
+        columns = [array(code, column.tobytes()) for code, column in zip(
+            "qqqdqqq", (*self._columns(), *runs))]
+        return PackedPostings(*columns[:4], self.max_tf, *columns[4:],
                               self.unpositioned)
 
     def _append(self, doc: int, dense: int, tf: int,
-                encoded: str | None) -> None:
+                positions: list[int]) -> None:
         """Add the posting with the highest pair oid: it goes last,
         exactly where a full rebuild would put it."""
         self.docs.append(doc)
@@ -244,28 +257,32 @@ class PackedPostings:
         self.tfs.append(tf)
         self.tf_weights.append(tf)
         self.max_tf = max(self.max_tf, tf)
-        self.positions.append(encoded)
-        self.unpositioned += encoded is None
+        self.pos_starts.append(len(self.pos_flat))
+        self.pos_counts.append(len(positions))
+        self.pos_flat.extend(positions)
+        self.unpositioned += not positions
 
     def _remove(self, doc: int) -> None:
-        """Drop one document's posting; the others keep their order."""
+        """Drop one document's posting; the others keep their order.
+        Its run stays in ``pos_flat``, unreferenced, until a build."""
         row = bisect_left(self.docs, doc)  # docs ascend, as oids are drawn
         if row == len(self.docs) or self.docs[row] != doc:
             row = self.docs.index(doc)
         tf = self.tfs[row]
-        for column in (self.docs, self.dense, self.tfs, self.tf_weights):
+        for column in (self.docs, self.dense, self.tfs, self.tf_weights,
+                       self.pos_starts):
             del column[row]
         if tf == self.max_tf and tf not in self.tfs:  # it was the only max
             self.max_tf = max(self.tfs, default=0)
-        self.unpositioned -= self.positions.pop(row) is None
+        self.unpositioned -= not self.pos_counts.pop(row)
 
 
 class TermPostings(Mapping):
     """term oid -> :class:`PackedPostings`, made on a term's first lookup.
 
     A build leaves every pair in one *segment*: the doc, dense, tf and
-    tf-weight columns and each pair's row in ``pool`` (the ``ir:POS``
-    strings, then ``None`` for a pair without one), all sorted by
+    tf-weight columns and the start and length of each pair's run of
+    positions in ``positions`` (the ``ir:POS`` tail), all sorted by
     (term, pair oid), plus ``runs``: per term, in order of first
     appearance, ``(start, stop, max_tf, unpositioned)`` of its rows.
     A lookup makes the term's postings as views over its run and
@@ -275,10 +292,11 @@ class TermPostings(Mapping):
     where ``None`` marks a term no document holds any more.
     """
 
-    def __init__(self, columns: tuple = (), pool: list | None = None,
+    def __init__(self, columns: tuple = (),
+                 positions: np.ndarray | None = None,
                  runs: dict[int, tuple[int, int, int, int]] | None = None):
         self._columns = columns
-        self._pool = pool
+        self._positions = positions
         self._runs = runs or {}
         self._made: dict[int, PackedPostings | None] = {}
         self._size = len(self._runs)
@@ -306,12 +324,11 @@ class TermPostings(Mapping):
 
     def _make(self, term: int) -> PackedPostings:
         start, stop, max_tf, unpositioned = self._runs[term]
-        docs, dense, tfs, weights, rows = (column[start:stop]
-                                           for column in self._columns)
+        docs, dense, tfs, weights, starts, counts = (
+            column[start:stop] for column in self._columns)
         get_telemetry().metrics.counter("ir.postings_materialized").add(1)
         return PackedPostings(docs, dense, tfs, weights, max_tf,
-                              list(map(self._pool.__getitem__,
-                                       rows.tolist())), unpositioned)
+                              self._positions, starts, counts, unpositioned)
 
     # -- copy-on-write maintenance (one generation's private overlay) ----
 
@@ -387,12 +404,12 @@ class IrRelations:
         self.DT_term = self.catalog.ensure("ir:DT:term", "oid", "oid")
         self.TF = self.catalog.ensure("ir:TF", "oid", "int")
         self.IDF = self.catalog.ensure("ir:IDF", "oid", "flt")
-        # POS(pair-oid, positions) — the occurrence positions of each
-        # document-term pair as a space-joined string over the analyzed
-        # (stopped, stemmed) token sequence; feeds phrase matching.
-        # Catalogs restored from pre-v2 snapshots simply lack entries:
-        # those pairs stay searchable, just not phrase-matchable.
-        self.POS = self.catalog.ensure("ir:POS", "oid", "str")
+        # POS(pair-oid, position) — one row per occurrence of a
+        # document-term pair in the analyzed (stopped, stemmed) token
+        # sequence, a pair's rows in ascending position; feeds phrase
+        # matching.  A pair without rows (a pre-v2 snapshot's) stays
+        # searchable, just not phrase-matchable.
+        self.POS = self.catalog.ensure("ir:POS", "oid", "int")
         self._term_oids: dict[str, Oid] = _inverse(self.T)
         self._doc_oids: dict[str, Oid] = _inverse(self.D)
         # (value, term oid) of the str.isdecimal terms — what float
@@ -440,8 +457,11 @@ class IrRelations:
         """Restore an IR part stamped with its manifest's
         ``generation``; ``oid_start``/``oid_stride`` restore a cluster
         node's strided oid sequence.  IDF starts stale."""
-        relations = cls(load_catalog(path, oid_start=oid_start,
-                                     oid_stride=oid_stride))
+        catalog = load_catalog(path, oid_start=oid_start,
+                               oid_stride=oid_stride)
+        get_telemetry().metrics.counter("ir.rows_loaded").add(
+            sum(len(catalog.get(name)) for name in catalog.names()))
+        relations = cls(catalog)
         relations.generation = generation
         return relations
 
@@ -511,9 +531,8 @@ class IrRelations:
                 new_term_oids.append(term_oid)
             terms.append(term_oid)
             pairs.append(new_oid())
-        tfs = list(map(len, occurrences.values()))
-        encodings = [" ".join(map(str, positions))
-                     for positions in occurrences.values()]
+        runs = list(occurrences.values())
+        tfs = list(map(len, runs))
         self.T.append_many(new_term_oids, new_terms)
         for term, term_oid in zip(new_terms, new_term_oids):
             if term.isdecimal():
@@ -521,12 +540,13 @@ class IrRelations:
         self.DT_doc.append_many(pairs, [doc] * len(pairs))
         self.DT_term.append_many(pairs, terms)
         self.TF.append_many(pairs, tfs)
-        self.POS.append_many(pairs, encodings)
+        self.POS.append_many(chain.from_iterable(map(repeat, pairs, tfs)),
+                             chain.from_iterable(runs))
         df = self._df
         for term_oid in terms:
             df[term_oid] = df.get(term_oid, 0) + 1
         self.collection_length += sum(tfs)
-        self._journal_write((_ADD, doc, url, terms, tfs, encodings))
+        self._journal_write((_ADD, doc, url, terms, tfs, runs))
         self.generation += 1
         return doc
 
@@ -636,7 +656,7 @@ class IrRelations:
     def postings_index(self) -> PostingsIndex:
         """The packed postings access path, memoized per generation.
 
-        Lifecycle: **build** — one columnar sort of DT/TF/POS into a
+        Lifecycle: **build** — one columnar sort of DT/TF into a
         segment when no index exists (a bulk load before the first read
         pays exactly this, once), a term's postings made on its first
         lookup; **journal** — while an index exists every write
@@ -686,9 +706,12 @@ class IrRelations:
         :class:`TermPostings` segment; no term's postings are made.
 
         The sort keeps a term's postings in pair order; terms enter
-        ``by_term`` in order of first appearance; a pair without a
-        ``POS`` row (pre-v2) keeps ``None``.  The scalar per-pair build
-        this replaces is the oracle in ``tests/kernels``.
+        ``by_term`` in order of first appearance; each pair's run of
+        ``POS`` rows is found from POS's head — by the ``tf`` cumsum
+        when POS is aligned (each pair's ``tf`` rows in pair order),
+        else by ``searchsorted`` — and a pair without one (pre-v2) gets
+        an empty run.  The scalar per-pair build this replaces is the
+        oracle in ``tests/kernels``.
         """
         index = PostingsIndex(generation=generation,
                               by_term=TermPostings())
@@ -718,28 +741,28 @@ class IrRelations:
         index.doc_lengths = dict(zip(
             doc_oids[held].tolist(), lengths[held].astype(np.int64).tolist()))
         order, terms, starts = _grouped(_int64(term_column))
-        # one shared pool: POS's strings, then None for an absent row;
-        # an aligned POS (see _tails_by_pair) is rows = pair rows
-        pos_heads, pos_tails = self.POS.raw_columns()
-        pos_heads = _int64(pos_heads)
-        pool = list(pos_tails)
-        pool.append(None)
-        absent = len(pool) - 1
-        rows = order
-        if not np.array_equal(pos_heads, pairs):
-            pos_rows, positioned = _rows_of(pairs, pos_heads,
-                                            self.POS.head_ascending)
-            rows = np.where(positioned, pos_rows, absent)[order]
-        tfs = tfs[order]
+        pos_heads, positions = map(_int64, self.POS.raw_columns())
+        counts = tfs
+        if len(pos_heads) == tfs.sum() \
+                and np.array_equal(pos_heads, np.repeat(pairs, tfs)):
+            pos_starts = np.cumsum(tfs) - tfs
+        else:
+            if not self.POS.head_ascending:
+                by_pair = np.argsort(pos_heads, kind="stable")
+                pos_heads, positions = pos_heads[by_pair], positions[by_pair]
+            pos_starts = np.searchsorted(pos_heads, pairs)
+            counts = np.searchsorted(pos_heads, pairs, "right") - pos_starts
+        tfs, counts = tfs[order], counts[order]
         firsts = np.argsort(order[starts])  # runs by first appearance
         table = np.column_stack((
             starts, np.r_[starts[1:], len(terms)],
             np.maximum.reduceat(tfs, starts),
-            np.add.reduceat(rows == absent, starts, dtype=np.int64)))
+            np.add.reduceat(counts == 0, starts, dtype=np.int64)))
         index.by_term = TermPostings(
-            (docs[order], dense[order], tfs, tfs.astype(np.float64), rows),
-            pool, dict(zip(terms[starts][firsts].tolist(),
-                           map(tuple, table[firsts].tolist()))))
+            (docs[order], dense[order], tfs, tfs.astype(np.float64),
+             pos_starts[order], counts),
+            positions, dict(zip(terms[starts][firsts].tolist(),
+                                map(tuple, table[firsts].tolist()))))
         return index
 
     @staticmethod
@@ -778,7 +801,7 @@ class IrRelations:
             by_term._put(term, packed)
             return packed
 
-        for op, doc, url, terms, tfs, encodings in journal:
+        for op, doc, url, terms, tfs, runs in journal:
             doc = int(doc)
             if op == _ADD:
                 dense = index.doc_dense[doc] = len(index.doc_ids)
@@ -790,8 +813,8 @@ class IrRelations:
                 index.field_codes += _codes(index.field_names, [fld])
                 if tfs:  # like a build: no pairs, no length entry
                     index.doc_lengths[doc] = sum(tfs)
-                for term, tf, encoded in zip(terms, tfs, encodings):
-                    own(int(term))._append(doc, dense, tf, encoded)
+                for term, tf, positions in zip(terms, tfs, runs):
+                    own(int(term))._append(doc, dense, tf, positions)
                 continue
             index.live[index.doc_dense.pop(doc)] = 0
             index.doc_lengths.pop(doc, None)

@@ -13,13 +13,17 @@ constant of the format, not an option) and the CRC-32 covers the stored
 payload, so a flipped bit is caught before anything is inflated.  The
 first section (kind ``H``) is the BAT header — JSON naming the catalog's
 next oid and each BAT's name, atom types and count — then every BAT
-contributes its head and its tail column, in header order:
+contributes its head and its tail column, in header order (BAT ``i``'s
+head is column ``2i``, its tail column ``2i + 1``):
 
 =====  ======================  ==========================================
 kind   column                  payload before zlib
 =====  ======================  ==========================================
 ``q``  int64 (oid, int)        the raw ``array('q')`` bytes
 ``d``  float64 (flt)           the raw ``array('d')`` bytes
+``r``  a packed column equal   one u64: the number of that earlier column
+       to an earlier one of    (the IR pair-oid heads are one column
+       the same typecode       stored once, not three times)
 ``s``  str, url                ``count`` int64 character lengths, then
                                one UTF-8 blob (``surrogatepass``)
 ``j``  anything else           one JSON list — int64-overflow spills,
@@ -29,7 +33,8 @@ kind   column                  payload before zlib
 A file ends after its last section.  Loading is ``frombytes`` plus
 column operations: no per-association parsing.  Truncation, a flipped
 bit, a bad magic or version, a count that disagrees with its column, a
-corrupt zlib stream and trailing bytes are each a typed
+corrupt zlib stream, a back-reference to a column not yet read or of
+another length or typecode, and trailing bytes are each a typed
 :class:`~repro.errors.SnapshotError` naming the file — never a silent
 partial load.  Writes go through the atomic path (temp file, fsync,
 ``os.replace``), so an interrupted :func:`save_catalog` leaves the
@@ -56,12 +61,13 @@ __all__ = ["CONTAINER_MAGIC", "CONTAINER_VERSION", "save_catalog",
 
 CONTAINER_MAGIC = b"MONETBAT"
 #: Bumped whenever the container layout changes; readers refuse others.
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 _FILE_HEADER = struct.Struct("<8sI")
 _SECTION = struct.Struct("<cQI")
 _LEVEL = 1
-_HEADER, _TEXT, _JSON = b"H", b"s", b"j"
+_HEADER, _TEXT, _JSON, _REFERENCE = b"H", b"s", b"j", b"r"
+_ORDINAL = struct.Struct("<Q")
 _TEXT_ATOMS = ("str", "url")
 # raw columns are stored little-endian whatever the host
 _SWAP = sys.byteorder == "big"
@@ -82,13 +88,20 @@ def _section(kind: bytes, raw: bytes) -> bytes:
 def _kinds(atom: AtomType) -> bytes:
     """The section kinds a column of ``atom`` may be stored as."""
     if atom.typecode:
-        return atom.typecode.encode() + _JSON  # packed, or spilled
+        return atom.typecode.encode() + _REFERENCE + _JSON  # or spilled
     return _TEXT if atom.name in _TEXT_ATOMS else _JSON
 
 
-def _column_section(atom: AtomType, column: Any) -> bytes:
+def _column_section(atom: AtomType, column: Any, number: int,
+                    stored: dict[tuple[str, bytes], int]) -> bytes:
+    """Column ``number``'s section; a packed column equal to one in
+    ``stored`` (typecode and bytes -> column number) points back to it."""
     if isinstance(column, array):
-        return _section(column.typecode.encode(), _little_endian(column))
+        raw = _little_endian(column)
+        earlier = stored.setdefault((column.typecode, raw), number)
+        if earlier != number:
+            return _section(_REFERENCE, _ORDINAL.pack(earlier))
+        return _section(column.typecode.encode(), raw)
     if atom.name in _TEXT_ATOMS:
         lengths = array("q", map(len, column))
         return _section(_TEXT, _little_endian(lengths) + "".join(
@@ -116,10 +129,12 @@ def save_catalog(catalog: Catalog, path: str | Path) -> int:
     with atomic_write(Path(path), "wb") as stream:
         stream.write(_FILE_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION))
         stream.write(_section(_HEADER, json.dumps(header).encode("utf-8")))
-        for bat in bats:
-            head, tail = bat.raw_columns()
-            stream.write(_column_section(bat.head_type, head))
-            stream.write(_column_section(bat.tail_type, tail))
+        stored: dict[tuple[str, bytes], int] = {}
+        for number, bat in enumerate(bats):
+            for side, (atom, column) in enumerate(zip(
+                    (bat.head_type, bat.tail_type), bat.raw_columns())):
+                stream.write(_column_section(atom, column, 2 * number + side,
+                                             stored))
     return sum(len(bat) for bat in bats)
 
 
@@ -131,6 +146,7 @@ class _Container:
         self.view = memoryview(data)
         self.path = path
         self.offset = _FILE_HEADER.size
+        self.columns: list[Sequence] = []  # read so far, in file order
         if len(data) < _FILE_HEADER.size:
             raise self.error(f"truncated container header "
                              f"({len(data)} bytes)")
@@ -165,10 +181,16 @@ class _Container:
         return kind, raw
 
     def column(self, atom: AtomType, count: int, what: str) -> Sequence:
+        self.columns.append(self._column(atom, count, what))
+        return self.columns[-1]
+
+    def _column(self, atom: AtomType, count: int, what: str) -> Sequence:
         kind, raw = self.section(what)
         if kind not in _kinds(atom):
             raise self.error(f"{kind!r} section cannot hold the {what} "
                              f"({atom.name})")
+        if kind == _REFERENCE:
+            return self._reference(raw, atom, count, what)
         if kind == _JSON:
             try:
                 values = json.loads(raw)
@@ -187,6 +209,24 @@ class _Container:
         if _SWAP:
             values.byteswap()
         return values
+
+    def _reference(self, raw: bytes, atom: AtomType, count: int,
+                   what: str) -> array:
+        """The earlier column a reference section names.  BATs mutate
+        their columns, but none shares this one: ``append_many`` copies
+        it into each BAT's own."""
+        if len(raw) != _ORDINAL.size:
+            raise self.error(f"malformed back-reference for the {what}")
+        number, = _ORDINAL.unpack(raw)
+        if number >= len(self.columns):
+            raise self.error(f"the {what} refers to column {number}, "
+                             "which is not yet read")
+        earlier = self.columns[number]
+        if not isinstance(earlier, array) \
+                or earlier.typecode != atom.typecode or len(earlier) != count:
+            raise self.error(f"the {what} refers to column {number}, of "
+                             "another length or typecode")
+        return earlier
 
     def _text(self, raw: bytes, count: int, what: str) -> list[str]:
         split = count * 8

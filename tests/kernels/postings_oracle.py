@@ -7,6 +7,7 @@ has one plain reference to be compared against.
 """
 
 from array import array
+from itertools import accumulate
 
 from repro.ir.relations import (IrRelations, PackedPostings,
                                 PostingsIndex, url_segments)
@@ -30,8 +31,10 @@ def build_postings_index(relations: IrRelations,
             index.field_names.setdefault(fld, len(index.field_names)))
     doc_of = dict(zip(relations.DT_doc.head, relations.DT_doc.tail))
     tf_of = dict(zip(relations.TF.head, relations.TF.tail))
-    pos_of = dict(zip(relations.POS.head, relations.POS.tail))
-    grouped: dict[int, tuple[list[int], list[int], list[str | None]]] = {}
+    pos_of: dict[int, list[int]] = {}  # a pair's POS rows, in row order
+    for pair, position in zip(relations.POS.head, relations.POS.tail):
+        pos_of.setdefault(pair, []).append(position)
+    grouped: dict[int, tuple[list[int], list[int], list[list[int]]]] = {}
     doc_lengths = index.doc_lengths
     for pair, term in zip(relations.DT_term.head, relations.DT_term.tail):
         doc = doc_of[pair]
@@ -41,15 +44,18 @@ def build_postings_index(relations: IrRelations,
             entry = grouped[term] = ([], [], [])
         entry[0].append(doc)
         entry[1].append(tf)
-        entry[2].append(pos_of.get(pair))  # None: a pre-v2 pair
+        entry[2].append(pos_of.get(pair, []))  # []: a pre-v2 pair
         doc_lengths[doc] = doc_lengths.get(doc, 0) + tf
-    for term, (docs, tfs, positions) in grouped.items():
+    for term, (docs, tfs, runs) in grouped.items():
+        counts = list(map(len, runs))
         index.by_term[term] = PackedPostings(
             docs=array("q", docs),
             dense=array("q", [doc_dense[doc] for doc in docs]),
             tfs=array("q", tfs),
             tf_weights=array("d", tfs),
             max_tf=max(tfs, default=0),
-            positions=positions,
-            unpositioned=positions.count(None))
+            pos_flat=array("q", [value for run in runs for value in run]),
+            pos_starts=array("q", accumulate(counts[:-1], initial=0)),
+            pos_counts=array("q", counts),
+            unpositioned=counts.count(0))
     return index

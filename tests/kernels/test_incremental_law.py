@@ -77,12 +77,13 @@ def from_scratch(maintained: IrRelations) -> IrRelations:
 
 
 def positions_of(packed) -> list[list[int]]:
-    """Every posting's decoded positions (the POS string's values)."""
+    """Every posting's positions: a run of ``tf`` ascending positions,
+    or none at all (a pre-v2 pair)."""
     flat, offsets = packed.position_columns()
     runs = [flat[start:stop].tolist()
             for start, stop in zip(offsets[:-1], offsets[1:])]
-    assert runs == [[int(value) for value in encoded.split()]
-                    if encoded else [] for encoded in packed.positions]
+    assert all(run == sorted(run) and len(run) in (tf, 0)
+               for run, tf in zip(runs, packed.tfs))
     return runs
 
 

@@ -36,9 +36,11 @@ def contents(relations: IrRelations, index) -> dict:
     by_term = {}
     for term, packed in index.by_term.items():
         assert doc_ids[packed.dense_view()].tolist() == list(packed.docs)
+        flat, offsets = packed.position_columns()
         by_term[term] = (list(packed.docs), list(packed.tfs),
-                         packed.positions, packed.max_tf,
-                         packed.unpositioned)
+                         [flat[start:stop].tolist() for start, stop
+                          in zip(offsets[:-1], offsets[1:])],
+                         packed.max_tf, packed.unpositioned)
     return by_term
 
 
@@ -89,6 +91,20 @@ def test_a_build_makes_no_postings_and_a_lookup_makes_one():
         first = by_term[term]
         assert by_term.get(term) is first and made() == 1
         assert by_term.get(-1) is None and made() == 1
+
+
+def test_a_patched_copy_owns_only_its_own_positions():
+    """A made term's runs point into the segment's whole ``ir:POS``
+    tail; the copy a patch makes gathers them, so it holds the term's
+    positions and nothing else."""
+    relations = build_relations(seed=14, docs=40)
+    built = relations.postings_index().by_term[int(relations.term_oid("w5"))]
+    assert len(built.pos_flat) == len(relations.POS) > sum(built.tfs)
+    flat, offsets = built.position_columns()
+    copied = built._copy()
+    assert copied == built
+    assert list(copied.pos_flat) == flat.tolist()
+    assert list(copied.pos_starts) == offsets[:-1].tolist()
 
 
 def test_concurrent_first_lookups_share_one_object():

@@ -45,13 +45,18 @@ def engines():
 def test_remove_visits_the_document_not_the_corpus(engines):
     visited = {}
     for documents, engine in engines.items():
+        url = f"Article:a{documents // 2:05d}:body"
+        occurrences = engine.relations.document_length(
+            engine.relations.doc_oid(url))
         with telemetry_session() as telemetry:
-            engine.remove(f"Article:a{documents // 2:05d}:body")
+            engine.remove(url)
             visited[documents], rebuilds = _counters(
                 telemetry, "monetdb.delete_visited", "ir.postings_rebuilds")
             assert rebuilds == 0
-    # four pair relations x 80 pairs + the one row of D, at either size
-    assert visited[400] == visited[1600] == 4 * TERMS + 1
+        # three pair relations x 80 pairs + POS's one row per occurrence
+        # + the one row of D
+        assert visited[documents] == 3 * TERMS + occurrences + 1
+    assert visited[400] == visited[1600]
 
 
 def test_write_then_read_never_rebuilds_the_postings_index(engines):

@@ -34,21 +34,21 @@ class PerPairRelations(IrRelations):
         self._doc_oids[url] = doc
         terms: list[Oid] = []
         tfs: list[int] = []
-        encodings: list[str] = []
+        runs: list[list[int]] = []
         df = self._df
         for term, positions in occurrences.items():
             term_oid = self._intern_term(term)
             pair = self.catalog.oids.new()
-            encoded = " ".join(map(str, positions))
             self.DT_doc.insert(pair, doc)
             self.DT_term.insert(pair, term_oid)
             self.TF.insert(pair, len(positions))
-            self.POS.insert(pair, encoded)
+            for position in positions:
+                self.POS.insert(pair, position)
             df[term_oid] = df.get(term_oid, 0) + 1
             terms.append(term_oid)
             tfs.append(len(positions))
-            encodings.append(encoded)
+            runs.append(positions)
         self.collection_length += sum(tfs)
-        self._journal_write((_ADD, doc, url, terms, tfs, encodings))
+        self._journal_write((_ADD, doc, url, terms, tfs, runs))
         self.generation += 1
         return doc

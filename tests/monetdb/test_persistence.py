@@ -55,6 +55,11 @@ def container(*parts: bytes) -> bytes:
     return file_header() + b"".join(parts)
 
 
+def reference(number: int) -> bytes:
+    """A section standing for the earlier column ``number``."""
+    return frame(b"r", struct.pack("<Q", number))
+
+
 def raises_typed(path, data: bytes) -> SnapshotError:
     path.write_bytes(data)
     with pytest.raises(SnapshotError) as info:
@@ -103,6 +108,33 @@ class TestRoundTrip:
             frame(b"q", int64s(0)),
             frame(b"s", int64s(1) + "é".encode()))
         assert (tmp_path / "c.bats").read_bytes() == expected
+
+    def test_an_equal_column_is_stored_once(self, tmp_path):
+        catalog = Catalog()
+        for name in ("x", "y"):
+            catalog.create(name, "oid", "int").append_many([0, 1], [5, 0])
+        catalog.create("z", "oid", "flt").append_many([0, 1], [1.0, 2.0])
+        save_catalog(catalog, tmp_path / "c.bats")
+        # z's head equals x's head; z's float tail is not x's int tail
+        assert (tmp_path / "c.bats").read_bytes() == container(
+            bat_header(("x", "oid", "int", 2), ("y", "oid", "int", 2),
+                       ("z", "oid", "flt", 2), next_oid=0),
+            frame(b"q", int64s(0, 1)), frame(b"q", int64s(5, 0)),
+            reference(0), reference(1), reference(0),
+            frame(b"d", struct.pack("<2d", 1.0, 2.0)))
+
+    def test_each_bat_gets_its_own_copy_of_a_shared_column(self, tmp_path):
+        catalog = Catalog()
+        for name in ("x", "y"):
+            catalog.create(name, "oid", "int").append_many([0, 1], [5, 6])
+        save_catalog(catalog, tmp_path / "c.bats")
+        loaded = load_catalog(tmp_path / "c.bats")
+        x, y = loaded.get("x"), loaded.get("y")
+        assert x.raw_columns()[0] is not y.raw_columns()[0]
+        x.append_many([2], [7])
+        x.delete_head(0)
+        assert list(y) == [(0, 5), (1, 6)]
+        assert y.head_ascending
 
     def test_saves_are_deterministic(self, catalog, tmp_path):
         save_catalog(catalog, tmp_path / "a.bats")
@@ -158,7 +190,7 @@ class TestContainerSafety:
 
     def test_the_fixture_has_every_section_kind(self, saved):
         kinds = {saved[start:start + 1] for start, _ in sections(saved)}
-        assert kinds == {b"H", b"q", b"d", b"s", b"j"}
+        assert kinds == {b"H", b"q", b"d", b"r", b"s", b"j"}
 
     def test_truncation_at_and_inside_every_section(self, saved, tmp_path):
         cuts = set(range(len(saved)))  # every byte prefix, boundaries too
@@ -202,6 +234,32 @@ class TestContainerSafety:
         raises_typed(tmp_path / "t.bats", container(
             bat_header(("r", "oid", "str", 2)), frame(b"q", int64s(0, 1)),
             frame(b"s", raw)))
+
+    @pytest.mark.parametrize("bats, parts, message", [
+        # a column that refers to itself, or to one further on
+        ([("y", "oid", "int", 3)], [reference(2), reference(1)],
+         "not yet read"),
+        ([("y", "oid", "int", 3)], [reference(3), reference(1)],
+         "not yet read"),
+        # to a column of another length, of another typecode, or to a
+        # column that is not packed at all
+        ([("y", "oid", "int", 1)], [reference(0), frame(b"q", int64s(7))],
+         "another length"),
+        ([("y", "oid", "flt", 3)], [reference(0), reference(1)],
+         "another length or typecode"),
+        ([("y", "oid", "str", 3), ("z", "oid", "int", 3)],
+         [reference(0), frame(b"s", int64s(1, 1, 1) + b"abc"),
+          reference(3), reference(1)], "another length or typecode"),
+        ([("y", "oid", "int", 3)], [frame(b"r", b"\x00"), reference(1)],
+         "malformed back-reference"),
+    ])
+    def test_a_bad_back_reference_is_typed(self, tmp_path, bats, parts,
+                                           message):
+        error = raises_typed(tmp_path / "r.bats", container(
+            bat_header(("x", "oid", "int", 3), *bats),
+            frame(b"q", int64s(0, 1, 2)), frame(b"q", int64s(4, 5, 6)),
+            *parts))
+        assert message in str(error)
 
     def test_section_kind_must_fit_the_atom(self, tmp_path):
         raises_typed(tmp_path / "k.bats", container(

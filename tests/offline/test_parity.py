@@ -95,7 +95,7 @@ class TestReaderSemantics:
     def test_stats_summarize_the_artifact(self, reader, artifact):
         stats = reader.stats()
         assert stats["directory"] == str(artifact)
-        assert stats["format_version"] == FORMAT_VERSION == 4
+        assert stats["format_version"] == FORMAT_VERSION == 5
         assert stats["schema_version"] == SCHEMA_VERSION_V2
         assert stats["documents"] == reader.document_count()
         assert stats["bytes"] > 0

@@ -70,7 +70,10 @@ class TestDetection:
         root, server = saved
         target = current_path(root) / "conceptual.bats"
         data = bytearray(target.read_bytes())
-        data[len(data) // 2] ^= 0x01
+        # a payload byte in the middle of the largest section
+        start, end = max(sections(bytes(data)),
+                         key=lambda span: span[1] - span[0])
+        data[(start + end) // 2] ^= 0x01
         target.write_bytes(bytes(data))
         # without verification the manifest's SHA-256 pass is skipped;
         # the flipped section's own CRC-32 still catches it

@@ -12,7 +12,10 @@ Each kind carries the marker of the suite that owns it, so the
 ``persistence``, ``offline`` and ``remote`` jobs each run their own.
 """
 
+import hashlib
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -23,6 +26,8 @@ from repro.persistence import (FORMAT_VERSION, IR_PART, MANIFEST_NAME,
                                save_ir_object)
 from repro.remote.worker import NodeWorker
 from repro.webspace.schema import australian_open_schema
+
+from tests.monetdb.container import SECTION, sections
 
 KINDS = ("snapshot", "artifact", "node")
 
@@ -44,6 +49,17 @@ class Obj:
     def edit_manifest(self, mutate):
         data = json.loads(self.manifest.read_text())
         self.manifest.write_text(json.dumps(mutate(data)))
+
+    def write_ir_part(self, data: bytes) -> None:
+        """Replace ir.bats and re-stamp the manifest to agree, so only
+        the container's own checks can catch a defect in it."""
+        self.ir_part.write_bytes(data)
+
+        def stamp(manifest):
+            manifest["files"][IR_PART].update(
+                sha256=hashlib.sha256(data).hexdigest(), bytes=len(data))
+            return manifest
+        self.edit_manifest(stamp)
 
 
 def snapshot_object(populated, tmp_path):
@@ -139,6 +155,69 @@ def test_future_format_version_is_refused(obj):
                                     "format_version": FORMAT_VERSION + 1})
     with pytest.raises(SnapshotError,
                        match=f"format_version {FORMAT_VERSION + 1}"):
+        obj.load()
+
+
+def test_a_format_4_object_is_refused_by_version(obj):
+    # format 4 kept ir:POS as one string per pair in a version 1
+    # container; it is refused, not migrated
+    obj.edit_manifest(lambda data: {**data, "format_version": 4})
+    with pytest.raises(SnapshotError, match="format_version 4"):
+        obj.load()
+
+
+def reference_section(data: bytes) -> tuple[int, int, int]:
+    """``(column, start, end)`` of ir.bats' first back-reference section
+    (section ``n`` after the BAT header holds column ``n - 1``)."""
+    return next((number - 1, start, end)
+                for number, (start, end) in enumerate(sections(data))
+                if data[start:start + 1] == b"r")
+
+
+def column_of(data: bytes, name: str, side: int) -> int:
+    """The column number of BAT ``name``'s head (0) or tail (1)."""
+    start, end = sections(data)[0]
+    header = json.loads(zlib.decompress(data[start + SECTION.size:end]))
+    names = [entry["name"] for entry in header["bats"]]
+    return 2 * names.index(name) + side
+
+
+def test_the_pair_oid_heads_are_stored_once(obj):
+    data = obj.ir_part.read_bytes()
+    column, _, _ = reference_section(data)
+    assert column == column_of(data, "ir:DT:term", 0)
+    kinds = [data[start:start + 1] for start, _ in sections(data)]
+    for name in ("ir:DT:term", "ir:TF"):
+        assert kinds[1 + column_of(data, name, 0)] == b"r"
+    assert kinds[1 + column_of(data, "ir:POS", 1)] == b"q"
+
+
+@pytest.mark.parametrize("target, message", [
+    ("itself", "not yet read"),
+    ("a later column", "not yet read"),
+    ("ir:D's head", "another length or typecode"),  # the doc oids
+    ("ir:D's tail", "another length or typecode"),  # the urls: not packed
+])
+def test_a_bad_back_reference_is_typed(obj, target, message):
+    data = obj.ir_part.read_bytes()
+    column, start, end = reference_section(data)
+    number = {"itself": column, "a later column": column + 1,
+              "ir:D's head": column_of(data, "ir:D", 0),
+              "ir:D's tail": column_of(data, "ir:D", 1)}[target]
+    assert number != column_of(data, "ir:DT:doc", 0)
+    payload = zlib.compress(struct.pack("<Q", number), 1)
+    obj.write_ir_part(data[:start] + SECTION.pack(
+        b"r", len(payload), zlib.crc32(payload)) + payload + data[end:])
+    with pytest.raises(SnapshotError, match=message):
+        obj.load()
+
+
+def test_a_bit_flip_in_a_reference_payload_is_detected(obj):
+    data = bytearray(obj.ir_part.read_bytes())
+    _, start, end = reference_section(bytes(data))
+    data[end - 1] ^= 0x04
+    obj.write_ir_part(bytes(data))
+    with pytest.raises(SnapshotError, match="CRC-32"):
         obj.load()
 
 

@@ -8,8 +8,9 @@ the whole vocabulary — plus the schema-2 execution core of
 ``IrEngine._structured`` over it (url per hit by ``D.find``, facets by
 ``Counter``).  Three adaptations, none of them a change of semantics:
 
-* a posting's positions are decoded from its ``ir:POS`` string here
-  (``PackedPostings.positions_at`` is gone);
+* a posting's positions are read here from its pair's ``ir:POS`` rows
+  (``PackedPostings.positions_at`` is gone), and a word is
+  phrase-matchable when every pair of it has rows;
 * a document's field comes from its ``ir:D`` url (the index no longer
   keeps a ``doc_field`` map);
 * ranges read numbers with ``str.isdecimal`` (the fix of the crash on a
@@ -30,17 +31,19 @@ from repro.query.eval import filters_to_nodes
 from tests.kernels.topn_oracle import structured_scores
 
 
-def _positions_at(packed, row: int) -> list[int]:
-    encoded = packed.positions[row]
-    return [int(value) for value in encoded.split(" ")] if encoded else []
-
-
 class _Evaluator:
     def __init__(self, relations):
         self.relations = relations
         self.index = relations.postings_index()
         self.field_of = {int(doc): url_segments(url)[1]
                          for doc, url in relations.D}
+        # (doc, term) -> the positions of its pair, one POS row each
+        doc_of = dict(relations.DT_doc)
+        term_of = dict(relations.DT_term)
+        self.positions: dict[tuple[int, int], list[int]] = {}
+        for pair, position in relations.POS:
+            self.positions.setdefault(
+                (int(doc_of[pair]), int(term_of[pair])), []).append(position)
 
     # -- matching ---------------------------------------------------------
 
@@ -85,7 +88,7 @@ class _Evaluator:
         raise QueryError(f"unknown query node {type(node).__name__}")
 
     def _match_phrase(self, phrase: Phrase) -> set[int]:
-        packeds = []
+        packeds, oids = [], []
         for word in phrase.words:
             oid = self.relations.term_oid(word)
             packed = self.index.by_term.get(int(oid)) \
@@ -93,19 +96,17 @@ class _Evaluator:
             if packed is None:
                 return set()  # out-of-vocabulary word: no phrase match
             packeds.append(packed)
-        if any(not packed.has_positions for packed in packeds):
+            oids.append(int(oid))
+        if any((int(doc), oid) not in self.positions
+               for packed, oid in zip(packeds, oids) for doc in packed.docs):
             # pre-v2 pairs carry no positions; refuse to guess adjacency
             return set()
-        row_of = [{int(doc): row for row, doc in enumerate(packed.docs)}
-                  for packed in packeds]
-        candidates = set(row_of[0])
-        for rows in row_of[1:]:
-            candidates &= rows.keys()
+        candidates = set.intersection(*({int(doc) for doc in packed.docs}
+                                        for packed in packeds))
         matched: set[int] = set()
         for doc in candidates:
-            starts = _positions_at(packeds[0], row_of[0][doc])
-            rest = [set(_positions_at(packed, rows[doc]))
-                    for packed, rows in zip(packeds[1:], row_of[1:])]
+            starts = self.positions[doc, oids[0]]
+            rest = [set(self.positions[doc, oid]) for oid in oids[1:]]
             for start in starts:
                 if all(start + offset + 1 in positions
                        for offset, positions in enumerate(rest)):

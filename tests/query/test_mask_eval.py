@@ -97,7 +97,8 @@ def build_engine(first, drop_every, removed, later) -> IrEngine:
         engine.reindex(url, " ".join(words))
     if drop_every:
         relations = engine.relations
-        relations.POS.delete_heads(list(relations.POS.head)[::drop_every])
+        relations.POS.delete_heads(
+            list(dict.fromkeys(relations.POS.head))[::drop_every])
     engine.relations.postings_index()
     for url in sorted(removed):
         if engine.relations.doc_oid(url) is not None:
