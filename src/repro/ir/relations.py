@@ -29,8 +29,18 @@ append-only with ascending oids, so un-indexing a document is four
 slice deletes (:meth:`~repro.monetdb.bat.BAT.delete_heads`); the
 document frequencies IDF derives from are a maintained map; and while a
 :class:`PostingsIndex` is built, every write is journalled so the next
-read patches that index copy-on-write instead of rebuilding it
-(lifecycle in :meth:`IrRelations.postings_index`).
+read patches that index copy-on-write — while a patch is cheaper than a
+build — instead of rebuilding it (lifecycle in
+:meth:`IrRelations.postings_index`).
+
+The paper fragments TF horizontally by term, so on disk the pair
+relations are stored clustered by term: the IR part holds ``ir:T``,
+``ir:D`` and ``ir:IDF`` as BATs and DT/TF/POS as the *segment* a build
+sorts them into (:class:`_Segment`), plain columns of the container.  A
+load checks the segment and installs the postings index over it with no
+build; the four pair BATs are derived from it only when something needs
+them — a write, or a reader of the BATs themselves — and until then a
+save writes the loaded segment back unchanged.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, SnapshotError
 from repro.monetdb.atoms import Oid
 from repro.monetdb.catalog import Catalog
 from repro.monetdb.persistence import load_catalog, save_catalog
@@ -58,6 +68,23 @@ __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
 
 _ADD, _REMOVE = "add", "remove"
 _UNMADE = object()
+#: the pair relations: attribute -> (BAT name, head atom, tail atom)
+_PAIR_RELATIONS = {"DT_doc": ("ir:DT:doc", "oid", "oid"),
+                   "DT_term": ("ir:DT:term", "oid", "oid"),
+                   "TF": ("ir:TF", "oid", "int"),
+                   "POS": ("ir:POS", "oid", "int")}
+#: the BATs an IR part stores; the pair relations go as the segment
+_STORED = ("ir:D", "ir:IDF", "ir:T")
+#: the segment's plain columns in an IR part; ``counts`` only when it
+#: differs from ``tfs`` (pre-v2 pairs)
+_SEGMENT = ("terms", "starts", "pairs", "dense", "tfs", "positions",
+            "counts")
+_PREFIX = "segment:"
+#: what a patch costs per touched term, in pairs a build orders in the
+#: same time — fitted from the crossover at 400, 1 000 and 4 000
+#: documents (EXPERIMENTS E31): the next read patches its journal only
+#: while ``touched terms × _PATCH_COST < pairs``
+_PATCH_COST = 150
 
 
 def _int64(column) -> np.ndarray:
@@ -75,6 +102,14 @@ def _view(column, dtype) -> np.ndarray:
     only a published, never again appended column gets one)."""
     return np.frombuffer(column, dtype=dtype) if len(column) \
         else np.empty(0, dtype=dtype)
+
+
+def _run_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The rows of the runs ``[start, start + count)``, laid end to end:
+    what gathers each run's values into one flat column."""
+    rows = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    rows += np.arange(len(rows))
+    return rows
 
 
 def _codes(names: dict[str, int], values: Iterable[str]) -> array:
@@ -144,6 +179,92 @@ def url_segments(url: str) -> tuple[str, str]:
     return (parts[0], parts[-1]) if len(parts) >= 3 else ("", "")
 
 
+@dataclass(frozen=True, eq=False)
+class _Segment:
+    """The pair relations clustered by term: what a build orders DT, TF
+    and POS into, and what an IR part stores (int64 columns).
+
+    ``terms`` ascend and ``starts`` holds the first row of each term's
+    run.  A row is one pair: its oid (ascending within a run), its
+    document as a row of ``ir:D`` (``dense``) and its tf.
+    ``positions`` are the pairs' ``ir:POS`` tails, row after row,
+    ``counts`` of them per row — ``tfs`` but for pre-v2 pairs, which
+    have none.
+    """
+
+    terms: np.ndarray
+    starts: np.ndarray
+    pairs: np.ndarray
+    dense: np.ndarray
+    tfs: np.ndarray
+    positions: np.ndarray
+    counts: np.ndarray
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The plain columns an IR part stores, by container name."""
+        names = _SEGMENT if not np.array_equal(self.counts, self.tfs) \
+            else _SEGMENT[:-1]
+        return {_PREFIX + name: getattr(self, name) for name in names}
+
+    @classmethod
+    def restored(cls, columns: dict[str, np.ndarray], catalog: Catalog,
+                 path) -> "_Segment":
+        """The segment of a loaded IR part, checked for all a build
+        guarantees; every defect is a typed :class:`SnapshotError`."""
+        def check(holds, message: str) -> None:
+            if not holds:
+                raise SnapshotError(f"{message}: {path}", path=path)
+
+        check(sorted(catalog.names()) == list(_STORED),
+              f"the IR part holds the relations {catalog.names()}, not "
+              f"{list(_STORED)}")
+        names = {name.removeprefix(_PREFIX) for name in columns}
+        check(set(_SEGMENT[:-1]) <= names <= set(_SEGMENT)
+              and all(name.startswith(_PREFIX) for name in columns),
+              f"the IR part's plain columns are {sorted(columns)}, not "
+              "the segment's")
+        values = {name: columns.get(_PREFIX + name) for name in _SEGMENT}
+        if values["counts"] is None:
+            values["counts"] = values["tfs"]
+        segment = cls(**values)
+        terms, starts, pairs = segment.terms, segment.starts, segment.pairs
+        check(len(starts) == len(terms) and len(pairs) == len(segment.dense)
+              == len(segment.tfs) == len(segment.counts),
+              "the segment's columns disagree in length")
+        check(not len(terms) and not len(pairs) or len(terms)
+              and starts[0] == 0 and starts[-1] < len(pairs)
+              and (starts[1:] > starts[:-1]).all(),
+              f"the segment's run starts do not ascend from 0 inside its "
+              f"{len(pairs)} pairs")
+        check((terms[1:] > terms[:-1]).all(), "the segment names a term "
+              "twice")
+        T = catalog.get("ir:T")
+        check(_rows_of(terms, _int64(T.raw_columns()[0]),
+                       T.head_ascending)[1].all(),
+              "the segment names a term missing from ir:T")
+        check(np.array_equal(np.sort(_int64(
+            catalog.get("ir:IDF").raw_columns()[0])), terms),
+            "ir:IDF does not name exactly the segment's terms")
+        check(not len(pairs) or segment.dense.max()
+              < len(catalog.get("ir:D")),
+              "the segment names a document past the end of ir:D")
+        check(not len(pairs) or segment.tfs.min() >= 1,
+              "the segment holds a tf below 1")
+        check(segment.counts.sum() == len(segment.positions),
+              f"the segment's position counts do not add up to its "
+              f"{len(segment.positions)} positions")
+        ascends = pairs[1:] > pairs[:-1]
+        ascends[starts[1:] - 1] = True  # a run may start below the last
+        check(ascends.all(), "a run of the segment has pair oids that do "
+              "not ascend")
+        check(not len(pairs) or pairs.max() < catalog.oids.peek(),
+              "the segment holds a pair oid at or past the next oid")
+        ordered = np.sort(pairs)
+        check((ordered[1:] > ordered[:-1]).all(),
+              "the segment holds a pair oid twice")
+        return segment
+
+
 @dataclass(eq=False)
 class PackedPostings:
     """One term's postings as packed parallel columns.
@@ -172,11 +293,11 @@ class PackedPostings:
     max_tf: int = 0
     # the occurrence positions: posting ``row`` holds the run
     # ``pos_flat[pos_starts[row]:pos_starts[row] + pos_counts[row]]``.
-    # A built term's runs point into the segment's ``ir:POS`` tail; a
-    # patched copy owns its three columns.  A pair with no POS rows (a
-    # pre-v2 snapshot's) has an empty run; ``unpositioned`` counts those:
-    # a term with any is position-less for phrase matching, which never
-    # guesses adjacency.
+    # A built term's runs point into the segment's whole positions
+    # column; a patched copy owns its three columns.  A pair with no POS
+    # rows (a pre-v2 snapshot's) has an empty run; ``unpositioned``
+    # counts those: a term with any is position-less for phrase
+    # matching, which never guesses adjacency.
     pos_flat: array = field(default_factory=lambda: array("q"))
     pos_starts: array = field(default_factory=lambda: array("q"))
     pos_counts: array = field(default_factory=lambda: array("q"))
@@ -221,8 +342,7 @@ class PackedPostings:
             counts = _int64(self.pos_counts)
             offsets = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
-            rows = np.repeat(_int64(self.pos_starts) - offsets[:-1], counts)
-            rows += np.arange(offsets[-1])
+            rows = _run_rows(_int64(self.pos_starts), counts)
             columns = self._position_columns = (
                 _view(self.pos_flat, np.int64)[rows], offsets)
         return columns
@@ -282,22 +402,27 @@ class TermPostings(Mapping):
 
     A build leaves every pair in one *segment*: the doc, dense, tf and
     tf-weight columns and the start and length of each pair's run of
-    positions in ``positions`` (the ``ir:POS`` tail), all sorted by
-    (term, pair oid), plus ``runs``: per term, in order of first
-    appearance, ``(start, stop, max_tf, unpositioned)`` of its rows.
-    A lookup makes the term's postings as views over its run and
-    memoizes them in an *overlay* with ``setdefault``, so concurrent
-    first lookups share one object.  A patched generation
+    positions in ``positions`` (:class:`_Segment`'s, the ``ir:POS``
+    tails clustered by term), all sorted by (term, pair oid), plus
+    ``table``, per term ``(start, stop, max_tf, unpositioned)`` of its
+    rows, and ``runs``: term -> its row of ``table``, in order of first
+    appearance (plain ints, so a million-term vocabulary is no million
+    Python tuples for the garbage collector to walk).  A lookup makes
+    the term's postings as views over its run and memoizes them in an
+    *overlay* with ``setdefault``, so concurrent first lookups share
+    one object.  A patched generation
     (:meth:`_derive`) shares the segment and copies only the overlay,
     where ``None`` marks a term no document holds any more.
     """
 
     def __init__(self, columns: tuple = (),
                  positions: np.ndarray | None = None,
-                 runs: dict[int, tuple[int, int, int, int]] | None = None):
+                 runs: dict[int, int] | None = None,
+                 table: np.ndarray | None = None):
         self._columns = columns
         self._positions = positions
         self._runs = runs or {}
+        self._table = table
         self._made: dict[int, PackedPostings | None] = {}
         self._size = len(self._runs)
 
@@ -323,7 +448,8 @@ class TermPostings(Mapping):
         return self._size
 
     def _make(self, term: int) -> PackedPostings:
-        start, stop, max_tf, unpositioned = self._runs[term]
+        start, stop, max_tf, unpositioned = \
+            self._table[self._runs[term]].tolist()
         docs, dense, tfs, weights, starts, counts = (
             column[start:stop] for column in self._columns)
         get_telemetry().metrics.counter("ir.postings_materialized").add(1)
@@ -394,22 +520,31 @@ class PostingsIndex:
 
 
 class IrRelations:
-    """The five IR relations over one catalog, with incremental updates."""
+    """The five IR relations over one catalog, with incremental updates.
 
-    def __init__(self, catalog: Catalog | None = None):
+    ``segment`` is a loaded IR part's (:meth:`load`): the pair BATs
+    ``DT_doc``, ``DT_term``, ``TF`` and ``POS`` are then absent from the
+    catalog until their first use derives them (:meth:`__getattr__`).
+    """
+
+    def __init__(self, catalog: Catalog | None = None,
+                 segment: _Segment | None = None):
         self.catalog = catalog or Catalog()
         self.T = self.catalog.ensure("ir:T", "oid", "str")
         self.D = self.catalog.ensure("ir:D", "oid", "url")
-        self.DT_doc = self.catalog.ensure("ir:DT:doc", "oid", "oid")
-        self.DT_term = self.catalog.ensure("ir:DT:term", "oid", "oid")
-        self.TF = self.catalog.ensure("ir:TF", "oid", "int")
         self.IDF = self.catalog.ensure("ir:IDF", "oid", "flt")
-        # POS(pair-oid, position) — one row per occurrence of a
-        # document-term pair in the analyzed (stopped, stemmed) token
-        # sequence, a pair's rows in ascending position; feeds phrase
-        # matching.  A pair without rows (a pre-v2 snapshot's) stays
-        # searchable, just not phrase-matchable.
-        self.POS = self.catalog.ensure("ir:POS", "oid", "int")
+        # DT_doc, DT_term, TF and POS(pair-oid, position) — one POS row
+        # per occurrence of a document-term pair in the analyzed
+        # (stopped, stemmed) token sequence, a pair's rows in ascending
+        # position; feeds phrase matching.  A pair without rows (a
+        # pre-v2 snapshot's) stays searchable, just not phrase-matchable.
+        # Exactly one of the four BATs and ``_segment`` holds the pairs.
+        self._segment = segment
+        self._derive_lock = threading.Lock()
+        if segment is None:
+            for attribute, (name, head, tail) in _PAIR_RELATIONS.items():
+                setattr(self, attribute,
+                        self.catalog.ensure(name, head, tail))
         self._term_oids: dict[str, Oid] = _inverse(self.T)
         self._doc_oids: dict[str, Oid] = _inverse(self.D)
         # (value, term oid) of the str.isdecimal terms — what float
@@ -418,15 +553,20 @@ class IrRelations:
             (float(term), oid) for term, oid in self._term_oids.items()
             if term.isdecimal())
         # term oid -> document frequency, maintained by every write (a
-        # restored catalog derives it from the authoritative DT once,
-        # in order of first appearance); a term no document holds any
-        # more has no entry
-        terms = _int64(self.DT_term.raw_columns()[1])
-        order, terms, starts = _grouped(terms)
-        firsts = np.argsort(order[starts])
-        counts = np.diff(starts, append=len(terms))
-        self._df: dict[Oid, int] = dict(zip(terms[starts][firsts].tolist(),
-                                            counts[firsts].tolist()))
+        # catalog derives it from the authoritative DT once, in order of
+        # first appearance; a segment has it as run lengths, in IDF's
+        # row order); a term no document holds any more has no entry
+        if segment is None:
+            order, terms, starts = _grouped(
+                _int64(self.DT_term.raw_columns()[1]))
+            firsts = np.argsort(order[starts])
+            terms, counts = terms[starts][firsts], \
+                np.diff(starts, append=len(terms))[firsts]
+        else:
+            terms = _int64(self.IDF.raw_columns()[0])
+            counts = np.diff(segment.starts, append=len(segment.pairs))[
+                np.searchsorted(segment.terms, terms)]
+        self._df: dict[Oid, int] = dict(zip(terms.tolist(), counts.tolist()))
         # Bumped on every mutation; IDF (and the callers' fragment sets
         # and result cache) are memoized against it.  A restored
         # snapshot starts stale so the first read writes IDF afresh.
@@ -437,32 +577,134 @@ class IrRelations:
         self._refresh_lock = threading.Lock()
         self._postings_index: PostingsIndex | None = None
         self._postings_lock = threading.Lock()
-        # one entry per write since ``_postings_index`` was built
+        # one entry per write since ``_postings_index`` was built, and
+        # the terms those writes touched
         self._journal: list[tuple] = []
-        # total term occurrences (for LM ranking); restored from TF when
-        # the catalog comes from a snapshot
-        self.collection_length = int(_int64(self.TF.raw_columns()[1]).sum())
+        self._touched: set[Oid] = set()
+        # total term occurrences (for LM ranking); restored from the
+        # tfs when the catalog or segment comes from a snapshot
+        self.collection_length = int(
+            _int64(self.TF.raw_columns()[1]).sum() if segment is None
+            else segment.tfs.sum())
+
+    def __getattr__(self, name: str):
+        """A pair BAT a load left out: derived from the segment on its
+        first use (only missing attributes get here)."""
+        if name not in _PAIR_RELATIONS:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        self._derive_pair_relations()
+        return self.__dict__[name]
+
+    def _derive_pair_relations(self) -> None:
+        """Make the four pair BATs from the loaded segment and drop it.
+
+        One inverse permutation (the segment's rows by pair oid) plus
+        gathers give every BAT in pair order, exactly as the writes
+        left it; ``append_many`` keeps every check.  Double-checked
+        under a lock like :meth:`refresh_idf`.
+        """
+        if self._segment is None:
+            return
+        with self._derive_lock:
+            segment = self._segment
+            if segment is None:
+                return
+            by_pair = np.argsort(segment.pairs)
+            pairs = segment.pairs[by_pair]
+            counts = segment.counts[by_pair]
+            rows = _run_rows((np.cumsum(segment.counts) - segment.counts)[
+                by_pair], counts)
+            terms = np.repeat(segment.terms, np.diff(
+                segment.starts, append=len(segment.pairs)))
+            doc_ids = _int64(self.D.raw_columns()[0])
+            columns = {
+                "DT_doc": (pairs, doc_ids[segment.dense[by_pair]]),
+                "DT_term": (pairs, terms[by_pair]),
+                "TF": (pairs, segment.tfs[by_pair]),
+                "POS": (np.repeat(pairs, counts), segment.positions[rows])}
+            bats = {}
+            for attribute, (heads, tails) in columns.items():
+                name, head, tail = _PAIR_RELATIONS[attribute]
+                bats[attribute] = self.catalog.create(name, head, tail)
+                bats[attribute].append_many(_packed("q", heads),
+                                            _packed("q", tails))
+            self.__dict__.update(bats)
+            self._segment = None
+        get_telemetry().metrics.counter("ir.pair_rows_derived").add(
+            len(pairs) + len(rows))
+
+    def _pairs_segment(self) -> _Segment:
+        """The pairs as a segment: the loaded one while no pair BAT has
+        been derived, else the pair BATs' (:meth:`_segment_of_pairs`)."""
+        segment = self._segment
+        return segment if segment is not None else self._segment_of_pairs()
+
+    def _segment_of_pairs(self) -> _Segment:
+        """The segment of the pair BATs: one sort (:func:`_grouped`) of
+        ``DT:term``'s tail clusters the pairs by term, in pair order
+        within a term.
+
+        Each pair's run of ``POS`` rows is found from POS's head — by
+        the ``tf`` cumsum when POS is aligned (each pair's ``tf`` rows in
+        pair order), else by ``searchsorted`` — and a pair without one
+        (pre-v2) gets an empty run.  What both a build and a save start
+        from.
+        """
+        pair_column, term_column = self.DT_term.raw_columns()
+        pairs = _int64(pair_column)
+        docs = _tails_by_pair(pairs, self.DT_doc)
+        tfs = _tails_by_pair(pairs, self.TF)
+        dense, known = _rows_of(docs, _int64(self.D.raw_columns()[0]),
+                                self.D.head_ascending)
+        if not known.all():
+            raise CatalogError("ir:DT:doc names a document missing from ir:D")
+        pos_heads, positions = map(_int64, self.POS.raw_columns())
+        counts = tfs
+        if len(pos_heads) == tfs.sum() \
+                and np.array_equal(pos_heads, np.repeat(pairs, tfs)):
+            pos_starts = np.cumsum(tfs) - tfs
+        else:
+            if not self.POS.head_ascending:
+                by_pair = np.argsort(pos_heads, kind="stable")
+                pos_heads, positions = pos_heads[by_pair], positions[by_pair]
+            pos_starts = np.searchsorted(pos_heads, pairs)
+            counts = np.searchsorted(pos_heads, pairs, "right") - pos_starts
+        del pos_heads  # not needed for the gather: lower the peak
+        order, terms, starts = _grouped(_int64(term_column))
+        counts = counts[order]
+        return _Segment(terms[starts], starts, pairs[order], dense[order],
+                        tfs[order], positions[_run_rows(pos_starts[order],
+                                                        counts)], counts)
 
     # -- persistence -----------------------------------------------------
 
     def save(self, path) -> int:
-        """Write the IR part, one column container, with IDF made
-        current first; returns the association count to stamp."""
+        """Write the IR part, one column container: ``ir:T``, ``ir:D``
+        and ``ir:IDF`` (made current first) as BATs, the pair relations
+        as the segment — the loaded one, unchanged, while no pair BAT
+        has been derived.  Returns the value count to stamp."""
         self.refresh_idf()
-        return save_catalog(self.catalog, path)
+        return save_catalog(self.catalog, path, names=_STORED,
+                            columns=self._pairs_segment().columns())
 
     @classmethod
     def load(cls, path, generation: int, *, oid_start: int = 0,
              oid_stride: int = 1) -> "IrRelations":
         """Restore an IR part stamped with its manifest's
         ``generation``; ``oid_start``/``oid_stride`` restore a cluster
-        node's strided oid sequence.  IDF starts stale."""
-        catalog = load_catalog(path, oid_start=oid_start,
-                               oid_stride=oid_stride)
+        node's strided oid sequence.  The segment is checked and the
+        postings index installed over it at ``generation``: no build,
+        no pair BAT.  IDF starts stale."""
+        catalog, columns = load_catalog(path, oid_start=oid_start,
+                                        oid_stride=oid_stride)
+        segment = _Segment.restored(columns, catalog, path)
         get_telemetry().metrics.counter("ir.rows_loaded").add(
-            sum(len(catalog.get(name)) for name in catalog.names()))
-        relations = cls(catalog)
+            catalog.total_buns() + len(segment.pairs)
+            + len(segment.positions))
+        relations = cls(catalog, segment)
         relations.generation = generation
+        relations._postings_index = relations._index(segment, generation)
         return relations
 
     # -- vocabulary ------------------------------------------------------
@@ -511,6 +753,7 @@ class IrRelations:
         """
         if url in self._doc_oids:
             raise CatalogError(f"document already indexed: {url!r}")
+        self._derive_pair_relations()
         occurrences: dict[str, list[int]] = {}
         for position, term in enumerate(analyze(text)):
             occurrences.setdefault(term, []).append(position)
@@ -566,6 +809,7 @@ class IrRelations:
         doc = self._doc_oids.get(url)
         if doc is None:
             raise CatalogError(f"document not indexed: {url!r}")
+        self._derive_pair_relations()
         # DT:doc's tail ascends (documents get ascending oids and pairs
         # are appended per document): the run is found by bisect
         pairs = self.DT_doc.find_heads(doc)
@@ -588,17 +832,24 @@ class IrRelations:
     def _journal_write(self, entry: tuple) -> None:
         """Remember one write for the built postings index, if any.
 
-        Bulk loading before the first read journals nothing; a journal
-        that outgrows the index it would patch drops both, and the next
-        read pays the single full build a bulk load pays.
+        Bulk loading before the first read journals nothing.  A patch
+        costs per touched term and a build per pair, so a journal whose
+        touched terms cost more to patch than a build
+        (``touched × _PATCH_COST ≥ pairs``) drops both, as does one that
+        outgrows the index it would patch (the memory bound): the next
+        read pays the single full build a bulk load pays, and the
+        journal holds nothing no read will use.
         """
         index = self._postings_index
         if index is None:
             return
         self._journal.append(entry)
-        if len(self._journal) > len(index.doc_dense):
+        self._touched.update(entry[3])
+        if len(self._touched) * _PATCH_COST >= len(self.TF) \
+                or len(self._journal) > len(index.doc_dense):
             self._postings_index = None
             self._journal = []
+            self._touched = set()
 
     def idf_fresh(self) -> bool:
         """Whether IDF reflects the current generation."""
@@ -658,13 +909,17 @@ class IrRelations:
 
         Lifecycle: **build** — one columnar sort of DT/TF into a
         segment when no index exists (a bulk load before the first read
-        pays exactly this, once), a term's postings made on its first
-        lookup; **journal** — while an index exists every write
-        appends one entry; **patch** — the next read turns the old
-        index plus the journal into the next generation copy-on-write,
-        O(delta + vocabulary); **compaction** — when dead slots
-        outnumber live documents the next generation is a full build
-        again.  Double-checked under a lock like :meth:`refresh_idf`.
+        pays exactly this, once; a restart's :meth:`load` installs the
+        stored segment's index instead), a term's postings made on its
+        first lookup; **journal** — every write appends one entry while
+        an index exists and patching the terms touched so far stays
+        cheaper than a build, which costs per pair (``touched ×
+        _PATCH_COST < pairs``); past that the write drops journal and
+        index; **patch** — the next read turns the old index plus the
+        journal into the next generation copy-on-write, at a cost per
+        touched term; **compaction** — when dead slots outnumber live
+        documents the next generation is a full build again.
+        Double-checked under a lock like :meth:`refresh_idf`.
         """
         index = self._postings_index
         if index is not None and index.generation == self.generation:
@@ -676,19 +931,20 @@ class IrRelations:
             if index is not None and index.generation == generation:
                 return index
             journal, self._journal = self._journal, []
+            touched, self._touched = self._touched, set()
             # a generation the journal does not account for was bumped
             # behind the write methods' back, and an index with more
             # dead slots than live documents is due for compaction:
-            # either way only a build will do
+            # either way only a build will do (a journal too dear to
+            # patch went with its index, in ``_journal_write``)
             patch = index is not None \
                 and index.generation + len(journal) == generation \
                 and len(index.doc_ids) + sum(entry[0] == _ADD
                                              for entry in journal) \
                 <= 2 * len(self._doc_oids)
             name = "ir.postings_patch" if patch else "ir.postings_build"
-            touched = len(set().union(*(entry[3] for entry in journal)))
             with telemetry.tracer.span(name, journal=len(journal),
-                                       touched=touched) as span:
+                                       touched=len(touched)) as span:
                 if patch:
                     index = self._patch_postings_index(index, journal,
                                                        generation)
@@ -701,17 +957,19 @@ class IrRelations:
         return index
 
     def _build_postings_index(self, generation: int) -> PostingsIndex:
-        """The full build, columnar: one sort (:func:`_grouped`) of
-        ``DT:term``'s tail orders the pair columns by term into the
-        :class:`TermPostings` segment; no term's postings are made.
+        """The full build: the index over the pair BATs' segment
+        (:meth:`_segment_of_pairs`), or over the loaded one while no
+        pair BAT has been derived.  The scalar per-pair build this
+        replaces is the oracle in ``tests/kernels``."""
+        return self._index(self._pairs_segment(), generation)
 
-        The sort keeps a term's postings in pair order; terms enter
-        ``by_term`` in order of first appearance; each pair's run of
-        ``POS`` rows is found from POS's head — by the ``tf`` cumsum
-        when POS is aligned (each pair's ``tf`` rows in pair order),
-        else by ``searchsorted`` — and a pair without one (pre-v2) gets
-        an empty run.  The scalar per-pair build this replaces is the
-        oracle in ``tests/kernels``.
+    def _index(self, segment: _Segment, generation: int) -> PostingsIndex:
+        """The postings index over ``segment`` and ``ir:D``, columnar;
+        no term's postings are made (:class:`TermPostings`).
+
+        A term's postings keep the segment's pair order; terms enter
+        ``by_term`` in order of first appearance (their runs' first pair
+        oids); a pair's positions are its run of ``segment.positions``.
         """
         index = PostingsIndex(generation=generation,
                               by_term=TermPostings())
@@ -725,44 +983,26 @@ class IrRelations:
                                    (cls for cls, _ in segments))
         index.field_codes = _codes(index.field_names,
                                    (fld for _, fld in segments))
-        pair_column, term_column = self.DT_term.raw_columns()
-        if not pair_column:
+        if not len(segment.pairs):
             return index
-        pairs = _int64(pair_column)
-        docs = _tails_by_pair(pairs, self.DT_doc)
-        tfs = _tails_by_pair(pairs, self.TF)
+        dense, tfs, counts = segment.dense, segment.tfs, segment.counts
         doc_oids = _int64(doc_ids)
-        dense, known = _rows_of(docs, doc_oids, self.D.head_ascending)
-        if not known.all():
-            raise CatalogError("ir:DT:doc names a document missing from ir:D")
         lengths = np.bincount(dense, weights=tfs, minlength=len(doc_ids))
         held = np.zeros(len(doc_ids), dtype=bool)
         held[dense] = True
         index.doc_lengths = dict(zip(
             doc_oids[held].tolist(), lengths[held].astype(np.int64).tolist()))
-        order, terms, starts = _grouped(_int64(term_column))
-        pos_heads, positions = map(_int64, self.POS.raw_columns())
-        counts = tfs
-        if len(pos_heads) == tfs.sum() \
-                and np.array_equal(pos_heads, np.repeat(pairs, tfs)):
-            pos_starts = np.cumsum(tfs) - tfs
-        else:
-            if not self.POS.head_ascending:
-                by_pair = np.argsort(pos_heads, kind="stable")
-                pos_heads, positions = pos_heads[by_pair], positions[by_pair]
-            pos_starts = np.searchsorted(pos_heads, pairs)
-            counts = np.searchsorted(pos_heads, pairs, "right") - pos_starts
-        tfs, counts = tfs[order], counts[order]
-        firsts = np.argsort(order[starts])  # runs by first appearance
+        starts = segment.starts
+        firsts = np.argsort(segment.pairs[starts])  # by first appearance
         table = np.column_stack((
-            starts, np.r_[starts[1:], len(terms)],
+            starts, np.r_[starts[1:], len(tfs)],
             np.maximum.reduceat(tfs, starts),
             np.add.reduceat(counts == 0, starts, dtype=np.int64)))
         index.by_term = TermPostings(
-            (docs[order], dense[order], tfs, tfs.astype(np.float64),
-             pos_starts[order], counts),
-            positions, dict(zip(terms[starts][firsts].tolist(),
-                                map(tuple, table[firsts].tolist()))))
+            (doc_oids[dense], dense, tfs, tfs.astype(np.float64),
+             np.cumsum(counts) - counts, counts),
+            segment.positions,
+            dict(zip(segment.terms[firsts].tolist(), firsts.tolist())), table)
         return index
 
     @staticmethod
@@ -842,7 +1082,8 @@ class IrRelations:
         return {
             "documents": self.document_count(),
             "terms": self.vocabulary_size(),
-            "pairs": len(self.TF),
+            "pairs": len(self.TF) if self._segment is None
+            else len(self._segment.pairs),
             "collection_length": self.collection_length,
             "generation": self.generation,
         }

@@ -8,13 +8,18 @@ run of length-prefixed, checksummed sections::
     header    magic b"MONETBAT" · u32 container version
     section   kind (1 byte) · u64 payload length · u32 CRC-32 · payload
 
-All integers are little-endian.  Every payload is zlib level 1 (a
-constant of the format, not an option) and the CRC-32 covers the stored
-payload, so a flipped bit is caught before anything is inflated.  The
-first section (kind ``H``) is the BAT header — JSON naming the catalog's
-next oid and each BAT's name, atom types and count — then every BAT
+All integers are little-endian.  The CRC-32 covers the stored payload,
+so a flipped bit is caught before anything is decoded.  The first
+section (kind ``H``) is the header — JSON naming the catalog's next oid,
+each BAT's name, atom types and count, and (under ``columns``, when
+there are any) each *plain* column's name and count — then every BAT
 contributes its head and its tail column, in header order (BAT ``i``'s
-head is column ``2i``, its tail column ``2i + 1``):
+head is column ``2i``, its tail column ``2i + 1``), and after them
+every plain column its one section, in header order.  A plain column
+belongs to no BAT: it is an integer column the caller lays out itself
+(the IR part's term-clustered postings segment).  Every payload but a
+plain column's is zlib level 1 (a constant of the format, not an
+option):
 
 =====  ======================  ==========================================
 kind   column                  payload before zlib
@@ -22,23 +27,28 @@ kind   column                  payload before zlib
 ``q``  int64 (oid, int)        the raw ``array('q')`` bytes
 ``d``  float64 (flt)           the raw ``array('d')`` bytes
 ``r``  a packed column equal   one u64: the number of that earlier column
-       to an earlier one of    (the IR pair-oid heads are one column
-       the same typecode       stored once, not three times)
+       to an earlier one of    (the IR part's vocabulary heads are one
+       the same typecode       column stored once, not twice)
 ``s``  str, url                ``count`` int64 character lengths, then
                                one UTF-8 blob (``surrogatepass``)
 ``j``  anything else           one JSON list — int64-overflow spills,
                                ``bit``, custom ADTs
+``u``  a plain column of       not compressed: one width byte (1, 2, 4
+       non-negative int64      or 8), then ``count`` little-endian
+       values                  unsigned integers of that width — the
+                               narrowest that holds the column's maximum
 =====  ======================  ==========================================
 
 A file ends after its last section.  Loading is ``frombytes`` plus
 column operations: no per-association parsing.  Truncation, a flipped
 bit, a bad magic or version, a count that disagrees with its column, a
 corrupt zlib stream, a back-reference to a column not yet read or of
-another length or typecode, and trailing bytes are each a typed
-:class:`~repro.errors.SnapshotError` naming the file — never a silent
-partial load.  Writes go through the atomic path (temp file, fsync,
-``os.replace``), so an interrupted :func:`save_catalog` leaves the
-previous file intact.
+another length or typecode, a width byte outside {1, 2, 4, 8}, a plain
+column's length other than count × width, and trailing bytes are each
+a typed :class:`~repro.errors.SnapshotError` naming the file — never a
+silent partial load.  Writes go through the atomic path (temp file,
+fsync, ``os.replace``), so an interrupted :func:`save_catalog` leaves
+the previous file intact.
 """
 
 from __future__ import annotations
@@ -50,7 +60,9 @@ import zlib
 from array import array
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import AtomTypeError, BatError, SnapshotError
 from repro.monetdb.atoms import AtomType, atom_type
@@ -61,12 +73,13 @@ __all__ = ["CONTAINER_MAGIC", "CONTAINER_VERSION", "save_catalog",
 
 CONTAINER_MAGIC = b"MONETBAT"
 #: Bumped whenever the container layout changes; readers refuse others.
-CONTAINER_VERSION = 2
+CONTAINER_VERSION = 3
 
 _FILE_HEADER = struct.Struct("<8sI")
 _SECTION = struct.Struct("<cQI")
 _LEVEL = 1
-_HEADER, _TEXT, _JSON, _REFERENCE = b"H", b"s", b"j", b"r"
+_HEADER, _TEXT, _JSON, _REFERENCE, _PLAIN = b"H", b"s", b"j", b"r", b"u"
+_WIDTHS = (1, 2, 4, 8)
 _ORDINAL = struct.Struct("<Q")
 _TEXT_ATOMS = ("str", "url")
 # raw columns are stored little-endian whatever the host
@@ -81,8 +94,19 @@ def _little_endian(column: array) -> bytes:
 
 
 def _section(kind: bytes, raw: bytes) -> bytes:
-    payload = zlib.compress(raw, _LEVEL)
+    payload = raw if kind == _PLAIN else zlib.compress(raw, _LEVEL)
     return _SECTION.pack(kind, len(payload), zlib.crc32(payload)) + payload
+
+
+def _plain_section(values: np.ndarray) -> bytes:
+    """A plain column's section: the narrowest unsigned width that holds
+    its maximum, then the values at that width."""
+    if len(values) and values.min() < 0:
+        raise ValueError("a plain column holds non-negative values only")
+    top = int(values.max()) if len(values) else 0
+    width = next(width for width in _WIDTHS if top < 1 << 8 * width)
+    return _section(_PLAIN, bytes([width])
+                    + values.astype(f"<u{width}").tobytes())
 
 
 def _kinds(atom: AtomType) -> bytes:
@@ -109,23 +133,32 @@ def _column_section(atom: AtomType, column: Any, number: int,
     return _section(_JSON, json.dumps(column).encode("utf-8"))
 
 
-def save_catalog(catalog: Catalog, path: str | Path) -> int:
+def save_catalog(catalog: Catalog, path: str | Path, *,
+                 names: Sequence[str] | None = None,
+                 columns: Mapping[str, np.ndarray] | None = None) -> int:
     """Atomically write the catalog to ``path`` as one column container.
 
-    Returns the number of associations written, which the manifest
-    stores next to the file's checksum.  The file records the catalog's
-    next oid, so a restore keeps handing out collision-free oids.
+    ``names`` picks the BATs to write (default: all, sorted); ``columns``
+    adds plain columns, non-negative integer arrays by name.  Returns
+    the number of values written — associations plus plain column
+    values — which the manifest stores next to the file's checksum.
+    The file records the catalog's next oid, so a restore keeps handing
+    out collision-free oids.
     """
     from repro.persistence.atomic import atomic_write
 
-    names = catalog.names()
+    names = catalog.names() if names is None else list(names)
     bats = [catalog.get(name) for name in names]
+    columns = dict(columns or {})
     header = {
         "next_oid": int(catalog.oids.peek()),
         "bats": [{"name": name, "head": bat.head_type.name,
                   "tail": bat.tail_type.name, "count": len(bat)}
                  for name, bat in zip(names, bats)],
     }
+    if columns:
+        header["columns"] = [{"name": name, "count": len(values)}
+                             for name, values in columns.items()]
     with atomic_write(Path(path), "wb") as stream:
         stream.write(_FILE_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION))
         stream.write(_section(_HEADER, json.dumps(header).encode("utf-8")))
@@ -135,7 +168,9 @@ def save_catalog(catalog: Catalog, path: str | Path) -> int:
                     (bat.head_type, bat.tail_type), bat.raw_columns())):
                 stream.write(_column_section(atom, column, 2 * number + side,
                                              stored))
-    return sum(len(bat) for bat in bats)
+        for values in columns.values():
+            stream.write(_plain_section(values))
+    return sum(map(len, bats)) + sum(map(len, columns.values()))
 
 
 class _Container:
@@ -161,7 +196,8 @@ class _Container:
         return SnapshotError(f"{message}: {self.path}", path=self.path)
 
     def section(self, what: str) -> tuple[bytes, bytes]:
-        """The next section's kind and inflated payload."""
+        """The next section's kind and its payload, inflated unless it
+        is a plain column's."""
         start = self.offset
         end = start + _SECTION.size
         if end > len(self.data):
@@ -172,13 +208,14 @@ class _Container:
         payload = self.view[end:end + length]
         if zlib.crc32(payload) != crc:
             raise self.error(f"CRC-32 mismatch in the {what} section")
+        self.offset = end + length
+        if kind == _PLAIN:
+            return kind, payload
         try:
-            raw = zlib.decompress(payload)
+            return kind, zlib.decompress(payload)
         except zlib.error as exc:
             raise self.error(f"corrupt zlib stream in the {what} section "
                              f"({exc})") from exc
-        self.offset = end + length
-        return kind, raw
 
     def column(self, atom: AtomType, count: int, what: str) -> Sequence:
         self.columns.append(self._column(atom, count, what))
@@ -209,6 +246,23 @@ class _Container:
         if _SWAP:
             values.byteswap()
         return values
+
+    def plain(self, count: int, what: str) -> np.ndarray:
+        """The next section as a plain column: int64 values, a copy."""
+        kind, payload = self.section(what)
+        if kind != _PLAIN:
+            raise self.error(f"{kind!r} section cannot hold the {what}")
+        width = payload[0] if len(payload) else 0
+        if width not in _WIDTHS:
+            raise self.error(f"the {what} has width {width}, not one of "
+                             f"{_WIDTHS}")
+        if len(payload) - 1 != count * width:
+            raise self.error(f"the {what} holds {len(payload) - 1} bytes, "
+                             f"not {count} values of {width} bytes")
+        values = np.frombuffer(payload, dtype=f"<u{width}", offset=1)
+        if width == 8 and len(values) and values.max() >= 1 << 63:
+            raise self.error(f"the {what} holds a value past int64")
+        return values.astype(np.int64)
 
     def _reference(self, raw: bytes, atom: AtomType, count: int,
                    what: str) -> array:
@@ -252,24 +306,33 @@ class _Container:
                              "bytes after the last section")
 
 
-def _bat_entries(container: _Container, raw: bytes) -> tuple[int, list]:
-    """``(next_oid, [(name, head atom, tail atom, count), ...])``."""
+def _header(container: _Container, raw: bytes
+            ) -> tuple[int, list, list[tuple[str, int]]]:
+    """``(next_oid, [(name, head atom, tail atom, count), ...],
+    [(plain column name, count), ...])``."""
     try:
         header = json.loads(raw)
         entries = [(str(entry["name"]), atom_type(entry["head"]),
                     atom_type(entry["tail"]), int(entry["count"]))
                    for entry in header["bats"]]
+        plain = [(str(entry["name"]), int(entry["count"]))
+                 for entry in header.get("columns", [])]
         next_oid = int(header["next_oid"])
     except (AtomTypeError, KeyError, TypeError, ValueError) as exc:
         raise container.error(f"malformed BAT header ({exc})") from exc
-    if any(count < 0 for *_, count in entries):
-        raise container.error("negative BAT count in the BAT header")
-    return next_oid, entries
+    if any(count < 0 for *_, count in entries + plain):
+        raise container.error("negative count in the BAT header")
+    if len(dict(plain)) != len(plain):
+        raise container.error("a plain column is named twice in the BAT "
+                              "header")
+    return next_oid, entries, plain
 
 
 def load_catalog(path: str | Path, *, oid_start: int = 0,
-                 oid_stride: int = 1) -> Catalog:
-    """Load a catalog container written by :func:`save_catalog`.
+                 oid_stride: int = 1
+                 ) -> tuple[Catalog, dict[str, np.ndarray]]:
+    """Load a container written by :func:`save_catalog`: its catalog and
+    its plain columns by name (int64 arrays).
 
     ``oid_start``/``oid_stride`` reconstruct a cluster node's strided
     oid sequence, so a restored shared-nothing server keeps handing out
@@ -289,10 +352,12 @@ def load_catalog(path: str | Path, *, oid_start: int = 0,
     if kind != _HEADER:
         raise container.error(f"expected the BAT header section, found a "
                               f"{kind!r} section")
-    next_oid, entries = _bat_entries(container, raw)
+    next_oid, entries, plain = _header(container, raw)
     columns = [(container.column(head, count, f"head column of {name!r}"),
                 container.column(tail, count, f"tail column of {name!r}"))
                for name, head, tail, count in entries]
+    plain_columns = {name: container.plain(count, f"plain column {name!r}")
+                     for name, count in plain}
     container.finish()
     catalog = Catalog(oid_start=oid_start, oid_stride=oid_stride)
     for (name, head, tail, _), (heads, tails) in zip(entries, columns):
@@ -302,4 +367,4 @@ def load_catalog(path: str | Path, *, oid_start: int = 0,
             raise container.error(f"invalid values in {name!r}: "
                                   f"{exc}") from exc
     catalog.oids.advance_past(next_oid - 1)
-    return catalog
+    return catalog, plain_columns

@@ -5,9 +5,11 @@ record, ``manifest.json``, written *last*: its presence certifies that
 every file it stamps was already written and fsynced.  Every object
 holds the IR part ``ir.bats``
 (:meth:`~repro.ir.relations.IrRelations.save`), and its manifest
-records ``format_version`` (5; 1 was the flat snapshot, 2 JSON-lines
+records ``format_version`` (6; 1 was the flat snapshot, 2 JSON-lines
 generations, 3 containers under ``engine.json``, 4 ``ir:POS`` as one
-string per pair in a version 1 container), ``kind``,
+string per pair in a version 1 container, 5 the four pair relations as
+BATs in a version 2 container, where 6 stores them as the
+term-clustered postings segment in a version 3 one), ``kind``,
 ``generation`` and ``files`` — per-file SHA-256, size and record count,
 so :func:`verify_files` catches truncation and bit-flips before a
 record is read.  Each kind adds only what it needs:
@@ -42,7 +44,7 @@ __all__ = ["FORMAT_VERSION", "MANIFEST_NAME", "IR_PART", "FileStamp",
            "Manifest", "sha256_file", "stamp_file", "verify_files",
            "save_ir_object", "config_to_dict", "config_from_dict"]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 #: the IR relations' container, the one data file every kind holds
 IR_PART = "ir.bats"

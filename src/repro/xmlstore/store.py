@@ -360,5 +360,5 @@ class XmlStore:
         """Restore a store from a snapshot written by :meth:`save`."""
         from repro.monetdb.persistence import load_catalog
         server = server or MonetServer("xmlstore")
-        server.catalog = load_catalog(path)
+        server.catalog, _ = load_catalog(path)
         return cls(server)

@@ -27,7 +27,9 @@ from repro.service.api import (MODE_CONTENT, MODE_FRAGMENTED,
                                SCHEMA_VERSION_V2, SearchRequest)
 from repro.telemetry import telemetry_session
 
-pytestmark = pytest.mark.kernels
+# the walks' few dozen pairs would never patch under the cost rule
+pytestmark = [pytest.mark.kernels,
+              pytest.mark.usefixtures("patch_whenever_possible")]
 
 # low ranks are common, "rare*" words usually have a single holder (so
 # removing it removes the term), years feed the range queries

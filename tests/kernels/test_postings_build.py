@@ -58,7 +58,7 @@ class TestParity:
     def test_after_a_container_round_trip(self, tmp_path):
         original = build_relations(seed=4, docs=60)
         save_catalog(original.catalog, tmp_path / "ir.bats")
-        assert_parity(IrRelations(load_catalog(tmp_path / "ir.bats")))
+        assert_parity(IrRelations(load_catalog(tmp_path / "ir.bats")[0]))
 
     def test_after_removes(self):
         relations = build_relations(seed=5, docs=80)

@@ -28,7 +28,7 @@ class TestPackedRoundTrip:
         strs.insert(Oid(1), "hello")
         path = tmp_path / "snap.bats"
         save_catalog(catalog, path)
-        loaded = load_catalog(path)
+        loaded, _ = load_catalog(path)
         assert loaded.get("t:ints").storage() == ("q", "q")
         assert loaded.get("t:flts").storage() == ("q", "d")
         assert loaded.get("t:strs").storage() == ("q", "list")
@@ -40,7 +40,7 @@ class TestPackedRoundTrip:
                         [i * 3 for i in range(50)])
         path = tmp_path / "snap.bats"
         save_catalog(catalog, path)
-        loaded = load_catalog(path).get("t:pairs")
+        loaded = load_catalog(path)[0].get("t:pairs")
         assert loaded.head == bat.head
         assert loaded.tail == bat.tail
         assert isinstance(loaded.head[0], Oid)
@@ -51,7 +51,7 @@ class TestPackedRoundTrip:
         bat.insert(Oid(1), 2 ** 80)
         path = tmp_path / "snap.bats"
         save_catalog(catalog, path)
-        loaded = load_catalog(path).get("t:big")
+        loaded = load_catalog(path)[0].get("t:big")
         assert loaded.find(Oid(1)) == 2 ** 80
         assert loaded.storage()[1] == "list"
 
@@ -62,7 +62,7 @@ class TestIrRoundTrip:
         original = build_relations(seed=5, docs=60)
         path = tmp_path / "ir.bats"
         save_catalog(original.catalog, path)
-        restored = IrRelations(load_catalog(path))
+        restored = IrRelations(load_catalog(path)[0])
         restored.refresh_idf()
         return original, restored
 
@@ -90,3 +90,102 @@ class TestIrRoundTrip:
         # built postings are int64 / float64 views over the segment
         assert packed.docs.dtype == packed.dense.dtype == np.int64
         assert packed.tf_weights.dtype == np.float64
+
+
+def rows_of(relations: IrRelations) -> dict:
+    """Every pair BAT's rows, in row order."""
+    return {name: list(getattr(relations, name))
+            for name in ("DT_doc", "DT_term", "TF", "POS")}
+
+
+class TestSegmentRoundTrip:
+    """An IR part stores the pair relations as the term-clustered
+    segment; a load installs the index over it and derives the pair
+    BATs only on first use."""
+
+    @pytest.fixture(params=["bulk", "removes", "pre-v2"])
+    def original(self, request):
+        relations = build_relations(seed=6, docs=60)
+        if request.param == "removes":
+            for number in range(0, 60, 4):
+                relations.remove_document(f"http://site/d{number}")
+            relations.add_document("http://site/late", "w0 w1 w1 w2")
+        if request.param == "pre-v2":  # every third pair loses its POS
+            pairs = list(dict.fromkeys(relations.POS.head))[::3]
+            relations.POS.delete_heads(pairs)
+        relations.refresh_idf()
+        return relations
+
+    def load(self, original, tmp_path) -> IrRelations:
+        original.save(tmp_path / "ir.bats")
+        return IrRelations.load(tmp_path / "ir.bats", original.generation)
+
+    def test_the_installed_index_is_the_build(self, original, tmp_path):
+        loaded = self.load(original, tmp_path)
+        assert "TF" not in vars(loaded)  # no pair BAT yet
+        installed = loaded.postings_index()
+        built = original._build_postings_index(original.generation)
+        assert dict(installed.by_term.items()) == dict(built.by_term.items())
+        assert installed.doc_lengths == built.doc_lengths
+        assert installed.doc_ids == built.doc_ids
+        assert list(loaded._df.items()) == list(original._df.items())
+        assert loaded.collection_length == original.collection_length
+        assert loaded.stats() == original.stats()
+
+    def test_derived_pair_bats_equal_the_saved_ones(self, original,
+                                                    tmp_path):
+        loaded = self.load(original, tmp_path)
+        assert rows_of(loaded) == rows_of(original)
+        assert loaded.catalog.names() == original.catalog.names()
+        for name in ("DT_doc", "DT_term", "TF", "POS"):
+            assert getattr(loaded, name).head_ascending
+
+    def test_a_loaded_part_saves_back_byte_identical(self, original,
+                                                     tmp_path):
+        loaded = self.load(original, tmp_path)
+        loaded.save(tmp_path / "again.bats")
+        rows_of(loaded)  # derived: the save now starts from the BATs
+        loaded.save(tmp_path / "derived.bats")
+        assert (tmp_path / "again.bats").read_bytes() \
+            == (tmp_path / "derived.bats").read_bytes() \
+            == (tmp_path / "ir.bats").read_bytes()
+
+    def test_counts_are_stored_only_for_pre_v2_pairs(self, original):
+        columns = original._segment_of_pairs().columns()
+        unpositioned = len(original.POS) < original.collection_length
+        assert ("segment:counts" in columns) == unpositioned
+
+    def test_concurrent_first_uses_derive_once(self, tmp_path):
+        import sys
+        import threading
+
+        from repro.telemetry import telemetry_session
+
+        original = build_relations(seed=8, docs=40)
+        loaded = self.load(original, tmp_path)
+        barrier = threading.Barrier(6)
+        lengths = []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            lengths.append(len(loaded.POS) + len(loaded.TF))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry_session() as telemetry:
+                threads = [threading.Thread(target=first_use)
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                derived = telemetry.metrics.sum_counters(
+                    "ir.pair_rows_derived")
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = len(original.POS) + len(original.TF)
+        assert lengths == [expected] * 6
+        assert derived == expected
+        assert rows_of(loaded) == rows_of(original)

@@ -50,6 +50,12 @@ _steps = st.lists(st.tuples(st.sampled_from(["add", "remove", "reindex"]),
                   min_size=1, max_size=12)
 
 
+#: how the property's reads after its writes were served
+READS = {"patches": 0, "builds": 0}
+
+
+# six words hold a few dozen pairs, where the cost rule always builds
+@pytest.mark.usefixtures("patch_whenever_possible")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.lists(st.sampled_from(WORDS), max_size=6),
                 min_size=1, max_size=6), _steps)
@@ -70,12 +76,23 @@ def test_a_patch_over_an_untouched_segment_equals_a_build(initial, steps):
     with telemetry_session() as telemetry:
         patched = relations.postings_index()
         rebuilds = telemetry.metrics.sum_counters("ir.postings_rebuilds")
+        patches = len(telemetry.tracer.find_all("ir.postings_patch"))
+    READS["patches"] += patches
+    READS["builds"] += rebuilds
     built = relations._build_postings_index(relations.generation)
     assert contents(relations, patched) == contents(relations, built)
     assert len(patched.by_term) == len(built.by_term) == len(relations._df)
     assert set(patched.by_term) == set(relations._df)
-    if not rebuilds:  # a patch shares the segment (a compaction builds)
+    if patches:  # a patch shares the segment (a compaction builds)
         assert patched.by_term._columns is first.by_term._columns
+
+
+def test_the_property_patched():
+    """After the property (file order): the reads it compared were
+    patches, not builds compared with builds."""
+    if not sum(READS.values()):
+        pytest.skip("the property did not run in this session")
+    assert READS["patches"] > 0, READS
 
 
 def test_a_build_makes_no_postings_and_a_lookup_makes_one():

@@ -10,6 +10,8 @@ import pytest
 from repro.errors import CatalogError, SnapshotError
 from repro.monetdb.atoms import Oid
 from repro.monetdb.catalog import Catalog
+import numpy as np
+
 from repro.monetdb.persistence import (CONTAINER_MAGIC, CONTAINER_VERSION,
                                        load_catalog, save_catalog)
 
@@ -72,7 +74,7 @@ class TestRoundTrip:
     def test_round_trip_preserves_relations(self, catalog, tmp_path):
         path = tmp_path / "snapshot.bats"
         save_catalog(catalog, path)
-        loaded = load_catalog(path)
+        loaded, _ = load_catalog(path)
         assert loaded.names() == ["flags", "names", "scores"]
         assert list(loaded.get("names")) == [(0, "monica"), (1, "albrecht")]
         assert loaded.get("scores").find(Oid(0)) == 1.5
@@ -81,20 +83,20 @@ class TestRoundTrip:
     def test_round_trip_preserves_oid_types(self, catalog, tmp_path):
         path = tmp_path / "snapshot.bats"
         save_catalog(catalog, path)
-        loaded = load_catalog(path)
+        loaded, _ = load_catalog(path)
         assert isinstance(loaded.get("names").head[0], Oid)
 
     def test_oid_sequence_continues_after_load(self, catalog, tmp_path):
         path = tmp_path / "snapshot.bats"
         used = catalog.oids.peek()
         save_catalog(catalog, path)
-        loaded = load_catalog(path)
+        loaded, _ = load_catalog(path)
         assert loaded.oids.new() >= used
 
     def test_empty_catalog_round_trips(self, tmp_path):
         path = tmp_path / "empty.bats"
         save_catalog(Catalog(), path)
-        assert len(load_catalog(path)) == 0
+        assert len(load_catalog(path)[0]) == 0
 
     def test_the_layout_matches_the_documented_encoder(self, tmp_path):
         catalog = Catalog()
@@ -128,7 +130,7 @@ class TestRoundTrip:
         for name in ("x", "y"):
             catalog.create(name, "oid", "int").append_many([0, 1], [5, 6])
         save_catalog(catalog, tmp_path / "c.bats")
-        loaded = load_catalog(tmp_path / "c.bats")
+        loaded, _ = load_catalog(tmp_path / "c.bats")
         x, y = loaded.get("x"), loaded.get("y")
         assert x.raw_columns()[0] is not y.raw_columns()[0]
         x.append_many([2], [7])
@@ -136,9 +138,35 @@ class TestRoundTrip:
         assert list(y) == [(0, 5), (1, 6)]
         assert y.head_ascending
 
+    def test_plain_columns_round_trip_at_the_narrowest_width(self,
+                                                              tmp_path):
+        catalog = Catalog()
+        catalog.create("x", "oid", "int").append_many([0], [5])
+        columns = {"small": np.array([0, 255]), "wide": np.array([256, 7]),
+                   "huge": np.array([2 ** 40]), "empty": np.array([], int)}
+        save_catalog(catalog, tmp_path / "c.bats", columns=columns)
+        data = (tmp_path / "c.bats").read_bytes()
+        header, *_, small, wide, huge, empty = sections(data)
+        widths = [data[start + SECTION.size] for start, _ in
+                  (small, wide, huge, empty)]
+        assert widths == [1, 2, 8, 1]
+        assert data[small[0]:small[0] + 1] == b"u"
+        assert data[small[0] + SECTION.size:small[1]] == b"\x01\x00\xff"
+        loaded, plain = load_catalog(tmp_path / "c.bats")
+        assert list(loaded.get("x")) == [(0, 5)]
+        assert list(plain) == list(columns)
+        for name, values in columns.items():
+            assert plain[name].dtype == np.int64
+            assert plain[name].tolist() == values.tolist()
+
+    def test_a_negative_plain_value_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="non-negative"):
+            save_catalog(Catalog(), tmp_path / "c.bats",
+                         columns={"x": np.array([1, -1])})
+
     def test_saves_are_deterministic(self, catalog, tmp_path):
         save_catalog(catalog, tmp_path / "a.bats")
-        save_catalog(load_catalog(tmp_path / "a.bats"), tmp_path / "b.bats")
+        save_catalog(load_catalog(tmp_path / "a.bats")[0], tmp_path / "b.bats")
         assert (tmp_path / "a.bats").read_bytes() \
             == (tmp_path / "b.bats").read_bytes()
 
@@ -185,12 +213,13 @@ class TestContainerSafety:
         catalog.create("bits", "oid", "bit").append_many([0], [False])
         catalog.create("big", "oid", "int").append_many([0], [2 ** 70])
         catalog.create("none", "oid", "url")
-        save_catalog(catalog, tmp_path / "good.bats")
+        save_catalog(catalog, tmp_path / "good.bats",
+                     columns={"plain": np.array([3, 70000])})
         return (tmp_path / "good.bats").read_bytes()
 
     def test_the_fixture_has_every_section_kind(self, saved):
         kinds = {saved[start:start + 1] for start, _ in sections(saved)}
-        assert kinds == {b"H", b"q", b"d", b"r", b"s", b"j"}
+        assert kinds == {b"H", b"q", b"d", b"r", b"s", b"j", b"u"}
 
     def test_truncation_at_and_inside_every_section(self, saved, tmp_path):
         cuts = set(range(len(saved)))  # every byte prefix, boundaries too
@@ -260,6 +289,31 @@ class TestContainerSafety:
             frame(b"q", int64s(0, 1, 2)), frame(b"q", int64s(4, 5, 6)),
             *parts))
         assert message in str(error)
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"\x03" + b"\x00" * 6, "width 3"),
+        (b"", "width 0"),
+        (b"\x02" + b"\x00" * 5, "holds 5 bytes, not 3 values of 2"),
+        (b"\x08" + b"\xff" * 24, "past int64"),
+    ])
+    def test_a_bad_plain_column_is_typed(self, tmp_path, payload, message):
+        header = frame(b"H", json.dumps({
+            "next_oid": 0, "bats": [],
+            "columns": [{"name": "p", "count": 3}]}).encode())
+        error = raises_typed(tmp_path / "p.bats", container(
+            header, frame(b"u", b"", payload=payload)))
+        assert message in str(error)
+
+    def test_a_plain_column_must_sit_in_a_plain_section(self, tmp_path):
+        header = frame(b"H", json.dumps({
+            "next_oid": 0, "bats": [],
+            "columns": [{"name": "p", "count": 1}]}).encode())
+        raises_typed(tmp_path / "p.bats", container(header,
+                                                    frame(b"q", int64s(1))))
+        # and a BAT column cannot sit in one
+        raises_typed(tmp_path / "b.bats", container(
+            bat_header(("r", "oid", "int", 1)),
+            frame(b"u", b"", payload=b"\x01\x00"), frame(b"q", int64s(1))))
 
     def test_section_kind_must_fit_the_atom(self, tmp_path):
         raises_typed(tmp_path / "k.bats", container(

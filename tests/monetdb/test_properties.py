@@ -221,7 +221,7 @@ def test_ascending_flag_survives_a_snapshot_round_trip(tmp_path):
     catalog.ensure("t:asc", "oid", "oid").append_many([1, 2, 5], [7, 7, 9])
     catalog.ensure("t:not", "oid", "oid").append_many([3, 1], [2, 1])
     save_catalog(catalog, tmp_path / "snap.bats")
-    loaded = load_catalog(tmp_path / "snap.bats")
+    loaded, _ = load_catalog(tmp_path / "snap.bats")
     assert loaded.get("t:asc").head_ascending
     assert loaded.get("t:asc").tail_ascending
     assert not loaded.get("t:not").head_ascending
@@ -230,7 +230,7 @@ def test_ascending_flag_survives_a_snapshot_round_trip(tmp_path):
     catalog.ensure("t:long", "oid", "int").append_many(
         range(5000), [1] * 4999 + [0])
     save_catalog(catalog, tmp_path / "snap.bats")
-    long = load_catalog(tmp_path / "snap.bats").get("t:long")
+    long = load_catalog(tmp_path / "snap.bats")[0].get("t:long")
     assert long.head_ascending and not long.tail_ascending
 
 
@@ -279,8 +279,8 @@ def test_container_round_trips_every_catalog(tmp_path_factory, catalog):
     path = tmp_path_factory.mktemp("container") / "c.bats"
     save_catalog(catalog, path)
     stride = catalog.oids._stride
-    loaded = load_catalog(path, oid_start=int(catalog.oids.peek()) % stride,
-                          oid_stride=stride)
+    loaded, _ = load_catalog(path, oid_start=int(catalog.oids.peek()) % stride,
+                             oid_stride=stride)
     assert loaded.names() == catalog.names()
     for name in catalog.names():
         before, after = catalog.get(name), loaded.get(name)

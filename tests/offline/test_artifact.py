@@ -26,11 +26,13 @@ from tests.monetdb.container import SECTION, damaged, sections
 pytestmark = pytest.mark.offline
 
 #: Format 2 split the IR part into three files; ir.bats now holds the
-#: same relations as sections of one container.  The corruption cases
+#: same relations as sections of one container — DT, TF and POS as the
+#: plain columns of the term-clustered segment.  The corruption cases
 #: below still run once per former file, on its relations' sections.
 FORMER_FILES = {
-    "postings.bats": ("ir:T", "ir:DT:doc", "ir:DT:term", "ir:TF", "ir:IDF"),
-    "positions.bats": ("ir:POS",),
+    "postings.bats": ("ir:T", "ir:IDF", "segment:terms", "segment:starts",
+                      "segment:pairs", "segment:dense", "segment:tfs"),
+    "positions.bats": ("segment:positions",),
     "meta.bats": ("ir:D",),
 }
 
@@ -50,16 +52,21 @@ def former_sections(data, former):
     """Numbers of the ir.bats sections holding ``former``'s relations.
 
     Section 0 is the BAT header; BAT ``i`` of its list contributes its
-    head and tail column as sections ``1 + 2i`` and ``2 + 2i``.
+    head and tail column as sections ``1 + 2i`` and ``2 + 2i``, and
+    plain column ``j`` after the ``b`` BATs section ``1 + 2b + j``.
     """
     start, end = sections(data)[0]
     header = json.loads(zlib.decompress(data[start + SECTION.size:end]))
-    names = [entry["name"] for entry in header["bats"]]
-    numbers = [number for index, name in enumerate(names)
-               if name in FORMER_FILES[former]
+    bats = [entry["name"] for entry in header["bats"]]
+    plain = [entry["name"] for entry in header["columns"]]
+    wanted = FORMER_FILES[former]
+    numbers = [number for index, name in enumerate(bats) if name in wanted
                for number in (1 + 2 * index, 2 + 2 * index)]
-    assert len(numbers) == 2 * len(FORMER_FILES[former])
-    return numbers
+    numbers += [1 + 2 * len(bats) + index
+                for index, name in enumerate(plain) if name in wanted]
+    assert len(numbers) == sum(2 if name in bats else 1 for name in wanted)
+    assert set(wanted) <= set(bats) | set(plain)
+    return sorted(numbers)
 
 
 def restamp(artifact):
@@ -134,7 +141,8 @@ class TestCorruptionIsTyped:
         path = artifact / IR_PART
         data = bytearray(path.read_bytes())
         spans = sections(bytes(data))
-        first, *_, last = former_sections(bytes(data), victim)
+        numbers = former_sections(bytes(data), victim)
+        first, last = numbers[0], numbers[-1]
         data[(spans[first][0] + spans[last][1]) // 2] ^= 0x40
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError, match="checksum"):

@@ -8,10 +8,13 @@ from repro.core.config import EngineConfig, ExecutionPolicy
 from repro.core.engine import SearchEngine
 from repro.errors import CatalogError, SnapshotError
 from repro.persistence import MANIFEST_NAME, load_engine, save_engine
+from repro.service import SearchRequest
+from repro.service.api import SCHEMA_VERSION_V2
 from repro.web.ausopen import build_ausopen_site
 from repro.webspace.schema import australian_open_schema
 
 from tests.persistence.conftest import build_engine
+from tests.query.test_parity import SHAPES
 
 pytestmark = pytest.mark.persistence
 
@@ -23,6 +26,38 @@ def round_trip(engine, server, tmp_path, **load_kwargs):
     save_engine(engine, tmp_path)
     return load_engine(tmp_path, australian_open_schema(), server,
                        **load_kwargs)
+
+
+class TestAWrittenRestart:
+    """A restored engine that takes writes derives its pair relations
+    from the loaded segment; saved and loaded again, it answers every
+    schema-2 shape exactly like the live engine that took the same
+    writes."""
+
+    @staticmethod
+    def write(ir, removed: str) -> None:
+        ir.index("Article:late:body", "digital library champion trophy")
+        ir.reindex("Article:later:body", "retrieval ranking database")
+        ir.remove(removed)
+
+    def test_every_shape_after_writes_save_and_load(self, tmp_path):
+        engine, server, _ = build_engine()
+        # tfs above 1 in the loaded segment: a mis-derived TF shows
+        engine.ir.index("Article:early:body", "melbourne melbourne park "
+                        "park park final tournament tournament")
+        restored = round_trip(engine, server, tmp_path / "first")
+        removed = sorted(engine.ir.relations._doc_oids)[0]
+        for target in (engine, restored):
+            self.write(target.ir, removed)
+        again = round_trip(restored, server, tmp_path / "second")
+        for source in SHAPES + ["melbourne park", "final NOT tournament"]:
+            for mode in ("content", "fragmented"):
+                request = SearchRequest(query=source, mode=mode,
+                                        schema_version=SCHEMA_VERSION_V2)
+                live, loaded = (target.execute(request).to_dict()
+                                for target in (engine, again))
+                live.pop("timings"), loaded.pop("timings")
+                assert live == loaded, (source, mode)
 
 
 class TestConfigRoundTrip:

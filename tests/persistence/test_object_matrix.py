@@ -99,12 +99,34 @@ def obj(request, populated, tmp_path):
     directory = tmp_path / "node"
     save_ir_object(engine.ir.relations, directory, "node", seq=3)
     worker = request.getfixturevalue("node_worker")
-    return Obj("node", directory, lambda: worker._op_bootstrap(
+    node = Obj("node", directory, lambda: worker._op_bootstrap(
         {"path": str(directory)}))
+    node.worker = worker
+    return node
 
 
 def test_intact_objects_load(obj):
     assert obj.load() is not None
+
+
+def save_again(obj, loaded, target):
+    """What ``obj``'s loader restored, saved as a second object of its
+    kind; returns the directory holding its data files."""
+    if obj.kind == "snapshot":
+        return save_engine(loaded, target)
+    if obj.kind == "artifact":
+        return export_index(loaded._engine, target)
+    save_ir_object(obj.worker.relations, target, "node", seq=3)
+    return target
+
+
+def test_save_load_save_is_byte_identical(obj, tmp_path):
+    again = save_again(obj, obj.load(), tmp_path / "again")
+    stored = sorted(obj.directory.glob("*.bats"))
+    assert IR_PART in [path.name for path in stored]
+    for path in stored:
+        assert (again / path.name).read_bytes() == path.read_bytes(), \
+            path.name
 
 
 def test_truncation_is_detected(obj):
@@ -166,6 +188,14 @@ def test_a_format_4_object_is_refused_by_version(obj):
         obj.load()
 
 
+def test_a_format_5_object_is_refused_by_version(obj):
+    # format 5 stored the four pair relations as BATs; it is refused,
+    # not migrated
+    obj.edit_manifest(lambda data: {**data, "format_version": 5})
+    with pytest.raises(SnapshotError, match="format_version 5"):
+        obj.load()
+
+
 def reference_section(data: bytes) -> tuple[int, int, int]:
     """``(column, start, end)`` of ir.bats' first back-reference section
     (section ``n`` after the BAT header holds column ``n - 1``)."""
@@ -176,20 +206,147 @@ def reference_section(data: bytes) -> tuple[int, int, int]:
 
 def column_of(data: bytes, name: str, side: int) -> int:
     """The column number of BAT ``name``'s head (0) or tail (1)."""
-    start, end = sections(data)[0]
-    header = json.loads(zlib.decompress(data[start + SECTION.size:end]))
-    names = [entry["name"] for entry in header["bats"]]
+    names = [entry["name"] for entry in header_of(data)["bats"]]
     return 2 * names.index(name) + side
 
 
+def header_of(data: bytes) -> dict:
+    start, end = sections(data)[0]
+    return json.loads(zlib.decompress(data[start + SECTION.size:end]))
+
+
 def test_the_pair_oid_heads_are_stored_once(obj):
+    # DT, TF and POS are no BATs on disk: the segment stores the pair
+    # oids once, as one plain column, and the positions as another
     data = obj.ir_part.read_bytes()
-    column, _, _ = reference_section(data)
-    assert column == column_of(data, "ir:DT:term", 0)
+    header = header_of(data)
+    assert [entry["name"] for entry in header["bats"]] \
+        == ["ir:D", "ir:IDF", "ir:T"]
+    plain = [entry["name"] for entry in header["columns"]]
+    assert plain.count("segment:pairs") == 1
+    assert "segment:positions" in plain
     kinds = [data[start:start + 1] for start, _ in sections(data)]
-    for name in ("ir:DT:term", "ir:TF"):
-        assert kinds[1 + column_of(data, name, 0)] == b"r"
-    assert kinds[1 + column_of(data, "ir:POS", 1)] == b"q"
+    assert kinds[-len(plain):] == [b"u"] * len(plain)
+    # the vocabulary's heads: ir:T's refers back to ir:IDF's
+    column, _, _ = reference_section(data)
+    assert column == column_of(data, "ir:T", 0)
+
+
+def plain_section(data: bytes, name: str) -> tuple[int, int]:
+    """``(start, end)`` of plain column ``name``'s section: plain column
+    ``j`` follows the BAT header and every BAT's two columns."""
+    header = header_of(data)
+    names = [entry["name"] for entry in header["columns"]]
+    return sections(data)[1 + 2 * len(header["bats"]) + names.index(name)]
+
+
+def plain_values(data: bytes, name: str) -> list[int]:
+    start, end = plain_section(data, name)
+    width = data[start + SECTION.size]
+    raw = data[start + SECTION.size + 1:end]
+    return [int.from_bytes(raw[offset:offset + width], "little")
+            for offset in range(0, len(raw), width)]
+
+
+def with_plain_payload(data: bytes, name: str, payload: bytes) -> bytes:
+    """``data`` with plain column ``name``'s payload replaced, its CRC-32
+    made to agree: only the reader's own checks can catch a defect."""
+    start, end = plain_section(data, name)
+    return data[:start] + SECTION.pack(
+        b"u", len(payload), zlib.crc32(payload)) + payload + data[end:]
+
+
+def with_plain_values(data: bytes, name: str, mutate) -> bytes:
+    values = mutate(plain_values(data, name))
+    return with_plain_payload(data, name, bytes([8]) + struct.pack(
+        f"<{len(values)}Q", *values))
+
+
+def set_value(row, value):
+    def mutate(values):
+        values[row(values) if callable(row) else row] = value
+        return values
+    return mutate
+
+
+def test_a_bit_flip_in_a_plain_column_is_detected(obj):
+    data = bytearray(obj.ir_part.read_bytes())
+    start, end = plain_section(bytes(data), "segment:pairs")
+    data[(start + SECTION.size + end) // 2] ^= 0x08
+    obj.write_ir_part(bytes(data))
+    with pytest.raises(SnapshotError, match="CRC-32"):
+        obj.load()
+
+
+@pytest.mark.parametrize("width", [0, 3, 16])
+def test_a_width_outside_the_four_is_typed(obj, width):
+    data = obj.ir_part.read_bytes()
+    start, end = plain_section(data, "segment:tfs")
+    payload = bytes([width]) + data[start + SECTION.size + 1:end]
+    obj.write_ir_part(with_plain_payload(data, "segment:tfs", payload))
+    with pytest.raises(SnapshotError, match=f"width {width}, not one of"):
+        obj.load()
+
+
+def test_a_length_other_than_count_times_width_is_typed(obj):
+    data = obj.ir_part.read_bytes()
+    start, end = plain_section(data, "segment:dense")
+    payload = data[start + SECTION.size:end] + b"\x00"
+    obj.write_ir_part(with_plain_payload(data, "segment:dense", payload))
+    with pytest.raises(SnapshotError, match="bytes, not .* values of"):
+        obj.load()
+
+
+def single_run(data: bytes) -> int:
+    """The row of a pair whose term no other pair holds (not row 0)."""
+    starts = plain_values(data, "segment:starts")
+    stops = starts[1:] + [len(plain_values(data, "segment:pairs"))]
+    return next(start for start, stop in zip(starts, stops)
+                if stop - start == 1 and start)
+
+
+def next_oid(data: bytes) -> int:
+    return header_of(data)["next_oid"]
+
+
+def documents(data: bytes) -> int:
+    return next(entry["count"] for entry in header_of(data)["bats"]
+                if entry["name"] == "ir:D")
+
+
+@pytest.mark.parametrize("column, mutate, message", [
+    ("segment:starts", lambda data: lambda starts: (
+        starts[:1] + [starts[2], starts[1]] + starts[3:]), "run starts"),
+    ("segment:starts", lambda data: set_value(
+        -1, len(plain_values(data, "segment:pairs"))), "run starts"),
+    ("segment:starts", lambda data: set_value(0, 1), "run starts"),
+    ("segment:dense", lambda data: set_value(0, documents(data)),
+     "past the end of ir:D"),
+    ("segment:tfs", lambda data: set_value(0, 0), "tf below 1"),
+    ("segment:tfs", lambda data: lambda tfs: [tfs[0] + 1] + tfs[1:],
+     "position counts do not add up"),
+    ("segment:pairs", lambda data: set_value(
+        single_run(data), plain_values(data, "segment:pairs")[0]),
+     "pair oid twice"),
+    ("segment:pairs", lambda data: set_value(single_run(data),
+                                             next_oid(data)),
+     "at or past the next oid"),
+    ("segment:pairs", lambda data: lambda pairs: pairs[::-1],
+     "do not ascend"),
+    ("segment:terms", lambda data: set_value(-1, next_oid(data) + 7),
+     "missing from ir:T"),
+    ("segment:terms", lambda data: set_value(1, plain_values(
+        data, "segment:terms")[0]), "names a term twice"),
+], ids=["starts descend", "starts pass the pairs", "starts not from 0",
+        "dense past the documents", "tf of 0", "counts off the positions",
+        "duplicate pair oid", "pair oid at next oid", "pairs descend",
+        "term not in T", "duplicate term"])
+def test_a_segment_the_build_would_not_make_is_typed(obj, column, mutate,
+                                                    message):
+    data = obj.ir_part.read_bytes()
+    obj.write_ir_part(with_plain_values(data, column, mutate(data)))
+    with pytest.raises(SnapshotError, match=message):
+        obj.load()
 
 
 @pytest.mark.parametrize("target, message", [
@@ -204,7 +361,7 @@ def test_a_bad_back_reference_is_typed(obj, target, message):
     number = {"itself": column, "a later column": column + 1,
               "ir:D's head": column_of(data, "ir:D", 0),
               "ir:D's tail": column_of(data, "ir:D", 1)}[target]
-    assert number != column_of(data, "ir:DT:doc", 0)
+    assert number != column_of(data, "ir:IDF", 0)
     payload = zlib.compress(struct.pack("<Q", number), 1)
     obj.write_ir_part(data[:start] + SECTION.pack(
         b"r", len(payload), zlib.crc32(payload)) + payload + data[end:])

@@ -27,7 +27,10 @@ from repro.service.api import (MODE_CONTENT, MODE_FRAGMENTED,
 
 from tests.query import eval_oracle
 
-pytestmark = pytest.mark.query
+# dead slots come from patches, which these small corpora would never
+# make under the cost rule
+pytestmark = [pytest.mark.query,
+              pytest.mark.usefixtures("patch_whenever_possible")]
 
 WORDS = ["tennis", "court", "final", "trophy", "melbourne", "1989", "1995",
          "1999", "2003", "²", "١٩٩٧"]
