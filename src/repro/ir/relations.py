@@ -9,38 +9,30 @@ integrates:
 * ``TF(pair-oid, tf)``    — term frequency per pair (derivable from DT),
 * ``IDF(term-oid, idf)``  — with ``idf = 1/df`` (derivable from TF),
 * ``POS(pair-oid, position)`` — one row per occurrence: the positions
-  of each pair over the analyzed token sequence (phrase search), an
-  integer relation whose pair-oid head ascends in runs of ``tf`` rows.
+  of each pair over the analyzed token sequence (phrase search).
 
-BATs are binary, so the ternary DT is decomposed Monet-style into two
-BATs sharing the pair-oid head (``DT_doc`` and ``DT_term``).  The IDF
-relation is maintained *lazily*: documents are added eagerly to
-T/D/DT/TF while every mutation only bumps the ``generation`` counter;
-:meth:`refresh_idf` recomputes IDF at most once per generation, on the
-first read that needs it.  This generalises the paper's batched refresh
-("started every time the storage manager has parsed a certain number of
-document bodies") — bulk population costs O(docs) instead of
-O(docs × vocabulary), and a query-time refresh is a no-op unless the
-index actually changed.  The generation stamp is also what the result
-cache keys on (:mod:`repro.cache`).
+T, D and IDF are BATs.  The paper fragments TF horizontally by term, so
+DT, TF and POS are held clustered by term, in one form: an immutable
+*base* segment (:class:`_Segment` — term oids and run starts, per pair
+its oid, document slot and tf, the positions row after row) plus a
+small *delta* of the adds since the base, in pair-oid order
+(:class:`_Delta`).  A term's postings are its base run followed by its
+delta run; pair oids ascend, so that is the order a build gives.  An
+add costs the document: it appends to the delta.  A remove drops a
+delta document from the delta, or a base document's rows from the
+base by one vectorized mask — a copy of the rest of the base.  A read
+merges the delta into a new base (*compaction*, one sort) only when
+the delta has grown to the base's size or dead slots outnumber live
+documents.  A save writes the base merged with the delta without
+installing it, so an IR part stores exactly the segment a build makes.
 
-A write costs the document, not the corpus.  The pair-oid BATs are
-append-only with ascending oids, so un-indexing a document is four
-slice deletes (:meth:`~repro.monetdb.bat.BAT.delete_heads`); the
-document frequencies IDF derives from are a maintained map; and while a
-:class:`PostingsIndex` is built, every write is journalled so the next
-read patches that index copy-on-write — while a patch is cheaper than a
-build — instead of rebuilding it (lifecycle in
-:meth:`IrRelations.postings_index`).
-
-The paper fragments TF horizontally by term, so on disk the pair
-relations are stored clustered by term: the IR part holds ``ir:T``,
-``ir:D`` and ``ir:IDF`` as BATs and DT/TF/POS as the *segment* a build
-sorts them into (:class:`_Segment`), plain columns of the container.  A
-load checks the segment and installs the postings index over it with no
-build; the four pair BATs are derived from it only when something needs
-them — a write, or a reader of the BATs themselves — and until then a
-save writes the loaded segment back unchanged.
+The IDF relation is maintained *lazily*: every mutation only bumps the
+``generation`` counter and the maintained document frequencies;
+:meth:`IrRelations.refresh_idf` rewrites IDF at most once per
+generation, on the first read that needs it.  This generalises the
+paper's batched refresh ("started every time the storage manager has
+parsed a certain number of document bodies").  The generation stamp
+is also what the result cache keys on (:mod:`repro.cache`).
 """
 
 from __future__ import annotations
@@ -52,7 +44,9 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -66,25 +60,12 @@ from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
 
-_ADD, _REMOVE = "add", "remove"
 _UNMADE = object()
-#: the pair relations: attribute -> (BAT name, head atom, tail atom)
-_PAIR_RELATIONS = {"DT_doc": ("ir:DT:doc", "oid", "oid"),
-                   "DT_term": ("ir:DT:term", "oid", "oid"),
-                   "TF": ("ir:TF", "oid", "int"),
-                   "POS": ("ir:POS", "oid", "int")}
 #: the BATs an IR part stores; the pair relations go as the segment
 _STORED = ("ir:D", "ir:IDF", "ir:T")
-#: the segment's plain columns in an IR part; ``counts`` only when it
-#: differs from ``tfs`` (pre-v2 pairs)
-_SEGMENT = ("terms", "starts", "pairs", "dense", "tfs", "positions",
-            "counts")
+#: the segment's plain columns in an IR part
+_SEGMENT = ("terms", "starts", "pairs", "dense", "tfs", "positions")
 _PREFIX = "segment:"
-#: what a patch costs per touched term, in pairs a build orders in the
-#: same time — fitted from the crossover at 400, 1 000 and 4 000
-#: documents (EXPERIMENTS E31): the next read patches its journal only
-#: while ``touched terms × _PATCH_COST < pairs``
-_PATCH_COST = 150
 
 
 def _int64(column) -> np.ndarray:
@@ -112,6 +93,15 @@ def _run_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _without(column: np.ndarray, starts: np.ndarray,
+             stops: np.ndarray) -> np.ndarray:
+    """``column`` without the rows ``[start, stop)`` of each of the
+    ascending, disjoint spans: the kept spans copied end to end."""
+    edges = zip(chain((0,), stops.tolist()),
+                chain(starts.tolist(), (len(column),)))
+    return np.concatenate([column[a:b] for a, b in edges])
+
+
 def _codes(names: dict[str, int], values: Iterable[str]) -> array:
     """``values`` as codes into ``names``, which grows a code per new
     name in order of first appearance."""
@@ -123,38 +113,6 @@ def _inverse(bat) -> dict:
     """A functional BAT's tail -> head map (last row wins)."""
     heads, tails = bat.raw_columns()
     return dict(zip(tails, heads))
-
-
-def _rows_of(keys: np.ndarray, heads: np.ndarray,
-             ascending: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's row in a head column, and whether it is there at all:
-    ``searchsorted`` on the column when it ascends, else on a stably
-    sorted copy."""
-    if not len(heads):
-        return (np.zeros(len(keys), dtype=np.int64),
-                np.zeros(len(keys), dtype=bool))
-    order = None if ascending else np.argsort(heads, kind="stable")
-    ordered = heads if order is None else heads[order]
-    rows = np.minimum(np.searchsorted(ordered, keys), len(heads) - 1)
-    found = ordered[rows] == keys
-    return (rows if order is None else order[rows]), found
-
-
-def _tails_by_pair(pairs: np.ndarray, bat) -> np.ndarray:
-    """``bat``'s tail for every pair oid in ``pairs``.
-
-    The pair-oid BATs are appended and deleted in lockstep, so their
-    heads are positionally aligned and one array comparison proves it;
-    anything else is matched by head.
-    """
-    heads, tails = (_int64(column) for column in bat.raw_columns())
-    if np.array_equal(heads, pairs):
-        return tails
-    rows, found = _rows_of(pairs, heads, bat.head_ascending)
-    if not found.all():
-        raise CatalogError(f"{bat.name} lacks a row for a pair of "
-                           "ir:DT:term")
-    return tails[rows]
 
 
 def _grouped(keys: np.ndarray
@@ -181,15 +139,14 @@ def url_segments(url: str) -> tuple[str, str]:
 
 @dataclass(frozen=True, eq=False)
 class _Segment:
-    """The pair relations clustered by term: what a build orders DT, TF
-    and POS into, and what an IR part stores (int64 columns).
+    """The pair relations clustered by term (int64 columns): the live
+    tier's base, and what an IR part stores.
 
     ``terms`` ascend and ``starts`` holds the first row of each term's
     run.  A row is one pair: its oid (ascending within a run), its
-    document as a row of ``ir:D`` (``dense``) and its tf.
-    ``positions`` are the pairs' ``ir:POS`` tails, row after row,
-    ``counts`` of them per row — ``tfs`` but for pre-v2 pairs, which
-    have none.
+    document slot (``dense``; a row of ``ir:D`` once compacted) and its
+    tf.  ``positions`` are the pairs' positions, ``tf`` of them per
+    row, row after row — so a term's positions are one slice.
     """
 
     terms: np.ndarray
@@ -198,13 +155,54 @@ class _Segment:
     dense: np.ndarray
     tfs: np.ndarray
     positions: np.ndarray
-    counts: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "_Segment":
+        return cls(*(np.empty(0, dtype=np.int64) for _ in _SEGMENT))
+
+    @cached_property
+    def bounds(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """``(terms, rows, spans, max_tfs)`` as lists: term ``terms[i]``
+        holds rows ``rows[i]:rows[i+1]`` and positions
+        ``spans[i]:spans[i+1]``, its largest tf is ``max_tfs[i]`` (plain
+        ints: a lookup is a bisect, not a numpy call)."""
+        spans = np.zeros(len(self.terms) + 1, dtype=np.int64)
+        max_tfs = np.zeros(len(self.terms), dtype=np.int64)
+        if len(self.terms):
+            np.cumsum(np.add.reduceat(self.tfs, self.starts), out=spans[1:])
+            max_tfs = np.maximum.reduceat(self.tfs, self.starts)
+        return (self.terms.tolist(),
+                np.append(self.starts, len(self.pairs)).tolist(),
+                spans.tolist(), max_tfs.tolist())
+
+    def run(self, term: int) -> tuple[slice, slice, int] | None:
+        """The rows, the positions and the largest tf of ``term``'s run,
+        if it has one."""
+        terms, rows, spans, max_tfs = self.bounds
+        row = bisect_left(terms, term)
+        if row == len(terms) or terms[row] != term:
+            return None
+        return (slice(rows[row], rows[row + 1]),
+                slice(spans[row], spans[row + 1]), max_tfs[row])
+
+    def dropped(self, rows: np.ndarray) -> "_Segment":
+        """This segment without the pair ``rows`` (ascending) and their
+        positions; a run left empty goes with its term.  The kept rows
+        are copied and counted in ``monetdb.rows_moved``."""
+        pairs, dense, tfs = (_without(column, rows, rows + 1)
+                             for column in (self.pairs, self.dense, self.tfs))
+        stops = np.cumsum(self.tfs)[rows]  # each row's positions end there
+        positions = _without(self.positions, stops - self.tfs[rows], stops)
+        starts = self.starts - np.searchsorted(rows, self.starts)
+        held = np.diff(starts, append=len(pairs)) > 0
+        get_telemetry().metrics.counter("monetdb.rows_moved").add(
+            len(pairs) + len(positions))
+        return _Segment(self.terms[held], starts[held], pairs, dense, tfs,
+                        positions)
 
     def columns(self) -> dict[str, np.ndarray]:
         """The plain columns an IR part stores, by container name."""
-        names = _SEGMENT if not np.array_equal(self.counts, self.tfs) \
-            else _SEGMENT[:-1]
-        return {_PREFIX + name: getattr(self, name) for name in names}
+        return {_PREFIX + name: getattr(self, name) for name in _SEGMENT}
 
     @classmethod
     def restored(cls, columns: dict[str, np.ndarray], catalog: Catalog,
@@ -218,19 +216,13 @@ class _Segment:
         check(sorted(catalog.names()) == list(_STORED),
               f"the IR part holds the relations {catalog.names()}, not "
               f"{list(_STORED)}")
-        names = {name.removeprefix(_PREFIX) for name in columns}
-        check(set(_SEGMENT[:-1]) <= names <= set(_SEGMENT)
-              and all(name.startswith(_PREFIX) for name in columns),
+        check(sorted(columns) == sorted(_PREFIX + name for name in _SEGMENT),
               f"the IR part's plain columns are {sorted(columns)}, not "
               "the segment's")
-        values = {name: columns.get(_PREFIX + name) for name in _SEGMENT}
-        if values["counts"] is None:
-            values["counts"] = values["tfs"]
-        segment = cls(**values)
+        segment = cls(**{name: columns[_PREFIX + name] for name in _SEGMENT})
         terms, starts, pairs = segment.terms, segment.starts, segment.pairs
         check(len(starts) == len(terms) and len(pairs) == len(segment.dense)
-              == len(segment.tfs) == len(segment.counts),
-              "the segment's columns disagree in length")
+              == len(segment.tfs), "the segment's columns disagree in length")
         check(not len(terms) and not len(pairs) or len(terms)
               and starts[0] == 0 and starts[-1] < len(pairs)
               and (starts[1:] > starts[:-1]).all(),
@@ -238,10 +230,8 @@ class _Segment:
               f"{len(pairs)} pairs")
         check((terms[1:] > terms[:-1]).all(), "the segment names a term "
               "twice")
-        T = catalog.get("ir:T")
-        check(_rows_of(terms, _int64(T.raw_columns()[0]),
-                       T.head_ascending)[1].all(),
-              "the segment names a term missing from ir:T")
+        check(np.isin(terms, _int64(catalog.get("ir:T").raw_columns()[0]))
+              .all(), "the segment names a term missing from ir:T")
         check(np.array_equal(np.sort(_int64(
             catalog.get("ir:IDF").raw_columns()[0])), terms),
             "ir:IDF does not name exactly the segment's terms")
@@ -250,7 +240,7 @@ class _Segment:
               "the segment names a document past the end of ir:D")
         check(not len(pairs) or segment.tfs.min() >= 1,
               "the segment holds a tf below 1")
-        check(segment.counts.sum() == len(segment.positions),
+        check(segment.tfs.sum() == len(segment.positions),
               f"the segment's position counts do not add up to its "
               f"{len(segment.positions)} positions")
         ascends = pairs[1:] > pairs[:-1]
@@ -265,25 +255,123 @@ class _Segment:
         return segment
 
 
+class _Delta:
+    """The adds since the base, one row per pair in pair-oid order.
+
+    The columns only grow (a document's rows are appended together), so
+    a row never moves and a published generation reads a consistent
+    prefix: the rows below the count it was published with.
+    ``by_term`` (term -> its rows, ascending) finds a term's run
+    without a scan; it is brought up to date on publishing
+    (:meth:`fold`), so a bulk load, which compacts on its first read,
+    never keeps one; ``made`` keeps each term's run as last gathered.
+    ``docs`` maps the slot of each document added
+    since the base and not removed to its first row and pair count;
+    ``held`` counts those documents' pairs.
+    """
+
+    def __init__(self):
+        self.pairs, self.slots, self.terms, self.tfs, self.starts, \
+            self.positions = (array("q") for _ in range(6))
+        self.by_term: dict[int, list[int]] = {}
+        self.folded = 0  # rows already in ``by_term``
+        self.made: dict[int, tuple] = {}  # term -> (rows, its run)
+        self.docs: dict[int, tuple[int, int]] = {}
+        self.held = 0
+
+    def __len__(self) -> int:
+        return self.held
+
+    def add(self, slot: int, pairs: list, terms: list,
+            runs: list[list[int]]) -> None:
+        self.docs[slot] = (len(self.pairs), len(pairs))
+        self.held += len(pairs)
+        start = len(self.positions)
+        for run in runs:
+            self.starts.append(start)
+            start += len(run)
+        self.pairs.extend(pairs)
+        self.slots.extend([slot] * len(pairs))
+        self.terms.extend(terms)
+        self.tfs.extend(map(len, runs))
+        self.positions.extend(chain.from_iterable(runs))
+
+    def fold(self) -> None:
+        """Enter the rows added since the last fold into ``by_term``
+        (a removed document's rows stay out)."""
+        by_term, docs, slots = self.by_term, self.docs, self.slots
+        for row in range(self.folded, len(self.pairs)):
+            if slots[row] in docs:
+                by_term.setdefault(self.terms[row], []).append(row)
+        self.folded = len(self.pairs)
+
+    def without(self, slot: int) -> "_Delta":
+        """A delta without the document in ``slot``, sharing this one's
+        columns (its rows stay, unreferenced, until compaction); this
+        delta is unchanged, for the generations that hold it."""
+        first, count = self.docs[slot]
+        delta = copy.copy(self)
+        delta.docs = dict(self.docs)
+        del delta.docs[slot]
+        delta.held -= count
+        if count and first < self.folded:  # its rows are in ``by_term``
+            delta.by_term = dict(self.by_term)
+            for row in range(first, first + count):
+                term = self.terms[row]
+                held = delta.by_term[term]
+                if len(held) == 1:
+                    del delta.by_term[term]
+                else:
+                    held = delta.by_term[term] = held[:]
+                    held.remove(row)
+        return delta
+
+    def run(self, by_term: dict[int, list[int]], rows: int, term: int):
+        """``term``'s run among the first ``rows`` rows, as indexed by
+        ``by_term``: ``((slots, tfs, positions), max_tf)``, int64
+        columns, or ``None``.  A run is gathered once, then extended by
+        the rows appended since (``made``), so a make costs the rows
+        new to it, not the whole delta run."""
+        held = by_term.get(term, ())
+        held = held[:bisect_left(held, rows)]
+        if not held:
+            return None
+        done, run = self.made.get(term, ([], None))
+        if held[:len(done)] != done:  # a row went: gather afresh
+            done, run = [], None
+        new = held[len(done):]
+        if not new:
+            return run
+        pick = itemgetter(*new) if len(new) > 1 \
+            else lambda column: (column[new[0]],)
+        tfs = pick(self.tfs)
+        positions = array("q")
+        for start, tf in zip(pick(self.starts), tfs):
+            positions += self.positions[start:start + tf]
+        columns = (np.array(pick(self.slots), dtype=np.int64),
+                   np.array(tfs, dtype=np.int64),
+                   np.array(positions, dtype=np.int64))
+        if run is not None:
+            columns = tuple(map(np.concatenate, zip(run[0], columns)))
+        run = columns, max(max(tfs), run[1] if run else 0)
+        self.made[term] = held, run
+        return run
+
+
 @dataclass(eq=False)
 class PackedPostings:
     """One term's postings as packed parallel columns.
 
     ``docs`` holds the doc oids and ``dense`` their positions in the
-    owning index's ``doc_ids`` universe (both int64, posting order = DT
-    insertion order); ``tfs`` are the integer term frequencies and
+    owning index's ``doc_ids`` universe (both int64, posting order =
+    pair-oid order); ``tfs`` are the integer term frequencies and
     ``tf_weights`` the same values pre-widened to float64 for the
     scoring kernels.  Each doc occurs at most once per term (one DT
     pair per document-term), which is what lets the kernels use
     unordered scatter-adds and stay bit-identical to the sequential
-    scalar accumulation.
-
-    Made by a build, the columns are numpy views over its term's run of
-    the :class:`TermPostings` segment; :meth:`_copy` is the one place
-    that makes owned ``array`` columns.  A made object is immutable and
-    shared between index generations; only
-    :meth:`IrRelations._patch_postings_index` mutates one, and only a
-    private copy it made for the generation under construction.
+    scalar accumulation.  ``positions`` holds every posting's ``tf``
+    occurrence positions, posting after posting.  A made object is
+    immutable and shared between index generations.
     """
 
     docs: array
@@ -291,21 +379,11 @@ class PackedPostings:
     tfs: array
     tf_weights: array
     max_tf: int = 0
-    # the occurrence positions: posting ``row`` holds the run
-    # ``pos_flat[pos_starts[row]:pos_starts[row] + pos_counts[row]]``.
-    # A built term's runs point into the segment's whole positions
-    # column; a patched copy owns its three columns.  A pair with no POS
-    # rows (a pre-v2 snapshot's) has an empty run; ``unpositioned``
-    # counts those: a term with any is position-less for phrase
-    # matching, which never guesses adjacency.
-    pos_flat: array = field(default_factory=lambda: array("q"))
-    pos_starts: array = field(default_factory=lambda: array("q"))
-    pos_counts: array = field(default_factory=lambda: array("q"))
-    unpositioned: int = 0
-    # the gathered position columns, built on first touch and shared by
-    # every reader
-    _position_columns: object = field(default=None, repr=False,
-                                      compare=False)
+    positions: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    # the per-posting position offsets, made on first touch and shared
+    # by every reader
+    _offsets: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -315,8 +393,7 @@ class PackedPostings:
         and positions."""
         if not isinstance(other, PackedPostings):
             return NotImplemented
-        return (self.max_tf, self.unpositioned) \
-            == (other.max_tf, other.unpositioned) \
+        return self.max_tf == other.max_tf \
             and all(map(np.array_equal, self._columns(), other._columns())) \
             and all(map(np.array_equal, self.position_columns(),
                         other.position_columns()))
@@ -328,24 +405,16 @@ class PackedPostings:
         """The scalar view: ``[(doc, tf), ...]`` in posting order."""
         return list(zip(self.docs.tolist(), self.tfs.tolist()))
 
-    @property
-    def has_positions(self) -> bool:
-        return not self.unpositioned
-
     def position_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The occurrence positions as columns: one flat int64 column
         and per-posting offsets, so posting ``row`` holds
-        ``flat[offsets[row]:offsets[row + 1]]`` (an empty run for a
-        pre-v2 pair).  Gathered from the runs on first touch."""
-        columns = self._position_columns
-        if columns is None:
-            counts = _int64(self.pos_counts)
-            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            rows = _run_rows(_int64(self.pos_starts), counts)
-            columns = self._position_columns = (
-                _view(self.pos_flat, np.int64)[rows], offsets)
-        return columns
+        ``flat[offsets[row]:offsets[row + 1]]``."""
+        offsets = self._offsets
+        if offsets is None:
+            offsets = np.zeros(len(self.tfs) + 1, dtype=np.int64)
+            np.cumsum(self.tfs, out=offsets[1:])
+            self._offsets = offsets
+        return np.asarray(self.positions, dtype=np.int64), offsets
 
     def dense_view(self) -> np.ndarray:
         """The dense-position column as an int64 numpy view (zero-copy)."""
@@ -355,129 +424,90 @@ class PackedPostings:
         """The float64 tf column as a numpy view (zero-copy)."""
         return _view(self.tf_weights, np.float64)
 
-    # -- copy-on-write maintenance (one generation's private copy) -------
-
-    def _copy(self) -> "PackedPostings":
-        runs = self.pos_flat, self.pos_starts, self.pos_counts
-        if not isinstance(self.pos_flat, array):
-            # a built term's runs point into the whole segment: gather
-            flat, offsets = self.position_columns()
-            runs = flat, offsets[:-1], np.diff(offsets)
-        columns = [array(code, column.tobytes()) for code, column in zip(
-            "qqqdqqq", (*self._columns(), *runs))]
-        return PackedPostings(*columns[:4], self.max_tf, *columns[4:],
-                              self.unpositioned)
-
-    def _append(self, doc: int, dense: int, tf: int,
-                positions: list[int]) -> None:
-        """Add the posting with the highest pair oid: it goes last,
-        exactly where a full rebuild would put it."""
-        self.docs.append(doc)
-        self.dense.append(dense)
-        self.tfs.append(tf)
-        self.tf_weights.append(tf)
-        self.max_tf = max(self.max_tf, tf)
-        self.pos_starts.append(len(self.pos_flat))
-        self.pos_counts.append(len(positions))
-        self.pos_flat.extend(positions)
-        self.unpositioned += not positions
-
-    def _remove(self, doc: int) -> None:
-        """Drop one document's posting; the others keep their order.
-        Its run stays in ``pos_flat``, unreferenced, until a build."""
-        row = bisect_left(self.docs, doc)  # docs ascend, as oids are drawn
-        if row == len(self.docs) or self.docs[row] != doc:
-            row = self.docs.index(doc)
-        tf = self.tfs[row]
-        for column in (self.docs, self.dense, self.tfs, self.tf_weights,
-                       self.pos_starts):
-            del column[row]
-        if tf == self.max_tf and tf not in self.tfs:  # it was the only max
-            self.max_tf = max(self.tfs, default=0)
-        self.unpositioned -= not self.pos_counts.pop(row)
-
 
 class TermPostings(Mapping):
-    """term oid -> :class:`PackedPostings`, made on a term's first lookup.
+    """term oid -> :class:`PackedPostings` of one generation, made on a
+    term's first lookup.
 
-    A build leaves every pair in one *segment*: the doc, dense, tf and
-    tf-weight columns and the start and length of each pair's run of
-    positions in ``positions`` (:class:`_Segment`'s, the ``ir:POS``
-    tails clustered by term), all sorted by (term, pair oid), plus
-    ``table``, per term ``(start, stop, max_tf, unpositioned)`` of its
-    rows, and ``runs``: term -> its row of ``table``, in order of first
-    appearance (plain ints, so a million-term vocabulary is no million
-    Python tuples for the garbage collector to walk).  A lookup makes
-    the term's postings as views over its run and memoizes them in an
-    *overlay* with ``setdefault``, so concurrent first lookups share
-    one object.  A patched generation
-    (:meth:`_derive`) shares the segment and copies only the overlay,
-    where ``None`` marks a term no document holds any more.
+    A term's postings are its run of the ``base`` segment followed by
+    its run of the ``delta`` as published: the rows and the term index
+    the delta held then.  A lookup memoizes them with ``setdefault``, so
+    concurrent first lookups share one object: in ``views`` when they
+    are zero-copy views of the base (no delta run), else in ``owned``.
+    The next generation starts from this one's made terms minus those
+    written since — and from the owned ones only when the base was
+    replaced, so no old base stays pinned.  ``size`` is the number of
+    terms holding a posting.
     """
 
-    def __init__(self, columns: tuple = (),
-                 positions: np.ndarray | None = None,
-                 runs: dict[int, int] | None = None,
-                 table: np.ndarray | None = None):
-        self._columns = columns
-        self._positions = positions
-        self._runs = runs or {}
-        self._table = table
-        self._made: dict[int, PackedPostings | None] = {}
-        self._size = len(self._runs)
+    def __init__(self, base: _Segment, delta: _Delta, doc_ids: np.ndarray,
+                 size: int, views: dict[int, PackedPostings],
+                 owned: dict[int, PackedPostings]):
+        self.base, self._delta, self._doc_ids = base, delta, doc_ids
+        self._by_term, self._rows = delta.by_term, len(delta.pairs)
+        self._size = size
+        self.views, self.owned = views, owned
 
     def __getitem__(self, term: int) -> PackedPostings:
-        packed = self._made.get(term, _UNMADE)
+        packed = self.views.get(term, _UNMADE)
         if packed is _UNMADE:
-            packed = self._made.setdefault(term, self._make(term))
-        if packed is None:
-            raise KeyError(term)
+            packed = self.owned.get(term, _UNMADE)
+            if packed is _UNMADE:
+                packed = self._make(term)
         return packed
 
     def __contains__(self, term) -> bool:
-        packed = self._made.get(term, _UNMADE)
-        return term in self._runs if packed is _UNMADE \
-            else packed is not None
+        return term in self.views or term in self.owned \
+            or self.base.run(term) is not None or self._in_delta(term)
 
     def __iter__(self):
-        made = dict(self._made)  # a snapshot: lookups add to the overlay
-        return (term for term in {**self._runs, **made}
-                if made.get(term, _UNMADE) is not None)
+        """The terms in order of first appearance (first pair oid)."""
+        base = self.base
+        yield from base.terms[np.argsort(
+            base.pairs[base.starts])].tolist()
+        own = sorted((held[0], term) for term, held
+                     in list(self._by_term.items())
+                     if held[0] < self._rows and base.run(term) is None)
+        yield from (term for _, term in own)
 
     def __len__(self) -> int:
         return self._size
 
+    def _in_delta(self, term: int) -> bool:
+        held = self._by_term.get(term)
+        return bool(held) and held[0] < self._rows
+
     def _make(self, term: int) -> PackedPostings:
-        start, stop, max_tf, unpositioned = \
-            self._table[self._runs[term]].tolist()
-        docs, dense, tfs, weights, starts, counts = (
-            column[start:stop] for column in self._columns)
+        base = self.base
+        run = base.run(term)
+        extra = self._delta.run(self._by_term, self._rows, term)
+        if run is None and extra is None:
+            raise KeyError(term)
+        made = self.owned
+        if run is None:
+            columns, max_tf = extra
+        else:
+            rows, spans, max_tf = run
+            columns = base.dense[rows], base.tfs[rows], base.positions[spans]
+            if extra is None:
+                made = self.views
+            else:
+                columns = tuple(map(np.concatenate, zip(columns, extra[0])))
+                max_tf = max(max_tf, extra[1])
+        dense, tfs, positions = columns
         get_telemetry().metrics.counter("ir.postings_materialized").add(1)
-        return PackedPostings(docs, dense, tfs, weights, max_tf,
-                              self._positions, starts, counts, unpositioned)
-
-    # -- copy-on-write maintenance (one generation's private overlay) ----
-
-    def _derive(self) -> "TermPostings":
-        """The next generation: the same segment, a copied overlay."""
-        derived = copy.copy(self)
-        derived._made = dict(self._made)
-        return derived
-
-    def _put(self, term: int, packed: PackedPostings | None) -> None:
-        """Set (``None``: drop) one term's postings in this overlay."""
-        self._size += (packed is not None) - (term in self)
-        self._made[term] = packed
+        return made.setdefault(term, PackedPostings(
+            self._doc_ids[dense], dense, tfs, tfs.astype(np.float64), max_tf,
+            positions))
 
 
 @dataclass
 class PostingsIndex:
-    """The TF access path: term -> packed postings.
+    """The TF access path of one generation: term -> packed postings.
 
-    Built column-wise from DT/TF into one sorted segment whose terms
-    are made on first lookup (:class:`TermPostings`; the paper's
-    fragmentation then orders these terms by descending idf) and from
-    then on patched per generation; also carries the dense document
+    ``by_term`` makes a term's postings on first lookup
+    (:class:`TermPostings`; the paper's fragmentation then orders these
+    terms by descending idf).  The index also carries the dense document
     universe (``doc_ids``: dense position -> doc oid) the scoring
     kernels accumulate over, the per-document lengths the language
     model needs, and the per-slot columns schema-2 queries match, facet
@@ -488,10 +518,10 @@ class PostingsIndex:
 
     ``doc_ids`` may hold *dead slots*: a removed document keeps its
     dense position (no posting points at it any more, ``live`` is 0) so
-    surviving ``dense`` columns stay valid.  ``doc_dense`` and
-    ``doc_lengths`` are keyed by the **live** documents only.  An index
-    is never mutated once published: readers holding one keep a
-    consistent snapshot.
+    surviving ``dense`` columns stay valid until compaction.
+    ``doc_dense`` and ``doc_lengths`` are keyed by the **live**
+    documents only.  An index is never mutated once published: readers
+    holding one keep a consistent snapshot.
     """
 
     generation: int
@@ -522,9 +552,9 @@ class PostingsIndex:
 class IrRelations:
     """The five IR relations over one catalog, with incremental updates.
 
-    ``segment`` is a loaded IR part's (:meth:`load`): the pair BATs
-    ``DT_doc``, ``DT_term``, ``TF`` and ``POS`` are then absent from the
-    catalog until their first use derives them (:meth:`__getattr__`).
+    ``segment`` is the base the pairs start from — a loaded IR part's
+    (:meth:`load`), whose dense numbers are rows of ``ir:D`` and whose
+    terms are exactly ``ir:IDF``'s.
     """
 
     def __init__(self, catalog: Catalog | None = None,
@@ -533,18 +563,8 @@ class IrRelations:
         self.T = self.catalog.ensure("ir:T", "oid", "str")
         self.D = self.catalog.ensure("ir:D", "oid", "url")
         self.IDF = self.catalog.ensure("ir:IDF", "oid", "flt")
-        # DT_doc, DT_term, TF and POS(pair-oid, position) — one POS row
-        # per occurrence of a document-term pair in the analyzed
-        # (stopped, stemmed) token sequence, a pair's rows in ascending
-        # position; feeds phrase matching.  A pair without rows (a
-        # pre-v2 snapshot's) stays searchable, just not phrase-matchable.
-        # Exactly one of the four BATs and ``_segment`` holds the pairs.
-        self._segment = segment
-        self._derive_lock = threading.Lock()
-        if segment is None:
-            for attribute, (name, head, tail) in _PAIR_RELATIONS.items():
-                setattr(self, attribute,
-                        self.catalog.ensure(name, head, tail))
+        self._base = segment if segment is not None else _Segment.empty()
+        self._delta = _Delta()
         self._term_oids: dict[str, Oid] = _inverse(self.T)
         self._doc_oids: dict[str, Oid] = _inverse(self.D)
         # (value, term oid) of the str.isdecimal terms — what float
@@ -553,20 +573,14 @@ class IrRelations:
             (float(term), oid) for term, oid in self._term_oids.items()
             if term.isdecimal())
         # term oid -> document frequency, maintained by every write (a
-        # catalog derives it from the authoritative DT once, in order of
-        # first appearance; a segment has it as run lengths, in IDF's
-        # row order); a term no document holds any more has no entry
-        if segment is None:
-            order, terms, starts = _grouped(
-                _int64(self.DT_term.raw_columns()[1]))
-            firsts = np.argsort(order[starts])
-            terms, counts = terms[starts][firsts], \
-                np.diff(starts, append=len(terms))[firsts]
-        else:
-            terms = _int64(self.IDF.raw_columns()[0])
-            counts = np.diff(segment.starts, append=len(segment.pairs))[
-                np.searchsorted(segment.terms, terms)]
+        # base has it as run lengths, in IDF's row order); a term no
+        # document holds any more has no entry
+        terms = _int64(self.IDF.raw_columns()[0]) if len(self._base.pairs) \
+            else np.empty(0, dtype=np.int64)
+        counts = np.diff(self._base.starts, append=len(self._base.pairs))[
+            np.searchsorted(self._base.terms, terms)]
         self._df: dict[Oid, int] = dict(zip(terms.tolist(), counts.tolist()))
+        self._renumber()
         # Bumped on every mutation; IDF (and the callers' fragment sets
         # and result cache) are memoized against it.  A restored
         # snapshot starts stale so the first read writes IDF afresh.
@@ -577,125 +591,57 @@ class IrRelations:
         self._refresh_lock = threading.Lock()
         self._postings_index: PostingsIndex | None = None
         self._postings_lock = threading.Lock()
-        # one entry per write since ``_postings_index`` was built, and
-        # the terms those writes touched
-        self._journal: list[tuple] = []
+        # the terms written since ``_postings_index`` was published
         self._touched: set[Oid] = set()
-        # total term occurrences (for LM ranking); restored from the
-        # tfs when the catalog or segment comes from a snapshot
-        self.collection_length = int(
-            _int64(self.TF.raw_columns()[1]).sum() if segment is None
-            else segment.tfs.sum())
+        self.collection_length = int(self._base.tfs.sum())
 
-    def __getattr__(self, name: str):
-        """A pair BAT a load left out: derived from the segment on its
-        first use (only missing attributes get here)."""
-        if name not in _PAIR_RELATIONS:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        self._derive_pair_relations()
-        return self.__dict__[name]
-
-    def _derive_pair_relations(self) -> None:
-        """Make the four pair BATs from the loaded segment and drop it.
-
-        One inverse permutation (the segment's rows by pair oid) plus
-        gathers give every BAT in pair order, exactly as the writes
-        left it; ``append_many`` keeps every check.  Double-checked
-        under a lock like :meth:`refresh_idf`.
-        """
-        if self._segment is None:
-            return
-        with self._derive_lock:
-            segment = self._segment
-            if segment is None:
-                return
-            by_pair = np.argsort(segment.pairs)
-            pairs = segment.pairs[by_pair]
-            counts = segment.counts[by_pair]
-            rows = _run_rows((np.cumsum(segment.counts) - segment.counts)[
-                by_pair], counts)
-            terms = np.repeat(segment.terms, np.diff(
-                segment.starts, append=len(segment.pairs)))
-            doc_ids = _int64(self.D.raw_columns()[0])
-            columns = {
-                "DT_doc": (pairs, doc_ids[segment.dense[by_pair]]),
-                "DT_term": (pairs, terms[by_pair]),
-                "TF": (pairs, segment.tfs[by_pair]),
-                "POS": (np.repeat(pairs, counts), segment.positions[rows])}
-            bats = {}
-            for attribute, (heads, tails) in columns.items():
-                name, head, tail = _PAIR_RELATIONS[attribute]
-                bats[attribute] = self.catalog.create(name, head, tail)
-                bats[attribute].append_many(_packed("q", heads),
-                                            _packed("q", tails))
-            self.__dict__.update(bats)
-            self._segment = None
-        get_telemetry().metrics.counter("ir.pair_rows_derived").add(
-            len(pairs) + len(rows))
-
-    def _pairs_segment(self) -> _Segment:
-        """The pairs as a segment: the loaded one while no pair BAT has
-        been derived, else the pair BATs' (:meth:`_segment_of_pairs`)."""
-        segment = self._segment
-        return segment if segment is not None else self._segment_of_pairs()
-
-    def _segment_of_pairs(self) -> _Segment:
-        """The segment of the pair BATs: one sort (:func:`_grouped`) of
-        ``DT:term``'s tail clusters the pairs by term, in pair order
-        within a term.
-
-        Each pair's run of ``POS`` rows is found from POS's head — by
-        the ``tf`` cumsum when POS is aligned (each pair's ``tf`` rows in
-        pair order), else by ``searchsorted`` — and a pair without one
-        (pre-v2) gets an empty run.  What both a build and a save start
-        from.
-        """
-        pair_column, term_column = self.DT_term.raw_columns()
-        pairs = _int64(pair_column)
-        docs = _tails_by_pair(pairs, self.DT_doc)
-        tfs = _tails_by_pair(pairs, self.TF)
-        dense, known = _rows_of(docs, _int64(self.D.raw_columns()[0]),
-                                self.D.head_ascending)
-        if not known.all():
-            raise CatalogError("ir:DT:doc names a document missing from ir:D")
-        pos_heads, positions = map(_int64, self.POS.raw_columns())
-        counts = tfs
-        if len(pos_heads) == tfs.sum() \
-                and np.array_equal(pos_heads, np.repeat(pairs, tfs)):
-            pos_starts = np.cumsum(tfs) - tfs
-        else:
-            if not self.POS.head_ascending:
-                by_pair = np.argsort(pos_heads, kind="stable")
-                pos_heads, positions = pos_heads[by_pair], positions[by_pair]
-            pos_starts = np.searchsorted(pos_heads, pairs)
-            counts = np.searchsorted(pos_heads, pairs, "right") - pos_starts
-        del pos_heads  # not needed for the gather: lower the peak
-        order, terms, starts = _grouped(_int64(term_column))
-        counts = counts[order]
-        return _Segment(terms[starts], starts, pairs[order], dense[order],
-                        tfs[order], positions[_run_rows(pos_starts[order],
-                                                        counts)], counts)
+    def _renumber(self) -> None:
+        """The document slots afresh: one per row of ``ir:D``, in
+        row order — the numbering a compacted base's ``dense`` uses."""
+        doc_column, urls = self.D.raw_columns()
+        self._doc_ids = array("q", doc_column)
+        self._slot_of = dict(zip(self._doc_ids, range(len(self._doc_ids))))
+        self._urls = list(urls)
+        self._live = array("b", [1]) * len(urls)
+        self._class_names: dict[str, int] = {}
+        self._field_names: dict[str, int] = {}
+        segments = list(map(url_segments, urls))
+        self._class_codes = _codes(self._class_names,
+                                   (cls for cls, _ in segments))
+        self._field_codes = _codes(self._field_names,
+                                   (fld for _, fld in segments))
+        base = self._base
+        lengths = np.bincount(base.dense, weights=base.tfs,
+                              minlength=len(urls)).astype(np.int64)
+        held = np.zeros(len(urls), dtype=bool)
+        held[base.dense] = True
+        self._doc_lengths = dict(zip(_int64(self._doc_ids)[held].tolist(),
+                                     lengths[held].tolist()))
 
     # -- persistence -----------------------------------------------------
 
     def save(self, path) -> int:
         """Write the IR part, one column container: ``ir:T``, ``ir:D``
         and ``ir:IDF`` (made current first) as BATs, the pair relations
-        as the segment — the loaded one, unchanged, while no pair BAT
-        has been derived.  Returns the value count to stamp."""
+        as one segment — the base merged with the delta
+        (:meth:`_merged`) if a delta or a dead slot is left.  The merge
+        is written, not installed: the base, the delta, the slots and
+        the published index stay, so a generation keeps one slot
+        numbering.  Returns the value count to stamp."""
         self.refresh_idf()
+        with self._postings_lock:
+            base = self._merged() if len(self._delta) \
+                or len(self._slot_of) < len(self._doc_ids) else self._base
         return save_catalog(self.catalog, path, names=_STORED,
-                            columns=self._pairs_segment().columns())
+                            columns=base.columns())
 
     @classmethod
     def load(cls, path, generation: int, *, oid_start: int = 0,
              oid_stride: int = 1) -> "IrRelations":
         """Restore an IR part stamped with its manifest's
         ``generation``; ``oid_start``/``oid_stride`` restore a cluster
-        node's strided oid sequence.  The segment is checked and the
-        postings index installed over it at ``generation``: no build,
-        no pair BAT.  IDF starts stale."""
+        node's strided oid sequence.  The segment is checked and
+        becomes the base: no build.  IDF starts stale."""
         catalog, columns = load_catalog(path, oid_start=oid_start,
                                         oid_stride=oid_stride)
         segment = _Segment.restored(columns, catalog, path)
@@ -704,7 +650,6 @@ class IrRelations:
             + len(segment.positions))
         relations = cls(catalog, segment)
         relations.generation = generation
-        relations._postings_index = relations._index(segment, generation)
         return relations
 
     # -- vocabulary ------------------------------------------------------
@@ -746,14 +691,14 @@ class IrRelations:
     def add_document(self, url: str, text: str) -> Oid:
         """Index one document body; IDF refresh is deferred (lazy).
 
-        Each relation takes one batched append.  Oids are drawn in one
-        fixed order — the document's, then per term in order of first
+        ``ir:D`` and ``ir:T`` take one batched append each, the pairs
+        go to the delta (:meth:`_append`).  Oids are drawn in one fixed
+        order — the document's, then per term in order of first
         occurrence the term's (if new) and its pair's — which snapshot
         bytes and every oid tie-break depend on.
         """
         if url in self._doc_oids:
             raise CatalogError(f"document already indexed: {url!r}")
-        self._derive_pair_relations()
         occurrences: dict[str, list[int]] = {}
         for position, term in enumerate(analyze(text)):
             occurrences.setdefault(term, []).append(position)
@@ -774,24 +719,34 @@ class IrRelations:
                 new_term_oids.append(term_oid)
             terms.append(term_oid)
             pairs.append(new_oid())
-        runs = list(occurrences.values())
-        tfs = list(map(len, runs))
         self.T.append_many(new_term_oids, new_terms)
         for term, term_oid in zip(new_terms, new_term_oids):
             if term.isdecimal():
                 insort(self._numbers, (float(term), term_oid))
-        self.DT_doc.append_many(pairs, [doc] * len(pairs))
-        self.DT_term.append_many(pairs, terms)
-        self.TF.append_many(pairs, tfs)
-        self.POS.append_many(chain.from_iterable(map(repeat, pairs, tfs)),
-                             chain.from_iterable(runs))
+        self._append(doc, url, terms, pairs, list(occurrences.values()))
+        return doc
+
+    def _append(self, doc: Oid, url: str, terms: list[Oid],
+                pairs: list[Oid], runs: list[list[int]]) -> None:
+        """Give an indexed document its slot and its pairs — one per
+        term, with its run of positions — a place in the delta."""
+        slot = self._slot_of[doc] = len(self._doc_ids)
+        self._doc_ids.append(doc)
+        self._urls.append(url)
+        self._live.append(1)
+        cls, fld = url_segments(url)
+        self._class_codes += _codes(self._class_names, [cls])
+        self._field_codes += _codes(self._field_names, [fld])
+        self._delta.add(slot, pairs, terms, runs)
+        length = sum(map(len, runs))
+        if length:  # like a build: no pairs, no length entry
+            self._doc_lengths[doc] = length
         df = self._df
         for term_oid in terms:
             df[term_oid] = df.get(term_oid, 0) + 1
-        self.collection_length += sum(tfs)
-        self._journal_write((_ADD, doc, url, terms, tfs, runs))
+        self._touched.update(terms)
+        self.collection_length += length
         self.generation += 1
-        return doc
 
     def add_documents(self, documents: Iterable[tuple[str, str]]) -> None:
         """Index many (url, text) documents, then refresh IDF once."""
@@ -802,54 +757,41 @@ class IrRelations:
     def remove_document(self, url: str) -> None:
         """Un-index one document (source data changed or disappeared).
 
-        All-or-nothing: the document's pair run and every new total are
-        computed before the first relation changes, so a lookup that
-        raises leaves the index as it was.
+        A document added since the base leaves the delta; a base
+        document's rows leave the base by one mask, which replaces it.
+        Either way its slot goes dead.  All-or-nothing: the new delta or
+        base and every new total are computed before the first change,
+        so a step that raises leaves the index as it was.
         """
         doc = self._doc_oids.get(url)
         if doc is None:
             raise CatalogError(f"document not indexed: {url!r}")
-        self._derive_pair_relations()
-        # DT:doc's tail ascends (documents get ascending oids and pairs
-        # are appended per document): the run is found by bisect
-        pairs = self.DT_doc.find_heads(doc)
-        terms = [self.DT_term.find(pair) for pair in pairs]
-        length = sum(self.TF.find(pair) for pair in pairs)
-        for relation in (self.DT_doc, self.DT_term, self.TF, self.POS):
-            relation.delete_heads(pairs)  # pre-v2 pairs lack POS: fine
+        base, delta = self._base, self._delta
+        slot = self._slot_of[doc]
+        if slot in delta.docs:
+            first, count = delta.docs[slot]
+            terms = delta.terms[first:first + count].tolist()
+            delta = delta.without(slot)
+        else:
+            rows = np.flatnonzero(base.dense == slot)
+            terms = base.terms[np.searchsorted(base.starts, rows, "right")
+                               - 1].tolist()
+            if len(rows):
+                base = base.dropped(rows)
         self.D.delete_head(doc)
+        self._base, self._delta = base, delta
         del self._doc_oids[url]
+        self._live[slot] = 0
+        del self._slot_of[doc]
         df = self._df
         for term in terms:
             if df[term] == 1:
                 del df[term]
             else:
                 df[term] -= 1
-        self.collection_length -= length
-        self._journal_write((_REMOVE, doc, url, terms, None, None))
+        self._touched.update(terms)
+        self.collection_length -= self._doc_lengths.pop(doc, 0)
         self.generation += 1
-
-    def _journal_write(self, entry: tuple) -> None:
-        """Remember one write for the built postings index, if any.
-
-        Bulk loading before the first read journals nothing.  A patch
-        costs per touched term and a build per pair, so a journal whose
-        touched terms cost more to patch than a build
-        (``touched × _PATCH_COST ≥ pairs``) drops both, as does one that
-        outgrows the index it would patch (the memory bound): the next
-        read pays the single full build a bulk load pays, and the
-        journal holds nothing no read will use.
-        """
-        index = self._postings_index
-        if index is None:
-            return
-        self._journal.append(entry)
-        self._touched.update(entry[3])
-        if len(self._touched) * _PATCH_COST >= len(self.TF) \
-                or len(self._journal) > len(index.doc_dense):
-            self._postings_index = None
-            self._journal = []
-            self._touched = set()
 
     def idf_fresh(self) -> bool:
         """Whether IDF reflects the current generation."""
@@ -907,167 +849,108 @@ class IrRelations:
     def postings_index(self) -> PostingsIndex:
         """The packed postings access path, memoized per generation.
 
-        Lifecycle: **build** — one columnar sort of DT/TF into a
-        segment when no index exists (a bulk load before the first read
-        pays exactly this, once; a restart's :meth:`load` installs the
-        stored segment's index instead), a term's postings made on its
-        first lookup; **journal** — every write appends one entry while
-        an index exists and patching the terms touched so far stays
-        cheaper than a build, which costs per pair (``touched ×
-        _PATCH_COST < pairs``); past that the write drops journal and
-        index; **patch** — the next read turns the old index plus the
-        journal into the next generation copy-on-write, at a cost per
-        touched term; **compaction** — when dead slots outnumber live
-        documents the next generation is a full build again.
-        Double-checked under a lock like :meth:`refresh_idf`.
+        Publishing a generation copies the slot columns and shares the
+        base and the delta (its rows so far); it keeps the previous
+        generation's made terms except those written since — only those
+        owning their columns when the base was replaced, none after a
+        compaction — and makes the written ones again.  Before
+        publishing, the read
+        **compacts** (:meth:`_compact`) when the delta has grown to the
+        base's size (EXPERIMENTS E32 measures that share) — a bulk
+        load's first read, whose base is empty,
+        pays exactly this, once — or when dead slots outnumber live
+        documents.  Double-checked under a lock like
+        :meth:`refresh_idf`.
         """
         index = self._postings_index
         if index is not None and index.generation == self.generation:
             return index
-        telemetry = get_telemetry()
         with self._postings_lock:
             generation = self.generation
             index = self._postings_index
             if index is not None and index.generation == generation:
                 return index
-            journal, self._journal = self._journal, []
-            touched, self._touched = self._touched, set()
-            # a generation the journal does not account for was bumped
-            # behind the write methods' back, and an index with more
-            # dead slots than live documents is due for compaction:
-            # either way only a build will do (a journal too dear to
-            # patch went with its index, in ``_journal_write``)
-            patch = index is not None \
-                and index.generation + len(journal) == generation \
-                and len(index.doc_ids) + sum(entry[0] == _ADD
-                                             for entry in journal) \
-                <= 2 * len(self._doc_oids)
-            name = "ir.postings_patch" if patch else "ir.postings_build"
-            with telemetry.tracer.span(name, journal=len(journal),
-                                       touched=len(touched)) as span:
-                if patch:
-                    index = self._patch_postings_index(index, journal,
-                                                       generation)
-                else:
-                    index = self._build_postings_index(generation)
-                span.set_attributes(terms=len(index.by_term))
-            self._postings_index = index
-        if not patch:
-            telemetry.metrics.counter("ir.postings_rebuilds").add(1)
+            live = len(self._slot_of)
+            delta = len(self._delta)
+            if delta and delta >= len(self._base.pairs) \
+                    or len(self._doc_ids) - live > live:
+                self._compact()
+                index = None  # its slots are renumbered: keep no term
+            index = self._postings_index = self._publish(generation, index)
         return index
 
-    def _build_postings_index(self, generation: int) -> PostingsIndex:
-        """The full build: the index over the pair BATs' segment
-        (:meth:`_segment_of_pairs`), or over the loaded one while no
-        pair BAT has been derived.  The scalar per-pair build this
-        replaces is the oracle in ``tests/kernels``."""
-        return self._index(self._pairs_segment(), generation)
+    def _publish(self, generation: int,
+                 previous: PostingsIndex | None) -> PostingsIndex:
+        base, delta = self._base, self._delta
+        touched, self._touched = self._touched, set()
+        kept: list[dict[int, PackedPostings]] = [{}, {}]
+        if previous is not None:  # no compaction since: the slots hold
+            made = previous.by_term
+            kept = [dict(made.views) if made.base is base else {},
+                    dict(made.owned)]
+            for terms in kept:
+                for term in touched:
+                    terms.pop(term, None)
+        delta.fold()
+        doc_ids = self._doc_ids[:]
+        by_term = TermPostings(base, delta, _view(doc_ids, np.int64),
+                               len(self._df), *kept)
+        if previous is not None:
+            # what readers had made and a write touched is made again
+            # now: the read that must see a write pays for it, not the
+            # reads after it (EXPERIMENTS E32)
+            for term in touched:
+                if term in made.views or term in made.owned:
+                    by_term.get(term)
+        return PostingsIndex(
+            generation=generation, by_term=by_term, doc_ids=doc_ids,
+            doc_dense=dict(self._slot_of),
+            doc_lengths=dict(self._doc_lengths), urls=self._urls[:],
+            live=self._live[:], class_codes=self._class_codes[:],
+            field_codes=self._field_codes[:],
+            class_names=dict(self._class_names),
+            field_names=dict(self._field_names))
 
-    def _index(self, segment: _Segment, generation: int) -> PostingsIndex:
-        """The postings index over ``segment`` and ``ir:D``, columnar;
-        no term's postings are made (:class:`TermPostings`).
+    def _merged(self) -> _Segment:
+        """The base and the delta's held rows as one segment over
+        ``ir:D``'s rows: one sort (:func:`_grouped`) of the base's terms,
+        row for row, then the delta's clusters the pairs by term, base
+        run before delta run, so in pair order within a term."""
+        base, delta = self._base, self._delta
+        live = _int64(self._live)
+        held = np.flatnonzero(live[_int64(delta.slots)])
+        pairs, slots, terms, tfs, starts = (_int64(column)[held] for column in (
+            delta.pairs, delta.slots, delta.terms, delta.tfs, delta.starts))
+        order, terms, runs = _grouped(np.concatenate((np.repeat(
+            base.terms, np.diff(base.starts, append=len(base.pairs))),
+            terms)))
+        tfs = np.concatenate((base.tfs, tfs))[order]
+        pos_starts = np.concatenate((np.cumsum(base.tfs) - base.tfs,
+                                     starts + len(base.positions)))[order]
+        positions = np.concatenate((base.positions, _int64(
+            delta.positions)))[_run_rows(pos_starts, tfs)]
+        rows = np.cumsum(live) - 1  # slot -> row of ir:D
+        return _Segment(terms[runs], runs,
+                        np.concatenate((base.pairs, pairs))[order],
+                        rows[np.concatenate((base.dense, slots))[order]],
+                        tfs, positions)
 
-        A term's postings keep the segment's pair order; terms enter
-        ``by_term`` in order of first appearance (their runs' first pair
-        oids); a pair's positions are its run of ``segment.positions``.
-        """
-        index = PostingsIndex(generation=generation,
-                              by_term=TermPostings())
-        doc_column, urls = self.D.raw_columns()
-        doc_ids = index.doc_ids = array("q", doc_column)
-        index.doc_dense = dict(zip(doc_ids, range(len(doc_ids))))
-        index.urls = list(urls)
-        index.live = array("b", [1]) * len(doc_ids)
-        segments = list(map(url_segments, urls))
-        index.class_codes = _codes(index.class_names,
-                                   (cls for cls, _ in segments))
-        index.field_codes = _codes(index.field_names,
-                                   (fld for _, fld in segments))
-        if not len(segment.pairs):
-            return index
-        dense, tfs, counts = segment.dense, segment.tfs, segment.counts
-        doc_oids = _int64(doc_ids)
-        lengths = np.bincount(dense, weights=tfs, minlength=len(doc_ids))
-        held = np.zeros(len(doc_ids), dtype=bool)
-        held[dense] = True
-        index.doc_lengths = dict(zip(
-            doc_oids[held].tolist(), lengths[held].astype(np.int64).tolist()))
-        starts = segment.starts
-        firsts = np.argsort(segment.pairs[starts])  # by first appearance
-        table = np.column_stack((
-            starts, np.r_[starts[1:], len(tfs)],
-            np.maximum.reduceat(tfs, starts),
-            np.add.reduceat(counts == 0, starts, dtype=np.int64)))
-        index.by_term = TermPostings(
-            (doc_oids[dense], dense, tfs, tfs.astype(np.float64),
-             np.cumsum(counts) - counts, counts),
-            segment.positions,
-            dict(zip(segment.terms[firsts].tolist(), firsts.tolist())), table)
-        return index
-
-    @staticmethod
-    def _patch_postings_index(old: PostingsIndex, journal: list[tuple],
-                              generation: int) -> PostingsIndex:
-        """The next generation of ``old``, copy-on-write.
-
-        The segment and every made, untouched :class:`PackedPostings`
-        are shared with ``old`` (:meth:`TermPostings._derive`); a
-        touched term is copied once, then patched.  The result answers
-        exactly like a full build over the same relations — only its
-        ``dense`` numbering (dead slots) and its dict orders differ.
-        """
-        index = PostingsIndex(
-            generation=generation,
-            by_term=old.by_term._derive(), doc_ids=old.doc_ids[:],
-            doc_dense=dict(old.doc_dense),
-            doc_lengths=dict(old.doc_lengths), urls=old.urls[:],
-            live=old.live[:], class_codes=old.class_codes[:],
-            field_codes=old.field_codes[:],
-            class_names=dict(old.class_names),
-            field_names=dict(old.field_names))
-        by_term = index.by_term
-        owned: set[int] = set()  # terms whose columns are private copies
-
-        def own(term: int) -> PackedPostings:
-            packed = by_term.get(term)
-            if packed is None:  # a new term, or one emptied just now
-                packed = PackedPostings(array("q"), array("q"), array("q"),
-                                        array("d"))
-            elif term in owned:
-                return packed
-            else:
-                packed = packed._copy()
-            owned.add(term)
-            by_term._put(term, packed)
-            return packed
-
-        for op, doc, url, terms, tfs, runs in journal:
-            doc = int(doc)
-            if op == _ADD:
-                dense = index.doc_dense[doc] = len(index.doc_ids)
-                index.doc_ids.append(doc)
-                index.urls.append(url)
-                index.live.append(1)
-                cls, fld = url_segments(url)
-                index.class_codes += _codes(index.class_names, [cls])
-                index.field_codes += _codes(index.field_names, [fld])
-                if tfs:  # like a build: no pairs, no length entry
-                    index.doc_lengths[doc] = sum(tfs)
-                for term, tf, positions in zip(terms, tfs, runs):
-                    own(int(term))._append(doc, dense, tf, positions)
-                continue
-            index.live[index.doc_dense.pop(doc)] = 0
-            index.doc_lengths.pop(doc, None)
-            for term in terms:
-                term = int(term)
-                packed = own(term)
-                packed._remove(doc)
-                if not packed.docs:
-                    by_term._put(term, None)
-        return index
+    def _compact(self) -> None:
+        """Merge the delta into a new base and renumber the slots to
+        ``ir:D``'s rows (a reader holds the postings lock, a writer
+        the relations)."""
+        telemetry = get_telemetry()
+        with telemetry.tracer.span("ir.postings_build",
+                                   delta=len(self._delta),
+                                   base=len(self._base.pairs)) as span:
+            self._base = self._merged()
+            self._delta = _Delta()
+            self._renumber()
+            span.set_attributes(terms=len(self._base.terms))
+        telemetry.metrics.counter("ir.postings_rebuilds").add(1)
 
     def postings(self, term_oid: Oid) -> list[tuple[Oid, int]]:
-        """(doc-oid, tf) postings of one term, in DT insertion order."""
+        """(doc-oid, tf) postings of one term, in pair order."""
         packed = self.postings_index().by_term.get(int(term_oid))
         return packed.pairs() if packed is not None else []
 
@@ -1082,8 +965,7 @@ class IrRelations:
         return {
             "documents": self.document_count(),
             "terms": self.vocabulary_size(),
-            "pairs": len(self.TF) if self._segment is None
-            else len(self._segment.pairs),
+            "pairs": len(self._base.pairs) + len(self._delta),
             "collection_length": self.collection_length,
             "generation": self.generation,
         }

@@ -6,8 +6,8 @@ every file it stamps was already written and fsynced.  Every object
 holds the IR part ``ir.bats``
 (:meth:`~repro.ir.relations.IrRelations.save`), and its manifest
 records ``format_version`` (6; 1 was the flat snapshot, 2 JSON-lines
-generations, 3 containers under ``engine.json``, 4 ``ir:POS`` as one
-string per pair in a version 1 container, 5 the four pair relations as
+generations, 3 containers under ``engine.json``, 4 the positions as
+one string per pair in a version 1 container, 5 the four pair relations as
 BATs in a version 2 container, where 6 stores them as the
 term-clustered postings segment in a version 3 one), ``kind``,
 ``generation`` and ``files`` — per-file SHA-256, size and record count,

@@ -113,7 +113,7 @@ class _Evaluator:
     def __init__(self, relations):
         self.relations = relations
         # the slot universe and its per-slot columns hang on the
-        # postings index: built once, patched with it, shared read-only
+        # postings index of one generation, shared read-only
         self.index = relations.postings_index()
         self.size = len(self.index.doc_ids)
         self._masks: dict[int, np.ndarray] = {}
@@ -180,11 +180,8 @@ class _Evaluator:
         ``start + k`` for every start the rarest word allows."""
         mask = np.zeros(self.size, dtype=bool)
         packeds = [self._postings(word) for word in words]
-        if any(packed is None or not packed.has_positions
-               for packed in packeds):
-            # an out-of-vocabulary word matches nothing, and pre-v2
-            # pairs carry no positions: never guess adjacency
-            return mask
+        if any(packed is None for packed in packeds):
+            return mask  # an out-of-vocabulary word matches nothing
         keys = []
         for packed in packeds:
             flat, offsets = packed.position_columns()

@@ -103,41 +103,40 @@ class TestRemoval:
         with pytest.raises(CatalogError):
             relations.remove_document("http://x/nope")
 
-    def test_failed_remove_changes_nothing(self, relations):
+    def test_failed_remove_changes_nothing(self, relations, monkeypatch):
         # regression: remove_document used to forget the url and lower
         # collection_length pair by pair *before* a lookup could fail —
-        # a raise mid-way left a document unknown by url yet still ranked
-        class FailingTF:
-            def __init__(self, bat, fail_after):
-                self.bat, self.left = bat, fail_after
+        # a raise mid-way left a document unknown by url yet still ranked.
+        # Both ways a remove drops pairs — from the base, from the delta
+        # — are made to fail.
+        from repro.ir.relations import _Delta, _Segment
+        from tests.kernels.postings_oracle import pair_rows
 
-            def find(self, pair):
-                if not self.left:
-                    raise BatError("injected: TF lost a pair")
-                self.left -= 1
-                return self.bat.find(pair)
+        def fail(*args):
+            raise BatError("injected: the pairs could not be dropped")
 
-            def __getattr__(self, name):
-                return getattr(self.bat, name)
+        def everything():
+            return (relations.stats(), pair_rows(relations),
+                    list(relations.D), dict(relations._df),
+                    relations._base, relations._delta,
+                    relations._doc_ids[:], relations._live[:],
+                    dict(relations._slot_of), dict(relations._doc_lengths),
+                    rank_tfidf(relations, "tennis champion court clay"))
 
-        stats = relations.stats()
-        ranking = rank_tfidf(relations, "tennis champion court")
-        pairs = [list(bat) for bat in (relations.DT_doc, relations.DT_term,
-                                       relations.TF, relations.POS,
-                                       relations.D)]
-        intact = relations.TF
-        relations.TF = FailingTF(intact, fail_after=1)
-        with pytest.raises(BatError, match="injected"):
-            relations.remove_document("http://x/d1")
-        relations.TF = intact
-        assert relations.stats() == stats  # incl. the generation
-        assert relations.doc_oid("http://x/d1") is not None
-        assert rank_tfidf(relations, "tennis champion court") == ranking
-        assert pairs == [list(bat) for bat in (
-            relations.DT_doc, relations.DT_term, relations.TF,
-            relations.POS, relations.D)]
-        relations.remove_document("http://x/d1")  # and it still can go
-        assert relations.document_count() == 2
+        relations.postings_index()  # compacted: d1 is in the base
+        relations.add_document("http://x/d4", "tennis clay")  # the delta
+        for url in ("http://x/d1", "http://x/d4"):
+            before = everything()
+            with monkeypatch.context() as patch:
+                patch.setattr(_Segment, "dropped", fail)
+                patch.setattr(_Delta, "without", fail)
+                with pytest.raises(BatError, match="injected"):
+                    relations.remove_document(url)
+            assert everything() == before  # incl. the generation
+            assert relations.doc_oid(url) is not None
+            relations.remove_document(url)  # and it still can go
+            assert relations.document_count() \
+                == before[0]["documents"] - 1
 
     def test_stats(self, relations):
         stats = relations.stats()

@@ -40,7 +40,7 @@ class TestFragmentation:
 
     def test_fragments_cover_all_postings(self, relations):
         fragments = fragment_by_idf(relations, 6)
-        assert fragments.total_tuples() == len(relations.TF)
+        assert fragments.total_tuples() == relations.stats()["pairs"]
 
     def test_idf_descends_across_fragments(self, relations):
         fragments = fragment_by_idf(relations, 6)
@@ -58,7 +58,7 @@ class TestFragmentation:
     def test_single_fragment(self, relations):
         fragments = fragment_by_idf(relations, 1)
         assert len(fragments) == 1
-        assert fragments.total_tuples() == len(relations.TF)
+        assert fragments.total_tuples() == relations.stats()["pairs"]
 
     def test_invalid_count_raises(self, relations):
         with pytest.raises(BatError):
@@ -66,7 +66,7 @@ class TestFragmentation:
 
     def test_random_order_supported(self, relations):
         fragments = fragment_by_idf(relations, 6, order="random")
-        assert fragments.total_tuples() == len(relations.TF)
+        assert fragments.total_tuples() == relations.stats()["pairs"]
 
     def test_unknown_order_raises(self, relations):
         with pytest.raises(BatError):

@@ -1,16 +1,57 @@
-"""The scalar postings build: the oracle the columnar build must equal.
+"""The scalar postings build: the oracle the columnar index must equal,
+and the pair rows it reads.
 
-This is ``IrRelations._build_postings_index`` as it was before the
-build went columnar — one Python pass over the pair columns, grouping
-through dicts.  It lives here, not in production, so the columnar build
-has one plain reference to be compared against.
+``build_postings_index`` is the postings build as it was before it went
+columnar — one Python pass over the pair rows, grouping through dicts.
+The pair rows (``pair_rows``) are the DT/TF/POS relations read off the
+compacted segment, one row per pair in pair-oid order, the way the
+four pair BATs once held them.  Both live here, not in production, so
+the columnar index has one plain reference to be compared against.
 """
 
 from array import array
-from itertools import accumulate
+
+import numpy as np
 
 from repro.ir.relations import (IrRelations, PackedPostings,
                                 PostingsIndex, url_segments)
+from repro.monetdb.catalog import Catalog
+
+
+def pair_rows(relations: IrRelations) -> list[tuple]:
+    """``(pair, doc, term, tf, positions)`` per pair, in pair order,
+    from the segment a compaction would make (the relations are left as
+    they are)."""
+    segment = relations._merged()
+    docs = np.array(relations.D.raw_columns()[0], dtype=np.int64)
+    terms = np.repeat(segment.terms,
+                      np.diff(segment.starts, append=len(segment.pairs)))
+    offsets = np.cumsum(segment.tfs) - segment.tfs
+    rows = [(int(pair), int(docs[dense]), int(term), int(tf),
+             segment.positions[start:start + tf].tolist())
+            for pair, dense, term, tf, start in zip(
+                segment.pairs, segment.dense, terms, segment.tfs, offsets)]
+    return sorted(rows)
+
+
+def copy_catalog(catalog: Catalog) -> Catalog:
+    """A deep copy through the public surface (what a snapshot does)."""
+    fresh = Catalog()
+    for name in catalog.names():
+        bat = catalog.get(name)
+        fresh.create(name, bat.head_type, bat.tail_type).append_many(
+            list(bat.head), list(bat.tail))
+    fresh.oids.advance_past(int(catalog.oids.peek()) - 1)
+    return fresh
+
+
+def compacted(relations: IrRelations) -> IrRelations:
+    """A fresh ``IrRelations`` over a copy of the catalog whose base is
+    the compacted segment: what a restart of a save would hold."""
+    relations.refresh_idf()  # the base's df order is IDF's row order
+    copy = IrRelations(copy_catalog(relations.catalog), relations._merged())
+    copy.generation = relations.generation
+    return copy
 
 
 def build_postings_index(relations: IrRelations,
@@ -29,33 +70,23 @@ def build_postings_index(relations: IrRelations,
             index.class_names.setdefault(cls, len(index.class_names)))
         index.field_codes.append(
             index.field_names.setdefault(fld, len(index.field_names)))
-    doc_of = dict(zip(relations.DT_doc.head, relations.DT_doc.tail))
-    tf_of = dict(zip(relations.TF.head, relations.TF.tail))
-    pos_of: dict[int, list[int]] = {}  # a pair's POS rows, in row order
-    for pair, position in zip(relations.POS.head, relations.POS.tail):
-        pos_of.setdefault(pair, []).append(position)
     grouped: dict[int, tuple[list[int], list[int], list[list[int]]]] = {}
     doc_lengths = index.doc_lengths
-    for pair, term in zip(relations.DT_term.head, relations.DT_term.tail):
-        doc = doc_of[pair]
-        tf = tf_of[pair]
+    for _, doc, term, tf, positions in pair_rows(relations):
         entry = grouped.get(term)
         if entry is None:
             entry = grouped[term] = ([], [], [])
         entry[0].append(doc)
         entry[1].append(tf)
-        entry[2].append(pos_of.get(pair, []))  # []: a pre-v2 pair
+        entry[2].append(positions)
         doc_lengths[doc] = doc_lengths.get(doc, 0) + tf
     for term, (docs, tfs, runs) in grouped.items():
-        counts = list(map(len, runs))
         index.by_term[term] = PackedPostings(
             docs=array("q", docs),
             dense=array("q", [doc_dense[doc] for doc in docs]),
             tfs=array("q", tfs),
             tf_weights=array("d", tfs),
             max_tf=max(tfs, default=0),
-            pos_flat=array("q", [value for run in runs for value in run]),
-            pos_starts=array("q", accumulate(counts[:-1], initial=0)),
-            pos_counts=array("q", counts),
-            unpositioned=counts.count(0))
+            positions=np.array([value for run in runs for value in run],
+                               dtype=np.int64))
     return index

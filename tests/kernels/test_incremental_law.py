@@ -1,13 +1,14 @@
 """The law of incremental index maintenance.
 
 An ``IrRelations`` that lived through any interleaving of add / reindex
-/ remove — journalled, patched copy-on-write, compacted — answers
-exactly like a fresh ``IrRelations`` built from scratch over a copy of
-the same catalog: same statistics, same IDF, same postings in the same
-order, same fragment layout, and for every query the same hits with
-scores compared by ``==``.  ``_build_postings_index`` (the only full
-build) is the oracle; hypothesis drives the interleavings, derandomized
-so CI replays the same ones.
+/ remove — served from a base plus a delta, with dead slots, compacted
+— holds exactly the pairs its live documents' analyzed texts give, and
+answers exactly like a fresh ``IrRelations`` whose base is the
+compacted segment over a copy of the same catalog: same statistics,
+same IDF, same postings in the same order, same fragment layout, and
+for every query the same hits with scores compared by ``==``.
+Hypothesis drives the interleavings, derandomized so CI replays the
+same ones.
 """
 
 import copy
@@ -22,14 +23,14 @@ from repro.core.config import ExecutionPolicy
 from repro.ir.engine import IrEngine
 from repro.ir.fragmentation import fragment_by_idf
 from repro.ir.relations import IrRelations
-from repro.monetdb.catalog import Catalog
+from repro.ir.text import analyze
 from repro.service.api import (MODE_CONTENT, MODE_FRAGMENTED,
                                SCHEMA_VERSION_V2, SearchRequest)
 from repro.telemetry import telemetry_session
 
-# the walks' few dozen pairs would never patch under the cost rule
-pytestmark = [pytest.mark.kernels,
-              pytest.mark.usefixtures("patch_whenever_possible")]
+from tests.kernels.postings_oracle import compacted, pair_rows
+
+pytestmark = pytest.mark.kernels
 
 # low ranks are common, "rare*" words usually have a single holder (so
 # removing it removes the term), years feed the range queries
@@ -58,33 +59,15 @@ RICH = [
 
 
 #: how the reads after a write were served, summed over every walk
-STEPS = {"patches": 0, "builds": 0}
-
-
-def copy_catalog(catalog: Catalog) -> Catalog:
-    """A deep copy through the public surface (what a snapshot does)."""
-    fresh = Catalog()
-    for name in catalog.names():
-        bat = catalog.get(name)
-        fresh.create(name, bat.head_type, bat.tail_type).append_many(
-            list(bat.head), list(bat.tail))
-    fresh.oids.advance_past(int(catalog.oids.peek()) - 1)
-    return fresh
-
-
-def from_scratch(maintained: IrRelations) -> IrRelations:
-    rebuilt = IrRelations(copy_catalog(maintained.catalog))
-    rebuilt.generation = maintained.generation
-    return rebuilt
+STEPS = {"delta": 0, "compactions": 0}
 
 
 def positions_of(packed) -> list[list[int]]:
-    """Every posting's positions: a run of ``tf`` ascending positions,
-    or none at all (a pre-v2 pair)."""
+    """Every posting's positions: a run of ``tf`` ascending positions."""
     flat, offsets = packed.position_columns()
     runs = [flat[start:stop].tolist()
             for start, stop in zip(offsets[:-1], offsets[1:])]
-    assert all(run == sorted(run) and len(run) in (tf, 0)
+    assert all(run == sorted(run) and len(run) == tf
                for run, tf in zip(runs, packed.tfs))
     return runs
 
@@ -92,14 +75,13 @@ def positions_of(packed) -> list[list[int]]:
 def postings_of(relations: IrRelations) -> dict:
     index = relations.postings_index()
     return {int(term): (list(packed.docs), list(packed.tfs),
-                        positions_of(packed),
-                        packed.max_tf, packed.has_positions)
+                        positions_of(packed), packed.max_tf)
             for term, packed in index.by_term.items()}
 
 
 def universe_of(relations: IrRelations) -> tuple:
     """The live documents with their url and segment names (dead slots,
-    which only a patched index holds, are left out)."""
+    which only an uncompacted index holds, are left out)."""
     index = relations.postings_index()
     classes, fields = list(index.class_names), list(index.field_names)
     live = {doc: (index.urls[slot], classes[index.class_codes[slot]],
@@ -138,6 +120,27 @@ def answer(engine: IrEngine, request: SearchRequest) -> tuple:
             response.total, response.facets, response.tuples_touched)
 
 
+def pairs_of(relations: IrRelations) -> list[tuple]:
+    """``(url, term, tf, positions)`` per pair, in pair order."""
+    terms = dict(zip(relations.T.head, relations.T.tail))
+    return [(relations.doc_url(doc), terms[term], tf, positions)
+            for _, doc, term, tf, positions in pair_rows(relations)]
+
+
+def analyzed_pairs(texts: dict[str, str]) -> list[tuple]:
+    """What a document's text gives, document by document in order of
+    indexing, each term at its first occurrence: the pairs in the order
+    their oids are drawn."""
+    expected = []
+    for url, text in texts.items():
+        occurrences: dict[str, list[int]] = {}
+        for position, term in enumerate(analyze(text)):
+            occurrences.setdefault(term, []).append(position)
+        expected += [(url, term, len(run), run)
+                     for term, run in occurrences.items()]
+    return expected
+
+
 def engine_over(relations: IrRelations) -> IrEngine:
     engine = IrEngine(fragment_count=3)
     engine.relations = relations
@@ -148,12 +151,15 @@ class IncrementalMaintenance(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.engine = IrEngine(fragment_count=3)
+        # the model: each live url's text, in order of indexing
+        self.texts: dict[str, str] = {}
         for number, url in enumerate(URLS[:6]):
-            self.engine.index(url, " ".join(WORDS[number:number + 5]))
-        self.relations.postings_index()  # built: writes journal from here
+            self.texts[url] = " ".join(WORDS[number:number + 5])
+            self.engine.index(url, self.texts[url])
+        self.relations.postings_index()  # compacted: writes go to a delta
         self.held: list[tuple] = []   # (index, deep copy of it at hold time)
         self.read_generation = self.relations.generation
-        self.patches = self.builds = 0
+        self.delta = self.compactions = 0
 
     @property
     def relations(self) -> IrRelations:
@@ -165,27 +171,33 @@ class IncrementalMaintenance(RuleBasedStateMachine):
     def reindex(self, url, words):
         """Add a new url, replace a known one, re-add a removed one."""
         self.engine.reindex(url, " ".join(words))
+        self.texts.pop(url, None)
+        self.texts[url] = " ".join(words)
 
     @precondition(lambda self: self.relations.document_count())
     @rule(data=st.data())
     def remove(self, data):
         url = data.draw(st.sampled_from(sorted(self.relations._doc_oids)))
         self.engine.remove(url)
+        del self.texts[url]
 
     @precondition(lambda self: self.relations.document_count() >= 4)
     @rule()
     def remove_most(self):
         """Cross the compaction threshold: dead slots outnumber live."""
-        self.relations.postings_index()  # a built index: slots go dead
+        self.relations.postings_index()  # a published index: slots go dead
         for url in sorted(self.relations._doc_oids)[1:]:
             self.engine.remove(url)
+            del self.texts[url]
 
     @rule(urls=st.lists(_urls, min_size=2, max_size=4, unique=True),
           words=_words)
     def burst(self, urls, words):
-        """Several writes between two reads share one patch."""
+        """Several writes between two reads share one generation."""
         for url in urls:
             self.engine.reindex(url, " ".join(words + [url[-5:]]))
+            self.texts.pop(url, None)
+            self.texts[url] = " ".join(words + [url[-5:]])
 
     # -- reads that keep what they got ---------------------------------------
 
@@ -202,12 +214,15 @@ class IncrementalMaintenance(RuleBasedStateMachine):
         maintained = self.relations
         with telemetry_session() as telemetry:
             maintained.postings_index()
-            built = telemetry.metrics.sum_counters("ir.postings_rebuilds")
+            compactions = telemetry.metrics.sum_counters(
+                "ir.postings_rebuilds")
         if maintained.generation != self.read_generation:
             self.read_generation = maintained.generation
-            self.builds += bool(built)
-            self.patches += not built
-        rebuilt = from_scratch(maintained)
+            self.compactions += bool(compactions)
+            self.delta += len(maintained._delta) > 0
+        # independent of the remove and merge paths: the model's texts
+        assert pairs_of(maintained) == analyzed_pairs(self.texts)
+        rebuilt = compacted(maintained)
         assert maintained.stats() == rebuilt.stats()
         maintained.refresh_idf()
         rebuilt.refresh_idf()
@@ -228,8 +243,8 @@ class IncrementalMaintenance(RuleBasedStateMachine):
             assert index == as_held
 
     def teardown(self):
-        STEPS["patches"] += self.patches
-        STEPS["builds"] += self.builds
+        STEPS["delta"] += self.delta
+        STEPS["compactions"] += self.compactions
 
 
 TestIncrementalMaintenance = IncrementalMaintenance.TestCase
@@ -240,7 +255,8 @@ TestIncrementalMaintenance.settings = settings(
 
 def test_the_walks_took_both_paths():
     """After the machine (file order): reads after a write were served
-    by patches *and*, past compaction or an outgrown journal, builds."""
+    over a delta *and*, past the delta share or the dead slots, after a
+    compaction."""
     if not sum(STEPS.values()):
         pytest.skip("the state machine did not run in this session")
-    assert STEPS["patches"] > STEPS["builds"] > 0, STEPS
+    assert STEPS["delta"] > 0 and STEPS["compactions"] > 0, STEPS

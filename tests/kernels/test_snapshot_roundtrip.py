@@ -8,11 +8,11 @@ from repro.ir.ranking import query_term_oids, rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.topn import topn_fragmented
 from repro.monetdb.atoms import Oid
-from repro.monetdb.bat import BAT
 from repro.monetdb.catalog import Catalog
 from repro.monetdb.persistence import load_catalog, save_catalog
 
 from tests.kernels.conftest import QUERIES, build_relations
+from tests.kernels.postings_oracle import compacted, pair_rows
 
 pytestmark = pytest.mark.kernels
 
@@ -61,8 +61,8 @@ class TestIrRoundTrip:
     def restored(self, tmp_path):
         original = build_relations(seed=5, docs=60)
         path = tmp_path / "ir.bats"
-        save_catalog(original.catalog, path)
-        restored = IrRelations(load_catalog(path)[0])
+        original.save(path)
+        restored = IrRelations.load(path, original.generation)
         restored.refresh_idf()
         return original, restored
 
@@ -92,27 +92,19 @@ class TestIrRoundTrip:
         assert packed.tf_weights.dtype == np.float64
 
 
-def rows_of(relations: IrRelations) -> dict:
-    """Every pair BAT's rows, in row order."""
-    return {name: list(getattr(relations, name))
-            for name in ("DT_doc", "DT_term", "TF", "POS")}
-
-
 class TestSegmentRoundTrip:
     """An IR part stores the pair relations as the term-clustered
-    segment; a load installs the index over it and derives the pair
-    BATs only on first use."""
+    segment; a load makes it the base, and the index over it is the
+    one a compaction makes."""
 
-    @pytest.fixture(params=["bulk", "removes", "pre-v2"])
+    @pytest.fixture(params=["bulk", "removes"])
     def original(self, request):
         relations = build_relations(seed=6, docs=60)
         if request.param == "removes":
+            relations.postings_index()  # removes from a base, adds a delta
             for number in range(0, 60, 4):
                 relations.remove_document(f"http://site/d{number}")
             relations.add_document("http://site/late", "w0 w1 w1 w2")
-        if request.param == "pre-v2":  # every third pair loses its POS
-            pairs = list(dict.fromkeys(relations.POS.head))[::3]
-            relations.POS.delete_heads(pairs)
         relations.refresh_idf()
         return relations
 
@@ -121,71 +113,30 @@ class TestSegmentRoundTrip:
         return IrRelations.load(tmp_path / "ir.bats", original.generation)
 
     def test_the_installed_index_is_the_build(self, original, tmp_path):
+        rows = pair_rows(original)
         loaded = self.load(original, tmp_path)
-        assert "TF" not in vars(loaded)  # no pair BAT yet
+        assert len(loaded._delta) == 0  # the pairs are the base
         installed = loaded.postings_index()
-        built = original._build_postings_index(original.generation)
+        built = compacted(original).postings_index()
         assert dict(installed.by_term.items()) == dict(built.by_term.items())
         assert installed.doc_lengths == built.doc_lengths
         assert installed.doc_ids == built.doc_ids
         assert list(loaded._df.items()) == list(original._df.items())
         assert loaded.collection_length == original.collection_length
         assert loaded.stats() == original.stats()
-
-    def test_derived_pair_bats_equal_the_saved_ones(self, original,
-                                                    tmp_path):
-        loaded = self.load(original, tmp_path)
-        assert rows_of(loaded) == rows_of(original)
-        assert loaded.catalog.names() == original.catalog.names()
-        for name in ("DT_doc", "DT_term", "TF", "POS"):
-            assert getattr(loaded, name).head_ascending
+        assert pair_rows(loaded) == pair_rows(original) == rows
 
     def test_a_loaded_part_saves_back_byte_identical(self, original,
                                                      tmp_path):
         loaded = self.load(original, tmp_path)
         loaded.save(tmp_path / "again.bats")
-        rows_of(loaded)  # derived: the save now starts from the BATs
-        loaded.save(tmp_path / "derived.bats")
+        loaded.add_document("http://site/gone", "w0 w3 w3")
+        loaded.remove_document("http://site/gone")  # a delta, then none
+        loaded.save(tmp_path / "rewritten.bats")  # merges the dead slot out
         assert (tmp_path / "again.bats").read_bytes() \
-            == (tmp_path / "derived.bats").read_bytes() \
             == (tmp_path / "ir.bats").read_bytes()
-
-    def test_counts_are_stored_only_for_pre_v2_pairs(self, original):
-        columns = original._segment_of_pairs().columns()
-        unpositioned = len(original.POS) < original.collection_length
-        assert ("segment:counts" in columns) == unpositioned
-
-    def test_concurrent_first_uses_derive_once(self, tmp_path):
-        import sys
-        import threading
-
-        from repro.telemetry import telemetry_session
-
-        original = build_relations(seed=8, docs=40)
-        loaded = self.load(original, tmp_path)
-        barrier = threading.Barrier(6)
-        lengths = []
-
-        def first_use():
-            barrier.wait(timeout=10)
-            lengths.append(len(loaded.POS) + len(loaded.TF))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with telemetry_session() as telemetry:
-                threads = [threading.Thread(target=first_use)
-                           for _ in range(6)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                derived = telemetry.metrics.sum_counters(
-                    "ir.pair_rows_derived")
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        expected = len(original.POS) + len(original.TF)
-        assert lengths == [expected] * 6
-        assert derived == expected
-        assert rows_of(loaded) == rows_of(original)
+        stored, rewritten = (load_catalog(tmp_path / name)[1]
+                             for name in ("ir.bats", "rewritten.bats"))
+        assert stored.keys() == rewritten.keys()
+        for name, column in stored.items():
+            assert np.array_equal(rewritten[name], column), name

@@ -7,7 +7,7 @@ stop-word-only bodies, repeated terms, rejected duplicate and malformed
 urls included — both leave the same raw columns, storage classes and
 ascending flags in every ``ir:*`` BAT, draw the same oids, and keep the
 same document frequencies (in the same order), totals, generation,
-journal and postings index.  Hypothesis drives the histories,
+pair rows and postings index.  Hypothesis drives the histories,
 derandomized so CI replays the same ones.
 """
 
@@ -21,6 +21,7 @@ from repro.ir.relations import IrRelations
 from repro.monetdb.bat import BAT
 from repro.wal.record import Record
 from repro.wal.replay import replay_records
+from tests.kernels.postings_oracle import pair_rows
 from tests.kernels.write_oracle import PerPairRelations
 
 pytestmark = pytest.mark.kernels
@@ -69,7 +70,7 @@ def state(relations: IrRelations) -> tuple:
                          bat.head_ascending, bat.tail_ascending)
     return (columns, int(catalog.oids.peek()), list(relations._df.items()),
             relations.collection_length, relations.generation,
-            relations._journal, list(relations._term_oids.items()),
+            pair_rows(relations), list(relations._term_oids.items()),
             list(relations._doc_oids.items()))
 
 

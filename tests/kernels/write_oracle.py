@@ -1,13 +1,15 @@
 """The per-pair write path: the oracle the batched ``add_document`` must equal.
 
 This is ``IrRelations.add_document`` as it was before the write path
-went columnar — one scalar ``BAT.insert`` per relation per document-term
-pair, plus one per new term.  It lives here, not in production, so the
-batched path has one plain reference to be compared against.
+went columnar — one scalar ``BAT.insert`` per new term and per
+document, one oid drawn per pair as the pair is met — handing the
+document's pairs to the same ``_append`` the batched path ends in.  It
+lives here, not in production, so the batched path has one plain
+reference to be compared against.
 """
 
 from repro.errors import CatalogError
-from repro.ir.relations import _ADD, IrRelations
+from repro.ir.relations import IrRelations
 from repro.ir.text import analyze
 from repro.monetdb.atoms import Oid
 
@@ -33,22 +35,9 @@ class PerPairRelations(IrRelations):
         self.D.insert(doc, url)
         self._doc_oids[url] = doc
         terms: list[Oid] = []
-        tfs: list[int] = []
-        runs: list[list[int]] = []
-        df = self._df
-        for term, positions in occurrences.items():
-            term_oid = self._intern_term(term)
-            pair = self.catalog.oids.new()
-            self.DT_doc.insert(pair, doc)
-            self.DT_term.insert(pair, term_oid)
-            self.TF.insert(pair, len(positions))
-            for position in positions:
-                self.POS.insert(pair, position)
-            df[term_oid] = df.get(term_oid, 0) + 1
-            terms.append(term_oid)
-            tfs.append(len(positions))
-            runs.append(positions)
-        self.collection_length += sum(tfs)
-        self._journal_write((_ADD, doc, url, terms, tfs, runs))
-        self.generation += 1
+        pairs: list[Oid] = []
+        for term in occurrences:
+            terms.append(self._intern_term(term))
+            pairs.append(self.catalog.oids.new())
+        self._append(doc, url, terms, pairs, list(occurrences.values()))
         return doc

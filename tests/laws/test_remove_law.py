@@ -1,10 +1,11 @@
 """Remove law: a remove moves rows in proportion to the document.
 
-``monetdb.rows_moved`` counts every row a delete slides.  Today a
-remove slides the tail of the four pair relations behind the document
-(``_cut``), so the rows moved per remove grow with the corpus: the law
-is red until removes become tombstones (ROADMAP item 8), and
-``strict`` makes that PR flip the mark.
+``monetdb.rows_moved`` counts every row a delete slides or copies.
+Today a remove of a base document copies every other pair and position
+row of the base into a new one (``_Segment.dropped``), so the rows moved
+per remove grow with the corpus: the law is red until removes become
+tombstones (ROADMAP item 8(b)), and ``strict`` makes that PR flip the
+mark.
 """
 
 import pytest
@@ -30,9 +31,9 @@ def rows_moved_per_remove(count: int) -> float:
     return moved / REMOVES
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: removes slide "
-                   "the pair relations' tails (_cut) until they become "
-                   "tombstones")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8(b): a base "
+                   "remove copies the rest of the base until removes "
+                   "become tombstones")
 def test_rows_moved_per_remove_are_constant_in_n():
     small, large = (rows_moved_per_remove(count) for count in (N, 4 * N))
     # the same generator's documents: equal up to their own sizes

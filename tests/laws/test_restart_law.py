@@ -2,19 +2,19 @@
 
 After a restart — ``load_engine`` of a snapshot, or a
 ``StaticIndexReader`` over an exported artifact — the IR part's stored
-segment is the postings index: the first fragmented query pays no build
-(``ir.postings_rebuilds`` 0) and makes the postings of exactly its
-in-vocabulary terms (``ir.postings_materialized``), at N documents as
-at 4N.  No pair BAT is derived for a read (``ir.pair_rows_derived`` 0);
-the first write derives all four, one row per pair and per occurrence.
-One write after a restart journals against the installed index, and
-the next read patches it — answering like a live engine after the same
-write.  A restart that replays a 50-write WAL tail then reads pays
-exactly one build: such a tail touches too many terms to patch.  The rows a tier
-loads (``ir.rows_loaded``) grow with the corpus, and ``ir:POS`` comes
-back as a packed integer column, never one ``str`` per posting.
+segment is the base of the postings: the first fragmented query pays no
+compaction (``ir.postings_rebuilds`` 0) and makes the postings of
+exactly its in-vocabulary terms (``ir.postings_materialized``), at N
+documents as at 4N.  The first write after a restart copies nothing:
+an add goes to the delta and the loaded base stays as it is.  A write
+after a restart is read over base plus delta with no compaction,
+answering like a live engine after the same write, and so is a
+replayed 50-write WAL tail.  The rows a tier loads (``ir.rows_loaded``)
+grow with the corpus, and the positions come back as a packed integer
+column, never one ``str`` per posting.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig
@@ -43,8 +43,7 @@ TIERS = ("snapshot", pytest.param("artifact", marks=pytest.mark.offline))
 #: the writes a restart replays from the WAL, as in ``cold-start``
 TAIL_WRITES = 50
 #: the first corpus document, and what one write after a restart puts
-#: in its place: its first 40 words reversed and two new ones — a
-#: reindex that touches few enough terms to patch at N as at 4N
+#: in its place: its first 40 words reversed and two new ones
 URL, TEXT = documents(1)[0]
 REINDEXED = " ".join(TEXT.split()[39::-1] + ["grandslam", "finalist"])
 #: schema-2 queries over the reindexed document's old and new terms: a
@@ -114,13 +113,11 @@ def assert_first_query_makes_its_terms(tier: str, server, root) -> None:
     with telemetry_session() as telemetry:
         engine, relations = open_tier(tier, server, root)
         engine.execute(SearchRequest(query=QUERY, mode=MODE_FRAGMENTED))
-        made, builds, derived = (
+        made, builds = (
             telemetry.metrics.sum_counters(name) for name in (
-                "ir.postings_materialized", "ir.postings_rebuilds",
-                "ir.pair_rows_derived"))
+                "ir.postings_materialized", "ir.postings_rebuilds"))
     assert made == len(query_term_oids(relations, QUERY)) == 2
     assert builds == 0
-    assert derived == 0
 
 
 def test_a_restarted_engine_makes_only_the_query_terms(restart):
@@ -135,8 +132,9 @@ def test_a_static_reader_makes_only_the_query_terms(restart):
 @pytest.mark.parametrize("tier", TIERS)
 def test_a_restart_loads_positions_as_an_integer_column(saved, tier):
     _, relations = open_tier(tier, *saved(N))
-    assert relations.POS.storage() == ("q", "q")
-    assert len(relations.POS) == relations.collection_length
+    positions = relations._base.positions
+    assert isinstance(positions, np.ndarray) and positions.dtype == np.int64
+    assert len(positions) == relations.collection_length
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -149,31 +147,29 @@ def test_rows_loaded_grow_with_the_corpus(saved, tier):
     assert 3.5 * loaded[N] <= loaded[4 * N] <= 4.5 * loaded[N]
 
 
-def test_the_first_write_after_a_restart_derives_the_pair_relations(saved):
+def test_the_first_write_after_a_restart_copies_nothing(saved):
     server, root = saved(N)
     engine, relations = open_tier("snapshot", server, root)
     pairs = relations.stats()["pairs"]
-    occurrences = relations.collection_length  # every pair positioned
+    base = relations._base
     with telemetry_session() as telemetry:
         engine.ir.reindex("Article:restart:body", "tennis final trophy")
-        derived = telemetry.metrics.sum_counters("ir.pair_rows_derived")
-    assert derived == pairs + occurrences > 0
-    assert len(relations.TF) == pairs + 3
+        moved = telemetry.metrics.sum_counters("monetdb.rows_moved")
+    assert moved == 0
+    assert relations._base is base and len(relations._delta) == 3
+    assert relations.stats()["pairs"] == pairs + 3
 
 
-def test_a_replayed_wal_tail_is_one_build(restart):
-    """The tail's new documents touch too many terms to patch: their
-    writes drop the installed index and its journal as they go, and the
-    first read builds, once."""
+def test_a_replayed_wal_tail_compacts_nothing(restart):
+    """The tail's new documents go to the delta, far below the base's
+    size: the first read serves base plus delta and compacts nothing."""
     with telemetry_session() as telemetry:
         engine, relations = open_tier("snapshot", *restart, replay=True)
-        assert relations._postings_index is None
-        assert relations._journal == []
+        assert len(relations._delta.docs) == TAIL_WRITES
         engine.execute(SearchRequest(query=QUERY, mode=MODE_FRAGMENTED))
         builds = telemetry.tracer.find_all("ir.postings_build")
-        patches = telemetry.tracer.find_all("ir.postings_patch")
-    assert patches == []
-    assert len(builds) == 1
+        rebuilds = telemetry.metrics.sum_counters("ir.postings_rebuilds")
+    assert (builds, rebuilds) == ([], 0)
 
 
 def phrase_answers(engine) -> list:
@@ -189,21 +185,20 @@ def phrase_answers(engine) -> list:
 
 
 @pytest.mark.parametrize("size", [N, 4 * N], ids=["N", "4N"])
-def test_a_write_after_a_restart_patches_the_loaded_index(saved, size):
-    """The read after one reindex patches the index the load installed
-    — copy-on-write over the stored segment's run starts and positions
-    — and answers like a live engine that took the same write."""
+def test_a_write_after_a_restart_is_read_without_compaction(saved, size):
+    """The read after one reindex — its remove drops the document from
+    the loaded base, its add goes to the delta — compacts nothing and
+    answers like a live engine that took the same write."""
     server, root = saved(size)
     restored, relations = open_tier("snapshot", server, root)
     _, live = live_engine(size)
     for engine in (restored, live):
         engine.ir.reindex(URL, REINDEXED)
-    assert len(relations._journal) == 2  # the remove and the add
+    assert len(relations._delta.docs) == 1
     with telemetry_session() as telemetry:
         got = phrase_answers(restored)
-        patches = telemetry.tracer.find_all("ir.postings_patch")
         builds = telemetry.tracer.find_all("ir.postings_build")
-    assert (len(patches), builds) == (1, [])
+    assert builds == []
     assert got == phrase_answers(live)
     removed, added = ({key for key, _ in got[row][3]} for row in (2, 4))
     assert URL not in removed and URL in added

@@ -20,6 +20,7 @@ import zlib
 import pytest
 
 from repro.errors import SnapshotError
+from repro.monetdb.persistence import load_catalog, save_catalog
 from repro.offline import StaticIndexReader, export_index
 from repro.persistence import (FORMAT_VERSION, IR_PART, MANIFEST_NAME,
                                SnapshotStore, load_engine, save_engine,
@@ -346,6 +347,17 @@ def test_a_segment_the_build_would_not_make_is_typed(obj, column, mutate,
     data = obj.ir_part.read_bytes()
     obj.write_ir_part(with_plain_values(data, column, mutate(data)))
     with pytest.raises(SnapshotError, match=message):
+        obj.load()
+
+
+def test_a_counts_column_is_typed(obj, tmp_path):
+    # format 6 never stores per-pair position counts: every pair holds
+    # tf positions, so an IR part that carries them is no segment
+    catalog, columns = load_catalog(obj.ir_part)
+    columns["segment:counts"] = columns["segment:tfs"]
+    save_catalog(catalog, tmp_path / "counted.bats", columns=columns)
+    obj.write_ir_part((tmp_path / "counted.bats").read_bytes())
+    with pytest.raises(SnapshotError, match="plain columns"):
         obj.load()
 
 

@@ -8,9 +8,9 @@ the whole vocabulary — plus the schema-2 execution core of
 ``IrEngine._structured`` over it (url per hit by ``D.find``, facets by
 ``Counter``).  Three adaptations, none of them a change of semantics:
 
-* a posting's positions are read here from its pair's ``ir:POS`` rows
-  (``PackedPostings.positions_at`` is gone), and a word is
-  phrase-matchable when every pair of it has rows;
+* a posting's positions are read here from its pair's row of the pair
+  relations (``tests/kernels/postings_oracle.py``'s ``pair_rows``;
+  ``PackedPostings.positions_at`` is gone);
 * a document's field comes from its ``ir:D`` url (the index no longer
   keeps a ``doc_field`` map);
 * ranges read numbers with ``str.isdecimal`` (the fix of the crash on a
@@ -28,6 +28,7 @@ from repro.ir.relations import url_segments
 from repro.query.ast import And, Filter, Node, Not, Or, Phrase, Range, Term
 from repro.query.eval import filters_to_nodes
 
+from tests.kernels.postings_oracle import pair_rows
 from tests.kernels.topn_oracle import structured_scores
 
 
@@ -37,13 +38,10 @@ class _Evaluator:
         self.index = relations.postings_index()
         self.field_of = {int(doc): url_segments(url)[1]
                          for doc, url in relations.D}
-        # (doc, term) -> the positions of its pair, one POS row each
-        doc_of = dict(relations.DT_doc)
-        term_of = dict(relations.DT_term)
-        self.positions: dict[tuple[int, int], list[int]] = {}
-        for pair, position in relations.POS:
-            self.positions.setdefault(
-                (int(doc_of[pair]), int(term_of[pair])), []).append(position)
+        # (doc, term) -> the positions of its pair
+        self.positions: dict[tuple[int, int], list[int]] = {
+            (doc, term): positions
+            for _, doc, term, _, positions in pair_rows(relations)}
 
     # -- matching ---------------------------------------------------------
 
@@ -97,10 +95,6 @@ class _Evaluator:
                 return set()  # out-of-vocabulary word: no phrase match
             packeds.append(packed)
             oids.append(int(oid))
-        if any((int(doc), oid) not in self.positions
-               for packed, oid in zip(packeds, oids) for doc in packed.docs):
-            # pre-v2 pairs carry no positions; refuse to guess adjacency
-            return set()
         candidates = set.intersection(*({int(doc) for doc in packed.docs}
                                         for packed in packeds))
         matched: set[int] = set()

@@ -70,15 +70,6 @@ class TestPhraseMatching:
     def test_out_of_vocabulary_phrase_matches_nothing(self, relations):
         assert matched_urls(relations, '"zebra crossing"') == set()
 
-    def test_positions_absent_refuses_to_match(self, relations):
-        # simulate a pre-v2 snapshot: strip every POS entry; phrase
-        # adjacency is never guessed, term matching still works
-        for pair in list(relations.POS.head):
-            relations.POS.delete_head(pair)
-        relations.generation += 1
-        assert matched_urls(relations, '"digital library"') == set()
-        assert matched_urls(relations, "digital AND library")
-
 
 class TestRangeMatching:
     def test_fielded_range(self, relations):
@@ -98,9 +89,12 @@ class TestRangeMatching:
         urls = matched_urls(relations, "year:2000-")
         assert urls == {"Paper:p03:year", "Paper:p05:year"}
 
-    def test_the_numeric_vocabulary_is_rebuilt_on_load(self, relations):
+    def test_the_numeric_vocabulary_is_rebuilt_on_load(self, relations,
+                                                       tmp_path):
         relations.add_document("Paper:p09:year", "² ١٩٩٧")
-        restored = IrRelations(relations.catalog)
+        relations.save(tmp_path / "ir.bats")
+        restored = IrRelations.load(tmp_path / "ir.bats",
+                                    relations.generation)
         assert restored.numeric_terms(None, None) \
             == relations.numeric_terms(None, None)
         assert matched_urls(restored, "year:1997-1997") \
