@@ -38,6 +38,7 @@ both through :func:`~repro.monetdb.algebra.topn_merge` on central oids.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -541,8 +542,8 @@ def patch_fragment_idf(fragments: FragmentSet, relations: IrRelations,
 
     The cost is O(pushed terms), not O(vocabulary): the pushed names are
     resolved to local oids once, a fragment holding one of them gets a
-    copy of its idf dict with just those entries overwritten, and every
-    other fragment shares its original dict.
+    read-only overlay of its idf dict (:class:`_PushedIdf`, no copy),
+    and every other fragment shares its original dict.
     """
     pushed = {}
     for term, weight in global_idf.items():
@@ -554,10 +555,28 @@ def patch_fragment_idf(fragments: FragmentSet, relations: IrRelations,
     patched = FragmentSet(doc_ids=fragments.doc_ids)
     for fragment in fragments:
         idf = fragment.idf
-        held = [oid for oid in pushed if oid in fragment.term_oids]
-        if held:
-            idf = dict(idf)
-            for oid in held:
-                idf[oid] = pushed[oid]
+        if any(oid in fragment.term_oids for oid in pushed):
+            idf = _PushedIdf(idf, pushed)
         patched.fragments.append(replace(fragment, idf=idf))
     return patched
+
+
+class _PushedIdf(Mapping):
+    """A fragment's idf with pushed weights laid over it: its own terms,
+    in its own order, each weighted by the pushed weight if there is
+    one."""
+
+    __slots__ = ("_idf", "_pushed")
+
+    def __init__(self, idf: Mapping, pushed: dict):
+        self._idf, self._pushed = idf, pushed
+
+    def __getitem__(self, term):
+        weight = self._idf[term]  # a KeyError for a term held elsewhere
+        return self._pushed.get(term, weight)
+
+    def __iter__(self):
+        return iter(self._idf)
+
+    def __len__(self) -> int:
+        return len(self._idf)

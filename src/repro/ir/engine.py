@@ -36,36 +36,34 @@ from repro.ir.topn import TopNResult, topn_fragmented
 __all__ = ["IrEngine", "ClusterIrEngine"]
 
 
-def _sort_pairs(pairs: list[tuple[str, float]],
-                sort: tuple[tuple[str, str], ...]) -> list[tuple[str, float]]:
-    """Re-order a ``(url, score)`` ranking by the request's sort keys.
-
-    Stable multi-key: applied last-key-first so earlier keys dominate.
-    Content modes know four sortable properties — ``score``, the
-    ``url`` itself, and its ``class``/``attribute`` segments.
-    """
+def _sort_keys(index, sort: tuple[tuple[str, str], ...]) -> list:
+    """A request's sort keys as the ``(column over the slots,
+    descending)`` pairs :func:`~repro.ir.topn.topn_structured` orders a
+    page on: ``score`` is the quantized score (``None``), ``url`` /
+    ``key`` the url's rank, ``class`` / ``field`` / ``attribute`` the
+    rank of the url segment's name (``""`` for a plain url)."""
     from repro.errors import QueryError
-    from repro.query import doc_class_of, doc_field_of
 
-    key_functions = {
-        # quantized like the canonical ranking order, so sort=score:desc
-        # is a no-op relative to the scan's own tie-breaking
-        "score": lambda pair: round(pair[1], 9),
-        "url": lambda pair: pair[0],
-        "key": lambda pair: pair[0],
-        "class": lambda pair: doc_class_of(pair[0]),
-        "field": lambda pair: doc_field_of(pair[0]),
-        "attribute": lambda pair: doc_field_of(pair[0]),
-    }
-    ranked = list(pairs)
-    for name, direction in reversed(sort):
-        key_function = key_functions.get(name)
-        if key_function is None:
+    keys = []
+    for name, direction in reversed(sort):  # the last unknown is named
+        if name == "score":
+            column = None
+        elif name in ("url", "key"):
+            column = index.url_ranks
+        elif name in ("class", "field", "attribute"):
+            codes, names = index.segment_codes(
+                "class" if name == "class" else "field")
+            ranks = np.empty(len(names), dtype=np.int64)
+            ranks[[names[value] for value in sorted(names)]] = \
+                np.arange(len(names))
+            column = ranks[codes]
+        else:
             raise QueryError(
                 f"unknown sort field {name!r} for content modes; "
-                f"expected one of {sorted(set(key_functions))}")
-        ranked.sort(key=key_function, reverse=(direction == "desc"))
-    return ranked
+                "expected one of ['attribute', 'class', 'field', 'key', "
+                "'score', 'url']")
+        keys.append((column, direction == "desc"))
+    return keys[::-1]
 
 
 def _facet_counts(index, matched, facet_names):
@@ -213,19 +211,16 @@ class IrEngine:
         total = int(np.count_nonzero(compiled.matched))
         limit = request.limit if request.limit is not None \
             else request.policy.n
-        # a non-score sort reorders the *whole* match set before the
-        # page is cut, so the scan must rank everything; the default
-        # score order only needs offset + limit rows
-        need = total if request.sort else request.offset + limit
-        result = topn_structured(self.fragments(), compiled, max(need, 1))
+        # the first offset + limit rows under the sort keys, then the
+        # canonical order; only the page's rows become url pairs
+        result = topn_structured(self.fragments(), compiled,
+                                 request.offset + limit,
+                                 _sort_keys(index, request.sort))
         urls, slot_of = index.urls, index.doc_dense
         pairs = [(urls[slot_of[doc]], score)
-                 for doc, score in result.ranking]
-        if request.sort:
-            pairs = _sort_pairs(pairs, request.sort)
+                 for doc, score in result.ranking[request.offset:]]
         return api.response_from_ranking(
-            request, pairs[request.offset:request.offset + limit],
-            api.elapsed_ms_since(started),
+            request, pairs, api.elapsed_ms_since(started),
             tuples_touched=result.tuples_read,
             facets=_facet_counts(index, compiled.matched, request.facets),
             total=total, result=result)

@@ -40,7 +40,7 @@ class Fragment:
 
     index: int
     term_oids: set[Oid]
-    idf: dict[Oid, float]
+    idf: Mapping[Oid, float]
     packed: Mapping[Oid, PackedPostings]
     tuples: int = 0
 

@@ -9,8 +9,8 @@ linguistically motivated language model).  Both are provided:
   the log-space form of Π (λ P(t|d) + (1-λ) P(t|C)) with the
   document-independent factor dropped.
 
-Results are sorted by descending score with deterministic tie-breaks on
-the document oid.
+Both select their first N with :func:`select_top`: descending score
+quantized to 1e-9, deterministic tie-breaks on the document oid.
 """
 
 from __future__ import annotations
@@ -40,12 +40,36 @@ def query_term_oids(relations: IrRelations, query: str) -> list[Oid]:
     return oids
 
 
-def _sorted_ranking(scores: dict[Oid, float], n: int | None) -> Ranking:
-    # quantized sort key, the one the top-N kernels use: a 1-ulp
-    # difference between summation orders must not flip a float tie
-    ranking = sorted(scores.items(),
-                     key=lambda item: (-round(item[1], 9), item[0]))
-    return ranking if n is None else ranking[:n]
+#: below this many candidates one full sort is cheaper than the
+#: partition's fixed cost (EXPERIMENTS E33: they break even at ~450)
+_PARTITION_FROM = 512
+
+
+def select_top(raw: np.ndarray, docs: np.ndarray, n: int | None,
+               keys=()) -> np.ndarray:
+    """Positions of the first ``n`` candidates (all when ``None``) in
+    the canonical order: score quantized to 1e-9 descending — so a
+    1-ulp difference between access paths never flips a tie — then
+    doc oid ascending.
+
+    ``keys`` go before the canonical order: ``(column, descending)``
+    pairs over the candidates, primary first; a ``None`` column is the
+    quantized score.  Without keys, a small ``n`` of many candidates is
+    a partition at the n-th largest quantized score plus a sort of the
+    candidates at or above it, ties included — O(candidates), not a
+    full sort.
+    """
+    quantized = np.round(raw, 9)
+    if keys or n is None or n < 1 \
+            or len(raw) <= max(4 * n, _PARTITION_FROM):
+        columns = [docs, -quantized]  # np.lexsort: the last key leads
+        for column, descending in reversed(keys):
+            column = quantized if column is None else column
+            columns.append(-column if descending else column)
+        return np.lexsort(columns)[:n]
+    nth = np.partition(quantized, len(raw) - n)[len(raw) - n]
+    near = np.flatnonzero(quantized >= nth)
+    return near[np.lexsort((docs[near], -quantized[near]))[:n]]
 
 
 def rank_tfidf(relations: IrRelations, query: str,
@@ -54,7 +78,8 @@ def rank_tfidf(relations: IrRelations, query: str,
 
     Scatter-adds each query term's packed postings column in query-term
     order (a repeated term contributes again; each doc occurs at most
-    once per term), then sorts under the canonical quantized order.
+    once per term), then selects the first ``n`` under the canonical
+    quantized order (:func:`select_top`).
     """
     index = relations.postings_index()
     universe = len(index.doc_ids)
@@ -69,14 +94,10 @@ def rank_tfidf(relations: IrRelations, query: str,
         acc[dense] += packed.weights_view() * weight
         touched[dense] = True
     selected = np.flatnonzero(touched)
-    if not len(selected):
-        return []
     docs = np.frombuffer(index.doc_ids, dtype=np.int64)[selected]
     raw = acc[selected]
-    order = np.lexsort((docs, -np.round(raw, 9)))
-    if n is not None:
-        order = order[:n]
-    return [(int(docs[i]), float(raw[i])) for i in order]
+    top = select_top(raw, docs, n)
+    return list(zip(docs[top].tolist(), raw[top].tolist()))
 
 
 def rank_hiemstra(relations: IrRelations, query: str, n: int | None = 10,
@@ -100,4 +121,7 @@ def rank_hiemstra(relations: IrRelations, query: str, n: int | None = 10,
             odds = (smoothing * tf * collection_length) / (
                 (1.0 - smoothing) * collection_frequency * length)
             scores[doc] += math.log1p(odds)
-    return _sorted_ranking(scores, n)
+    docs = np.fromiter(scores, np.int64, len(scores))
+    raw = np.fromiter(scores.values(), np.float64, len(scores))
+    top = select_top(raw, docs, n)
+    return list(zip(docs[top].tolist(), raw[top].tolist()))

@@ -232,9 +232,6 @@ class _Segment:
               "twice")
         check(np.isin(terms, _int64(catalog.get("ir:T").raw_columns()[0]))
               .all(), "the segment names a term missing from ir:T")
-        check(np.array_equal(np.sort(_int64(
-            catalog.get("ir:IDF").raw_columns()[0])), terms),
-            "ir:IDF does not name exactly the segment's terms")
         check(not len(pairs) or segment.dense.max()
               < len(catalog.get("ir:D")),
               "the segment names a document past the end of ir:D")
@@ -540,6 +537,16 @@ class PostingsIndex:
         """``live`` as a bool column over the slots (zero-copy)."""
         return _view(self.live, bool)
 
+    @cached_property
+    def url_ranks(self) -> np.ndarray:
+        """Each slot's rank in the order of ``urls`` (int64): the column
+        a url-sorted page orders on, made on first use (an index never
+        changes).  Live urls are distinct; a dead slot may repeat one."""
+        ranks = np.empty(len(self.urls), dtype=np.int64)
+        ranks[sorted(range(len(self.urls)), key=self.urls.__getitem__)] \
+            = np.arange(len(self.urls))
+        return ranks
+
     def segment_codes(self, segment: str
                       ) -> tuple[np.ndarray, dict[str, int]]:
         """One url segment's per-slot codes (zero-copy) and the name
@@ -554,7 +561,8 @@ class IrRelations:
 
     ``segment`` is the base the pairs start from — a loaded IR part's
     (:meth:`load`), whose dense numbers are rows of ``ir:D`` and whose
-    terms are exactly ``ir:IDF``'s.
+    terms must be exactly ``ir:IDF``'s (a :class:`CatalogError` if not:
+    each term's df is its run length, read in ``ir:IDF``'s row order).
     """
 
     def __init__(self, catalog: Catalog | None = None,
@@ -575,8 +583,11 @@ class IrRelations:
         # term oid -> document frequency, maintained by every write (a
         # base has it as run lengths, in IDF's row order); a term no
         # document holds any more has no entry
-        terms = _int64(self.IDF.raw_columns()[0]) if len(self._base.pairs) \
+        terms = _int64(self.IDF.raw_columns()[0]) if segment is not None \
             else np.empty(0, dtype=np.int64)
+        if not np.array_equal(np.sort(terms), self._base.terms):
+            raise CatalogError("ir:IDF does not name exactly the "
+                               "segment's terms")
         counts = np.diff(self._base.starts, append=len(self._base.pairs))[
             np.searchsorted(self._base.terms, terms)]
         self._df: dict[Oid, int] = dict(zip(terms.tolist(), counts.tolist()))
@@ -645,10 +656,13 @@ class IrRelations:
         catalog, columns = load_catalog(path, oid_start=oid_start,
                                         oid_stride=oid_stride)
         segment = _Segment.restored(columns, catalog, path)
+        try:
+            relations = cls(catalog, segment)
+        except CatalogError as error:
+            raise SnapshotError(f"{error}: {path}", path=path) from None
         get_telemetry().metrics.counter("ir.rows_loaded").add(
             catalog.total_buns() + len(segment.pairs)
             + len(segment.positions))
-        relations = cls(catalog, segment)
         relations.generation = generation
         return relations
 

@@ -20,7 +20,13 @@ list of (fragment, term) access steps, compiled per execution (one set
 intersection per fragment: cheaper than a lookup that could reuse it).
 There is one body per query shape: the bag scan (pruned, refined or
 exhaustive), the structured scan, and the cut-off, which is the bag
-scan over an idf-ordered prefix.  The per-posting loops they replaced
+scan over an idf-ordered prefix.  Each selects its first N — at every
+stop test, in the refine pass and for the answer — with
+:func:`~repro.ir.ranking.select_top`: a partition at the n-th largest
+quantized score plus a sort of the candidates at or above it, ties
+included.  A sorted schema-2 page passes its sort keys as columns over
+the slots, ordered with the canonical order in one ``lexsort``, so no
+match set is ranked whole.  The per-posting loops they replaced
 live in ``tests/kernels/topn_oracle.py`` as the reference the
 ``kernels`` and ``query`` suites compare them against, rankings (scores
 included) and work accounting by ``==``: per-term postings hold each
@@ -38,7 +44,7 @@ import numpy as np
 
 from repro.monetdb.atoms import Oid
 from repro.ir.fragmentation import FragmentSet
-from repro.ir.ranking import Ranking
+from repro.ir.ranking import Ranking, select_top
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["TopNResult", "topn_fragmented", "topn_structured",
@@ -136,7 +142,7 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
 
     The bound bookkeeping is plain Python floats in plan-step order, and
     each stop test runs against the quantized interim ranking; only the
-    per-posting accumulation and the sorting are vectorized.
+    per-posting accumulation and the selection are vectorized.
     """
     result = TopNResult(ranking=[])
     frags = fragments.fragments
@@ -177,15 +183,17 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
             stop_step = step_index + 1
             stopped_at = position + 1
             break
-        candidates = int(touched_mask.sum())
-        if candidates < n:
-            continue
         selected = np.flatnonzero(touched_mask)
-        order, raw = _order_candidates(acc, doc_column, selected)
-        nth_score = float(raw[order[n - 1]])
+        if len(selected) < n:
+            continue
+        raw = acc[selected]
+        top = select_top(raw, doc_column[selected], n)
+        nth_score = float(raw[top[n - 1]])
         if nth_score <= total_remaining:
             continue
-        ceiling = float(raw[order[n:]].max()) if candidates > n else 0.0
+        others = np.ones(len(raw), dtype=bool)
+        others[top] = False
+        ceiling = float(raw[others].max()) if others.any() else 0.0
         # strict: an unseen or runner-up document can never even tie
         if nth_score > ceiling + total_remaining:
             result.stopped_early = True
@@ -195,9 +203,9 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
 
     if refine and result.stopped_early:
         selected = np.flatnonzero(touched_mask)
-        order, _ = _order_candidates(acc, doc_column, selected)
         member_flags = np.zeros(universe, dtype=bool)
-        member_flags[selected[order[:n]]] = True
+        member_flags[selected[select_top(acc[selected],
+                                         doc_column[selected], n)]] = True
         for position, terms in plan.steps[stop_step:]:
             if position < stopped_at:
                 continue
@@ -216,31 +224,23 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
     return result
 
 
-def _order_candidates(acc, doc_column, selected):
-    """Candidate order under the canonical quantized total order.
-
-    Returns ``(order, raw)``: positions into ``selected`` sorted by
-    quantized score desc then doc oid asc, plus the raw scores.  Scores
-    are quantized in the sort key so that a 1-ulp difference between
-    access paths can never flip a tie.
-    """
-    raw = acc[selected]
-    quantized = np.round(raw, 9)
-    return np.lexsort((doc_column[selected], -quantized)), raw
-
-
-def _ranking(acc, doc_column, selected, n: int) -> Ranking:
-    order, raw = _order_candidates(acc, doc_column, selected)
-    top = order[:n]
-    return list(zip(doc_column[selected[top]].tolist(), raw[top].tolist()))
+def _ranking(acc, doc_column, selected, n: int, keys=()) -> Ranking:
+    """The first ``n`` of the ``selected`` slots as ``(doc, raw score)``
+    under :func:`~repro.ir.ranking.select_top`; ``keys`` hold columns
+    over all slots."""
+    raw, docs = acc[selected], doc_column[selected]
+    top = select_top(raw, docs, n, [
+        (None if column is None else column[selected], descending)
+        for column, descending in keys])
+    return list(zip(docs[top].tolist(), raw[top].tolist()))
 
 
 # ----------------------------------------------------------------------
 # structured (schema-2) queries: boolean/phrase/fielded/boosted
 # ----------------------------------------------------------------------
 
-def topn_structured(fragments: FragmentSet, compiled, n: int
-                    ) -> TopNResult:
+def topn_structured(fragments: FragmentSet, compiled, n: int,
+                    keys=()) -> TopNResult:
     """Exhaustive top-N over a compiled structured query.
 
     ``compiled`` is a :class:`~repro.query.eval.CompiledQuery`: the
@@ -250,7 +250,10 @@ def topn_structured(fragments: FragmentSet, compiled, n: int
     restricted to their own ``docs`` masks, every contribution
     multiplied by the per-document field boost.  Match-only documents
     (filter hits whose terms score nothing, e.g. a pure ``NOT`` or range
-    query) rank with score 0.0 in doc-oid order.
+    query) rank with score 0.0 in doc-oid order.  ``keys`` order the
+    matched documents before the canonical order — a sorted page —
+    as ``(column over the slots, descending)`` pairs, primary first, a
+    ``None`` column standing for the quantized score.
 
     Unlike :func:`topn_fragmented` the scan is exhaustive — early-stop
     bounds under per-entry doc restrictions and per-doc boosts would
@@ -260,7 +263,7 @@ def topn_structured(fragments: FragmentSet, compiled, n: int
     telemetry = get_telemetry()
     with telemetry.tracer.span("ir.topn_structured", n=n) as span:
         wanted = {entry.term_oid for entry in compiled.entries}
-        result = _structured_scan_kernel(fragments, compiled, n,
+        result = _structured_scan_kernel(fragments, compiled, n, keys,
                                          _compile_plan(fragments, wanted))
         telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
         matched = int(np.count_nonzero(compiled.matched))
@@ -273,7 +276,7 @@ def topn_structured(fragments: FragmentSet, compiled, n: int
 
 
 def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
-                            plan: _TopNPlan) -> TopNResult:
+                            keys, plan: _TopNPlan) -> TopNResult:
     """Masked scatter-adds in plan-step order, one per scoring entry,
     each contribution associated as ``(tf · weight) · boost``."""
     result = TopNResult(ranking=[])
@@ -307,7 +310,7 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
                     acc[rows] += (weights[hit] * weight) \
                         * boost_column[rows]
     result.ranking = _ranking(acc, doc_column,
-                              np.flatnonzero(allowed_mask), n)
+                              np.flatnonzero(allowed_mask), n, keys)
     return result
 
 

@@ -7,6 +7,8 @@ from repro.ir.ranking import rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.stemmer import stem
 
+from tests.kernels.postings_oracle import copy_catalog
+
 
 @pytest.fixture
 def relations() -> IrRelations:
@@ -17,6 +19,30 @@ def relations() -> IrRelations:
         ("http://x/d3", "football"),
     ])
     return relations
+
+
+class TestBaseAndIdf:
+    """A base's dfs are its run lengths in ``ir:IDF``'s row order, so
+    the constructor refuses an ``ir:IDF`` that is not the base's terms."""
+
+    @pytest.mark.parametrize("write", ["add", "remove"])
+    def test_a_stale_idf_is_a_typed_error(self, relations, write):
+        relations.refresh_idf()
+        if write == "add":  # IDF lacks the new term: its df would be lost
+            relations.add_document("http://x/d4", "quidditch")
+        else:  # IDF names a term with no run left: past the last run
+            relations.remove_document("http://x/d3")
+        with pytest.raises(CatalogError, match="ir:IDF does not name "
+                                               "exactly the segment"):
+            IrRelations(copy_catalog(relations.catalog),
+                        relations._merged())
+
+    def test_a_current_idf_restores_every_df(self, relations):
+        relations.remove_document("http://x/d3")
+        relations.refresh_idf()
+        restored = IrRelations(copy_catalog(relations.catalog),
+                               relations._merged())
+        assert restored._df == relations._df
 
 
 class TestVocabulary:

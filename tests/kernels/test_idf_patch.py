@@ -3,8 +3,13 @@
 ``patch_fragment_idf`` overrides a node's local idf with the weights the
 coordinator pushed.  It used to rebuild every fragment's idf dict by
 walking the node's whole vocabulary through ``T.find``; the comprehension
-below is that body, kept as the oracle the O(query) patch must equal.
+below is that body, kept as the oracle the O(query) patch must equal —
+item for item, in order, and through ``min_idf``/``max_score_bound``.
+A fragment a pushed term touches is read through an overlay of its own
+dict, never a copy of it.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +45,14 @@ def test_patched_idf_equals_the_oracle(global_idf):
     patched = patch_fragment_idf(fragments, relations, global_idf)
     assert len(patched) == len(fragments)
     for original, view in zip(fragments, patched):
-        assert view.idf == oracle_idf(original, relations, global_idf)
+        copied = replace(original, idf=oracle_idf(original, relations,
+                                                   global_idf))
+        assert view.idf == copied.idf
+        assert list(view.idf.items()) == [(term, copied.idf[term])
+                                          for term in original.idf]
+        assert view.min_idf() == copied.min_idf()
+        assert [view.max_score_bound(term) for term in view.term_oids] \
+            == [copied.max_score_bound(term) for term in view.term_oids]
         assert view.term_oids is original.term_oids
         assert view.packed is original.packed
 

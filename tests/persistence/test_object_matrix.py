@@ -361,6 +361,19 @@ def test_a_counts_column_is_typed(obj, tmp_path):
         obj.load()
 
 
+def test_an_idf_that_is_not_the_segments_terms_is_typed(obj, tmp_path):
+    # a term's df is its run length, read in ir:IDF's row order: an IDF
+    # that names one term fewer would give the rest wrong dfs
+    catalog, columns = load_catalog(obj.ir_part)
+    idf = catalog.get("ir:IDF")
+    idf.delete_head(idf.raw_columns()[0][0])
+    save_catalog(catalog, tmp_path / "stale.bats", columns=columns)
+    obj.write_ir_part((tmp_path / "stale.bats").read_bytes())
+    with pytest.raises(SnapshotError,
+                       match="ir:IDF does not name exactly the segment"):
+        obj.load()
+
+
 @pytest.mark.parametrize("target, message", [
     ("itself", "not yet read"),
     ("a later column", "not yet read"),

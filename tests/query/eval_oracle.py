@@ -23,7 +23,7 @@ reference to be compared against.
 from collections import Counter
 
 from repro.errors import QueryError
-from repro.ir.engine import _sort_pairs
+from tests.query.sort_oracle import _sort_pairs
 from repro.ir.relations import url_segments
 from repro.query.ast import And, Filter, Node, Not, Or, Phrase, Range, Term
 from repro.query.eval import filters_to_nodes
