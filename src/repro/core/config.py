@@ -141,5 +141,4 @@ class EngineConfig:
     fragment_count: int = 4
     top_n: int = 10
     crawl_seed: str = "index.html"
-    ranking_model: str = "tfidf"  # or "hiemstra"
     execution: ExecutionPolicy = ExecutionPolicy()

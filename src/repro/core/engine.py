@@ -103,8 +103,7 @@ class SearchEngine:
                 self.config.cluster_size,
                 fragment_count=self.config.fragment_count)
         else:
-            self.ir = IrEngine(fragment_count=self.config.fragment_count,
-                               model=self.config.ranking_model)
+            self.ir = IrEngine(fragment_count=self.config.fragment_count)
 
         # logical level: default to the tennis video grammar
         self.video_library = VideoLibrary()

@@ -14,7 +14,7 @@ Public surface:
 from repro.ir.distributed import DistributedIndex, DistributedQueryResult
 from repro.ir.engine import IrEngine
 from repro.ir.fragmentation import Fragment, FragmentSet, fragment_by_idf
-from repro.ir.ranking import rank_hiemstra, rank_tfidf
+from repro.ir.ranking import rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.selectivity import CutoffPlan, QueryCostModel
 from repro.ir.stemmer import stem
@@ -24,7 +24,7 @@ from repro.ir.topn import TopNResult, quality_degrade, topn_cutoff, topn_fragmen
 __all__ = [
     "IrEngine", "DistributedIndex", "DistributedQueryResult", "IrRelations",
     "Fragment", "FragmentSet", "fragment_by_idf",
-    "rank_tfidf", "rank_hiemstra",
+    "rank_tfidf",
     "TopNResult", "topn_fragmented", "topn_cutoff", "quality_degrade",
     "stem", "analyze", "tokenize", "STOP_WORDS",
     "QueryCostModel", "CutoffPlan",

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.config import ExecutionPolicy
 from repro.monetdb.atoms import Oid
 from repro.ir.fragmentation import FragmentSet, fragment_by_idf
-from repro.ir.ranking import Ranking, query_term_oids, rank_hiemstra, rank_tfidf
+from repro.ir.ranking import Ranking, query_term_oids, rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.topn import TopNResult, topn_fragmented
 
@@ -93,12 +93,9 @@ def _facet_counts(index, matched, facet_names):
 class IrEngine:
     """Single-node full-text engine over the paper's IR relations."""
 
-    def __init__(self, fragment_count: int = 4, model: str = "tfidf"):
-        if model not in ("tfidf", "hiemstra"):
-            raise ValueError(f"unknown ranking model: {model!r}")
+    def __init__(self, fragment_count: int = 4):
         self.relations = IrRelations()
         self.fragment_count = fragment_count
-        self.model = model
         # (generation, set) in one attribute: read together or not at all
         self._fragments: tuple[int, FragmentSet] | None = None
         self._fragments_lock = threading.Lock()
@@ -192,8 +189,6 @@ class IrEngine:
     def _ranked(self, query: str, policy: ExecutionPolicy) -> Ranking:
         """The full-relation ranking core of mode ``content``."""
         self.relations.refresh_idf()
-        if self.model == "hiemstra":
-            return rank_hiemstra(self.relations, query, policy.n)
         return rank_tfidf(self.relations, query, policy.n)
 
     def _structured(self, request, started: float) -> "SearchResponse":
@@ -211,14 +206,15 @@ class IrEngine:
         total = int(np.count_nonzero(compiled.matched))
         limit = request.limit if request.limit is not None \
             else request.policy.n
-        # the first offset + limit rows under the sort keys, then the
-        # canonical order; only the page's rows become url pairs
+        # the page: rows offset to offset + limit under the sort keys,
+        # then the canonical order; only its rows become url pairs
         result = topn_structured(self.fragments(), compiled,
                                  request.offset + limit,
-                                 _sort_keys(index, request.sort))
+                                 _sort_keys(index, request.sort),
+                                 request.offset)
         urls, slot_of = index.urls, index.doc_dense
         pairs = [(urls[slot_of[doc]], score)
-                 for doc, score in result.ranking[request.offset:]]
+                 for doc, score in result.ranking]
         return api.response_from_ranking(
             request, pairs, api.elapsed_ms_since(started),
             tuples_touched=result.tuples_read,
@@ -281,14 +277,6 @@ class IrEngine:
                                               mode=MODE_FRAGMENTED,
                                               policy=policy))
         return response.result
-
-    def matching_documents(self, query: str) -> set[Oid]:
-        """Doc oids containing at least one query term (boolean filter)."""
-        docs: set[Oid] = set()
-        for term_oid in query_term_oids(self.relations, query):
-            for doc, _ in self.relations.postings(term_oid):
-                docs.add(doc)
-        return docs
 
 
 class ClusterIrEngine:

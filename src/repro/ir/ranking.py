@@ -1,21 +1,15 @@
-"""Ranking models: tf·idf and the probabilistic model it derives from.
+"""The ranking model: tf·idf.
 
-The paper supports "a variant of the tf·idf ranking model, derived from
-the well founded probabilistic retrieval model of [Hie98]" (Hiemstra's
-linguistically motivated language model).  Both are provided:
-
-* :func:`rank_tfidf` — score(d) = Σ_t tf(d,t) · idf(t),
-* :func:`rank_hiemstra` — score(d) = Σ_t log(1 + (λ·tf·C)/((1-λ)·cf·|d|)),
-  the log-space form of Π (λ P(t|d) + (1-λ) P(t|C)) with the
-  document-independent factor dropped.
-
-Both select their first N with :func:`select_top`: descending score
-quantized to 1e-9, deterministic tie-breaks on the document oid.
+The paper ranks with "a variant of the tf·idf ranking model, derived
+from the well founded probabilistic retrieval model of [Hie98]":
+score(d) = Σ_t tf(d,t) · idf(t).  Every access path — this exhaustive
+ranking, the fragment scans of :mod:`repro.ir.topn` and the cluster
+merge — selects its first N with :func:`select_top`: descending score
+quantized to 1e-9, deterministic tie-breaks on the document oid (or
+url).
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
@@ -23,9 +17,7 @@ from repro.monetdb.atoms import Oid
 from repro.ir.relations import IrRelations
 from repro.ir.text import analyze
 
-__all__ = ["query_term_oids", "rank_tfidf", "rank_hiemstra", "Ranking"]
-
-import math
+__all__ = ["query_term_oids", "rank_tfidf", "Ranking"]
 
 Ranking = list[tuple[Oid, float]]
 
@@ -96,32 +88,5 @@ def rank_tfidf(relations: IrRelations, query: str,
     selected = np.flatnonzero(touched)
     docs = np.frombuffer(index.doc_ids, dtype=np.int64)[selected]
     raw = acc[selected]
-    top = select_top(raw, docs, n)
-    return list(zip(docs[top].tolist(), raw[top].tolist()))
-
-
-def rank_hiemstra(relations: IrRelations, query: str, n: int | None = 10,
-                  smoothing: float = 0.15) -> Ranking:
-    """Hiemstra's language-model ranking ([Hie98])."""
-    if not 0.0 < smoothing < 1.0:
-        raise ValueError("smoothing must lie strictly between 0 and 1")
-    collection_length = max(relations.collection_length, 1)
-    scores: dict[Oid, float] = defaultdict(float)
-    doc_lengths: dict[Oid, int] = {}
-    for term_oid in query_term_oids(relations, query):
-        postings = relations.postings(term_oid)
-        collection_frequency = sum(tf for _, tf in postings)
-        if collection_frequency == 0:
-            continue
-        for doc, tf in postings:
-            length = doc_lengths.get(doc)
-            if length is None:
-                length = max(relations.document_length(doc), 1)
-                doc_lengths[doc] = length
-            odds = (smoothing * tf * collection_length) / (
-                (1.0 - smoothing) * collection_frequency * length)
-            scores[doc] += math.log1p(odds)
-    docs = np.fromiter(scores, np.int64, len(scores))
-    raw = np.fromiter(scores.values(), np.float64, len(scores))
     top = select_top(raw, docs, n)
     return list(zip(docs[top].tolist(), raw[top].tolist()))

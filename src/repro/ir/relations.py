@@ -398,10 +398,6 @@ class PackedPostings:
     def _columns(self) -> tuple:
         return self.docs, self.dense, self.tfs, self.tf_weights
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """The scalar view: ``[(doc, tf), ...]`` in posting order."""
-        return list(zip(self.docs.tolist(), self.tfs.tolist()))
-
     def position_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The occurrence positions as columns: one flat int64 column
         and per-posting offsets, so posting ``row`` holds
@@ -506,9 +502,8 @@ class PostingsIndex:
     (:class:`TermPostings`; the paper's fragmentation then orders these
     terms by descending idf).  The index also carries the dense document
     universe (``doc_ids``: dense position -> doc oid) the scoring
-    kernels accumulate over, the per-document lengths the language
-    model needs, and the per-slot columns schema-2 queries match, facet
-    and answer from: ``urls``, ``live``, and the url segments
+    kernels accumulate over, and the per-slot columns schema-2 queries
+    match, facet and answer from: ``urls``, ``live``, and the url segments
     (:func:`url_segments`) as ``class_codes`` / ``field_codes`` into the
     ``class_names`` / ``field_names`` tables (name -> code, in order of
     first appearance).
@@ -516,16 +511,15 @@ class PostingsIndex:
     ``doc_ids`` may hold *dead slots*: a removed document keeps its
     dense position (no posting points at it any more, ``live`` is 0) so
     surviving ``dense`` columns stay valid until compaction.
-    ``doc_dense`` and ``doc_lengths`` are keyed by the **live**
-    documents only.  An index is never mutated once published: readers
-    holding one keep a consistent snapshot.
+    ``doc_dense`` is keyed by the **live** documents only.  An index is
+    never mutated once published: readers holding one keep a consistent
+    snapshot.
     """
 
     generation: int
     by_term: Mapping[int, PackedPostings] = field(default_factory=dict)
     doc_ids: array = field(default_factory=lambda: array("q"))
     doc_dense: dict[int, int] = field(default_factory=dict)
-    doc_lengths: dict[int, int] = field(default_factory=dict)
     urls: list[str] = field(default_factory=list)
     live: array = field(default_factory=lambda: array("b"))
     class_codes: array = field(default_factory=lambda: array("i"))
@@ -621,13 +615,6 @@ class IrRelations:
                                    (cls for cls, _ in segments))
         self._field_codes = _codes(self._field_names,
                                    (fld for _, fld in segments))
-        base = self._base
-        lengths = np.bincount(base.dense, weights=base.tfs,
-                              minlength=len(urls)).astype(np.int64)
-        held = np.zeros(len(urls), dtype=bool)
-        held[base.dense] = True
-        self._doc_lengths = dict(zip(_int64(self._doc_ids)[held].tolist(),
-                                     lengths[held].tolist()))
 
     # -- persistence -----------------------------------------------------
 
@@ -696,10 +683,6 @@ class IrRelations:
     def document_count(self) -> int:
         return len(self._doc_oids)
 
-    def document_length(self, doc: Oid) -> int:
-        """Total term occurrences of one document (via the packed index)."""
-        return self.postings_index().doc_lengths.get(int(doc), 0)
-
     # -- indexing ---------------------------------------------------------
 
     def add_document(self, url: str, text: str) -> Oid:
@@ -752,14 +735,11 @@ class IrRelations:
         self._class_codes += _codes(self._class_names, [cls])
         self._field_codes += _codes(self._field_names, [fld])
         self._delta.add(slot, pairs, terms, runs)
-        length = sum(map(len, runs))
-        if length:  # like a build: no pairs, no length entry
-            self._doc_lengths[doc] = length
         df = self._df
         for term_oid in terms:
             df[term_oid] = df.get(term_oid, 0) + 1
         self._touched.update(terms)
-        self.collection_length += length
+        self.collection_length += sum(map(len, runs))
         self.generation += 1
 
     def add_documents(self, documents: Iterable[tuple[str, str]]) -> None:
@@ -785,11 +765,13 @@ class IrRelations:
         if slot in delta.docs:
             first, count = delta.docs[slot]
             terms = delta.terms[first:first + count].tolist()
+            length = sum(delta.tfs[first:first + count])
             delta = delta.without(slot)
         else:
             rows = np.flatnonzero(base.dense == slot)
             terms = base.terms[np.searchsorted(base.starts, rows, "right")
                                - 1].tolist()
+            length = int(base.tfs[rows].sum())
             if len(rows):
                 base = base.dropped(rows)
         self.D.delete_head(doc)
@@ -804,7 +786,7 @@ class IrRelations:
             else:
                 df[term] -= 1
         self._touched.update(terms)
-        self.collection_length -= self._doc_lengths.pop(doc, 0)
+        self.collection_length -= length
         self.generation += 1
 
     def idf_fresh(self) -> bool:
@@ -918,8 +900,7 @@ class IrRelations:
                     by_term.get(term)
         return PostingsIndex(
             generation=generation, by_term=by_term, doc_ids=doc_ids,
-            doc_dense=dict(self._slot_of),
-            doc_lengths=dict(self._doc_lengths), urls=self._urls[:],
+            doc_dense=dict(self._slot_of), urls=self._urls[:],
             live=self._live[:], class_codes=self._class_codes[:],
             field_codes=self._field_codes[:],
             class_names=dict(self._class_names),
@@ -962,18 +943,6 @@ class IrRelations:
             self._renumber()
             span.set_attributes(terms=len(self._base.terms))
         telemetry.metrics.counter("ir.postings_rebuilds").add(1)
-
-    def postings(self, term_oid: Oid) -> list[tuple[Oid, int]]:
-        """(doc-oid, tf) postings of one term, in pair order."""
-        packed = self.postings_index().by_term.get(int(term_oid))
-        return packed.pairs() if packed is not None else []
-
-    def packed_postings(self, term_oid: Oid) -> PackedPostings | None:
-        """The packed column view of one term's postings, or ``None``."""
-        return self.postings_index().by_term.get(int(term_oid))
-
-    def document_frequency(self, term_oid: Oid) -> int:
-        return self._df.get(term_oid, 0)
 
     def stats(self) -> dict[str, int]:
         return {

@@ -224,14 +224,15 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
     return result
 
 
-def _ranking(acc, doc_column, selected, n: int, keys=()) -> Ranking:
-    """The first ``n`` of the ``selected`` slots as ``(doc, raw score)``
-    under :func:`~repro.ir.ranking.select_top`; ``keys`` hold columns
-    over all slots."""
+def _ranking(acc, doc_column, selected, n: int, keys=(),
+             offset: int = 0) -> Ranking:
+    """The first ``n`` of the ``selected`` slots under
+    :func:`~repro.ir.ranking.select_top`, past the first ``offset``, as
+    ``(doc, raw score)``; ``keys`` hold columns over all slots."""
     raw, docs = acc[selected], doc_column[selected]
     top = select_top(raw, docs, n, [
         (None if column is None else column[selected], descending)
-        for column, descending in keys])
+        for column, descending in keys])[offset:]
     return list(zip(docs[top].tolist(), raw[top].tolist()))
 
 
@@ -240,7 +241,7 @@ def _ranking(acc, doc_column, selected, n: int, keys=()) -> Ranking:
 # ----------------------------------------------------------------------
 
 def topn_structured(fragments: FragmentSet, compiled, n: int,
-                    keys=()) -> TopNResult:
+                    keys=(), offset: int = 0) -> TopNResult:
     """Exhaustive top-N over a compiled structured query.
 
     ``compiled`` is a :class:`~repro.query.eval.CompiledQuery`: the
@@ -253,7 +254,9 @@ def topn_structured(fragments: FragmentSet, compiled, n: int,
     query) rank with score 0.0 in doc-oid order.  ``keys`` order the
     matched documents before the canonical order — a sorted page —
     as ``(column over the slots, descending)`` pairs, primary first, a
-    ``None`` column standing for the quantized score.
+    ``None`` column standing for the quantized score.  The ranking holds
+    the first ``n`` past the first ``offset``: a page, made only of its
+    own rows.
 
     Unlike :func:`topn_fragmented` the scan is exhaustive — early-stop
     bounds under per-entry doc restrictions and per-doc boosts would
@@ -264,6 +267,7 @@ def topn_structured(fragments: FragmentSet, compiled, n: int,
     with telemetry.tracer.span("ir.topn_structured", n=n) as span:
         wanted = {entry.term_oid for entry in compiled.entries}
         result = _structured_scan_kernel(fragments, compiled, n, keys,
+                                         offset,
                                          _compile_plan(fragments, wanted))
         telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
         matched = int(np.count_nonzero(compiled.matched))
@@ -276,7 +280,8 @@ def topn_structured(fragments: FragmentSet, compiled, n: int,
 
 
 def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
-                            keys, plan: _TopNPlan) -> TopNResult:
+                            keys, offset: int, plan: _TopNPlan
+                            ) -> TopNResult:
     """Masked scatter-adds in plan-step order, one per scoring entry,
     each contribution associated as ``(tf · weight) · boost``."""
     result = TopNResult(ranking=[])
@@ -310,7 +315,7 @@ def _structured_scan_kernel(fragments: FragmentSet, compiled, n: int,
                     acc[rows] += (weights[hit] * weight) \
                         * boost_column[rows]
     result.ranking = _ranking(acc, doc_column,
-                              np.flatnonzero(allowed_mask), n, keys)
+                              np.flatnonzero(allowed_mask), n, keys, offset)
     return result
 
 

@@ -6,7 +6,8 @@ Public surface:
 * :class:`~repro.monetdb.catalog.Catalog` — named BATs + oid generation,
 * :class:`~repro.monetdb.server.MonetServer` / :class:`~repro.monetdb.server.Cluster`
   — single host and shared-nothing cluster with cost accounting,
-* :mod:`~repro.monetdb.algebra` — operator helpers used by the translator,
+* :mod:`~repro.monetdb.algebra` — the batch join path expressions run
+  and the cluster's top-N merge,
 * :func:`~repro.monetdb.persistence.save_catalog` / ``load_catalog``.
 """
 

@@ -1,120 +1,24 @@
-"""Relational algebra over BATs — batch-first columnar kernels.
+"""Relational algebra over BATs: the two column operators the engine runs.
 
-The query translator (``repro.core.translate``) breaks conceptual
-queries down to sequences of these operators.  Since the columnar
-redesign the surface is *batch-first*: kernels take and return whole
-columns (``select_eq_many``, ``join_packed``, ``project_tails_many``,
-``lookup_many``) so per-tuple Python dispatch happens once per column,
-not once per value — the set-at-a-time execution model of Monet's BAT
-algebra rather than tuple-at-a-time loops in the host language.
-
-The old per-value scalar signatures (``select_eq``, ``select_where``,
-``project_tails``) have completed their deprecation cycle: the names
-remain importable, but calling one raises :class:`TypeError` naming
-its batch replacement — the same end state the ``n=``/``prune=``
-policy deprecation reached through ``ExecutionPolicy.coerce``.
-
-``topn_merge`` documents (and enforces) the ranking total order shared
-by every backend; :func:`quantize_score` is the one canonical score
-quantizer — the thread backend, the process workers and the columnar
-scoring kernels all tie-break through it.
+* :func:`join_packed` — the navigation step of path expressions
+  (:mod:`repro.xmlstore.pathexpr`), one head-index pass per column
+  rather than one ``find_all`` per row: the set-at-a-time execution
+  model of Monet's BAT algebra.
+* :func:`topn_merge` — the central merge of the per-server top-N
+  rankings (:mod:`repro.ir.distributed`), in the ranking total order
+  every scan selects in (:func:`repro.ir.ranking.select_top`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from repro.monetdb.bat import BAT
 from repro.monetdb.server import MonetServer
 
-__all__ = [
-    "quantize_score", "ranking_sort_key",
-    "select_eq", "select_eq_many", "select_where", "select_where_many",
-    "join", "join_packed", "semijoin", "intersect_heads", "union_heads",
-    "difference_heads", "topn_merge", "project_tails",
-    "project_tails_many", "lookup_many", "group_count_packed",
-]
-
-
-def _charge(server: MonetServer | None, tuples: int) -> None:
-    if server is not None:
-        server.charge(tuples)
-
-
-def _removed(old: str, new: str) -> TypeError:
-    return TypeError(
-        f"{old} was removed after its deprecation cycle; "
-        f"use the batch kernel {new} instead")
-
-
-# ----------------------------------------------------------------------
-# the canonical ranking order
-# ----------------------------------------------------------------------
-
-def quantize_score(score: float) -> float:
-    """Quantize a ranking score for comparison (9 decimal places).
-
-    Summation order differs between access paths (scalar loops, the
-    columnar kernels, per-fragment partial sums), so raw doubles can
-    disagree in the last ulp; every ranking comparison in the system
-    quantizes through this one function so a 1-ulp difference never
-    flips a tie.
-    """
-    return round(score, 9)
-
-
-def ranking_sort_key(pair: tuple[Any, float]) -> tuple[float, Any]:
-    """The documented ranking total order: score desc, then key asc.
-
-    The key (a doc oid or a url) is unique within any one ranking, so
-    the order is total — merges are deterministic under equal scores
-    no matter which backend produced which input.
-    """
-    return (-quantize_score(pair[1]), pair[0])
-
-
-# ----------------------------------------------------------------------
-# selections
-# ----------------------------------------------------------------------
-
-def select_eq(*args: Any, **kwargs: Any) -> BAT:
-    """Removed scalar form — use :func:`select_eq_many`."""
-    raise _removed("select_eq", "select_eq_many")
-
-
-def select_eq_many(bat: BAT, values: Iterable[Any],
-                   server: MonetServer | None = None) -> BAT:
-    """Tail membership selection over a whole value column (indexed).
-
-    The batch form of the old per-value ``select_eq``: one kernel call
-    selects every association whose tail is in ``values``, in BAT
-    position order, instead of one indexed probe per value.
-    """
-    _charge(server, len(bat))
-    wanted = set(values)
-    return bat.select(wanted.__contains__)
-
-
-def select_where(*args: Any, **kwargs: Any) -> BAT:
-    """Removed scalar form — use :func:`select_where_many`."""
-    raise _removed("select_where", "select_where_many")
-
-
-def select_where_many(bat: BAT, predicate: Callable[[Any], bool],
-                      server: MonetServer | None = None) -> BAT:
-    """Tail predicate selection over the whole column (one scan)."""
-    _charge(server, len(bat))
-    return bat.select(predicate)
-
-
-# ----------------------------------------------------------------------
-# joins
-# ----------------------------------------------------------------------
-
-def join(left: BAT, right: BAT, server: MonetServer | None = None) -> BAT:
-    """Hash equi-join on left.tail == right.head."""
-    _charge(server, len(left) + len(right))
-    return left.join(right)
+__all__ = ["join_packed", "topn_merge"]
 
 
 def join_packed(left_pairs: Iterable[tuple[Any, Any]], right: BAT,
@@ -129,7 +33,8 @@ def join_packed(left_pairs: Iterable[tuple[Any, Any]], right: BAT,
     ``find_all`` per row.
     """
     pairs = list(left_pairs)
-    _charge(server, len(pairs) + len(right))
+    if server is not None:
+        server.charge(len(pairs) + len(right))
     groups = right.head_groups()
     tail = right.tail
     result: list[tuple[Any, Any]] = []
@@ -141,109 +46,23 @@ def join_packed(left_pairs: Iterable[tuple[Any, Any]], right: BAT,
     return result
 
 
-def semijoin(left: BAT, right: BAT, server: MonetServer | None = None) -> BAT:
-    """Keep left associations whose head appears as a head of right."""
-    _charge(server, len(left) + len(right))
-    return left.semijoin(right)
-
-
-# ----------------------------------------------------------------------
-# head-set algebra
-# ----------------------------------------------------------------------
-
-def intersect_heads(bats: Sequence[BAT],
-                    server: MonetServer | None = None) -> set[Any]:
-    """Intersection of the head sets of several BATs."""
-    if not bats:
-        return set()
-    _charge(server, sum(len(bat) for bat in bats))
-    result = set(bats[0].head)
-    for bat in bats[1:]:
-        result &= set(bat.head)
-    return result
-
-
-def union_heads(bats: Sequence[BAT],
-                server: MonetServer | None = None) -> set[Any]:
-    """Union of the head sets of several BATs."""
-    _charge(server, sum(len(bat) for bat in bats))
-    result: set[Any] = set()
-    for bat in bats:
-        result |= set(bat.head)
-    return result
-
-
-def difference_heads(left: BAT, right: BAT,
-                     server: MonetServer | None = None) -> set[Any]:
-    """Head set of ``left`` minus head set of ``right``."""
-    _charge(server, len(left) + len(right))
-    return set(left.head) - set(right.head)
-
-
-# ----------------------------------------------------------------------
-# projections
-# ----------------------------------------------------------------------
-
-def project_tails(*args: Any, **kwargs: Any) -> list[Any]:
-    """Removed scalar form — use :func:`project_tails_many`."""
-    raise _removed("project_tails", "project_tails_many")
-
-
-def project_tails_many(bat: BAT, heads: Iterable[Any],
-                       server: MonetServer | None = None) -> list[Any]:
-    """Tails of the associations whose head is in ``heads``, in BAT order.
-
-    The batch replacement for per-head ``find`` loops *and* the old
-    scalar ``project_tails``: one pass over the column (set membership
-    per row) instead of one probe per head value.
-    """
-    keys = set(heads)
-    _charge(server, len(bat))
-    tail = bat.tail
-    return [tail[i] for i, head in enumerate(bat.head) if head in keys]
-
-
-def lookup_many(bat: BAT, heads: Iterable[Any], default: Any = None,
-                server: MonetServer | None = None) -> list[Any]:
-    """First-match tails for a whole head column, ``default`` when absent.
-
-    The batch form of per-oid ``bat.get(oid)`` loops: one index build
-    amortized over the column, results aligned with the input order.
-    """
-    heads = list(heads)
-    _charge(server, len(heads))
-    return bat.get_many(heads, default)
-
-
-# ----------------------------------------------------------------------
-# aggregation
-# ----------------------------------------------------------------------
-
-def group_count_packed(bat: BAT, server: MonetServer | None = None) -> BAT:
-    """Group by head with the count per group, as a packed BAT."""
-    _charge(server, len(bat))
-    return bat.group_count()
-
-
-# ----------------------------------------------------------------------
-# top-N merge
-# ----------------------------------------------------------------------
-
 def topn_merge(rankings: Sequence[Sequence[tuple[Any, float]]], n: int
                ) -> list[tuple[Any, float]]:
     """Merge per-server (key, score) rankings into one global top-N.
 
-    The output order is the documented ranking **total order**:
-    quantized score descending (:func:`quantize_score`), then key
-    ascending.  Keys (central doc oids, or urls) are unique across one
-    merge, so the order is total and the merged top-N is a pure
-    function of the input *sets* — thread, process and columnar-kernel
-    backends merge identically under equal scores even when a node
-    mapped local oids onto central oids and thereby perturbed its
-    input's tie order.
+    The output order is the ranking **total order** of a single node:
+    score quantized to 1e-9 descending, then key ascending — one
+    :func:`~repro.ir.ranking.select_top` over the concatenated rankings,
+    so a cluster orders a half-way pair as a node does.  Keys (central
+    doc oids, or urls) are unique across one merge, so the merged top-N
+    is a pure function of the input *sets*: thread and process backends
+    merge identically under equal scores even when a node mapped local
+    oids onto central oids and thereby perturbed its input's tie order.
     """
-    merged: list[tuple[Any, float]] = []
-    for ranking in rankings:
-        merged.extend(ranking)
-    merged.sort(key=ranking_sort_key)
-    return merged[:n]
+    # the ranking layer sits above this one: imported on use
+    from repro.ir.ranking import select_top
+
+    merged = [pair for ranking in rankings for pair in ranking]
+    top = select_top(np.array([score for _, score in merged], dtype=float),
+                     np.array([key for key, _ in merged]), n)
+    return [merged[position] for position in top.tolist()]

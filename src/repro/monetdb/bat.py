@@ -3,12 +3,11 @@
 Monet [BK95] decomposes all data into binary relations of (head, tail)
 pairs.  The paper's Monet XML mapping stores every association type (one
 per root-to-node path) in one such relation.  This module implements the
-BAT with the operator repertoire the upper levels need:
+BAT with the operators the upper levels run:
 
-* point and range selections on head or tail,
-* equi-joins and semijoins,
-* reverse / mirror views,
-* grouped aggregation and sorting,
+* point lookups on head or tail, and a predicate selection,
+* an equi-join,
+* reverse, copy and slice views, and sorting,
 * append with optional hash indexes kept up to date,
 * batch append (:meth:`BAT.append_many`) validating whole columns at
   C speed,
@@ -18,9 +17,9 @@ BAT with the operator repertoire the upper levels need:
 Columns are *packed*: oid/int tails live on ``array('q')`` and flt
 tails on ``array('d')`` (eight bytes per atom, contiguous), spilling to
 a plain list only for heap-object atoms (str/url/bit, custom ADTs) or
-for integers outside the int64 range.  The packed layout is what the
-columnar kernels in :mod:`repro.monetdb.algebra` and the top-N scorer
-vectorize over; the operator semantics here are unchanged.
+for integers outside the int64 range.  The packed layout is what the IR
+relations read as numpy columns (:meth:`BAT.raw_columns`); the operator
+semantics here are unchanged.
 
 Like Monet, a BAT knows a physical property of its columns and picks
 the algorithm from it: an int64-packed column remembers whether it is
@@ -506,13 +505,6 @@ class BAT:
         """Return the tails of all associations with the given head."""
         return [self._tail[i] for i in self._positions_by_head(head)]
 
-    def find_all_many(self, heads: Iterable[Any]) -> list[list[Any]]:
-        """Batch :meth:`find_all`: one tail list per requested head."""
-        index = self._head_index or self._build_head_index()
-        tail = self._tail
-        empty: list[int] = []
-        return [[tail[i] for i in index.get(head, empty)] for head in heads]
-
     def get(self, head: Any, default: Any = None) -> Any:
         """Like :meth:`find` but returning ``default`` when absent."""
         positions = self._positions_by_head(head)
@@ -540,10 +532,6 @@ class BAT:
         """
         return [self._head[i] for i in self._positions_by_tail(tail)]
 
-    def select_tail(self, value: Any) -> "BAT":
-        """Select associations whose tail equals ``value`` (uses the index)."""
-        return self._gather(self._positions_by_tail(value), "select")
-
     def select(self, predicate: Callable[[Any], bool]) -> "BAT":
         """Select associations whose tail satisfies ``predicate`` (scan)."""
         return self._gather([i for i, tail in enumerate(self._tail)
@@ -557,27 +545,6 @@ class BAT:
             _take(self._head, positions), _take(self._tail, positions),
             self._head_ascending, self._tail_ascending)
 
-    def select_range(self, low: Any, high: Any,
-                     include_low: bool = True,
-                     include_high: bool = True) -> "BAT":
-        """Range selection on the tail column (scan)."""
-        def in_range(value: Any) -> bool:
-            if low is not None:
-                if include_low:
-                    if value < low:
-                        return False
-                elif value <= low:
-                    return False
-            if high is not None:
-                if include_high:
-                    if value > high:
-                        return False
-                elif value >= high:
-                    return False
-            return True
-
-        return self.select(in_range)
-
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
@@ -588,13 +555,6 @@ class BAT:
             self.tail_type, self.head_type, f"{self.name}.reverse",
             _copy_column(self._tail), _copy_column(self._head),
             self._tail_ascending, self._head_ascending)
-
-    def mirror(self) -> "BAT":
-        """Return a BAT mapping each head to itself."""
-        return BAT._derived(
-            self.head_type, self.head_type, f"{self.name}.mirror",
-            _copy_column(self._head), _copy_column(self._head),
-            self._head_ascending, self._head_ascending)
 
     def copy(self, name: str = "") -> "BAT":
         """Return an independent copy of this BAT."""
@@ -637,23 +597,6 @@ class BAT:
             _pack_column(self.head_type, heads),
             _pack_column(other.tail_type, tails))
 
-    def semijoin(self, other: "BAT") -> "BAT":
-        """Keep associations whose head occurs as a head in ``other``."""
-        return self._filter_heads(set(other._head), keep=True, name="semijoin")
-
-    def antijoin(self, other: "BAT") -> "BAT":
-        """Keep associations whose head does NOT occur as a head in ``other``."""
-        return self._filter_heads(set(other._head), keep=False,
-                                  name="antijoin")
-
-    def semijoin_values(self, heads: Iterable[Any]) -> "BAT":
-        """Keep associations whose head is in the given value set."""
-        return self._filter_heads(set(heads), keep=True, name="semijoin")
-
-    def _filter_heads(self, keys: set, keep: bool, name: str) -> "BAT":
-        return self._gather([i for i, head in enumerate(self._head)
-                             if (head in keys) is keep], name)
-
     # ------------------------------------------------------------------
     # ordering and aggregation
     # ------------------------------------------------------------------
@@ -672,43 +615,6 @@ class BAT:
         if n < 0:
             raise BatError("topn requires n >= 0")
         return self.sort_tail(descending=descending).slice(0, n)
-
-    def group_count(self) -> "BAT":
-        """Group by head; tail is the group size."""
-        counts: dict[Any, int] = defaultdict(int)
-        order: list[Any] = []
-        for head in self._head:
-            if head not in counts:
-                order.append(head)
-            counts[head] += 1
-        int_type = atom_type("int")
-        return BAT._derived(
-            self.head_type, int_type, f"{self.name}.count",
-            _pack_column(self.head_type, order),
-            _pack_column(int_type, [counts[head] for head in order]))
-
-    def group_sum(self) -> "BAT":
-        """Group by head; tail is the sum of tails per group."""
-        sums: dict[Any, Any] = {}
-        order: list[Any] = []
-        for head, tail in zip(self._head, self._tail):
-            if head not in sums:
-                order.append(head)
-                sums[head] = tail
-            else:
-                sums[head] = sums[head] + tail
-        return BAT._derived(
-            self.head_type, self.tail_type, f"{self.name}.sum",
-            _pack_column(self.head_type, order),
-            _pack_column(self.tail_type, [sums[head] for head in order]))
-
-    def unique_heads(self) -> list[Any]:
-        """Distinct head values in first-appearance order."""
-        return list(dict.fromkeys(self._head))
-
-    def unique_tails(self) -> list[Any]:
-        """Distinct tail values in first-appearance order."""
-        return list(dict.fromkeys(self._tail))
 
     # ------------------------------------------------------------------
     # bulk construction

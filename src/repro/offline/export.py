@@ -42,16 +42,15 @@ def _ir_engine(engine):
 def _engine_config(engine, ir):
     """The full EngineConfig recorded in the manifest.
 
-    A bare IrEngine has no EngineConfig; synthesize one from its two
-    result-affecting knobs so the reader rebuilds an identical engine.
+    A bare IrEngine has no EngineConfig; synthesize one from its one
+    result-affecting knob so the reader rebuilds an identical engine.
     """
     from repro.core.config import EngineConfig
 
     config = getattr(engine, "config", None)
     if isinstance(config, EngineConfig):
         return config
-    return EngineConfig(fragment_count=ir.fragment_count,
-                        ranking_model=ir.model)
+    return EngineConfig(fragment_count=ir.fragment_count)
 
 
 def export_index(engine, directory: str | Path) -> Path:

@@ -8,11 +8,11 @@ fielded, boosted, faceted, sorted, paginated — with rankings
 The identity is by construction, not by re-implementation: the reader
 restores the exported IR part into the same
 :class:`~repro.ir.relations.IrRelations` and delegates to a private
-:class:`~repro.ir.engine.IrEngine`, so every scoring path (scalar and
-columnar kernels alike) is the very code the served engine runs.  What
-it deliberately lacks is everything a *server* needs: no admission
-control, no locks, no HTTP — the artifact is immutable, so a reader is
-a plain object any analytics process can hold.
+:class:`~repro.ir.engine.IrEngine`, so every scoring path is the very
+code the served engine runs.  What it deliberately lacks is everything
+a *server* needs: no admission control, no locks, no HTTP — the
+artifact is immutable, so a reader is a plain object any analytics
+process can hold.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class StaticIndexReader:
                                          self.manifest.generation)
             relations.refresh_idf()
             config = self.manifest.config
-            self._engine = IrEngine(fragment_count=config.fragment_count,
-                                    model=config.ranking_model)
+            self._engine = IrEngine(fragment_count=config.fragment_count)
             self._engine.relations = relations
             span.set_attributes(generation=self.manifest.generation,
                                 documents=relations.document_count())

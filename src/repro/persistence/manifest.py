@@ -100,10 +100,16 @@ def config_to_dict(config: EngineConfig) -> dict[str, Any]:
 
 
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
+    """The engine config a manifest records.  An older manifest names
+    the ranking model; tf·idf, the one model, is dropped, any other is
+    refused."""
     try:
-        execution = ExecutionPolicy(**data.get("execution", {}))
-        fields = {key: value for key, value in data.items()
-                  if key != "execution"}
+        fields = dict(data)
+        execution = ExecutionPolicy(**fields.pop("execution", {}))
+        model = fields.pop("ranking_model", "tfidf")
+        if model != "tfidf":
+            raise ValueError(f"ranking_model {model!r} is not served; "
+                             "the one ranking model is 'tfidf'")
         return EngineConfig(execution=execution, **fields)
     except (AttributeError, TypeError, ValueError) as exc:
         raise SnapshotError(f"malformed engine config: {exc}") from exc

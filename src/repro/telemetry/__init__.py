@@ -16,8 +16,7 @@ package is the measurement substrate behind all of them:
 """
 
 from repro.telemetry.export import (build_report, format_report,
-                                    format_snapshot, format_span,
-                                    load_report, span_from_dict,
+                                    format_span, load_report,
                                     span_to_dict, write_report)
 from repro.telemetry.metrics import (DEFAULT_BUCKETS, Counter, Gauge,
                                      Histogram, MetricsRegistry,
@@ -35,6 +34,6 @@ __all__ = [
     "Telemetry", "NullTelemetry", "NULL_TELEMETRY",
     "get_telemetry", "set_telemetry", "enable", "disable", "is_enabled",
     "telemetry_session",
-    "span_to_dict", "span_from_dict", "build_report", "write_report",
-    "load_report", "format_span", "format_snapshot", "format_report",
+    "span_to_dict", "build_report", "write_report", "load_report",
+    "format_span", "format_report",
 ]

@@ -3,13 +3,10 @@
 Two consumers drive the format:
 
 * the ``repro-search stats`` CLI renders the human-readable trees
-  (:func:`format_span`, :func:`format_snapshot`),
+  (:func:`format_span`, :func:`format_report`),
 * benchmarks persist machine-readable ``BENCH_*.json`` reports
   (:func:`build_report` / :func:`write_report` / :func:`load_report`),
   seeding the perf trajectory across PRs.
-
-The JSON form round-trips: :func:`span_from_dict` rebuilds a
-:class:`~repro.telemetry.trace.Span` tree equal in every recorded field.
 """
 
 from __future__ import annotations
@@ -21,8 +18,8 @@ from typing import Any
 from repro.telemetry.trace import Span
 
 __all__ = [
-    "span_to_dict", "span_from_dict", "build_report", "write_report",
-    "load_report", "format_span", "format_snapshot", "format_report",
+    "span_to_dict", "build_report", "write_report", "load_report",
+    "format_span", "format_report",
 ]
 
 REPORT_VERSION = 1
@@ -40,17 +37,6 @@ def span_to_dict(span: Span) -> dict[str, Any]:
         "error": span.error,
         "children": [span_to_dict(child) for child in span.children],
     }
-
-
-def span_from_dict(data: dict[str, Any]) -> Span:
-    span = Span(data["name"], data.get("attributes"))
-    span.start_ns = data.get("start_ns")
-    span.end_ns = data.get("end_ns")
-    span.status = data.get("status", "ok")
-    span.error = data.get("error")
-    for child in data.get("children", ()):
-        span.add_child(span_from_dict(child))
-    return span
 
 
 def build_report(telemetry, meta: dict[str, Any] | None = None
@@ -94,7 +80,7 @@ def format_span(span, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def format_snapshot(snapshot: dict[str, dict[str, Any]]) -> str:
+def _format_snapshot(snapshot: dict[str, dict[str, Any]]) -> str:
     """A metric snapshot as sorted ``kind name value`` lines."""
     lines: list[str] = []
     for kind in ("counters", "gauges", "histograms"):
@@ -117,6 +103,6 @@ def format_report(telemetry) -> str:
         sections.append("(no spans recorded)")
     sections.append("")
     sections.append("== metrics ==")
-    snapshot_text = format_snapshot(telemetry.metrics.snapshot())
+    snapshot_text = _format_snapshot(telemetry.metrics.snapshot())
     sections.append(snapshot_text if snapshot_text else "(no metrics)")
     return "\n".join(sections)

@@ -30,10 +30,9 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = ["HEADER_BYTES", "MAX_RECORD_BYTES", "Record", "DecodeResult",
-           "encode_record", "decode_records", "iter_records"]
+           "encode_record", "decode_records"]
 
 _HEADER = struct.Struct(">II")
 
@@ -120,8 +119,3 @@ def decode_records(data: bytes) -> DecodeResult:
         offset = start + length
         result.intact_bytes = offset
     return result
-
-
-def iter_records(data: bytes) -> Iterator[Record]:
-    """The intact records of a byte stream (corruption silently ends it)."""
-    return iter(decode_records(data).records)

@@ -15,7 +15,7 @@ from repro.xmlstore.model import Element, Text, element, isomorphic
 from repro.xmlstore.pathexpr import PathExpression, PathResult, parse_path
 from repro.xmlstore.pathsummary import PathNode, PathSummary
 from repro.xmlstore.sax import iter_events, parse_document
-from repro.xmlstore.shredder import BulkLoader, LoadStats, shred_text, shred_tree
+from repro.xmlstore.shredder import BulkLoader, LoadStats, shred_tree
 from repro.xmlstore.store import XmlStore
 from repro.xmlstore.writer import serialize
 
@@ -24,6 +24,6 @@ __all__ = [
     "parse_document", "iter_events", "serialize",
     "PathExpression", "PathResult", "parse_path",
     "PathNode", "PathSummary",
-    "BulkLoader", "LoadStats", "shred_tree", "shred_text",
+    "BulkLoader", "LoadStats", "shred_tree",
     "XmlStore", "GenericStore",
 ]

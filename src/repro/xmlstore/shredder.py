@@ -34,7 +34,7 @@ from repro.xmlstore.model import Element, Text
 from repro.xmlstore.pathsummary import PCDATA, PathNode, PathSummary
 from repro.xmlstore.sax import Characters, EndElement, SaxEvent, StartElement, iter_events
 
-__all__ = ["SYS_RELATION", "LoadStats", "BulkLoader", "shred_tree", "shred_text"]
+__all__ = ["SYS_RELATION", "LoadStats", "BulkLoader", "shred_tree"]
 
 SYS_RELATION = "sys"
 
@@ -228,12 +228,4 @@ def shred_tree(catalog: Catalog, summary: PathSummary, root: Element
     """Monet-transform one element tree; return (root oid, load stats)."""
     loader = BulkLoader(catalog, summary)
     oid = loader.load_tree(root)
-    return oid, loader.stats
-
-
-def shred_text(catalog: Catalog, summary: PathSummary, text: str
-               ) -> tuple[Oid, LoadStats]:
-    """Monet-transform one XML string; return (root oid, load stats)."""
-    loader = BulkLoader(catalog, summary)
-    oid = loader.load_text(text)
     return oid, loader.stats

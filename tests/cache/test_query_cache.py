@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import ExecutionPolicy
-from repro.ir.engine import IrEngine
 from repro.service import SearchRequest, SearchService
 from repro.service.api import MODE_CONTENT, MODE_FRAGMENTED
 from repro.telemetry import telemetry_session
@@ -141,23 +140,3 @@ class TestEvictionAtCapacity:
         assert search(service, "champion", ExecutionPolicy(n=1)).cache_hit
         assert not search(service, "trophy").cache_hit
 
-
-class TestModelSeparation:
-    def test_ranking_models_never_share_entries(self):
-        tfidf = IrEngine(model="tfidf")
-        hiemstra = IrEngine(model="hiemstra")
-        for ir in (tfidf, hiemstra):
-            ir.index("doc:a", "trophy champion trophy")
-            ir.index("doc:b", "champion")
-        # a cache belongs to one service, and a service to one engine
-        tfidf_service = SearchService(tfidf)
-        hiemstra_service = SearchService(hiemstra)
-        search(tfidf_service, "trophy champion")
-        assert stats(hiemstra_service)["entries"] == 0
-        first = search(hiemstra_service, "trophy champion")
-        assert not first.cache_hit
-        assert [hit.score for hit in first.hits] == [
-            score for _, score in hiemstra.search(
-                "trophy champion", policy=ExecutionPolicy(n=5))]
-        assert search(hiemstra_service, "trophy champion").hits \
-            == first.hits

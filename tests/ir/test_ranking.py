@@ -1,8 +1,8 @@
-"""tf.idf and Hiemstra LM ranking."""
+"""tf·idf ranking."""
 
 import pytest
 
-from repro.ir.ranking import query_term_oids, rank_hiemstra, rank_tfidf
+from repro.ir.ranking import query_term_oids, rank_tfidf
 from repro.ir.relations import IrRelations
 
 
@@ -59,25 +59,3 @@ class TestTfIdf:
         first = rank_tfidf(relations, "game", n=10)
         second = rank_tfidf(relations, "game", n=10)
         assert first == second
-
-
-class TestHiemstra:
-    def test_ranks_relevant_documents_first(self, relations):
-        ranking = rank_hiemstra(relations, "champion", n=10)
-        urls = [relations.doc_url(doc) for doc, _ in ranking]
-        assert urls[0] == "doc:d1"
-
-    def test_smoothing_bounds_validated(self, relations):
-        with pytest.raises(ValueError):
-            rank_hiemstra(relations, "champion", smoothing=0.0)
-        with pytest.raises(ValueError):
-            rank_hiemstra(relations, "champion", smoothing=1.0)
-
-    def test_scores_positive(self, relations):
-        for _, score in rank_hiemstra(relations, "champion tennis", n=10):
-            assert score > 0.0
-
-    def test_agrees_with_tfidf_on_clear_winner(self, relations):
-        lm = rank_hiemstra(relations, "champion net", n=1)
-        tfidf = rank_tfidf(relations, "champion net", n=1)
-        assert lm[0][0] == tfidf[0][0]

@@ -7,7 +7,12 @@ from repro.ir.ranking import rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.stemmer import stem
 
-from tests.kernels.postings_oracle import copy_catalog
+from tests.kernels.postings_oracle import copy_catalog, pairs
+
+
+def postings(relations: IrRelations, term) -> dict:
+    """One term's ``{doc: tf}``, read off the packed index."""
+    return dict(pairs(relations.postings_index().by_term.get(int(term))))
 
 
 @pytest.fixture
@@ -66,10 +71,6 @@ class TestDocuments:
         with pytest.raises(CatalogError):
             relations.add_document("http://x/d1", "again")
 
-    def test_document_length_counts_occurrences(self, relations):
-        assert relations.document_length(
-            relations.doc_oid("http://x/d1")) == 3
-
     def test_collection_length(self, relations):
         assert relations.collection_length == 6
 
@@ -77,14 +78,14 @@ class TestDocuments:
 class TestFrequencies:
     def test_tf_counts_per_pair(self, relations):
         tennis = relations.term_oid(stem("tennis"))
-        postings = dict(relations.postings(tennis))
-        assert postings[relations.doc_oid("http://x/d1")] == 2
-        assert postings[relations.doc_oid("http://x/d2")] == 1
+        tfs = postings(relations, tennis)
+        assert tfs[relations.doc_oid("http://x/d1")] == 2
+        assert tfs[relations.doc_oid("http://x/d2")] == 1
 
     def test_df_and_idf(self, relations):
         tennis = relations.term_oid(stem("tennis"))
         football = relations.term_oid(stem("football"))
-        assert relations.document_frequency(tennis) == 2
+        assert relations._df[tennis] == 2
         assert relations.idf(tennis) == pytest.approx(0.5)
         assert relations.idf(football) == pytest.approx(1.0)
 
@@ -121,7 +122,7 @@ class TestRemoval:
         tennis = relations.term_oid(stem("tennis"))
         relations.remove_document("http://x/d2")
         assert relations.document_count() == 2
-        assert relations.document_frequency(tennis) == 1
+        assert relations._df[tennis] == 1
         assert relations.idf(tennis) == pytest.approx(1.0)
         assert relations.collection_length == 4
 
@@ -146,7 +147,7 @@ class TestRemoval:
                     list(relations.D), dict(relations._df),
                     relations._base, relations._delta,
                     relations._doc_ids[:], relations._live[:],
-                    dict(relations._slot_of), dict(relations._doc_lengths),
+                    dict(relations._slot_of),
                     rank_tfidf(relations, "tennis champion court clay"))
 
         relations.postings_index()  # compacted: d1 is in the base

@@ -18,6 +18,14 @@ from repro.ir.relations import (IrRelations, PackedPostings,
 from repro.monetdb.catalog import Catalog
 
 
+def pairs(packed: PackedPostings | None) -> list[tuple[int, int]]:
+    """One term's postings as ``(doc, tf)`` in posting order (``None``,
+    a term with no postings: none)."""
+    if packed is None:
+        return []
+    return list(zip(packed.docs.tolist(), packed.tfs.tolist()))
+
+
 def pair_rows(relations: IrRelations) -> list[tuple]:
     """``(pair, doc, term, tf, positions)`` per pair, in pair order,
     from the segment a compaction would make (the relations are left as
@@ -71,7 +79,6 @@ def build_postings_index(relations: IrRelations,
         index.field_codes.append(
             index.field_names.setdefault(fld, len(index.field_names)))
     grouped: dict[int, tuple[list[int], list[int], list[list[int]]]] = {}
-    doc_lengths = index.doc_lengths
     for _, doc, term, tf, positions in pair_rows(relations):
         entry = grouped.get(term)
         if entry is None:
@@ -79,7 +86,6 @@ def build_postings_index(relations: IrRelations,
         entry[0].append(doc)
         entry[1].append(tf)
         entry[2].append(positions)
-        doc_lengths[doc] = doc_lengths.get(doc, 0) + tf
     for term, (docs, tfs, runs) in grouped.items():
         index.by_term[term] = PackedPostings(
             docs=array("q", docs),

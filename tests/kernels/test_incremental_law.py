@@ -28,7 +28,7 @@ from repro.service.api import (MODE_CONTENT, MODE_FRAGMENTED,
                                SCHEMA_VERSION_V2, SearchRequest)
 from repro.telemetry import telemetry_session
 
-from tests.kernels.postings_oracle import compacted, pair_rows
+from tests.kernels.postings_oracle import compacted, pair_rows, pairs
 
 pytestmark = pytest.mark.kernels
 
@@ -88,14 +88,14 @@ def universe_of(relations: IrRelations) -> tuple:
                   fields[index.field_codes[slot]])
             for slot, doc in enumerate(index.doc_ids) if index.live[slot]}
     assert set(live) == set(index.doc_dense)
-    return live, dict(index.doc_lengths)
+    return live
 
 
 def layout_of(relations: IrRelations, count: int) -> list:
     return [(set(map(int, fragment.term_oids)), fragment.tuples,
              {int(t): w for t, w in fragment.idf.items()},
              {int(t): fragment.packed[t].max_tf for t in fragment.term_oids},
-             {int(t): fragment.packed[t].pairs()
+             {int(t): pairs(fragment.packed[t])
               for t in fragment.term_oids})
             for fragment in fragment_by_idf(relations, count)]
 
@@ -221,7 +221,10 @@ class IncrementalMaintenance(RuleBasedStateMachine):
             self.compactions += bool(compactions)
             self.delta += len(maintained._delta) > 0
         # independent of the remove and merge paths: the model's texts
-        assert pairs_of(maintained) == analyzed_pairs(self.texts)
+        expected = analyzed_pairs(self.texts)
+        assert pairs_of(maintained) == expected
+        assert maintained.collection_length == sum(
+            tf for _, _, tf, _ in expected)
         rebuilt = compacted(maintained)
         assert maintained.stats() == rebuilt.stats()
         maintained.refresh_idf()

@@ -85,7 +85,7 @@ class TestIrRoundTrip:
         _, loaded = restored
         index = loaded.postings_index()
         assert len(index.doc_ids) == loaded.document_count()
-        packed = loaded.packed_postings(loaded.term_oid("w0"))
+        packed = index.by_term.get(int(loaded.term_oid("w0")))
         assert packed is not None
         # built postings are int64 / float64 views over the segment
         assert packed.docs.dtype == packed.dense.dtype == np.int64
@@ -119,7 +119,6 @@ class TestSegmentRoundTrip:
         installed = loaded.postings_index()
         built = compacted(original).postings_index()
         assert dict(installed.by_term.items()) == dict(built.by_term.items())
-        assert installed.doc_lengths == built.doc_lengths
         assert installed.doc_ids == built.doc_ids
         assert list(loaded._df.items()) == list(original._df.items())
         assert loaded.collection_length == original.collection_length

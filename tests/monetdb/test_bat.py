@@ -65,22 +65,8 @@ class TestFind:
 
 
 class TestSelect:
-    def test_select_tail_equality(self, ages):
-        assert ages.select_tail(30).head == [1, 3]
-
     def test_select_predicate(self, ages):
         assert ages.select(lambda age: age > 28).head == [1, 3, 4]
-
-    def test_select_range_inclusive(self, ages):
-        assert ages.select_range(25, 30).head == [1, 2, 3]
-
-    def test_select_range_exclusive(self, ages):
-        result = ages.select_range(25, 30, include_low=False,
-                                   include_high=False)
-        assert result.head == []
-
-    def test_select_range_open_ended(self, ages):
-        assert ages.select_range(31, None).head == [4]
 
 
 class TestViews:
@@ -88,9 +74,6 @@ class TestViews:
         reversed_bat = ages.reverse()
         assert reversed_bat.head[:2] == [30, 25]
         assert reversed_bat.head_type.name == "int"
-
-    def test_mirror_maps_head_to_itself(self, ages):
-        assert list(ages.mirror())[0] == (1, 1)
 
     def test_copy_is_independent(self, ages):
         clone = ages.copy()
@@ -115,17 +98,6 @@ class TestJoin:
         with pytest.raises(BatError):
             left.join(right)
 
-    def test_semijoin_keeps_matching_heads(self, ages):
-        other = BAT.from_pairs("oid", "str", [(Oid(1), "x"), (Oid(4), "y")])
-        assert ages.semijoin(other).head == [1, 4]
-
-    def test_antijoin_drops_matching_heads(self, ages):
-        other = BAT.from_pairs("oid", "str", [(Oid(1), "x"), (Oid(4), "y")])
-        assert ages.antijoin(other).head == [2, 3]
-
-    def test_semijoin_values(self, ages):
-        assert ages.semijoin_values({Oid(2), Oid(3)}).head == [2, 3]
-
 
 class TestOrderingAndAggregates:
     def test_sort_tail_ascending(self, ages):
@@ -141,24 +113,6 @@ class TestOrderingAndAggregates:
     def test_topn_negative_raises(self, ages):
         with pytest.raises(BatError):
             ages.topn(-1)
-
-    def test_group_count(self):
-        bat = BAT.from_pairs("str", "int",
-                             [("a", 1), ("b", 2), ("a", 3)])
-        assert list(bat.group_count()) == [("a", 2), ("b", 1)]
-
-    def test_group_sum(self):
-        bat = BAT.from_pairs("str", "int",
-                             [("a", 1), ("b", 2), ("a", 3)])
-        assert list(bat.group_sum()) == [("a", 4), ("b", 2)]
-
-    def test_unique_heads_in_first_seen_order(self):
-        bat = BAT.from_pairs("str", "int",
-                             [("b", 1), ("a", 2), ("b", 3)])
-        assert bat.unique_heads() == ["b", "a"]
-
-    def test_unique_tails(self, ages):
-        assert ages.unique_tails() == [30, 25, 41]
 
 
 class TestUpdates:

@@ -39,15 +39,15 @@ def snapshot_root(populated, tmp_path_factory):
 def full_config():
     """An EngineConfig with non-default values across the board.
 
-    The old manifest only round-tripped 4 of the 6 fields (it dropped
-    ``cluster_size`` and the whole execution policy); this config makes
-    any dropped field show up as an equality failure.
+    An old manifest dropped ``cluster_size`` and the whole execution
+    policy; this config sets every field, so any dropped field shows up
+    as an equality failure.
     """
     return EngineConfig(
         fragment_count=5,
-        ranking_model="hiemstra",
         top_n=7,
-        cluster_size=1,
+        cluster_size=3,
+        crawl_seed="players.html",
         execution=ExecutionPolicy(n=7, prune=False, max_workers=2,
                                   node_deadline_ms=250.0, retries=1,
                                   backoff_ms=5.0, on_failure="degrade",

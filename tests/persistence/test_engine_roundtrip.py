@@ -62,10 +62,11 @@ class TestAWrittenRestart:
 
 class TestConfigRoundTrip:
     def test_every_config_field_round_trips(self, tmp_path):
-        # regression: the old manifest dropped cluster_size and the
-        # execution policy (4 of 6 fields survived, silently)
+        # regression: an old manifest dropped cluster_size and the
+        # execution policy (silently); every field is set here
         config = EngineConfig(
-            fragment_count=5, ranking_model="hiemstra", top_n=7,
+            cluster_size=2, fragment_count=5, top_n=7,
+            crawl_seed="players.html",
             execution=ExecutionPolicy(n=7, max_workers=2, retries=1,
                                       on_failure="degrade", cache_size=64))
         server, _ = build_ausopen_site(players=4, articles=2, videos=1,

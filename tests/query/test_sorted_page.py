@@ -155,3 +155,12 @@ class TestPinned:
             v2(request.query)).hits]
         old = [hit.key for hit in sort_oracle.execute(engine, request).hits]
         assert old == ["http://site/second", "http://site/first"]
+
+    @pytest.mark.parametrize("sort", [(), (("url", "asc"),)])
+    def test_a_deep_page_makes_only_its_own_rows(self, engine, sort):
+        """A page past ``offset`` rows holds ``limit`` ranking rows, not
+        ``offset + limit``: the skipped rows never become tuples."""
+        request = v2("tennis OR court", sort=sort, offset=3, limit=2)
+        response = engine.execute(request)
+        assert len(response.result.ranking) == 2 < response.total - 3
+        assert page(response) == page(sort_oracle.execute(engine, request))

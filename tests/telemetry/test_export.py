@@ -1,8 +1,22 @@
 """JSON report round-trips and the text renderings."""
 
 from repro.telemetry import (Telemetry, build_report, format_report,
-                             format_snapshot, format_span, load_report,
-                             span_from_dict, span_to_dict, write_report)
+                             format_span, load_report, span_to_dict,
+                             write_report)
+from repro.telemetry.export import _format_snapshot
+from repro.telemetry.trace import Span
+
+
+def span_from_dict(data) -> Span:
+    """The inverse of ``span_to_dict``: the JSON form round-trips."""
+    span = Span(data["name"], data.get("attributes"))
+    span.start_ns = data.get("start_ns")
+    span.end_ns = data.get("end_ns")
+    span.status = data.get("status", "ok")
+    span.error = data.get("error")
+    for child in data.get("children", ()):
+        span.add_child(span_from_dict(child))
+    return span
 
 
 def make_session() -> Telemetry:
@@ -78,7 +92,7 @@ class TestTextRendering:
 
     def test_format_snapshot_lists_every_kind(self):
         telemetry = make_session()
-        text = format_snapshot(telemetry.metrics.snapshot())
+        text = _format_snapshot(telemetry.metrics.snapshot())
         assert "counter monetdb.tuples_touched{server=n0} 9" in text
         assert "gauge depth 3" in text
         assert "histogram lat_ms count=1" in text
