@@ -18,13 +18,15 @@ its oid, document slot and tf, the positions row after row) plus a
 small *delta* of the adds since the base, in pair-oid order
 (:class:`_Delta`).  A term's postings are its base run followed by its
 delta run; pair oids ascend, so that is the order a build gives.  An
-add costs the document: it appends to the delta.  A remove drops a
-delta document from the delta, or a base document's rows from the
-base by one vectorized mask — a copy of the rest of the base.  A read
-merges the delta into a new base (*compaction*, one sort) only when
-the delta has grown to the base's size or dead slots outnumber live
-documents.  A save writes the base merged with the delta without
-installing it, so an IR part stores exactly the segment a build makes.
+add costs the document: it appends to the delta.  A remove costs the
+document too: it is a *tombstone* — the document's slot goes dead in
+``live``, and its pair rows (base or delta) and its ``ir:D`` row stay,
+dead, until compaction; every read masks them out.  A read merges the
+live rows into a new base (*compaction*, one sort) only when the delta
+has grown to the base's live size or dead slots outnumber live
+documents.  A save writes the base merged with the delta, live rows
+only, without installing it, so an IR part stores exactly the segment
+a build makes.
 
 The IDF relation is maintained *lazily*: every mutation only bumps the
 ``generation`` counter and the maintained document frequencies;
@@ -37,7 +39,6 @@ is also what the result cache keys on (:mod:`repro.cache`).
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from array import array
@@ -45,7 +46,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import Iterable
 
@@ -93,13 +94,11 @@ def _run_rows(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _without(column: np.ndarray, starts: np.ndarray,
-             stops: np.ndarray) -> np.ndarray:
-    """``column`` without the rows ``[start, stop)`` of each of the
-    ascending, disjoint spans: the kept spans copied end to end."""
-    edges = zip(chain((0,), stops.tolist()),
-                chain(starts.tolist(), (len(column),)))
-    return np.concatenate([column[a:b] for a, b in edges])
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Where each run of ``counts`` rows starts, and the end."""
+    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return bounds
 
 
 def _codes(names: dict[str, int], values: Iterable[str]) -> array:
@@ -185,20 +184,18 @@ class _Segment:
         return (slice(rows[row], rows[row + 1]),
                 slice(spans[row], spans[row + 1]), max_tfs[row])
 
-    def dropped(self, rows: np.ndarray) -> "_Segment":
-        """This segment without the pair ``rows`` (ascending) and their
-        positions; a run left empty goes with its term.  The kept rows
-        are copied and counted in ``monetdb.rows_moved``."""
-        pairs, dense, tfs = (_without(column, rows, rows + 1)
-                             for column in (self.pairs, self.dense, self.tfs))
-        stops = np.cumsum(self.tfs)[rows]  # each row's positions end there
-        positions = _without(self.positions, stops - self.tfs[rows], stops)
-        starts = self.starts - np.searchsorted(rows, self.starts)
-        held = np.diff(starts, append=len(pairs)) > 0
-        get_telemetry().metrics.counter("monetdb.rows_moved").add(
-            len(pairs) + len(positions))
-        return _Segment(self.terms[held], starts[held], pairs, dense, tfs,
-                        positions)
+    @cached_property
+    def _by_slot(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows in document-slot order and where each slot's rows
+        start in it: one sort per base, made on the first remove."""
+        return _grouped(self.dense)[0], _bounds(np.bincount(self.dense))
+
+    def rows_of(self, slot: int) -> np.ndarray:
+        """The rows of the document in ``slot``, without a scan."""
+        order, bounds = self._by_slot
+        if slot + 1 >= len(bounds):
+            return order[:0]
+        return order[bounds[slot]:bounds[slot + 1]]
 
     def columns(self) -> dict[str, np.ndarray]:
         """The plain columns an IR part stores, by container name."""
@@ -255,16 +252,16 @@ class _Segment:
 class _Delta:
     """The adds since the base, one row per pair in pair-oid order.
 
-    The columns only grow (a document's rows are appended together), so
-    a row never moves and a published generation reads a consistent
-    prefix: the rows below the count it was published with.
-    ``by_term`` (term -> its rows, ascending) finds a term's run
-    without a scan; it is brought up to date on publishing
-    (:meth:`fold`), so a bulk load, which compacts on its first read,
-    never keeps one; ``made`` keeps each term's run as last gathered.
-    ``docs`` maps the slot of each document added
-    since the base and not removed to its first row and pair count;
-    ``held`` counts those documents' pairs.
+    The columns only grow (a document's rows are appended together, and
+    a removed document's rows stay, dead), so a row never moves and a
+    published generation reads a consistent prefix: the rows below the
+    count it was published with, masked by its ``live``.  ``by_term``
+    (term -> its rows, ascending) finds a term's run without a scan; it
+    is brought up to date on publishing (:meth:`fold`), so a bulk load,
+    which compacts on its first read, never keeps one.  ``docs`` maps
+    the slot of each document added since the base and not removed to
+    its first row and pair count; ``held`` counts those documents'
+    pairs.
     """
 
     def __init__(self):
@@ -272,7 +269,6 @@ class _Delta:
             self.positions = (array("q") for _ in range(6))
         self.by_term: dict[int, list[int]] = {}
         self.folded = 0  # rows already in ``by_term``
-        self.made: dict[int, tuple] = {}  # term -> (rows, its run)
         self.docs: dict[int, tuple[int, int]] = {}
         self.held = 0
 
@@ -295,86 +291,50 @@ class _Delta:
 
     def fold(self) -> None:
         """Enter the rows added since the last fold into ``by_term``
-        (a removed document's rows stay out)."""
+        (a document removed before its fold stays out)."""
         by_term, docs, slots = self.by_term, self.docs, self.slots
         for row in range(self.folded, len(self.pairs)):
             if slots[row] in docs:
                 by_term.setdefault(self.terms[row], []).append(row)
         self.folded = len(self.pairs)
 
-    def without(self, slot: int) -> "_Delta":
-        """A delta without the document in ``slot``, sharing this one's
-        columns (its rows stay, unreferenced, until compaction); this
-        delta is unchanged, for the generations that hold it."""
+    def rows_of(self, slot: int) -> slice:
+        """The rows of the document added in ``slot``."""
         first, count = self.docs[slot]
-        delta = copy.copy(self)
-        delta.docs = dict(self.docs)
-        del delta.docs[slot]
-        delta.held -= count
-        if count and first < self.folded:  # its rows are in ``by_term``
-            delta.by_term = dict(self.by_term)
-            for row in range(first, first + count):
-                term = self.terms[row]
-                held = delta.by_term[term]
-                if len(held) == 1:
-                    del delta.by_term[term]
-                else:
-                    held = delta.by_term[term] = held[:]
-                    held.remove(row)
-        return delta
+        return slice(first, first + count)
 
-    def run(self, by_term: dict[int, list[int]], rows: int, term: int):
-        """``term``'s run among the first ``rows`` rows, as indexed by
-        ``by_term``: ``((slots, tfs, positions), max_tf)``, int64
-        columns, or ``None``.  A run is gathered once, then extended by
-        the rows appended since (``made``), so a make costs the rows
-        new to it, not the whole delta run."""
-        held = by_term.get(term, ())
-        held = held[:bisect_left(held, rows)]
-        if not held:
-            return None
-        done, run = self.made.get(term, ([], None))
-        if held[:len(done)] != done:  # a row went: gather afresh
-            done, run = [], None
-        new = held[len(done):]
-        if not new:
-            return run
-        pick = itemgetter(*new) if len(new) > 1 \
-            else lambda column: (column[new[0]],)
+    def gather(self, rows: list[int]) -> tuple[np.ndarray, ...]:
+        """``(slots, tfs, positions)`` of ``rows``, as int64 columns."""
+        pick = itemgetter(*rows) if len(rows) > 1 \
+            else lambda column: (column[rows[0]],)
         tfs = pick(self.tfs)
         positions = array("q")
         for start, tf in zip(pick(self.starts), tfs):
             positions += self.positions[start:start + tf]
-        columns = (np.array(pick(self.slots), dtype=np.int64),
-                   np.array(tfs, dtype=np.int64),
-                   np.array(positions, dtype=np.int64))
-        if run is not None:
-            columns = tuple(map(np.concatenate, zip(run[0], columns)))
-        run = columns, max(max(tfs), run[1] if run else 0)
-        self.made[term] = held, run
-        return run
+        return (np.array(pick(self.slots), dtype=np.int64),
+                np.array(tfs, dtype=np.int64),
+                np.array(positions, dtype=np.int64))
 
 
 @dataclass(eq=False)
 class PackedPostings:
     """One term's postings as packed parallel columns.
 
-    ``docs`` holds the doc oids and ``dense`` their positions in the
-    owning index's ``doc_ids`` universe (both int64, posting order =
-    pair-oid order); ``tfs`` are the integer term frequencies and
-    ``tf_weights`` the same values pre-widened to float64 for the
-    scoring kernels.  Each doc occurs at most once per term (one DT
-    pair per document-term), which is what lets the kernels use
-    unordered scatter-adds and stay bit-identical to the sequential
-    scalar accumulation.  ``positions`` holds every posting's ``tf``
-    occurrence positions, posting after posting.  A made object is
-    immutable and shared between index generations.
+    ``dense`` holds the postings' positions in the owning index's
+    ``doc_ids`` universe (int64, posting order = pair-oid order);
+    ``tfs`` are the integer term frequencies and ``tf_weights`` the same
+    values pre-widened to float64 for the scoring kernels.  Each doc
+    occurs at most once per term (one DT pair per document-term), which
+    is what lets the kernels use unordered scatter-adds and stay
+    bit-identical to the sequential scalar accumulation.  ``positions``
+    holds every posting's ``tf`` occurrence positions, posting after
+    posting.  A made object is immutable and shared between index
+    generations.
     """
 
-    docs: array
-    dense: array
-    tfs: array
-    tf_weights: array
+    dense: np.ndarray
+    tfs: np.ndarray
+    tf_weights: np.ndarray
     max_tf: int = 0
     positions: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -383,7 +343,7 @@ class PackedPostings:
     _offsets: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.dense)
 
     def __eq__(self, other) -> bool:
         """Equal postings: equal column values (views or owned), max tf
@@ -396,7 +356,7 @@ class PackedPostings:
                         other.position_columns()))
 
     def _columns(self) -> tuple:
-        return self.docs, self.dense, self.tfs, self.tf_weights
+        return self.dense, self.tfs, self.tf_weights
 
     def position_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The occurrence positions as columns: one flat int64 column
@@ -418,25 +378,80 @@ class PackedPostings:
         return _view(self.tf_weights, np.float64)
 
 
+def _remade(previous: dict[int, PackedPostings], delta: _Delta, since: int,
+            rows: int, live: np.ndarray) -> dict[int, PackedPostings]:
+    """The postings of the terms in ``previous`` (term -> its postings
+    as an earlier generation made them, over the delta's first ``since``
+    rows), re-made in one pass: the delta rows ``since:rows`` of all
+    these terms and of live documents are found and grouped by term in
+    a handful of array operations, then each term keeps its rows whose
+    slot is still ``live`` and appends its new ones, into columns of its
+    own (so no batch stays pinned).  A term left with no rows has no
+    postings."""
+    terms = sorted(previous)
+    keys = np.array(terms, dtype=np.int64)
+    added = np.frombuffer(delta.terms[since:rows], np.int64)
+    slots = np.frombuffer(delta.slots[since:rows], np.int64)
+    at = np.minimum(np.searchsorted(keys, added), len(keys) - 1)
+    new = np.flatnonzero((keys[at] == added) & live[slots])
+    new = new[np.argsort(at[new], kind="stable")]  # by term, in pair order
+    first = delta.starts[since] if since < rows else len(delta.positions)
+    new_slots = slots[new]
+    new_tfs = np.frombuffer(delta.tfs[since:rows], np.int64)[new]
+    new_positions = np.frombuffer(delta.positions[first:], np.int64)[
+        _run_rows(np.frombuffer(delta.starts[since:rows], np.int64)[new]
+                  - first, new_tfs)]
+    bounds = _bounds(np.bincount(at[new], minlength=len(terms)))
+    spans = _bounds(new_tfs)[bounds].tolist()
+    bounds = bounds.tolist()
+    max_tfs = np.zeros(len(terms), dtype=np.int64)
+    np.maximum.at(max_tfs, at[new], new_tfs)
+    max_tfs = max_tfs.tolist()
+    fresh = {}
+    for number, term in enumerate(terms):
+        packed = previous[term]
+        dense, tfs, positions = packed.dense, packed.tfs, packed.positions
+        max_tf = packed.max_tf
+        keep = live[dense]
+        if not keep.all():
+            positions = positions[np.repeat(keep, tfs)]
+            dense, tfs = dense[keep], tfs[keep]
+            max_tf = int(tfs.max(initial=0))
+        start, stop = bounds[number], bounds[number + 1]
+        if start < stop:
+            span = slice(spans[number], spans[number + 1])
+            dense = np.concatenate((dense, new_slots[start:stop]))
+            tfs = np.concatenate((tfs, new_tfs[start:stop]))
+            positions = np.concatenate((positions, new_positions[span]))
+            max_tf = max(max_tf, max_tfs[number])
+        elif dense is packed.dense:  # unchanged: still columns of its own
+            dense, tfs, positions = dense.copy(), tfs.copy(), positions.copy()
+        if len(dense):
+            fresh[term] = PackedPostings(dense, tfs, tfs.astype(np.float64),
+                                         max_tf, positions)
+    return fresh
+
+
 class TermPostings(Mapping):
     """term oid -> :class:`PackedPostings` of one generation, made on a
     term's first lookup.
 
     A term's postings are its run of the ``base`` segment followed by
-    its run of the ``delta`` as published: the rows and the term index
-    the delta held then.  A lookup memoizes them with ``setdefault``, so
-    concurrent first lookups share one object: in ``views`` when they
-    are zero-copy views of the base (no delta run), else in ``owned``.
-    The next generation starts from this one's made terms minus those
-    written since — and from the owned ones only when the base was
-    replaced, so no old base stays pinned.  ``size`` is the number of
-    terms holding a posting.
+    its run of the ``delta`` as published — the rows and the term index
+    the delta held then — each masked by the generation's ``live``.  A
+    lookup memoizes them with ``setdefault``, so concurrent first
+    lookups share one object: in ``views`` when they are zero-copy
+    views of the base (no dead row, no delta run), else in ``owned``.
+    The base stays the same object until a compaction, so the next
+    generation starts from this one's made terms, with those written
+    since re-made (:func:`_remade`).  ``size`` is the number of terms
+    holding a posting.
     """
 
-    def __init__(self, base: _Segment, delta: _Delta, doc_ids: np.ndarray,
+    def __init__(self, base: _Segment, delta: _Delta, live: np.ndarray,
                  size: int, views: dict[int, PackedPostings],
                  owned: dict[int, PackedPostings]):
-        self.base, self._delta, self._doc_ids = base, delta, doc_ids
+        self.base, self._delta, self._live = base, delta, live
         self._by_term, self._rows = delta.by_term, len(delta.pairs)
         self._size = size
         self.views, self.owned = views, owned
@@ -450,48 +465,66 @@ class TermPostings(Mapping):
         return packed
 
     def __contains__(self, term) -> bool:
-        return term in self.views or term in self.owned \
-            or self.base.run(term) is not None or self._in_delta(term)
+        if term in self.views or term in self.owned:
+            return True
+        run = self.base.run(term)
+        if run is not None and self._live[self.base.dense[run[0]]].any():
+            return True
+        return bool(self._delta_rows(term))
 
     def __iter__(self):
-        """The terms in order of first appearance (first pair oid)."""
+        """The terms in order of first appearance (first live pair
+        oid): the base's, then those only the delta holds."""
         base = self.base
-        yield from base.terms[np.argsort(
-            base.pairs[base.starts])].tolist()
-        own = sorted((held[0], term) for term, held
-                     in list(self._by_term.items())
-                     if held[0] < self._rows and base.run(term) is None)
+        rows = np.flatnonzero(self._live[base.dense])
+        runs, first = np.unique(np.searchsorted(base.starts, rows, "right")
+                                - 1, return_index=True)
+        based = base.terms[runs]
+        yield from based[np.argsort(base.pairs[rows[first]])].tolist()
+        based = set(based.tolist())
+        own = sorted((held[0], term) for term in list(self._by_term)
+                     if term not in based
+                     and (held := self._delta_rows(term)))
         yield from (term for _, term in own)
 
     def __len__(self) -> int:
         return self._size
 
-    def _in_delta(self, term: int) -> bool:
-        held = self._by_term.get(term)
-        return bool(held) and held[0] < self._rows
+    def _delta_rows(self, term: int) -> list[int]:
+        """``term``'s delta rows of this generation with a live slot."""
+        held = self._by_term.get(term, ())
+        slots, live = self._delta.slots, self._live
+        return [row for row in held[:bisect_left(held, self._rows)]
+                if live[slots[row]]]
 
     def _make(self, term: int) -> PackedPostings:
-        base = self.base
+        base, live = self.base, self._live
+        made, parts, max_tf = self.views, [], 0
         run = base.run(term)
-        extra = self._delta.run(self._by_term, self._rows, term)
-        if run is None and extra is None:
-            raise KeyError(term)
-        made = self.owned
-        if run is None:
-            columns, max_tf = extra
-        else:
+        if run is not None:
             rows, spans, max_tf = run
-            columns = base.dense[rows], base.tfs[rows], base.positions[spans]
-            if extra is None:
-                made = self.views
-            else:
-                columns = tuple(map(np.concatenate, zip(columns, extra[0])))
-                max_tf = max(max_tf, extra[1])
-        dense, tfs, positions = columns
+            dense, tfs = base.dense[rows], base.tfs[rows]
+            positions = base.positions[spans]
+            keep = live[dense]
+            if not keep.all():
+                made = self.owned
+                positions = positions[np.repeat(keep, tfs)]
+                dense, tfs = dense[keep], tfs[keep]
+                max_tf = int(tfs.max(initial=0))
+            if len(dense):
+                parts.append((dense, tfs, positions))
+        rows = self._delta_rows(term)
+        if rows:
+            made = self.owned
+            parts.append(self._delta.gather(rows))
+            max_tf = max(max_tf, int(parts[-1][1].max()))
+        if not parts:
+            raise KeyError(term)
+        dense, tfs, positions = parts[0] if len(parts) == 1 \
+            else map(np.concatenate, zip(*parts))
         get_telemetry().metrics.counter("ir.postings_materialized").add(1)
         return made.setdefault(term, PackedPostings(
-            self._doc_ids[dense], dense, tfs, tfs.astype(np.float64), max_tf,
-            positions))
+            dense, tfs, tfs.astype(np.float64), max_tf, positions))
 
 
 @dataclass
@@ -599,10 +632,13 @@ class IrRelations:
         # the terms written since ``_postings_index`` was published
         self._touched: set[Oid] = set()
         self.collection_length = int(self._base.tfs.sum())
+        self._dead_pairs = 0  # base rows whose document was removed
 
     def _renumber(self) -> None:
         """The document slots afresh: one per row of ``ir:D``, in
-        row order — the numbering a compacted base's ``dense`` uses."""
+        row order — the numbering a compacted base's ``dense`` uses.
+        Slot and ``ir:D`` row stay one until the next compaction: an
+        add appends to both, and a remove leaves its row, dead."""
         doc_column, urls = self.D.raw_columns()
         self._doc_ids = array("q", doc_column)
         self._slot_of = dict(zip(self._doc_ids, range(len(self._doc_ids))))
@@ -622,16 +658,35 @@ class IrRelations:
         """Write the IR part, one column container: ``ir:T``, ``ir:D``
         and ``ir:IDF`` (made current first) as BATs, the pair relations
         as one segment — the base merged with the delta
-        (:meth:`_merged`) if a delta or a dead slot is left.  The merge
-        is written, not installed: the base, the delta, the slots and
-        the published index stay, so a generation keeps one slot
-        numbering.  Returns the value count to stamp."""
+        (:meth:`_merged`) if a delta or a dead slot is left, and
+        ``ir:D`` without its dead rows.  The merge is written, not
+        installed: the base, the delta, the slots and the published
+        index stay, so a generation keeps one slot numbering.  Returns
+        the value count to stamp."""
         self.refresh_idf()
         with self._postings_lock:
-            base = self._merged() if len(self._delta) \
-                or len(self._slot_of) < len(self._doc_ids) else self._base
-        return save_catalog(self.catalog, path, names=_STORED,
+            dead = len(self._slot_of) < len(self._doc_ids)
+            base = self._merged() if len(self._delta) or dead \
+                else self._base
+            catalog = self._stored() if dead else self.catalog
+        return save_catalog(catalog, path, names=_STORED,
                             columns=base.columns())
+
+    def _stored(self) -> Catalog:
+        """The stored relations as a compaction would leave them: a
+        catalog sharing the oid sequence, ``ir:D`` without its dead
+        rows (a row is its slot), ``ir:T`` and ``ir:IDF`` as they are."""
+        stored = Catalog()
+        stored.oids = self.catalog.oids
+        for name in _STORED:
+            bat = self.catalog.get(name)
+            heads, tails = bat.raw_columns()
+            if bat is self.D:
+                heads, tails = (list(compress(column, self._live))
+                                for column in (heads, tails))
+            stored.create(name, bat.head_type, bat.tail_type).append_many(
+                heads, tails)
+        return stored
 
     @classmethod
     def load(cls, path, generation: int, *, oid_start: int = 0,
@@ -751,31 +806,34 @@ class IrRelations:
     def remove_document(self, url: str) -> None:
         """Un-index one document (source data changed or disappeared).
 
-        A document added since the base leaves the delta; a base
-        document's rows leave the base by one mask, which replaces it.
-        Either way its slot goes dead.  All-or-nothing: the new delta or
-        base and every new total are computed before the first change,
-        so a step that raises leaves the index as it was.
+        A tombstone: the document's slot goes dead, and its pair rows —
+        in the delta, or in the base, found through the base's slot
+        index (:meth:`_Segment.rows_of`) — and its ``ir:D`` row stay
+        until compaction, so a remove costs the document, not the
+        collection.  All-or-nothing: the rows and every new total are
+        found before the first change, so a step that raises leaves the
+        index as it was.
         """
         doc = self._doc_oids.get(url)
         if doc is None:
             raise CatalogError(f"document not indexed: {url!r}")
         base, delta = self._base, self._delta
         slot = self._slot_of[doc]
-        if slot in delta.docs:
-            first, count = delta.docs[slot]
-            terms = delta.terms[first:first + count].tolist()
-            length = sum(delta.tfs[first:first + count])
-            delta = delta.without(slot)
+        added = slot in delta.docs
+        if added:
+            rows = delta.rows_of(slot)
+            terms = delta.terms[rows].tolist()
+            length = sum(delta.tfs[rows])
         else:
-            rows = np.flatnonzero(base.dense == slot)
+            rows = base.rows_of(slot)
             terms = base.terms[np.searchsorted(base.starts, rows, "right")
                                - 1].tolist()
             length = int(base.tfs[rows].sum())
-            if len(rows):
-                base = base.dropped(rows)
-        self.D.delete_head(doc)
-        self._base, self._delta = base, delta
+        if added:
+            del delta.docs[slot]
+            delta.held -= len(terms)
+        else:
+            self._dead_pairs += len(terms)
         del self._doc_oids[url]
         self._live[slot] = 0
         del self._slot_of[doc]
@@ -847,16 +905,15 @@ class IrRelations:
 
         Publishing a generation copies the slot columns and shares the
         base and the delta (its rows so far); it keeps the previous
-        generation's made terms except those written since — only those
-        owning their columns when the base was replaced, none after a
-        compaction — and makes the written ones again.  Before
-        publishing, the read
-        **compacts** (:meth:`_compact`) when the delta has grown to the
-        base's size (EXPERIMENTS E32 measures that share) — a bulk
-        load's first read, whose base is empty,
-        pays exactly this, once — or when dead slots outnumber live
-        documents.  Double-checked under a lock like
-        :meth:`refresh_idf`.
+        generation's made terms — none after a compaction — and re-makes
+        those written since in one batched pass (:func:`_remade`).
+        Before publishing, the read **compacts** (:meth:`_compact`)
+        when the delta has grown to the base's live size (EXPERIMENTS
+        E32 measures that share) — a bulk load's first read, whose base
+        is empty, pays exactly this, once — or when dead slots
+        outnumber live documents.  ``ir.publish_rows`` counts the rows
+        a publish copies: one per slot, plus the re-made pairs.
+        Double-checked under a lock like :meth:`refresh_idf`.
         """
         index = self._postings_index
         if index is not None and index.generation == self.generation:
@@ -868,7 +925,7 @@ class IrRelations:
                 return index
             live = len(self._slot_of)
             delta = len(self._delta)
-            if delta and delta >= len(self._base.pairs) \
+            if delta and delta >= len(self._base.pairs) - self._dead_pairs \
                     or len(self._doc_ids) - live > live:
                 self._compact()
                 index = None  # its slots are renumbered: keep no term
@@ -879,67 +936,87 @@ class IrRelations:
                  previous: PostingsIndex | None) -> PostingsIndex:
         base, delta = self._base, self._delta
         touched, self._touched = self._touched, set()
-        kept: list[dict[int, PackedPostings]] = [{}, {}]
-        if previous is not None:  # no compaction since: the slots hold
-            made = previous.by_term
-            kept = [dict(made.views) if made.base is base else {},
-                    dict(made.owned)]
-            for terms in kept:
-                for term in touched:
-                    terms.pop(term, None)
         delta.fold()
-        doc_ids = self._doc_ids[:]
-        by_term = TermPostings(base, delta, _view(doc_ids, np.int64),
-                               len(self._df), *kept)
-        if previous is not None:
-            # what readers had made and a write touched is made again
-            # now: the read that must see a write pays for it, not the
-            # reads after it (EXPERIMENTS E32)
+        live = self._live[:]
+        mask = _view(live, bool)
+        views, owned = {}, {}
+        remade = 0
+        if previous is not None:  # no compaction since: base and slots hold
+            made = previous.by_term
+            views, owned = dict(made.views), dict(made.owned)
+            stale = {}
             for term in touched:
-                if term in made.views or term in made.owned:
-                    by_term.get(term)
+                for terms in (views, owned):
+                    packed = terms.pop(term, None)
+                    if packed is not None:
+                        stale[term] = packed
+            if stale:
+                # what readers had made and a write touched is made again
+                # now: the read that must see a write pays for it, not
+                # the reads after it (EXPERIMENTS E32)
+                fresh = _remade(stale, delta, made._rows, len(delta.pairs),
+                                mask)
+                owned.update(fresh)
+                remade = sum(map(len, fresh.values()))
+                get_telemetry().metrics.counter(
+                    "ir.postings_materialized").add(len(fresh))
+        doc_ids = self._doc_ids[:]
+        get_telemetry().metrics.counter("ir.publish_rows").add(
+            len(doc_ids) + remade)
+        by_term = TermPostings(base, delta, mask, len(self._df), views, owned)
         return PostingsIndex(
             generation=generation, by_term=by_term, doc_ids=doc_ids,
             doc_dense=dict(self._slot_of), urls=self._urls[:],
-            live=self._live[:], class_codes=self._class_codes[:],
+            live=live, class_codes=self._class_codes[:],
             field_codes=self._field_codes[:],
             class_names=dict(self._class_names),
             field_names=dict(self._field_names))
 
     def _merged(self) -> _Segment:
-        """The base and the delta's held rows as one segment over
-        ``ir:D``'s rows: one sort (:func:`_grouped`) of the base's terms,
-        row for row, then the delta's clusters the pairs by term, base
-        run before delta run, so in pair order within a term."""
+        """The live rows of the base and the delta as one segment over
+        the live rows of ``ir:D``: one sort (:func:`_grouped`) of the
+        terms, row for row, the base's then the delta's, clusters the
+        pairs by term, base run before delta run, so in pair order
+        within a term."""
         base, delta = self._base, self._delta
         live = _int64(self._live)
+        kept = np.flatnonzero(live[base.dense]) if self._dead_pairs \
+            else slice(None)
         held = np.flatnonzero(live[_int64(delta.slots)])
         pairs, slots, terms, tfs, starts = (_int64(column)[held] for column in (
             delta.pairs, delta.slots, delta.terms, delta.tfs, delta.starts))
         order, terms, runs = _grouped(np.concatenate((np.repeat(
-            base.terms, np.diff(base.starts, append=len(base.pairs))),
+            base.terms, np.diff(base.starts, append=len(base.pairs)))[kept],
             terms)))
-        tfs = np.concatenate((base.tfs, tfs))[order]
-        pos_starts = np.concatenate((np.cumsum(base.tfs) - base.tfs,
+        tfs = np.concatenate((base.tfs[kept], tfs))[order]
+        pos_starts = np.concatenate(((np.cumsum(base.tfs) - base.tfs)[kept],
                                      starts + len(base.positions)))[order]
         positions = np.concatenate((base.positions, _int64(
             delta.positions)))[_run_rows(pos_starts, tfs)]
         rows = np.cumsum(live) - 1  # slot -> row of ir:D
         return _Segment(terms[runs], runs,
-                        np.concatenate((base.pairs, pairs))[order],
-                        rows[np.concatenate((base.dense, slots))[order]],
+                        np.concatenate((base.pairs[kept], pairs))[order],
+                        rows[np.concatenate((base.dense[kept], slots))[order]],
                         tfs, positions)
 
     def _compact(self) -> None:
-        """Merge the delta into a new base and renumber the slots to
-        ``ir:D``'s rows (a reader holds the postings lock, a writer
-        the relations)."""
+        """Merge the live rows into a new base, drop ``ir:D``'s dead rows
+        and renumber the slots to ``ir:D``'s rows (a reader holds the
+        postings lock, a writer the relations).  ``ir:D`` changes in
+        place: a compaction runs only on a generation's first read,
+        and every other reader of that generation waits on the lock in
+        :meth:`postings_index` before it reads ``ir:D``."""
         telemetry = get_telemetry()
         with telemetry.tracer.span("ir.postings_build",
                                    delta=len(self._delta),
                                    base=len(self._base.pairs)) as span:
             self._base = self._merged()
             self._delta = _Delta()
+            self._dead_pairs = 0
+            dead = [doc for doc, alive in zip(self._doc_ids, self._live)
+                    if not alive]
+            if dead:
+                self.D.delete_heads(dead)
             self._renumber()
             span.set_attributes(terms=len(self._base.terms))
         telemetry.metrics.counter("ir.postings_rebuilds").add(1)
@@ -948,7 +1025,8 @@ class IrRelations:
         return {
             "documents": self.document_count(),
             "terms": self.vocabulary_size(),
-            "pairs": len(self._base.pairs) + len(self._delta),
+            "pairs": len(self._base.pairs) - self._dead_pairs
+            + len(self._delta),
             "collection_length": self.collection_length,
             "generation": self.generation,
         }

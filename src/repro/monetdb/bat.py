@@ -5,9 +5,7 @@ pairs.  The paper's Monet XML mapping stores every association type (one
 per root-to-node path) in one such relation.  This module implements the
 BAT with the operators the upper levels run:
 
-* point lookups on head or tail, and a predicate selection,
-* an equi-join,
-* reverse, copy and slice views, and sorting,
+* point lookups on head or tail,
 * append with optional hash indexes kept up to date,
 * batch append (:meth:`BAT.append_many`) validating whole columns at
   C speed,
@@ -101,28 +99,6 @@ class ColumnView(Sequence):
 def _new_column(atom: AtomType) -> Any:
     """An empty column in the packed storage class of the ADT."""
     return array(atom.typecode) if atom.typecode else []
-
-
-def _pack_column(atom: AtomType, values: Iterable[Any]) -> Any:
-    """Pack already-validated values, spilling to a list past int64."""
-    if atom.typecode is None:
-        return list(values)
-    try:
-        return array(atom.typecode, values)
-    except OverflowError:
-        return list(values)
-
-
-def _copy_column(column: Any) -> Any:
-    return column[:] if isinstance(column, array) else list(column)
-
-
-def _take(column: Any, positions: Sequence[int]) -> Any:
-    """The positional gather ``column[positions]``, storage-preserving."""
-    values = [column[i] for i in positions]
-    if isinstance(column, array):
-        return array(column.typecode, values)
-    return values
 
 
 def _rewrap(atom: AtomType, column: Any) -> Callable[[Any], Any] | None:
@@ -223,22 +199,6 @@ class BAT:
         self.head_type = head_type
         self.tail_type = tail_type
         self.clear()
-
-    @classmethod
-    def _derived(cls, head_type: AtomType, tail_type: AtomType, name: str,
-                 head: Any, tail: Any, head_ascending: bool = False,
-                 tail_ascending: bool = False) -> "BAT":
-        """An operator result over ready-made columns.
-
-        The ascending flags default to *unknown* (False); operators that
-        keep row order pass their operand's flags through.
-        """
-        result = cls(head_type, tail_type, name=name)
-        result._head = head
-        result._tail = tail
-        result._head_ascending = head_ascending
-        result._tail_ascending = tail_ascending
-        return result
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -487,7 +447,7 @@ class BAT:
         return self._head_index or self._build_head_index()
 
     # ------------------------------------------------------------------
-    # selections
+    # lookups
     # ------------------------------------------------------------------
 
     def find(self, head: Any) -> Any:
@@ -528,93 +488,9 @@ class BAT:
         """Return the heads of all associations with the given tail.
 
         Uses the tail hash index, so repeated reverse lookups don't pay
-        for building a reversed BAT.
+        for a scan each.
         """
         return [self._head[i] for i in self._positions_by_tail(tail)]
-
-    def select(self, predicate: Callable[[Any], bool]) -> "BAT":
-        """Select associations whose tail satisfies ``predicate`` (scan)."""
-        return self._gather([i for i, tail in enumerate(self._tail)
-                             if predicate(tail)], "select")
-
-    def _gather(self, positions: Sequence[int], name: str) -> "BAT":
-        """The rows at ascending ``positions``: row order, and with it
-        the ascending property, carries over."""
-        return BAT._derived(
-            self.head_type, self.tail_type, f"{self.name}.{name}",
-            _take(self._head, positions), _take(self._tail, positions),
-            self._head_ascending, self._tail_ascending)
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-
-    def reverse(self) -> "BAT":
-        """Return a BAT with head and tail swapped."""
-        return BAT._derived(
-            self.tail_type, self.head_type, f"{self.name}.reverse",
-            _copy_column(self._tail), _copy_column(self._head),
-            self._tail_ascending, self._head_ascending)
-
-    def copy(self, name: str = "") -> "BAT":
-        """Return an independent copy of this BAT."""
-        return BAT._derived(
-            self.head_type, self.tail_type, name or self.name,
-            _copy_column(self._head), _copy_column(self._tail),
-            self._head_ascending, self._tail_ascending)
-
-    def slice(self, start: int, stop: int) -> "BAT":
-        """Return the positional slice [start, stop) as a new BAT."""
-        return BAT._derived(
-            self.head_type, self.tail_type, f"{self.name}.slice",
-            self._head[start:stop], self._tail[start:stop],
-            self._head_ascending, self._tail_ascending)
-
-    # ------------------------------------------------------------------
-    # joins
-    # ------------------------------------------------------------------
-
-    def join(self, other: "BAT") -> "BAT":
-        """Equi-join: pairs (h1, t2) where self.tail == other.head.
-
-        Implemented as a hash join on the smaller side's join column.
-        """
-        if self.tail_type.name != other.head_type.name:
-            raise BatError(
-                f"join type mismatch: {self.tail_type.name} vs "
-                f"{other.head_type.name}")
-        other_index = other._head_index or other._build_head_index()
-        heads: list[Any] = []
-        tails: list[Any] = []
-        other_tail = other._tail
-        for head, tail in zip(self._head, self._tail):
-            for position in other_index.get(tail, ()):
-                heads.append(head)
-                tails.append(other_tail[position])
-        return BAT._derived(
-            self.head_type, other.tail_type,
-            f"{self.name}.join({other.name})",
-            _pack_column(self.head_type, heads),
-            _pack_column(other.tail_type, tails))
-
-    # ------------------------------------------------------------------
-    # ordering and aggregation
-    # ------------------------------------------------------------------
-
-    def sort_tail(self, descending: bool = False) -> "BAT":
-        """Return a copy ordered by tail value."""
-        tail = self._tail
-        order = sorted(range(len(self._head)),
-                       key=tail.__getitem__, reverse=descending)
-        return BAT._derived(
-            self.head_type, self.tail_type, f"{self.name}.sort",
-            _take(self._head, order), _take(self._tail, order))
-
-    def topn(self, n: int, descending: bool = True) -> "BAT":
-        """Return the n associations with the largest (or smallest) tails."""
-        if n < 0:
-            raise BatError("topn requires n >= 0")
-        return self.sort_tail(descending=descending).slice(0, n)
 
     # ------------------------------------------------------------------
     # bulk construction

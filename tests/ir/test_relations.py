@@ -12,7 +12,8 @@ from tests.kernels.postings_oracle import copy_catalog, pairs
 
 def postings(relations: IrRelations, term) -> dict:
     """One term's ``{doc: tf}``, read off the packed index."""
-    return dict(pairs(relations.postings_index().by_term.get(int(term))))
+    index = relations.postings_index()
+    return dict(pairs(index.doc_ids, index.by_term.get(int(term))))
 
 
 @pytest.fixture
@@ -134,13 +135,13 @@ class TestRemoval:
         # regression: remove_document used to forget the url and lower
         # collection_length pair by pair *before* a lookup could fail —
         # a raise mid-way left a document unknown by url yet still ranked.
-        # Both ways a remove drops pairs — from the base, from the delta
-        # — are made to fail.
+        # Both ways a remove finds a document's pairs — in the base, in
+        # the delta — are made to fail.
         from repro.ir.relations import _Delta, _Segment
         from tests.kernels.postings_oracle import pair_rows
 
         def fail(*args):
-            raise BatError("injected: the pairs could not be dropped")
+            raise BatError("injected: the pairs could not be found")
 
         def everything():
             return (relations.stats(), pair_rows(relations),
@@ -155,8 +156,8 @@ class TestRemoval:
         for url in ("http://x/d1", "http://x/d4"):
             before = everything()
             with monkeypatch.context() as patch:
-                patch.setattr(_Segment, "dropped", fail)
-                patch.setattr(_Delta, "without", fail)
+                patch.setattr(_Segment, "rows_of", fail)
+                patch.setattr(_Delta, "rows_of", fail)
                 with pytest.raises(BatError, match="injected"):
                     relations.remove_document(url)
             assert everything() == before  # incl. the generation

@@ -31,7 +31,7 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
 
     index = relations.postings_index()
     by_term = index.by_term
-    sizes = [len(by_term[oid].docs) for oid in term_oids]
+    sizes = [len(by_term[oid]) for oid in term_oids]
     target = max(1, -(-sum(sizes) // fragment_count))  # ceil division
 
     # a fragment closes once it holds its share of the tuples (the last

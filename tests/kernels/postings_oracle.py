@@ -18,12 +18,25 @@ from repro.ir.relations import (IrRelations, PackedPostings,
 from repro.monetdb.catalog import Catalog
 
 
-def pairs(packed: PackedPostings | None) -> list[tuple[int, int]]:
+def docs_of(doc_ids, packed: PackedPostings) -> list[int]:
+    """One term's postings' doc oids in posting order: ``doc_ids[dense]``
+    over the universe of the index (or fragment set) that made them."""
+    return np.array(doc_ids, dtype=np.int64)[packed.dense_view()].tolist()
+
+
+def pairs(doc_ids, packed: PackedPostings | None) -> list[tuple[int, int]]:
     """One term's postings as ``(doc, tf)`` in posting order (``None``,
     a term with no postings: none)."""
     if packed is None:
         return []
-    return list(zip(packed.docs.tolist(), packed.tfs.tolist()))
+    return list(zip(docs_of(doc_ids, packed), packed.tfs.tolist()))
+
+
+def live_documents(relations: IrRelations) -> list[tuple[int, str]]:
+    """``ir:D``'s live rows as ``(doc, url)``, in row order: a removed
+    document's row stays, dead, until compaction."""
+    return [(int(doc), url) for doc, url in relations.D
+            if relations.doc_oid(url) == doc]
 
 
 def pair_rows(relations: IrRelations) -> list[tuple]:
@@ -31,7 +44,8 @@ def pair_rows(relations: IrRelations) -> list[tuple]:
     from the segment a compaction would make (the relations are left as
     they are)."""
     segment = relations._merged()
-    docs = np.array(relations.D.raw_columns()[0], dtype=np.int64)
+    docs = np.array([doc for doc, _ in live_documents(relations)],
+                    dtype=np.int64)
     terms = np.repeat(segment.terms,
                       np.diff(segment.starts, append=len(segment.pairs)))
     offsets = np.cumsum(segment.tfs) - segment.tfs
@@ -42,22 +56,29 @@ def pair_rows(relations: IrRelations) -> list[tuple]:
     return sorted(rows)
 
 
-def copy_catalog(catalog: Catalog) -> Catalog:
-    """A deep copy through the public surface (what a snapshot does)."""
+def copy_catalog(catalog: Catalog, documents=None) -> Catalog:
+    """A deep copy through the public surface (what a snapshot does);
+    ``documents``, if given, are the ``(doc, url)`` rows ``ir:D`` gets."""
     fresh = Catalog()
     for name in catalog.names():
         bat = catalog.get(name)
-        fresh.create(name, bat.head_type, bat.tail_type).append_many(
-            list(bat.head), list(bat.tail))
+        rows = (list(bat.head), list(bat.tail)) \
+            if documents is None or name != "ir:D" \
+            else ([doc for doc, _ in documents],
+                  [url for _, url in documents])
+        fresh.create(name, bat.head_type, bat.tail_type).append_many(*rows)
     fresh.oids.advance_past(int(catalog.oids.peek()) - 1)
     return fresh
 
 
 def compacted(relations: IrRelations) -> IrRelations:
     """A fresh ``IrRelations`` over a copy of the catalog whose base is
-    the compacted segment: what a restart of a save would hold."""
+    the compacted segment and whose ``ir:D`` holds the live documents:
+    what a restart of a save would hold."""
     relations.refresh_idf()  # the base's df order is IDF's row order
-    copy = IrRelations(copy_catalog(relations.catalog), relations._merged())
+    copy = IrRelations(copy_catalog(relations.catalog,
+                                    live_documents(relations)),
+                       relations._merged())
     copy.generation = relations.generation
     return copy
 
@@ -67,8 +88,7 @@ def build_postings_index(relations: IrRelations,
     index = PostingsIndex(generation=generation)
     doc_ids = index.doc_ids
     doc_dense = index.doc_dense
-    for doc, url in zip(relations.D.head, relations.D.tail):
-        doc = int(doc)
+    for doc, url in live_documents(relations):
         doc_dense[doc] = len(doc_ids)
         doc_ids.append(doc)
         index.urls.append(url)
@@ -88,7 +108,6 @@ def build_postings_index(relations: IrRelations,
         entry[2].append(positions)
     for term, (docs, tfs, runs) in grouped.items():
         index.by_term[term] = PackedPostings(
-            docs=array("q", docs),
             dense=array("q", [doc_dense[doc] for doc in docs]),
             tfs=array("q", tfs),
             tf_weights=array("d", tfs),

@@ -28,7 +28,8 @@ from repro.service.api import (MODE_CONTENT, MODE_FRAGMENTED,
                                SCHEMA_VERSION_V2, SearchRequest)
 from repro.telemetry import telemetry_session
 
-from tests.kernels.postings_oracle import compacted, pair_rows, pairs
+from tests.kernels.postings_oracle import (compacted, docs_of, pair_rows,
+                                           pairs)
 
 pytestmark = pytest.mark.kernels
 
@@ -74,7 +75,7 @@ def positions_of(packed) -> list[list[int]]:
 
 def postings_of(relations: IrRelations) -> dict:
     index = relations.postings_index()
-    return {int(term): (list(packed.docs), list(packed.tfs),
+    return {int(term): (docs_of(index.doc_ids, packed), list(packed.tfs),
                         positions_of(packed), packed.max_tf)
             for term, packed in index.by_term.items()}
 
@@ -92,12 +93,13 @@ def universe_of(relations: IrRelations) -> tuple:
 
 
 def layout_of(relations: IrRelations, count: int) -> list:
+    fragments = fragment_by_idf(relations, count)
     return [(set(map(int, fragment.term_oids)), fragment.tuples,
              {int(t): w for t, w in fragment.idf.items()},
              {int(t): fragment.packed[t].max_tf for t in fragment.term_oids},
-             {int(t): pairs(fragment.packed[t])
+             {int(t): pairs(fragments.doc_ids, fragment.packed[t])
               for t in fragment.term_oids})
-            for fragment in fragment_by_idf(relations, count)]
+            for fragment in fragments]
 
 
 def requests():

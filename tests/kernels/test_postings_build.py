@@ -30,8 +30,8 @@ def assert_parity(relations: IrRelations) -> None:
     for term, packed in oracle.by_term.items():
         assert built.by_term[term] == packed, term
         assert [column.typecode for column in (
-            packed.docs, packed.dense, packed.tfs, packed.tf_weights)] \
-            == ["q", "q", "q", "d"]
+            packed.dense, packed.tfs, packed.tf_weights)] \
+            == ["q", "q", "d"]
     assert built.doc_ids == oracle.doc_ids
     assert built.doc_dense == oracle.doc_dense
     assert built.urls == oracle.urls

@@ -147,3 +147,13 @@ class TestSelectTop:
     def test_no_candidates(self):
         empty = np.empty(0)
         assert select_top(empty, empty.astype(np.int64), 3).tolist() == []
+
+    def test_the_oracle_quantizes_like_select_top(self):
+        """A half-way score: Python's ``round`` gives 9.874580965 and
+        ``np.round`` 9.874580966, so only the same quantizer ties the
+        pair and lets the doc oid order it."""
+        scores = {1: 9.8745809655, 2: 9.874580966}
+        raw = np.array(list(scores.values()))
+        docs = np.array(list(scores), dtype=np.int64)
+        assert [doc for doc, _ in oracle._rank(scores, 2)] \
+            == docs[select_top(raw, docs, 2)].tolist() == [1, 2]

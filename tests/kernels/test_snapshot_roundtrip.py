@@ -88,7 +88,7 @@ class TestIrRoundTrip:
         packed = index.by_term.get(int(loaded.term_oid("w0")))
         assert packed is not None
         # built postings are int64 / float64 views over the segment
-        assert packed.docs.dtype == packed.dense.dtype == np.int64
+        assert packed.dense.dtype == np.int64
         assert packed.tf_weights.dtype == np.float64
 
 
@@ -139,3 +139,14 @@ class TestSegmentRoundTrip:
         assert stored.keys() == rewritten.keys()
         for name, column in stored.items():
             assert np.array_equal(rewritten[name], column), name
+
+    def test_a_save_over_tombstones_is_the_compacted_save(self, original,
+                                                          tmp_path):
+        """Removed documents' pair rows and ``ir:D`` rows stay, dead,
+        until compaction; a save leaves them out, so it writes the bytes
+        the same relations write once compacted."""
+        original.save(tmp_path / "served.bats")
+        original._compact()
+        original.save(tmp_path / "compacted.bats")
+        assert (tmp_path / "served.bats").read_bytes() \
+            == (tmp_path / "compacted.bats").read_bytes()

@@ -25,7 +25,7 @@ from repro.ir.topn import topn_fragmented
 from repro.telemetry import telemetry_session
 
 from tests.kernels.conftest import build_relations
-from tests.kernels.postings_oracle import compacted
+from tests.kernels.postings_oracle import compacted, docs_of
 
 pytestmark = pytest.mark.kernels
 
@@ -38,13 +38,11 @@ def url(key: int) -> str:
 
 def contents(relations: IrRelations, index) -> dict:
     """term -> postings, by document (dense numbers differ between a
-    served and a compacted index); every ``dense`` must name its doc."""
-    doc_ids = np.array(index.doc_ids, dtype=np.int64)
+    served and a compacted index)."""
     by_term = {}
     for term, packed in index.by_term.items():
-        assert doc_ids[packed.dense_view()].tolist() == list(packed.docs)
         flat, offsets = packed.position_columns()
-        by_term[term] = (list(packed.docs), list(packed.tfs),
+        by_term[term] = (docs_of(index.doc_ids, packed), list(packed.tfs),
                          [flat[start:stop].tolist() for start, stop
                           in zip(offsets[:-1], offsets[1:])],
                          packed.max_tf)
@@ -224,3 +222,77 @@ def test_concurrent_first_reads_compact_once():
     assert not any(worker.is_alive() for worker in workers)
     assert compactions == 1
     assert len(got) == threads and all(index is got[0] for index in got)
+
+
+def made_terms(index) -> dict:
+    return {**index.by_term.views, **index.by_term.owned}
+
+
+def test_a_base_remove_keeps_the_made_views():
+    """A remove is a tombstone: the base stays the same object, so a
+    term the removed document does not hold keeps its zero-copy views
+    into the next generation, and a term it holds is made again without
+    the dead row."""
+    relations = build_relations(seed=15, docs=40)
+    index = relations.postings_index()
+    for term in index.by_term:
+        index.by_term[term]
+    victim = "http://site/d7"
+    doc = relations.doc_oid(victim)
+    held = {term for term, packed in made_terms(index).items()
+            if doc in docs_of(index.doc_ids, packed)}
+    relations.remove_document(victim)
+    after = relations.postings_index()
+    assert after.by_term.base is index.by_term.base
+    for term, packed in index.by_term.views.items():
+        if term not in held:
+            assert after.by_term.views[term] is packed
+    for term in held:
+        if term in after.by_term:
+            assert doc not in docs_of(after.doc_ids, after.by_term[term])
+    built = compacted(relations).postings_index()
+    assert contents(relations, after) == contents(relations, built)
+
+
+def test_remade_terms_own_their_columns():
+    """The read after a write re-makes the touched, made terms in one
+    batched pass; each gets columns of its own, so no two made terms'
+    columns share memory (no batch array stays pinned by its untouched
+    terms) and none is a view of the previous generation's."""
+    relations = build_relations(seed=16, docs=40)
+    relations.postings_index()
+    relations.add_document("http://site/extra", "w0 w1 w2 w3 w5 w8 trophy")
+    first = relations.postings_index()
+    for term in first.by_term:
+        first.by_term[term]
+    relations.remove_document("http://site/d3")  # a base document
+    relations.add_document("http://site/late", "w0 w1 w1 w2 w4 melbourne")
+    relations.remove_document("http://site/extra")  # a delta document
+    with telemetry_session() as telemetry:
+        second = relations.postings_index()
+        remade = telemetry.metrics.sum_counters("ir.postings_materialized")
+        rows = telemetry.metrics.sum_counters("ir.publish_rows")
+    fresh = [packed for term, packed in second.by_term.owned.items()
+             if made_terms(first).get(term) is not packed]
+    assert remade == len(fresh) > 0
+    assert rows == len(second.doc_ids) + sum(map(len, fresh))
+    every = {id(packed): packed for packed in [
+        *made_terms(first).values(), *made_terms(second).values()]}
+    columns = [(owner, column) for owner, packed in every.items()
+               for column in (packed.dense, packed.tfs, packed.tf_weights,
+                              packed.positions)]
+    for number, (owner, column) in enumerate(columns):
+        for other, against in columns[number + 1:]:
+            if other != owner:
+                assert not np.shares_memory(column, against)
+    # nor is a re-made term's column a slice of an array another term
+    # also slices: its whole buffer is its own
+    for packed in fresh:
+        for column in (packed.dense, packed.tfs, packed.tf_weights,
+                       packed.positions):
+            buffer = column if column.base is None else column.base
+            for other, against in columns:
+                if other != id(packed):
+                    assert not np.shares_memory(buffer, against)
+    built = compacted(relations).postings_index()
+    assert contents(relations, second) == contents(relations, built)

@@ -26,14 +26,16 @@ from tests.kernels.postings_oracle import pairs
 
 
 def _rank(scores, n):
-    # the canonical total order: score quantized to 1e-9 desc, then oid
+    # the canonical total order: score quantized to 1e-9 desc, then oid;
+    # quantized as production does (``np.round``, not ``round``: the two
+    # disagree on a half-way score)
     ranking = sorted(scores.items(),
-                     key=lambda item: (-round(item[1], 9), item[0]))
+                     key=lambda item: (-np.round(item[1], 9), item[0]))
     return ranking if n is None else ranking[:n]
 
 
-def _postings(fragment, term):
-    return pairs(fragment.packed[term])
+def _postings(fragments, fragment, term):
+    return pairs(fragments.doc_ids, fragment.packed[term])
 
 
 def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
@@ -56,7 +58,7 @@ def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
         result.fragments_read += 1
         for term in touched:
             weight = fragment.idf[term]
-            postings = _postings(fragment, term)
+            postings = _postings(fragments, fragment, term)
             result.tuples_read += len(postings)
             for doc, tf in postings:
                 scores[doc] += tf * weight
@@ -87,7 +89,7 @@ def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
         for fragment in fragments.fragments[stop_index:]:
             for term in wanted & fragment.term_oids:
                 weight = fragment.idf[term]
-                postings = _postings(fragment, term)
+                postings = _postings(fragments, fragment, term)
                 result.tuples_read += len(postings)
                 for doc, tf in postings:
                     if doc in members:
@@ -133,7 +135,7 @@ def structured_scores(fragments, entries, matched, field_weight, n):
     for fragment in fragments:
         for term in wanted & fragment.term_oids:
             idf = fragment.idf[term]
-            postings = _postings(fragment, term)
+            postings = _postings(fragments, fragment, term)
             for _, entry_weight, restriction in grouped[term]:
                 weight = idf * entry_weight
                 result.tuples_read += len(postings)
@@ -160,7 +162,7 @@ def topn_cutoff(fragments, query_terms, n, keep_fragments):
         result.fragments_read += 1
         for term in touched:
             weight = fragment.idf[term]
-            postings = _postings(fragment, term)
+            postings = _postings(fragments, fragment, term)
             result.tuples_read += len(postings)
             for doc, tf in postings:
                 scores[doc] += tf * weight
@@ -173,7 +175,8 @@ def rank_tfidf(relations, query, n=10):
     scores = defaultdict(float)
     for term_oid in query_term_oids(relations, query):
         weight = relations.idf(term_oid)
-        for doc, tf in pairs(
-                relations.postings_index().by_term.get(int(term_oid))):
+        index = relations.postings_index()
+        for doc, tf in pairs(index.doc_ids,
+                             index.by_term.get(int(term_oid))):
             scores[doc] += tf * weight
     return _rank(scores, n)

@@ -1,11 +1,9 @@
 """Remove law: a remove moves rows in proportion to the document.
 
-``monetdb.rows_moved`` counts every row a delete slides or copies.
-Today a remove of a base document copies every other pair and position
-row of the base into a new one (``_Segment.dropped``), so the rows moved
-per remove grow with the corpus: the law is red until removes become
-tombstones (ROADMAP item 8(b)), and ``strict`` makes that PR flip the
-mark.
+``monetdb.rows_moved`` counts every row a delete slides or copies.  A
+remove is a tombstone: the document's slot goes dead, and its pair rows
+and its ``ir:D`` row stay until a compaction, which no remove runs — so
+the rows moved per remove do not grow with the corpus.
 """
 
 import pytest
@@ -14,6 +12,8 @@ from repro.ir.engine import IrEngine
 from repro.telemetry import telemetry_session
 
 from tests.laws.conftest import N, documents
+
+pytestmark = pytest.mark.kernels
 
 REMOVES = 20
 
@@ -31,9 +31,6 @@ def rows_moved_per_remove(count: int) -> float:
     return moved / REMOVES
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8(b): a base "
-                   "remove copies the rest of the base until removes "
-                   "become tombstones")
 def test_rows_moved_per_remove_are_constant_in_n():
     small, large = (rows_moved_per_remove(count) for count in (N, 4 * N))
     # the same generator's documents: equal up to their own sizes

@@ -64,57 +64,6 @@ class TestFind:
         assert ages.find_heads(30) == [1, 3, 5]
 
 
-class TestSelect:
-    def test_select_predicate(self, ages):
-        assert ages.select(lambda age: age > 28).head == [1, 3, 4]
-
-
-class TestViews:
-    def test_reverse_swaps_columns(self, ages):
-        reversed_bat = ages.reverse()
-        assert reversed_bat.head[:2] == [30, 25]
-        assert reversed_bat.head_type.name == "int"
-
-    def test_copy_is_independent(self, ages):
-        clone = ages.copy()
-        clone.insert(Oid(9), 1)
-        assert len(ages) == 4
-
-    def test_slice(self, ages):
-        assert list(ages.slice(1, 3)) == [(2, 25), (3, 30)]
-
-
-class TestJoin:
-    def test_join_matches_tail_to_head(self):
-        left = BAT.from_pairs("oid", "str", [(Oid(1), "a"), (Oid(2), "b")])
-        right = BAT.from_pairs("str", "int", [("a", 10), ("b", 20),
-                                              ("a", 11)])
-        joined = left.join(right)
-        assert sorted(joined) == [(1, 10), (1, 11), (2, 20)]
-
-    def test_join_type_mismatch_raises(self):
-        left = BAT.from_pairs("oid", "int", [(Oid(1), 1)])
-        right = BAT.from_pairs("str", "int", [("a", 1)])
-        with pytest.raises(BatError):
-            left.join(right)
-
-
-class TestOrderingAndAggregates:
-    def test_sort_tail_ascending(self, ages):
-        assert ages.sort_tail().tail == [25, 30, 30, 41]
-
-    def test_sort_tail_descending(self, ages):
-        assert ages.sort_tail(descending=True).tail == [41, 30, 30, 25]
-
-    def test_topn(self, ages):
-        top = ages.topn(2)
-        assert top.tail == [41, 30]
-
-    def test_topn_negative_raises(self, ages):
-        with pytest.raises(BatError):
-            ages.topn(-1)
-
-
 class TestUpdates:
     def test_delete_head_removes_all(self):
         bat = BAT.from_pairs("oid", "int", [(Oid(1), 5), (Oid(1), 7),

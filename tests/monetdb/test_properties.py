@@ -39,52 +39,12 @@ def test_find_heads_matches_model(pairs, needle):
 
 
 @settings(max_examples=80)
-@given(_pairs)
-def test_reverse_is_involution(pairs):
-    bat, _ = _bat_and_model(pairs)
-    assert list(bat.reverse().reverse()) == list(bat)
-
-
-@settings(max_examples=80)
 @given(_pairs, st.integers(0, 20))
 def test_delete_head_matches_model(pairs, doomed):
     bat, model = _bat_and_model(pairs)
     removed = bat.delete_head(Oid(doomed))
     assert removed == len(model.get(doomed, []))
     assert list(bat) == [(h, t) for h, t in pairs if h != doomed]
-
-
-@settings(max_examples=80)
-@given(_pairs)
-def test_sort_tail_is_stable_permutation(pairs):
-    bat, _ = _bat_and_model(pairs)
-    ordered = list(bat.sort_tail())
-    assert sorted(t for _, t in pairs) == [t for _, t in ordered]
-    assert sorted(ordered) == sorted(pairs)  # a permutation
-
-
-@settings(max_examples=80)
-@given(_pairs, _pairs)
-def test_join_matches_nested_loop(left_pairs, right_pairs):
-    left = BAT("oid", "int")
-    for head, tail in left_pairs:
-        left.insert(Oid(head), tail)
-    right = BAT("int", "str")
-    for head, tail in right_pairs:
-        right.insert(head, str(tail))
-    expected = [(Oid(lh), str(rt))
-                for lh, lt in left_pairs
-                for rh, rt in right_pairs if lt == rh]
-    assert sorted(left.join(right)) == sorted(expected)
-
-
-@settings(max_examples=80)
-@given(_pairs, st.integers(0, 5))
-def test_topn_matches_sorted_prefix(pairs, n):
-    bat, _ = _bat_and_model(pairs)
-    top = list(bat.topn(n))
-    tails = sorted((t for _, t in pairs), reverse=True)[:n]
-    assert [t for _, t in top] == tails
 
 
 # ----------------------------------------------------------------------
@@ -167,10 +127,6 @@ def test_ascending_flag_tracks_appends(first, second):
     assert bat.head_ascending == (heads == sorted(heads))
     assert bat.tail_ascending == (sorted(first) + sorted(second)
                                   == sorted(heads))
-    copied = bat.copy()
-    assert (copied.head_ascending, copied.tail_ascending) == \
-        (bat.head_ascending, bat.tail_ascending)
-    assert bat.reverse().head_ascending == bat.tail_ascending
 
 
 def test_out_of_order_insert_clears_the_flag_and_lookups_stay_right():

@@ -28,7 +28,7 @@ from repro.ir.relations import url_segments
 from repro.query.ast import And, Filter, Node, Not, Or, Phrase, Range, Term
 from repro.query.eval import filters_to_nodes
 
-from tests.kernels.postings_oracle import pair_rows
+from tests.kernels.postings_oracle import docs_of, pair_rows
 from tests.kernels.topn_oracle import structured_scores
 
 
@@ -52,7 +52,7 @@ class _Evaluator:
         packed = self.index.by_term.get(int(oid))
         if packed is None:
             return set()
-        return {int(doc) for doc in packed.docs}
+        return set(docs_of(self.index.doc_ids, packed))
 
     def _restrict_field(self, docs: set[int], name: str | None) -> set[int]:
         if name is None:
@@ -95,8 +95,8 @@ class _Evaluator:
                 return set()  # out-of-vocabulary word: no phrase match
             packeds.append(packed)
             oids.append(int(oid))
-        candidates = set.intersection(*({int(doc) for doc in packed.docs}
-                                        for packed in packeds))
+        candidates = set.intersection(*(
+            set(docs_of(self.index.doc_ids, packed)) for packed in packeds))
         matched: set[int] = set()
         for doc in candidates:
             starts = self.positions[doc, oids[0]]
@@ -120,7 +120,7 @@ class _Evaluator:
                 continue
             packed = self.index.by_term.get(int(oid))
             if packed is not None:
-                matched |= {int(doc) for doc in packed.docs}
+                matched |= set(docs_of(self.index.doc_ids, packed))
         return self._restrict_field(matched, node.field)
 
     # -- scoring entries --------------------------------------------------
