@@ -9,11 +9,12 @@
    200-document corpus; the acceptance bar is a >= 5x median-latency
    win, and the report carries the measured ratio.
 
-2. **Deferred IDF maintenance**: population used to refresh the IDF
+2. **Deferred derivation**: population used to refresh the IDF
    relation eagerly (O(vocabulary) per batch of inserts); the
-   generation stamp defers that to the first read.  Measured as
-   documents/second of pure ``add_document`` population with the old
-   eager refresh replayed per insert vs the deferred path.
+   generation stamp defers every derived structure to the first read.
+   Measured as documents/second of pure ``add_document`` population
+   with a publish (``refresh_idf``) replayed per insert vs the deferred
+   path.
 
 Writes ``BENCH_cache.json`` next to the other ``BENCH_*`` artifacts.
 """
@@ -60,9 +61,9 @@ def _population_docs_per_second(docs, eager: bool):
         engine.index(url, text)
         if eager:
             # replay the pre-caching behaviour: the old write path
-            # refreshed IDF eagerly while populating
+            # derived eagerly while populating
             engine.relations.refresh_idf()
-    engine.relations.refresh_idf()  # deferred path pays its one refresh
+    engine.relations.refresh_idf()  # deferred path pays its one publish
     elapsed = time.perf_counter() - start
     return len(docs) / elapsed
 

@@ -61,7 +61,7 @@ def _build_ir_engine() -> IrEngine:
     for url, text in zipf_corpus(DOCUMENTS, vocabulary=300,
                                  words_per_doc=240):
         engine.index(url, text)
-    # materialise the deferred IDF refresh outside the timed region
+    # publish the generation outside the timed region
     engine.search("grandslam", policy=NO_CACHE)
     return engine
 

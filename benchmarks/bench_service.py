@@ -53,7 +53,7 @@ def _build_engine() -> IrEngine:
     for url, text in zipf_corpus(DOCUMENTS, vocabulary=300,
                                  words_per_doc=240):
         engine.index(url, text)
-    # materialise the deferred IDF refresh outside the timed region
+    # publish the generation outside the timed region
     engine.search("grandslam", policy=NO_CACHE)
     return engine
 

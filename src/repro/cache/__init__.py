@@ -4,9 +4,10 @@ Two cooperating pieces:
 
 * **generation stamps** — :class:`~repro.ir.relations.IrRelations`
   and :class:`~repro.xmlstore.store.XmlStore` bump a ``generation``
-  counter on every mutation; IDF refresh, the packed postings, the
-  idf-ordered fragments and the conceptual index's lookups are memoized
-  against it, so a derived structure is rebuilt only when the data
+  counter on every mutation; the packed postings and the idf-ordered
+  fragments hang off the postings index a generation's first read
+  publishes, and the conceptual index's lookups are memoized against
+  it, so a derived structure is rebuilt only when the data
   under it actually changed,
 * **the result cache** — one bounded, thread-safe LRU
   (:class:`LruCache`) owned by :class:`~repro.service.SearchService`,

@@ -53,11 +53,6 @@ class ParseNode:
         self.children.append(child)
         return child
 
-    def replace_children(self, children: list["ParseNode"]) -> None:
-        for child in children:
-            child.parent = self
-        self.children = children
-
     def ancestors(self) -> Iterator["ParseNode"]:
         node = self.parent
         while node is not None:

@@ -50,7 +50,7 @@ from repro.errors import ClusterExecutionError, QueryError
 from repro.monetdb.algebra import topn_merge
 from repro.monetdb.atoms import Oid
 from repro.monetdb.server import Cluster
-from repro.ir.fragmentation import FragmentSet, fragment_by_idf
+from repro.ir.fragmentation import FragmentSet
 from repro.ir.ranking import Ranking, query_term_oids
 from repro.ir.relations import IrRelations
 from repro.ir.topn import TopNResult, topn_fragmented
@@ -179,8 +179,6 @@ class DistributedIndex:
             server.name: IrRelations(server.catalog)
             for server in cluster.servers
         }
-        self._fragments: dict[str, FragmentSet] = {}
-        self._fragment_generations: dict[str, int] = {}
         # the process backend's replica set; attached by start_remote()
         self.remote = None
 
@@ -240,12 +238,16 @@ class DistributedIndex:
         """Index a document centrally and on its placement node.
 
         Write-path invalidation is implicit: both mutations bump their
-        relations' generation, which stales the node's fragment set and
-        every result-cache entry stamped with the old generations.  With
+        relations' generation, so the next read publishes (and lays
+        out) a new one, and every result-cache entry stamped with the
+        old generations goes stale.  No query publishes the central
+        copy, so it applies the delta-or-compact rule at the write
+        (:meth:`~repro.ir.relations.IrRelations.compact_if_due`).  With
         the process backend attached the write also fans to the node's
         replicas (dual-write with generation reconciliation).
         """
         self.central.add_document(url, text)
+        self.central.compact_if_due()
         node = self.cluster.place(url)
         self.nodes[node.name].add_document(url, text)
         if self.remote is not None:
@@ -271,6 +273,7 @@ class DistributedIndex:
     def remove_document(self, url: str) -> None:
         """Un-index a document centrally and on its placement node."""
         self.central.remove_document(url)
+        self.central.compact_if_due()
         node = self.cluster.place(url)
         self.nodes[node.name].remove_document(url)
         if self.remote is not None:
@@ -283,38 +286,19 @@ class DistributedIndex:
             self.remove_document(url)
         self.add_document(url, text)
 
-    def refresh(self, *, limit: int | None = None) -> int:
-        """Batch refresh: IDF everywhere, then node fragments.
-
-        Generation-stamped: only nodes whose relations mutated since
-        their fragment set was built are rebuilt; an all-fresh refresh
-        is a handful of integer comparisons.
-
-        ``limit`` bounds how many stale nodes rebuild in this call —
-        the online-maintenance path calls this between short
-        writer-lock acquisitions so readers interleave with a long
-        rebuild.  Returns the number of nodes still stale (0 means
-        fully refreshed).
-        """
-        stale = [name for name, relations in self.nodes.items()
-                 if name not in self._fragments
-                 or self._fragment_generations.get(name)
-                 != relations.generation]
-        batch = stale if limit is None else stale[:max(0, limit)]
-        tasks: dict = {"central": self.central.refresh_idf}
-        for name in batch:
-            tasks[name] = partial(fragment_by_idf, self.nodes[name],
-                                  self.fragment_count)
-        values = self._run_population(tasks)
-        for name in batch:
-            self._fragments[name] = values[name]
-            self._fragment_generations[name] = self.nodes[name].generation
-        remaining = len(stale) - len(batch)
-        if self.remote is not None and remaining == 0:
-            # derived state (IDF, fragment memos) refreshes replica-side
-            # once the local rebuild is complete
+    def refresh(self) -> None:
+        """Lay out every node's fragments (:meth:`_layouts`), and have
+        the replicas do the same."""
+        self._layouts()
+        if self.remote is not None:
             self.remote.broadcast("refresh")
-        return remaining
+
+    def _layouts(self) -> dict[str, FragmentSet]:
+        """Each node's fragment set of its current generation, the one
+        its postings index memoizes."""
+        return {name: relations.postings_index().fragments(
+                    self.fragment_count)
+                for name, relations in self.nodes.items()}
 
     @staticmethod
     def _run_population(tasks) -> dict:
@@ -334,13 +318,6 @@ class DistributedIndex:
             raise ClusterExecutionError(
                 f"cluster population failed on {sorted(failures)}", failures)
         return values
-
-    def _node_fragments(self, name: str) -> FragmentSet:
-        if name not in self._fragments \
-                or self._fragment_generations.get(name) \
-                != self.nodes[name].generation:
-            self.refresh()
-        return self._fragments[name]
 
     # -- querying ---------------------------------------------------------
 
@@ -377,15 +354,14 @@ class DistributedIndex:
                                               global_idf, policy, servers,
                                               telemetry)
             else:
-                # build fragments before the fan-out starts: a rebuild
+                # lay out fragments before the fan-out starts: a build
                 # is not node work and must not eat a node's deadline
-                for name in self.nodes:
-                    self._node_fragments(name)
-
+                layouts = self._layouts()
                 tasks = {
                     name: partial(self._node_topn, name, relations,
-                                  servers[name], central_term_names,
-                                  global_idf, policy, telemetry)
+                                  layouts[name], servers[name],
+                                  central_term_names, global_idf, policy,
+                                  telemetry)
                     for name, relations in self.nodes.items()
                 }
                 outcomes = Executor(policy, self.fault_injector).run(tasks)
@@ -427,12 +403,12 @@ class DistributedIndex:
         return result
 
     def _node_topn(self, name: str, relations: IrRelations,
-                   server, central_term_names, global_idf,
-                   policy: ExecutionPolicy, telemetry):
+                   fragments: FragmentSet, server, central_term_names,
+                   global_idf, policy: ExecutionPolicy, telemetry):
         """One node's local top-N (runs inline on the fan-out loop)."""
         with telemetry.tracer.span("ir.node_topn", node=name) as node_span:
-            local = node_topn(relations, self._node_fragments(name),
-                              central_term_names, global_idf, policy)
+            local = node_topn(relations, fragments, central_term_names,
+                              global_idf, policy)
             node_span.set_attributes(
                 tuples_read=local.tuples_read,
                 fragments_read=local.fragments_read,

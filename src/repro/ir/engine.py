@@ -4,8 +4,9 @@ Used by the integrated search engine (``repro.core``) for the Hypertext
 attributes of a webspace, and directly by examples that only need text
 search.
 
-Both engines are generation-aware: IDF refresh and fragment builds are
-memoized against :attr:`~repro.ir.relations.IrRelations.generation`,
+Both engines are generation-aware: a generation's postings and its
+fragment layout are derived once, on the postings index its first read
+publishes (:meth:`~repro.ir.relations.IrRelations.postings_index`),
 and ``generation`` is the stamp :class:`~repro.service.SearchService`
 keys its result cache on.  The engines themselves never cache answers:
 a caller who wants caching puts a service in front.
@@ -22,13 +23,11 @@ raise a ``TypeError`` naming
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.core.config import ExecutionPolicy
 from repro.monetdb.atoms import Oid
-from repro.ir.fragmentation import FragmentSet, fragment_by_idf
+from repro.ir.fragmentation import FragmentSet
 from repro.ir.ranking import Ranking, query_term_oids, rank_tfidf
 from repro.ir.relations import IrRelations
 from repro.ir.topn import TopNResult, topn_fragmented
@@ -96,9 +95,6 @@ class IrEngine:
     def __init__(self, fragment_count: int = 4):
         self.relations = IrRelations()
         self.fragment_count = fragment_count
-        # (generation, set) in one attribute: read together or not at all
-        self._fragments: tuple[int, FragmentSet] | None = None
-        self._fragments_lock = threading.Lock()
 
     @property
     def generation(self) -> int:
@@ -122,24 +118,10 @@ class IrEngine:
         return self.index(url, text)
 
     def fragments(self) -> FragmentSet:
-        """The idf-ordered fragment set, rebuilt lazily after updates.
-
-        Memoized against the relations' generation: mutations through
-        *any* path (engine methods or the relations directly) make the
-        next call rebuild; unchanged indexes reuse the built set.
-        Double-checked under a lock, so concurrent readers of a stale
-        set build the next one exactly once.
-        """
-        memo = self._fragments
-        if memo is not None and memo[0] == self.relations.generation:
-            return memo[1]
-        with self._fragments_lock:
-            generation = self.relations.generation
-            memo = self._fragments
-            if memo is None or memo[0] != generation:
-                memo = self._fragments = (generation, fragment_by_idf(
-                    self.relations, self.fragment_count))
-            return memo[1]
+        """The idf-ordered fragment set of the current generation, the
+        one its postings index memoizes (a write through any path makes
+        the next read publish, and lay out, a new generation)."""
+        return self.relations.postings_index().fragments(self.fragment_count)
 
     # -- querying ---------------------------------------------------------
 
@@ -188,7 +170,6 @@ class IrEngine:
 
     def _ranked(self, query: str, policy: ExecutionPolicy) -> Ranking:
         """The full-relation ranking core of mode ``content``."""
-        self.relations.refresh_idf()
         return rank_tfidf(self.relations, query, policy.n)
 
     def _structured(self, request, started: float) -> "SearchResponse":
@@ -223,12 +204,7 @@ class IrEngine:
 
     def _fragmented(self, query: str, policy: ExecutionPolicy
                     ) -> TopNResult:
-        """The fragment-pruned core of mode ``fragmented``.
-
-        Exactly one (memoized) IDF refresh per call: the fragment build
-        refreshes lazily inside :func:`fragment_by_idf`, and only when
-        the generation moved.
-        """
+        """The fragment-pruned core of mode ``fragmented``."""
         terms = query_term_oids(self.relations, query)
         return topn_fragmented(self.fragments(), terms, policy.n,
                                prune=policy.prune)

@@ -9,7 +9,10 @@ A :class:`FragmentSet` materialises that layout: terms ordered by
 descending idf are split into fragments of (approximately) equal TF tuple
 counts, each fragment carrying its own TF slice and its IDF slice — the
 per-term idf the top-N optimizer's bounds need beside each term's max
-tf, which the shared postings carry.
+tf, which the shared postings carry.  A layout is derived from one
+published generation (:func:`fragment_index`), and the generation's
+:class:`~repro.ir.relations.PostingsIndex` memoizes it
+(:meth:`~repro.ir.relations.PostingsIndex.fragments`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from repro.errors import BatError
 from repro.monetdb.atoms import Oid
-from repro.ir.relations import IrRelations, PackedPostings
+from repro.ir.relations import IrRelations, PackedPostings, PostingsIndex
 from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["Fragment", "FragmentSet", "fragment_by_idf"]
@@ -105,25 +108,34 @@ class FragmentSet:
 
 def fragment_by_idf(relations: IrRelations, fragment_count: int,
                     order: str = "idf") -> FragmentSet:
-    """Build a fragment set from the IR relations.
+    """A fresh fragment set over the relations' current generation:
+    :func:`fragment_index` over its postings index, unmemoized.
 
     ``order`` selects the fragmentation criterium: ``"idf"`` is the
     paper's descending-idf layout; ``"random"`` is the ablation baseline
     (a deterministic shuffle by term oid) used by benchmark E6 to show
     that pruning only pays off under the idf ordering.
+    """
+    return fragment_index(relations.postings_index(), fragment_count, order)
 
-    Derived on columns: the maintained document frequencies give each
-    term's idf (the floats IDF holds) and posting count, one sort orders
-    them and one running sum places the cuts.  Its scalar reference is
-    the oracle in ``tests/kernels``.
+
+def fragment_index(index: PostingsIndex, fragment_count: int,
+                   order: str = "idf") -> FragmentSet:
+    """Lay one published generation's terms out in fragments.
+
+    Derived on columns: the generation's document frequencies
+    (``index.df``) give each term's idf (``1/df``, the floats
+    :meth:`~repro.ir.relations.IrRelations.idf` returns) and posting
+    count, one sort orders them and one running sum places the cuts.
+    Its scalar reference is the oracle in ``tests/kernels``.
     """
     if fragment_count < 1:
         raise BatError("fragment_count must be >= 1")
     if order not in ("idf", "random"):
         raise BatError(f"unknown fragmentation order: {order!r}")
-    # memoized against the relations' generation: no-ops when fresh
-    oids, sizes = relations.df_columns()
-    index = relations.postings_index()
+    df = index.df
+    oids = np.fromiter(df, np.int64, len(df))
+    sizes = np.fromiter(df.values(), np.int64, len(df))
     telemetry = get_telemetry()
     telemetry.metrics.counter("ir.fragment_rebuilds").add(1)
     with telemetry.tracer.span("ir.fragment_build") as span:

@@ -11,7 +11,7 @@ integrates:
 * ``POS(pair-oid, position)`` — one row per occurrence: the positions
   of each pair over the analyzed token sequence (phrase search).
 
-T, D and IDF are BATs.  The paper fragments TF horizontally by term, so
+T and D are BATs.  The paper fragments TF horizontally by term, so
 DT, TF and POS are held clustered by term, in one form: an immutable
 *base* segment (:class:`_Segment` — term oids and run starts, per pair
 its oid, document slot and tf, the positions row after row) plus a
@@ -28,13 +28,16 @@ documents.  A save writes the base merged with the delta, live rows
 only, without installing it, so an IR part stores exactly the segment
 a build makes.
 
-The IDF relation is maintained *lazily*: every mutation only bumps the
-``generation`` counter and the maintained document frequencies;
-:meth:`IrRelations.refresh_idf` rewrites IDF at most once per
-generation, on the first read that needs it.  This generalises the
-paper's batched refresh ("started every time the storage manager has
-parsed a certain number of document bodies").  The generation stamp
-is also what the result cache keys on (:mod:`repro.cache`).
+IDF is *derived*, as the paper defines it: every write maintains the
+document frequencies, and :meth:`IrRelations.idf` reads ``1/df`` off
+that map, so no write leaves an IDF copy to refresh.  Only an IR part
+stores ``ir:IDF``: a save writes it from the map, a load checks it.
+Every mutation bumps the ``generation`` counter; a read publishes the
+generation once (:meth:`IrRelations.postings_index`), and what is
+derived from it — the packed postings, the document frequencies, the
+fragment layout — hangs off that one immutable :class:`PostingsIndex`.
+The generation stamp is also what the result cache keys on
+(:mod:`repro.cache`).
 """
 
 from __future__ import annotations
@@ -62,11 +65,14 @@ from repro.telemetry.runtime import get_telemetry
 __all__ = ["IrRelations", "PackedPostings", "PostingsIndex"]
 
 _UNMADE = object()
-#: the BATs an IR part stores; the pair relations go as the segment
+#: the BATs an IR part stores (ir:IDF written from the df map); the
+#: pair relations go as the segment
 _STORED = ("ir:D", "ir:IDF", "ir:T")
 #: the segment's plain columns in an IR part
 _SEGMENT = ("terms", "starts", "pairs", "dense", "tfs", "positions")
 _PREFIX = "segment:"
+#: held while a postings index lays its fragments out
+_LAYOUT_LOCK = threading.Lock()
 
 
 def _int64(column) -> np.ndarray:
@@ -539,18 +545,21 @@ class PostingsIndex:
     match, facet and answer from: ``urls``, ``live``, and the url segments
     (:func:`url_segments`) as ``class_codes`` / ``field_codes`` into the
     ``class_names`` / ``field_names`` tables (name -> code, in order of
-    first appearance).
+    first appearance).  ``df`` is the generation's document frequencies
+    (term oid -> df, in the order ``ir:IDF`` stores them), from which
+    :meth:`fragments` lays the terms out.
 
     ``doc_ids`` may hold *dead slots*: a removed document keeps its
     dense position (no posting points at it any more, ``live`` is 0) so
     surviving ``dense`` columns stay valid until compaction.
     ``doc_dense`` is keyed by the **live** documents only.  An index is
     never mutated once published: readers holding one keep a consistent
-    snapshot.
+    snapshot, and what is derived from it is memoized on it.
     """
 
     generation: int
     by_term: Mapping[int, PackedPostings] = field(default_factory=dict)
+    df: dict[int, int] = field(default_factory=dict)
     doc_ids: array = field(default_factory=lambda: array("q"))
     doc_dense: dict[int, int] = field(default_factory=dict)
     urls: list[str] = field(default_factory=list)
@@ -559,6 +568,24 @@ class PostingsIndex:
     field_codes: array = field(default_factory=lambda: array("i"))
     class_names: dict[str, int] = field(default_factory=dict)
     field_names: dict[str, int] = field(default_factory=dict)
+    # fragment count -> the layout made over this generation
+    _layouts: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def fragments(self, count: int) -> "FragmentSet":
+        """The idf-ordered layout of ``count`` fragments over this
+        generation (:func:`~repro.ir.fragmentation.fragment_index`),
+        made once: an index never changes, so the memo needs no stamp.
+        Double-checked under a lock, so concurrent first readers make
+        one layout."""
+        layout = self._layouts.get(count)
+        if layout is None:
+            from repro.ir import fragmentation  # it imports this module
+            with _LAYOUT_LOCK:
+                layout = self._layouts.get(count)
+                if layout is None:
+                    layout = self._layouts[count] = \
+                        fragmentation.fragment_index(self, count)
+        return layout
 
     def live_mask(self) -> np.ndarray:
         """``live`` as a bool column over the slots (zero-copy)."""
@@ -588,8 +615,10 @@ class IrRelations:
 
     ``segment`` is the base the pairs start from — a loaded IR part's
     (:meth:`load`), whose dense numbers are rows of ``ir:D`` and whose
-    terms must be exactly ``ir:IDF``'s (a :class:`CatalogError` if not:
-    each term's df is its run length, read in ``ir:IDF``'s row order).
+    terms must be exactly those of the catalog's ``ir:IDF``, each with
+    the idf ``1/df`` of its run length (a :class:`CatalogError` if not:
+    the dfs are read in ``ir:IDF``'s row order).  ``ir:IDF`` is checked
+    and dropped from the catalog: :meth:`idf` reads the df map.
     """
 
     def __init__(self, catalog: Catalog | None = None,
@@ -597,7 +626,6 @@ class IrRelations:
         self.catalog = catalog or Catalog()
         self.T = self.catalog.ensure("ir:T", "oid", "str")
         self.D = self.catalog.ensure("ir:D", "oid", "url")
-        self.IDF = self.catalog.ensure("ir:IDF", "oid", "flt")
         self._base = segment if segment is not None else _Segment.empty()
         self._delta = _Delta()
         self._term_oids: dict[str, Oid] = _inverse(self.T)
@@ -610,23 +638,25 @@ class IrRelations:
         # term oid -> document frequency, maintained by every write (a
         # base has it as run lengths, in IDF's row order); a term no
         # document holds any more has no entry
-        terms = _int64(self.IDF.raw_columns()[0]) if segment is not None \
-            else np.empty(0, dtype=np.int64)
+        stored = self.catalog.get_or_none("ir:IDF")
+        if stored is not None:
+            self.catalog.drop("ir:IDF")
+        heads, tails = stored.raw_columns() \
+            if stored is not None and segment is not None else ((), ())
+        terms = _int64(heads)
         if not np.array_equal(np.sort(terms), self._base.terms):
             raise CatalogError("ir:IDF does not name exactly the "
                                "segment's terms")
         counts = np.diff(self._base.starts, append=len(self._base.pairs))[
             np.searchsorted(self._base.terms, terms)]
+        if not np.array_equal(np.asarray(tails, dtype=np.float64),
+                              1.0 / counts):
+            raise CatalogError("ir:IDF is not 1/df of the segment's runs")
         self._df: dict[Oid, int] = dict(zip(terms.tolist(), counts.tolist()))
         self._renumber()
-        # Bumped on every mutation; IDF (and the callers' fragment sets
-        # and result cache) are memoized against it.  A restored
-        # snapshot starts stale so the first read writes IDF afresh.
+        # bumped on every mutation: the published index and the result
+        # cache are stamped with it
         self.generation = 0
-        self._idf_generation = -1
-        # the df map as the columns IDF was last written from
-        self._df_columns: tuple[np.ndarray, np.ndarray] = ()
-        self._refresh_lock = threading.Lock()
         self._postings_index: PostingsIndex | None = None
         self._postings_lock = threading.Lock()
         # the terms written since ``_postings_index`` was published
@@ -656,36 +686,38 @@ class IrRelations:
 
     def save(self, path) -> int:
         """Write the IR part, one column container: ``ir:T``, ``ir:D``
-        and ``ir:IDF`` (made current first) as BATs, the pair relations
-        as one segment — the base merged with the delta
-        (:meth:`_merged`) if a delta or a dead slot is left, and
-        ``ir:D`` without its dead rows.  The merge is written, not
+        and ``ir:IDF`` as BATs (:meth:`_stored`), the pair relations as
+        one segment — the base merged with the delta (:meth:`_merged`)
+        if a delta or a dead slot is left.  The merge is written, not
         installed: the base, the delta, the slots and the published
         index stay, so a generation keeps one slot numbering.  Returns
         the value count to stamp."""
-        self.refresh_idf()
         with self._postings_lock:
             dead = len(self._slot_of) < len(self._doc_ids)
             base = self._merged() if len(self._delta) or dead \
                 else self._base
-            catalog = self._stored() if dead else self.catalog
+            catalog = self._stored()
         return save_catalog(catalog, path, names=_STORED,
                             columns=base.columns())
 
     def _stored(self) -> Catalog:
         """The stored relations as a compaction would leave them: a
-        catalog sharing the oid sequence, ``ir:D`` without its dead
-        rows (a row is its slot), ``ir:T`` and ``ir:IDF`` as they are."""
+        catalog sharing the oid sequence, ``ir:D`` without its dead rows
+        (a row is its slot), ``ir:T`` as it is and ``ir:IDF`` written
+        from the df map (``idf = 1/df``, in the map's order)."""
         stored = Catalog()
         stored.oids = self.catalog.oids
-        for name in _STORED:
-            bat = self.catalog.get(name)
+        for bat in (self.D, self.T):
             heads, tails = bat.raw_columns()
-            if bat is self.D:
+            if bat is self.D and len(self._slot_of) < len(self._doc_ids):
                 heads, tails = (list(compress(column, self._live))
                                 for column in (heads, tails))
-            stored.create(name, bat.head_type, bat.tail_type).append_many(
-                heads, tails)
+            stored.create(bat.name, bat.head_type, bat.tail_type) \
+                .append_many(heads, tails)
+        df = self._df
+        counts = np.fromiter(df.values(), np.int64, len(df))
+        stored.create("ir:IDF", "oid", "flt").append_many(
+            array("q", df), _packed("d", 1.0 / counts))
         return stored
 
     @classmethod
@@ -694,17 +726,18 @@ class IrRelations:
         """Restore an IR part stamped with its manifest's
         ``generation``; ``oid_start``/``oid_stride`` restore a cluster
         node's strided oid sequence.  The segment is checked and
-        becomes the base: no build.  IDF starts stale."""
+        becomes the base: no build.  ``ir:IDF`` is checked against the
+        segment's runs, then dropped."""
         catalog, columns = load_catalog(path, oid_start=oid_start,
                                         oid_stride=oid_stride)
         segment = _Segment.restored(columns, catalog, path)
+        rows = catalog.total_buns() + len(segment.pairs) \
+            + len(segment.positions)
         try:
             relations = cls(catalog, segment)
         except CatalogError as error:
             raise SnapshotError(f"{error}: {path}", path=path) from None
-        get_telemetry().metrics.counter("ir.rows_loaded").add(
-            catalog.total_buns() + len(segment.pairs)
-            + len(segment.positions))
+        get_telemetry().metrics.counter("ir.rows_loaded").add(rows)
         relations.generation = generation
         return relations
 
@@ -741,7 +774,7 @@ class IrRelations:
     # -- indexing ---------------------------------------------------------
 
     def add_document(self, url: str, text: str) -> Oid:
-        """Index one document body; IDF refresh is deferred (lazy).
+        """Index one document body.
 
         ``ir:D`` and ``ir:T`` take one batched append each, the pairs
         go to the delta (:meth:`_append`).  Oids are drawn in one fixed
@@ -798,10 +831,9 @@ class IrRelations:
         self.generation += 1
 
     def add_documents(self, documents: Iterable[tuple[str, str]]) -> None:
-        """Index many (url, text) documents, then refresh IDF once."""
+        """Index many (url, text) documents."""
         for url, text in documents:
             self.add_document(url, text)
-        self.refresh_idf()
 
     def remove_document(self, url: str) -> None:
         """Un-index one document (source data changed or disappeared).
@@ -847,58 +879,19 @@ class IrRelations:
         self.collection_length -= length
         self.generation += 1
 
-    def idf_fresh(self) -> bool:
-        """Whether IDF reflects the current generation."""
-        return self._idf_generation == self.generation
-
-    def df_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The maintained document frequencies as two int64 columns —
-        term oids and their dfs, in IDF's row order — as of the IDF
-        refresh this call makes current (read-only: shared)."""
-        self.refresh_idf()
-        return self._df_columns
-
     def refresh_idf(self) -> None:
-        """Write IDF from the maintained document frequencies
-        (``idf = 1/df``, as in the paper): two packed columns, one
-        vectorized division.
-
-        Memoized against :attr:`generation`: a no-op unless the index
-        mutated since the last refresh, so every read path may call it
-        defensively.  Double-checked under a lock so concurrent readers
-        racing a stale index rebuild IDF exactly once; the fast path is
-        one integer comparison.
-        """
-        if self._idf_generation == self.generation:
-            return
-        telemetry = get_telemetry()
-        with self._refresh_lock:
-            generation = self.generation
-            if self._idf_generation == generation:
-                return
-            with telemetry.tracer.span("ir.idf_refresh",
-                                       terms=len(self._df)):
-                df = self._df
-                oids = array("q", df)
-                counts = np.fromiter(df.values(), np.int64, len(df))
-                fresh = self.catalog.get("ir:IDF")
-                fresh.clear()  # rewritten wholesale: IDF is small (vocab)
-                fresh.append_many(oids, _packed("d", 1.0 / counts))
-                self._df_columns = (_view(oids, np.int64), counts)
-            self._idf_generation = generation
-        telemetry.metrics.counter("ir.idf_refresh").add(1)
+        """Publish the current generation (:meth:`postings_index`); a
+        no-op when it is published.  IDF itself needs no refresh:
+        :meth:`idf` reads the maintained df map."""
+        self.postings_index()
 
     # -- per-term access (used by ranking and fragmentation) -----------
 
     def idf(self, term_oid: Oid) -> float:
-        """idf of a term (0.0 when the term occurs nowhere).
-
-        Reads through the lazy refresh: a stale IDF relation is
-        recomputed on first access after a mutation.
-        """
-        if self._idf_generation != self.generation:
-            self.refresh_idf()
-        return self.IDF.get(term_oid, 0.0)
+        """``1/df`` of a term, as the paper defines it (0.0 when the
+        term occurs nowhere), straight off the maintained df map."""
+        df = self._df.get(term_oid)
+        return 1.0 / df if df else 0.0
 
     def postings_index(self) -> PostingsIndex:
         """The packed postings access path, memoized per generation.
@@ -911,9 +904,10 @@ class IrRelations:
         when the delta has grown to the base's live size (EXPERIMENTS
         E32 measures that share) — a bulk load's first read, whose base
         is empty, pays exactly this, once — or when dead slots
-        outnumber live documents.  ``ir.publish_rows`` counts the rows
-        a publish copies: one per slot, plus the re-made pairs.
-        Double-checked under a lock like :meth:`refresh_idf`.
+        outnumber live documents (:meth:`_compaction_due`).
+        ``ir.publish_rows`` counts the rows a publish copies: one per
+        slot, plus the re-made pairs.  Double-checked under a lock, so
+        concurrent readers of a new generation publish it once.
         """
         index = self._postings_index
         if index is not None and index.generation == self.generation:
@@ -923,14 +917,30 @@ class IrRelations:
             index = self._postings_index
             if index is not None and index.generation == generation:
                 return index
-            live = len(self._slot_of)
-            delta = len(self._delta)
-            if delta and delta >= len(self._base.pairs) - self._dead_pairs \
-                    or len(self._doc_ids) - live > live:
+            if self._compaction_due():
                 self._compact()
                 index = None  # its slots are renumbered: keep no term
             index = self._postings_index = self._publish(generation, index)
         return index
+
+    def _compaction_due(self) -> bool:
+        """The delta-or-compact rule: the delta has grown to the base's
+        live size, or dead slots outnumber live documents."""
+        live = len(self._slot_of)
+        delta = len(self._delta)
+        return bool(delta) and delta >= len(self._base.pairs) \
+            - self._dead_pairs or len(self._doc_ids) - live > live
+
+    def compact_if_due(self) -> None:
+        """Apply the delta-or-compact rule now, not on the next
+        publish: for relations no read publishes (a coordinator's
+        central copy), so that writes alone keep them bounded.  A
+        compaction renumbers the slots, so the published index goes
+        with it and the next read publishes afresh."""
+        with self._postings_lock:
+            if self._compaction_due():
+                self._compact()
+                self._postings_index = None
 
     def _publish(self, generation: int,
                  previous: PostingsIndex | None) -> PostingsIndex:
@@ -963,9 +973,10 @@ class IrRelations:
         doc_ids = self._doc_ids[:]
         get_telemetry().metrics.counter("ir.publish_rows").add(
             len(doc_ids) + remade)
-        by_term = TermPostings(base, delta, mask, len(self._df), views, owned)
+        df = dict(self._df)
+        by_term = TermPostings(base, delta, mask, len(df), views, owned)
         return PostingsIndex(
-            generation=generation, by_term=by_term, doc_ids=doc_ids,
+            generation=generation, by_term=by_term, df=df, doc_ids=doc_ids,
             doc_dense=dict(self._slot_of), urls=self._urls[:],
             live=live, class_codes=self._class_codes[:],
             field_codes=self._field_codes[:],

@@ -115,9 +115,9 @@ def topn_fragmented(fragments: FragmentSet, query_terms: list[Oid],
     telemetry = get_telemetry()
     with telemetry.tracer.span("ir.topn", n=n, prune=prune,
                                refine=refine) as span:
-        wanted = set(query_terms)
-        result = _topn_scan_kernel(fragments, wanted, n, prune, refine,
-                                   _compile_plan(fragments, wanted))
+        wanted, counts = _distinct(query_terms)
+        result = _topn_scan_kernel(fragments, wanted, counts, n, prune,
+                                   refine, _compile_plan(fragments, wanted))
         telemetry.metrics.counter("kernel.rows").add(result.tuples_read)
         result.details["kernel"] = "columnar"
         span.set_attributes(tuples_read=result.tuples_read,
@@ -129,20 +129,32 @@ def topn_fragmented(fragments: FragmentSet, query_terms: list[Oid],
     return result
 
 
+def _distinct(query_terms: list[Oid]) -> tuple[set, dict]:
+    """The query's distinct terms and each one's multiplicity: a term
+    repeated in the query weighs ``idf × count`` (its bound too), as
+    ``rank_tfidf`` adds it once per occurrence."""
+    wanted = set(query_terms)
+    counts = dict.fromkeys(wanted, 0)
+    for term in query_terms:
+        counts[term] += 1
+    return wanted, counts
+
+
 def _doc_column(fragments: FragmentSet) -> np.ndarray:
     """The dense document universe as an int64 column (zero-copy)."""
     return np.frombuffer(fragments.doc_ids, dtype=np.int64) \
         if fragments.doc_ids else np.empty(0, dtype=np.int64)
 
 
-def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
-                      prune: bool, refine: bool,
+def _topn_scan_kernel(fragments: FragmentSet, wanted: set, counts: dict,
+                      n: int, prune: bool, refine: bool,
                       plan: _TopNPlan) -> TopNResult:
     """The bag scan: scatter-add scoring over packed postings.
 
     The bound bookkeeping is plain Python floats in plan-step order, and
     each stop test runs against the quantized interim ranking; only the
-    per-posting accumulation and the selection are vectorized.
+    per-posting accumulation and the selection are vectorized.  A term
+    weighs ``idf × counts[term]`` (exact for a count of 1).
     """
     result = TopNResult(ranking=[])
     frags = fragments.fragments
@@ -155,7 +167,7 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
     for position, terms in plan.steps:
         fragment = frags[position]
         for term in terms:
-            remaining[term] += fragment.max_score_bound(term)
+            remaining[term] += fragment.max_score_bound(term) * counts[term]
 
     if not prune:
         # an exhaustive scan counts every fragment as read
@@ -168,13 +180,13 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
         if prune:
             result.fragments_read += 1
         for term in terms:
-            weight = fragment.idf[term]
+            weight = fragment.idf[term] * counts[term]
             packed = fragment.packed[term]
             result.tuples_read += len(packed)
             dense = packed.dense_view()
             acc[dense] += packed.weights_view() * weight
             touched_mask[dense] = True
-            remaining[term] -= fragment.max_score_bound(term)
+            remaining[term] -= fragment.max_score_bound(term) * counts[term]
         if not prune:
             continue
         total_remaining = sum(remaining[term] for term in wanted)
@@ -211,7 +223,7 @@ def _topn_scan_kernel(fragments: FragmentSet, wanted: set, n: int,
                 continue
             fragment = frags[position]
             for term in terms:
-                weight = fragment.idf[term]
+                weight = fragment.idf[term] * counts[term]
                 packed = fragment.packed[term]
                 result.tuples_read += len(packed)
                 dense = packed.dense_view()
@@ -328,9 +340,9 @@ def topn_cutoff(fragments: FragmentSet, query_terms: list[Oid], n: int,
     """
     kept = FragmentSet(fragments=fragments.fragments[:keep_fragments],
                        doc_ids=fragments.doc_ids)
-    wanted = set(query_terms)
+    wanted, counts = _distinct(query_terms)
     plan = _compile_plan(kept, wanted)
-    result = _topn_scan_kernel(kept, wanted, n, False, False, plan)
+    result = _topn_scan_kernel(kept, wanted, counts, n, False, False, plan)
     result.fragments_read = len(plan.steps)
     result.exact = False
     return result

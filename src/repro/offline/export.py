@@ -56,11 +56,10 @@ def _engine_config(engine, ir):
 def export_index(engine, directory: str | Path) -> Path:
     """Write a static index artifact; returns the artifact directory.
 
-    The exporting index's deferred IDF refresh is materialised first so
-    the artifact is internally consistent, then ``ir.bats`` lands
-    (atomic temp + fsync + replace), and the manifest — format version,
-    generation, analyzer fingerprint, full engine config, the SHA-256
-    stamp — commits the artifact last.
+    ``ir.bats`` lands first (atomic temp + fsync + replace; its
+    ``ir:IDF`` is written from the document frequencies), and the
+    manifest — format version, generation, analyzer fingerprint, full
+    engine config, the SHA-256 stamp — commits the artifact last.
     """
     ir = _ir_engine(engine)
     relations = ir.relations

@@ -56,12 +56,11 @@ class StaticIndexReader:
                     "would miss silently", path=self.directory)
             verify_files(self.directory, self.manifest)
             # the artifact generation stamps the relations the same way
-            # the live engine's are; IDF is re-derived once here (the
-            # stored IDF column is verified input, but the
-            # authoritative derivation is DT, exactly as on restore)
+            # the live engine's are; the stored IDF column is checked
+            # input, and idf is read off the segment's dfs, exactly as
+            # on restore
             relations = IrRelations.load(self.directory / IR_PART,
                                          self.manifest.generation)
-            relations.refresh_idf()
             config = self.manifest.config
             self._engine = IrEngine(fragment_count=config.fragment_count)
             self._engine.relations = relations

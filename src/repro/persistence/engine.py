@@ -307,7 +307,6 @@ def _reattach_media(engine: SearchEngine) -> None:
 
 def _restore_ir(engine: SearchEngine, path: Path, stamps: dict) -> None:
     relations = IrRelations.load(path / IR_PART, int(stamps.get("ir", 0)))
-    relations.refresh_idf()
     if not _is_clustered(engine):
         engine.ir.relations = relations
         return

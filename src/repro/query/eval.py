@@ -246,7 +246,6 @@ def compile_query(relations, parsed: ParsedQuery, *,
         parts = ([root] if root is not None else []) + extra
         root = parts[0] if len(parts) == 1 else And(tuple(parts))
     evaluator = _Evaluator(relations)
-    relations.refresh_idf()
     matched = evaluator.match(root)
 
     raw_entries: list[tuple[int, float, np.ndarray | None]] = []

@@ -3,8 +3,8 @@
 The paper distributes TF fragments over "several database servers";
 this module is one such server.  A worker owns a private
 :class:`~repro.ir.relations.IrRelations` (its slice of the document
-collection), keeps its idf-ordered fragment set memoized against the
-relations' generation, and answers a small JSON RPC over the framing of
+collection), reads its idf-ordered fragment set off the postings index
+each generation publishes, and answers a small JSON RPC over the framing of
 :mod:`repro.remote.protocol`:
 
 ======================  ====================================================
@@ -14,7 +14,7 @@ op                      effect
 ``status``              document count, generation, collection length
 ``add_documents``       index ``[url, text]`` pairs (write-locked)
 ``remove_document``     un-index one url
-``refresh``             refresh idf + rebuild the fragment set eagerly
+``refresh``             publish the generation and lay out its fragments
 ``search``              local top-N for a pushed term list + global idf —
                         request/reply reuse the frozen
                         :class:`~repro.service.api.SearchRequest` /
@@ -54,7 +54,6 @@ from pathlib import Path
 from repro.errors import (QueryError, RemoteProtocolError,
                           RemoteTransportError, ReproError)
 from repro.ir.distributed import node_topn
-from repro.ir.fragmentation import FragmentSet, fragment_by_idf
 from repro.ir.relations import IrRelations
 from repro.persistence.manifest import IR_PART, Manifest, save_ir_object
 from repro.remote.protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -76,9 +75,6 @@ class NodeWorker:
         self.max_frame_bytes = max_frame_bytes
         self.relations = IrRelations()
         self._rw = RwLock()
-        self._fragments: FragmentSet | None = None
-        self._fragments_generation = -1
-        self._fragments_lock = threading.Lock()
         self._fault_delay_ms = 0.0
         self._closing = threading.Event()
         self._conn_threads: list[threading.Thread] = []
@@ -230,8 +226,7 @@ class NodeWorker:
 
     def _op_refresh(self, request: dict) -> dict:
         with self._rw.read_locked():
-            self.relations.refresh_idf()
-            self._fragment_set()
+            self.relations.postings_index().fragments(self.fragment_count)
             return {"generation": self.relations.generation}
 
     def _op_search(self, request: dict) -> dict:
@@ -243,8 +238,10 @@ class NodeWorker:
         if delay_ms > 0:
             time.sleep(delay_ms / 1000.0)  # injected straggler latency
         with self._rw.read_locked():
-            local = node_topn(self.relations, self._fragment_set(), terms,
-                              global_idf, search.policy)
+            fragments = self.relations.postings_index().fragments(
+                self.fragment_count)
+            local = node_topn(self.relations, fragments, terms, global_idf,
+                              search.policy)
             pairs = [(self.relations.doc_url(doc), score)
                      for doc, score in local.ranking]
             generation = self.relations.generation
@@ -272,8 +269,6 @@ class NodeWorker:
                                     manifest.generation)
         with self._rw.write_locked():
             self.relations = restored
-            self._fragments = None
-            self._fragments_generation = -1
             return {"documents": restored.document_count(),
                     "generation": restored.generation}
 
@@ -283,19 +278,6 @@ class NodeWorker:
 
     def _op_shutdown(self, request: dict) -> dict:
         return {"name": self.name, "stopping": True}
-
-    # -- fragments -------------------------------------------------------
-
-    def _fragment_set(self) -> FragmentSet:
-        """The memoized fragment set (caller holds at least a read lock)."""
-        generation = self.relations.generation
-        with self._fragments_lock:
-            if self._fragments is None \
-                    or self._fragments_generation != generation:
-                self._fragments = fragment_by_idf(self.relations,
-                                                  self.fragment_count)
-                self._fragments_generation = generation
-            return self._fragments
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -367,8 +367,8 @@ class SearchService:
                 return report
 
     def snapshot(self, directory, keep: int = 3):
-        """Checkpoint the engine; writes serialize against queries
-        because saving materialises deferred IDF refreshes.
+        """Checkpoint the engine; it runs as a write, so the save reads
+        one generation and the log position that covers it.
 
         With a WAL attached the manifest records the log position the
         checkpoint covers, then the log rotates onto a fresh segment

@@ -87,14 +87,6 @@ class LonelyPlanetGroundTruth:
     activities: list[ActivityRecord] = field(default_factory=list)
     destinations: list[DestinationRecord] = field(default_factory=list)
 
-    def destinations_in_region(self, region_key: str) -> list[str]:
-        return sorted(d.key for d in self.destinations
-                      if d.region_key == region_key)
-
-    def destinations_offering(self, activity_key: str) -> list[str]:
-        return sorted(d.key for d in self.destinations
-                      if activity_key in d.activity_keys)
-
 
 _REGIONS = [
     ("south-east-asia", "South-East Asia", "tropical",

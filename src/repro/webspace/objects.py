@@ -101,8 +101,5 @@ class ObjectGraph:
         return sorted(a.target_key for a in self._associations
                       if a.name == association and a.source_key == source_key)
 
-    def object_count(self) -> int:
-        return len(self._objects)
-
     def association_count(self) -> int:
         return len(self._associations)

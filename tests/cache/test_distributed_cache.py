@@ -165,15 +165,18 @@ class TestThreadSafety:
 
 
 class TestCentralIdfLaziness:
-    def test_population_then_query_refreshes_each_store_once(self):
+    def test_population_then_query_lays_out_nodes(self):
         from repro.ir.distributed import DistributedIndex
         from repro.monetdb.server import Cluster
 
         with telemetry_session() as telemetry:
             index = DistributedIndex(Cluster(3), fragment_count=4)
             index.add_documents(corpus(documents=30))
-            refreshes = telemetry.metrics.sum_counters("ir.idf_refresh")
-            # central + one per node, exactly once each
-            assert refreshes == 4
+            # one layout per node, exactly once each
+            assert telemetry.metrics.sum_counters(
+                "ir.fragment_rebuilds") == 3
             index.query(QUERY, policy=ExecutionPolicy(n=5))
-            assert telemetry.metrics.sum_counters("ir.idf_refresh") == 4
+            assert telemetry.metrics.sum_counters(
+                "ir.fragment_rebuilds") == 3
+        # the central copy's idf is read off its df map: no publish
+        assert index.central._postings_index is None

@@ -29,26 +29,27 @@ def relations() -> IrRelations:
 
 class TestBaseAndIdf:
     """A base's dfs are its run lengths in ``ir:IDF``'s row order, so
-    the constructor refuses an ``ir:IDF`` that is not the base's terms."""
+    the constructor refuses an ``ir:IDF`` that is not the base's terms
+    (the stored relations of an earlier generation: memory holds no
+    IDF copy to go stale)."""
 
     @pytest.mark.parametrize("write", ["add", "remove"])
     def test_a_stale_idf_is_a_typed_error(self, relations, write):
-        relations.refresh_idf()
+        stale = copy_catalog(relations._stored())
         if write == "add":  # IDF lacks the new term: its df would be lost
             relations.add_document("http://x/d4", "quidditch")
         else:  # IDF names a term with no run left: past the last run
             relations.remove_document("http://x/d3")
         with pytest.raises(CatalogError, match="ir:IDF does not name "
                                                "exactly the segment"):
-            IrRelations(copy_catalog(relations.catalog),
-                        relations._merged())
+            IrRelations(stale, relations._merged())
 
     def test_a_current_idf_restores_every_df(self, relations):
         relations.remove_document("http://x/d3")
-        relations.refresh_idf()
-        restored = IrRelations(copy_catalog(relations.catalog),
-                               relations._merged())
-        assert restored._df == relations._df
+        catalog = copy_catalog(relations._stored())
+        restored = IrRelations(catalog, relations._merged())
+        assert list(restored._df.items()) == list(relations._df.items())
+        assert "ir:IDF" not in restored.catalog  # checked, then dropped
 
 
 class TestVocabulary:
@@ -93,29 +94,28 @@ class TestFrequencies:
     def test_idf_of_unknown_is_zero(self, relations):
         assert relations.idf(999999) == 0.0
 
-    def test_idf_refresh_deferred_until_read(self):
+    def test_idf_is_read_off_the_df_map(self):
         relations = IrRelations()
         relations.add_document("doc:u1", "alpha")
-        assert len(relations.IDF) == 0  # population never refreshes
-        relations.add_document("doc:u2", "alpha beta")
-        assert len(relations.IDF) == 0
-        assert not relations.idf_fresh()
-        # the first idf read refreshes through the generation stamp
         alpha = relations.term_oid(stem("alpha"))
-        assert relations.idf(alpha) == pytest.approx(0.5)
-        assert len(relations.IDF) == 2
-        assert relations.idf_fresh()
+        assert relations.idf(alpha) == 1.0
+        relations.add_document("doc:u2", "alpha beta")
+        # no refresh and no publish: the write maintained the df
+        assert relations.idf(alpha) == 1.0 / 2
+        assert relations._postings_index is None
 
     def test_idf_refresh_memoized_per_generation(self):
         relations = IrRelations()
         relations.add_document("doc:u1", "alpha beta")
-        relations.refresh_idf()
-        generation = relations.generation
+        relations.refresh_idf()  # publishes the generation
+        generation, index = relations.generation, relations._postings_index
         relations.refresh_idf()  # no mutation in between: a no-op
         assert relations.generation == generation
+        assert relations._postings_index is index
         relations.add_document("doc:u2", "beta")
         assert relations.generation == generation + 1
-        assert not relations.idf_fresh()
+        relations.refresh_idf()
+        assert relations._postings_index.generation == generation + 1
 
 
 class TestRemoval:

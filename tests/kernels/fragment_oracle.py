@@ -1,7 +1,7 @@
 """The scalar fragment layout: the oracle the columnar build must equal.
 
 This is ``fragment_by_idf`` as it was before the layout went columnar —
-a Python sort of the IDF relation's rows, a greedy cut loop and one
+a Python sort of the terms by ``1/df``, a greedy cut loop and one
 comprehension per fragment container.  It lives here, not in
 production, so the columnar build has one plain reference to be
 compared against.  Only two lines differ from the production body it
@@ -19,8 +19,8 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
                     order: str = "idf") -> FragmentSet:
     if fragment_count < 1:
         raise BatError("fragment_count must be >= 1")
-    relations.refresh_idf()
-    idf_of = dict(zip(relations.IDF.head, relations.IDF.tail))
+    index = relations.postings_index()
+    idf_of = {oid: 1.0 / df for oid, df in relations._df.items()}
     term_oids = list(idf_of)
     if order == "idf":
         term_oids.sort(key=lambda oid: (-idf_of[oid], oid))
@@ -29,7 +29,6 @@ def fragment_by_idf(relations: IrRelations, fragment_count: int,
     else:
         raise BatError(f"unknown fragmentation order: {order!r}")
 
-    index = relations.postings_index()
     by_term = index.by_term
     sizes = [len(by_term[oid]) for oid in term_oids]
     target = max(1, -(-sum(sizes) // fragment_count))  # ceil division

@@ -75,8 +75,8 @@ def compacted(relations: IrRelations) -> IrRelations:
     """A fresh ``IrRelations`` over a copy of the catalog whose base is
     the compacted segment and whose ``ir:D`` holds the live documents:
     what a restart of a save would hold."""
-    relations.refresh_idf()  # the base's df order is IDF's row order
-    copy = IrRelations(copy_catalog(relations.catalog,
+    # the stored relations: the base's df order is ir:IDF's row order
+    copy = IrRelations(copy_catalog(relations._stored(),
                                     live_documents(relations)),
                        relations._merged())
     copy.generation = relations.generation

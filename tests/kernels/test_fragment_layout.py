@@ -7,9 +7,10 @@ build (``tests/kernels/fragment_oracle.py``) lays out: per fragment the
 same terms in the same set iteration order, the same tuple counts, the
 same idf floats in the same dict order, the very ``PackedPostings``
 objects of the postings index, and the same score bounds — for 1, 2, 4,
-7 and more fragments than terms, in both orders.  The IDF relation the
-columnar refresh writes must equal the scalar rewrite column for column,
-storage class included.
+7 and more fragments than terms, in both orders.  The ``ir:IDF``
+relation a save writes from the df map must equal the scalar rewrite
+column for column, storage class included, and ``idf`` must read the
+same floats.
 """
 
 import pytest
@@ -30,7 +31,7 @@ ORDERS = ("idf", "random")
 
 
 def fragment_counts(relations: IrRelations) -> tuple[int, ...]:
-    return 1, 2, 4, 7, len(relations.IDF) + 3
+    return 1, 2, 4, 7, len(relations._df) + 3
 
 
 def scalar_idf(relations: IrRelations) -> BAT:
@@ -42,11 +43,13 @@ def scalar_idf(relations: IrRelations) -> BAT:
 
 
 def assert_same_idf(relations: IrRelations) -> None:
-    relations.refresh_idf()
+    stored = relations._stored().get("ir:IDF")
     expected = scalar_idf(relations)
-    assert relations.IDF.raw_columns() == expected.raw_columns()
-    assert relations.IDF.storage() == expected.storage() == ("q", "d")
-    assert relations.IDF.head_ascending == expected.head_ascending
+    assert stored.raw_columns() == expected.raw_columns()
+    assert stored.storage() == expected.storage() == ("q", "d")
+    assert stored.head_ascending == expected.head_ascending
+    assert [relations.idf(term) for term in expected.head] \
+        == list(expected.tail)
 
 
 def assert_same_layout(relations: IrRelations, count: int,
@@ -69,7 +72,6 @@ def assert_same_layout(relations: IrRelations, count: int,
 
 
 def assert_parity(relations: IrRelations) -> None:
-    # the columnar build reads first, so it alone makes IDF current
     for count in fragment_counts(relations):
         for order in ORDERS:
             assert_same_layout(relations, count, order)

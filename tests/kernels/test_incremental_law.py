@@ -229,10 +229,11 @@ class IncrementalMaintenance(RuleBasedStateMachine):
             tf for _, _, tf, _ in expected)
         rebuilt = compacted(maintained)
         assert maintained.stats() == rebuilt.stats()
-        maintained.refresh_idf()
-        rebuilt.refresh_idf()
-        assert dict(zip(maintained.IDF.head, maintained.IDF.tail)) == \
-            dict(zip(rebuilt.IDF.head, rebuilt.IDF.tail))
+        maintained_idf, rebuilt_idf = (
+            relations._stored().get("ir:IDF") for relations in
+            (maintained, rebuilt))
+        assert dict(zip(maintained_idf.head, maintained_idf.tail)) == \
+            dict(zip(rebuilt_idf.head, rebuilt_idf.tail))
         assert postings_of(maintained) == postings_of(rebuilt)
         assert universe_of(maintained) == universe_of(rebuilt)
         for count in (1, 3):

@@ -2,9 +2,9 @@
 
 The counters are the program's own: ``monetdb.delete_visited`` (BAT rows
 a delete had to look at), ``ir.postings_rebuilds`` (compactions: full
-O(pairs) merges of the delta into a new base), ``ir.idf_refresh`` /
-``ir.fragment_rebuilds`` (one per generation that is read) — and so are
-the spans the read after a write opens, one per refresh step.
+O(pairs) merges of the delta into a new base), ``ir.fragment_rebuilds``
+(one layout per generation that is read; idf needs no refresh step) —
+and so are the spans the read after a write opens.
 """
 
 import random
@@ -29,7 +29,7 @@ def _engine(documents: int) -> IrEngine:
     engine = IrEngine(fragment_count=4)
     for number in range(documents):
         engine.index(f"Article:a{number:05d}:body", _text(rng))
-    engine.search_fragmented("w1 w2 w3")  # index, IDF, fragments built
+    engine.search_fragmented("w1 w2 w3")  # index and fragments built
     return engine
 
 
@@ -61,7 +61,7 @@ def test_remove_visits_the_document_not_the_corpus(engines):
 def test_write_then_read_never_rebuilds_the_postings_index(engines):
     engine = engines[400]
     rng = random.Random(7)
-    names = ("ir.postings_rebuilds", "ir.idf_refresh", "ir.fragment_rebuilds")
+    names = ("ir.postings_rebuilds", "ir.fragment_rebuilds")
     with telemetry_session() as telemetry:
         for cycle in range(6):
             url = f"Article:live{cycle}:body"
@@ -72,19 +72,18 @@ def test_write_then_read_never_rebuilds_the_postings_index(engines):
             engine.remove(url)
             engine.search_fragmented("w5 w6")
             engine.search_fragmented("w7 w8")  # same generation: memoized
-            # one refresh per generation that was read, never a rebuild
-            assert _counters(telemetry, *names) == \
-                (0, 3 * (cycle + 1), 3 * (cycle + 1))
+            # one layout per generation that was read, never a rebuild
+            assert _counters(telemetry, *names) == (0, 3 * (cycle + 1))
 
 
 def test_each_generation_read_is_one_span_per_refresh_step(engines):
-    """The post-write refresh is visible as product spans: one IDF
-    refresh and one layout per generation read, and no compaction."""
+    """The post-write refresh is visible as product spans: one layout
+    per generation read, and no compaction."""
     engine = engines[1600]
     relations = engine.relations
     rng = random.Random(11)
     engine.search_fragmented("w0")  # read what earlier tests wrote
-    steps = ("ir.idf_refresh", "ir.fragment_build")
+    steps = ("ir.fragment_build",)
     with telemetry_session() as telemetry:
         engine.reindex("Article:spans:body", _text(rng))     # add
         engine.search_fragmented("w1 w2")
@@ -96,13 +95,12 @@ def test_each_generation_read_is_one_span_per_refresh_step(engines):
         spans = {name: telemetry.tracer.find_all(name)
                  for name in steps + ("ir.postings_build",)}
         rebuilds = _counters(telemetry, "ir.postings_rebuilds",
-                             "ir.idf_refresh", "ir.fragment_rebuilds")
-    assert rebuilds == (0, 3, 3)
-    assert [len(spans[name]) for name in steps] == [3, 3]
+                             "ir.fragment_rebuilds")
+    assert rebuilds == (0, 3)
+    assert [len(spans[name]) for name in steps] == [3]
     assert spans["ir.postings_build"] == []
-    vocabulary = len(relations.IDF)
+    vocabulary = len(relations._df)
     assert len(relations.postings_index().by_term) == vocabulary
-    assert spans["ir.idf_refresh"][-1].attributes == {"terms": vocabulary}
     assert spans["ir.fragment_build"][-1].attributes == {
         "terms": vocabulary, "fragments": 4}
 

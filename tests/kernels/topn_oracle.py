@@ -11,11 +11,12 @@ Accumulation order matches the kernels': query terms are visited in the
 iteration order of ``set(query_terms) & fragment.term_oids``, the order
 a compiled plan freezes, and each document occurs at most once per
 term's postings, so a scatter-add performs the same float additions.
+A term repeated in the query weighs ``idf × count``, its bound too.
 Results carry ``details["kernel"] == "scalar"`` so a comparison can
 never mistake one side for the other.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -43,11 +44,12 @@ def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
     result = TopNResult(ranking=[], details={"kernel": "scalar"})
     scores = defaultdict(float)
     wanted = set(query_terms)
+    counts = Counter(query_terms)
 
     remaining = defaultdict(float)
     for fragment in fragments:
         for term in wanted & fragment.term_oids:
-            remaining[term] += fragment.max_score_bound(term)
+            remaining[term] += fragment.max_score_bound(term) * counts[term]
 
     stop_index = len(fragments.fragments)
     for position, fragment in enumerate(fragments):
@@ -57,12 +59,12 @@ def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
             continue
         result.fragments_read += 1
         for term in touched:
-            weight = fragment.idf[term]
+            weight = fragment.idf[term] * counts[term]
             postings = _postings(fragments, fragment, term)
             result.tuples_read += len(postings)
             for doc, tf in postings:
                 scores[doc] += tf * weight
-            remaining[term] -= fragment.max_score_bound(term)
+            remaining[term] -= fragment.max_score_bound(term) * counts[term]
         if not prune:
             continue
         total_remaining = sum(remaining[term] for term in wanted)
@@ -88,7 +90,7 @@ def topn_fragmented(fragments, query_terms, n, prune=True, refine=False):
         members = {doc for doc, _ in _rank(scores, n)}
         for fragment in fragments.fragments[stop_index:]:
             for term in wanted & fragment.term_oids:
-                weight = fragment.idf[term]
+                weight = fragment.idf[term] * counts[term]
                 postings = _postings(fragments, fragment, term)
                 result.tuples_read += len(postings)
                 for doc, tf in postings:
@@ -155,13 +157,14 @@ def topn_cutoff(fragments, query_terms, n, keep_fragments):
                         details={"kernel": "scalar"})
     scores = defaultdict(float)
     wanted = set(query_terms)
+    counts = Counter(query_terms)
     for fragment in fragments.fragments[:keep_fragments]:
         touched = wanted & fragment.term_oids
         if not touched:
             continue
         result.fragments_read += 1
         for term in touched:
-            weight = fragment.idf[term]
+            weight = fragment.idf[term] * counts[term]
             postings = _postings(fragments, fragment, term)
             result.tuples_read += len(postings)
             for doc, tf in postings:

@@ -374,6 +374,19 @@ def test_an_idf_that_is_not_the_segments_terms_is_typed(obj, tmp_path):
         obj.load()
 
 
+def test_an_idf_that_is_not_one_over_df_is_typed(obj, tmp_path):
+    # idf is read off the segment's dfs, so the stored ir:IDF is checked
+    # input: a weight that is not 1/df of its term's run is a defect
+    catalog, columns = load_catalog(obj.ir_part)
+    idf = catalog.get("ir:IDF")
+    heads, tails = idf.raw_columns()
+    idf.replace(heads[0], tails[0] / 2)
+    save_catalog(catalog, tmp_path / "skewed.bats", columns=columns)
+    obj.write_ir_part((tmp_path / "skewed.bats").read_bytes())
+    with pytest.raises(SnapshotError, match="ir:IDF is not 1/df"):
+        obj.load()
+
+
 @pytest.mark.parametrize("target, message", [
     ("itself", "not yet read"),
     ("a later column", "not yet read"),

@@ -314,18 +314,18 @@ class TestFragmentMemo:
                                                             monkeypatch):
         """Four readers share the read lock on the first read after a
         write.  A build waits a moment for a second, concurrent build
-        to join it: with the memo locked none comes, and every other
-        reader reuses the first one's set."""
+        to join it: with the memo on the published index locked none
+        comes, and every other reader reuses the first one's set."""
         import sys
 
-        import repro.ir.engine as ir_engine
+        import repro.ir.fragmentation as fragmentation
         from repro.telemetry import telemetry_session
 
         engine = build_ir_engine(documents=30)
         service = SearchService(engine, ServicePolicy(max_inflight=4))
         service.reindex("doc:p3", "trophy champion fresh")
         builders = threading.Barrier(2)
-        real_build = ir_engine.fragment_by_idf
+        real_build = fragmentation.fragment_index
 
         def build(*args, **kwargs):
             try:
@@ -334,7 +334,7 @@ class TestFragmentMemo:
                 pass
             return real_build(*args, **kwargs)
 
-        monkeypatch.setattr(ir_engine, "fragment_by_idf", build)
+        monkeypatch.setattr(fragmentation, "fragment_index", build)
         queries = ("trophy", "champion", "w1 w2", "w3")
         readers = threading.Barrier(len(queries))
         errors = []
